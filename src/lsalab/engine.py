@@ -75,7 +75,9 @@ class RunResult:
 
     ``theta_hat`` holds the running average at the recorded times; ``sq_err``
     is ||hat - theta*||^2 when a fixed point was supplied (+inf from the
-    divergence time onward for a diverged run).
+    divergence time onward for a diverged run).  An error too large to square
+    in floating point (beyond ~1.3e154) also reads +inf: that is an overflow
+    of the reported error, not divergence, and ``diverged`` stays False.
     """
 
     times: np.ndarray
@@ -92,7 +94,10 @@ class MseCurve:
 
     Diverged replications are excluded from the mean and standard error and
     counted per time in ``n_diverged`` (they count from their divergence time
-    onward).  ``mse`` is +inf where no replication survived.
+    onward).  ``mse`` is +inf where no replication survived.  Where a
+    surviving replication's squared error overflows (error beyond ~1.3e154,
+    e.g. a far fixed point early in the run), ``mse`` and ``stderr`` are both
+    +inf while ``n_diverged`` does not count it: an overflow, not divergence.
     """
 
     times: np.ndarray
@@ -123,6 +128,12 @@ def divergence_bound(p: ProblemDistribution, theta_0: np.ndarray) -> float:
     if m is not None and m.theta_star is not None:
         scale = max(scale, float(np.max(np.abs(m.theta_star))))
     return min(DIVERGENCE_SENTINEL * scale, _DIVERGENCE_CAP)
+
+
+def _sq_err(hat: np.ndarray, theta_star: np.ndarray) -> np.ndarray:
+    """||hat - theta*||^2 over the last axis, +inf where the square overflows."""
+    with np.errstate(over="ignore"):
+        return (np.abs(hat - theta_star) ** 2).sum(axis=-1).astype(float)
 
 
 def _sample_dtype(p: ProblemDistribution) -> np.dtype:
@@ -231,7 +242,7 @@ def run_single(
     diverged = bool(div_at[0] >= 0)
     sq = None
     if theta_star is not None:
-        sq = (np.abs(hat_snaps[:, 0, :] - theta_star) ** 2).sum(axis=1).astype(float)
+        sq = _sq_err(hat_snaps[:, 0, :], theta_star)
         if diverged:
             sq[times >= div_at[0]] = np.inf
     return RunResult(
@@ -291,7 +302,7 @@ def run_mse(
         hat_all[:, start : start + hat.shape[1], :] = hat
         div_all[start : start + div.shape[0]] = div
 
-    sq = (np.abs(hat_all - theta_star) ** 2).sum(axis=2).astype(float)  # (m, R)
+    sq = _sq_err(hat_all, theta_star)  # (m, R)
     diverged_mask = (div_all[None, :] >= 0) & (div_all[None, :] <= times[:, None])
     sq[diverged_mask] = np.inf
 
@@ -299,12 +310,15 @@ def run_mse(
     n_valid = valid.sum(axis=1)
     mse = np.full(len(times), np.inf)
     stderr = np.zeros(len(times))
-    for i in range(len(times)):
-        vals = sq[i, valid[i]]
-        if len(vals):
-            mse[i] = vals.mean()
-            if len(vals) > 1:
-                stderr[i] = vals.std(ddof=1) / np.sqrt(len(vals))
+    with np.errstate(over="ignore"):
+        for i in range(len(times)):
+            vals = sq[i, valid[i]]
+            if len(vals):
+                mse[i] = vals.mean()
+                if not np.isfinite(mse[i]):
+                    stderr[i] = np.inf  # the spread of overflowed errors is inf - inf
+                elif len(vals) > 1:
+                    stderr[i] = vals.std(ddof=1) / np.sqrt(len(vals))
     return MseCurve(
         times=times,
         mse=mse,

@@ -118,11 +118,17 @@ class Moments:
 
 @dataclass(frozen=True)
 class FiniteAtoms:
-    """Support of a finite distribution: atoms (b_i, A_i) with weights p_i."""
+    """Support of a finite distribution: atoms (b_i, A_i) with weights p_i.
+
+    ``b_noise`` adds Gaussian scatter to the intercept: atom i draws
+    b = bs[i] + z * b_noise[i] with z ~ N(0, 1), independent of everything
+    else (TD's reward noise).  None means the intercepts are exact.
+    """
 
     probs: np.ndarray
     bs: np.ndarray  # (k, d)
     As: np.ndarray  # (k, d, d)
+    b_noise: np.ndarray | None = None  # (k, d)
 
 
 @dataclass(frozen=True)
@@ -162,17 +168,14 @@ def make_finite_support(atoms, label: str = "finite") -> ProblemDistribution:
     As = []
     probs = []
     for (b, A), p in atoms:
-        bs.append(np.asarray(b, dtype=None))
-        As.append(np.asarray(A))
+        bs.append(np.atleast_1d(np.asarray(b)))
+        As.append(np.atleast_2d(np.asarray(A)))
         probs.append(float(p))
     probs = np.asarray(probs, dtype=float)
     if np.any(probs < 0):
         raise ValueError("atom probabilities must be nonnegative")
     if abs(probs.sum() - 1.0) > 1e-12:
         raise ValueError(f"atom probabilities sum to {probs.sum()!r}, not 1")
-    d = bs[0].shape[0] if bs[0].ndim else 1
-    bs = [np.atleast_1d(b) for b in bs]
-    As = [np.atleast_2d(A) for A in As]
     d = bs[0].shape[0]
     for b, A in zip(bs, As):
         if b.shape != (d,) or A.shape != (d, d):
@@ -180,33 +183,50 @@ def make_finite_support(atoms, label: str = "finite") -> ProblemDistribution:
                 f"atom shapes {b.shape}, {A.shape} do not match dimension {d}"
             )
     dtype = np.result_type(float, *(a.dtype for a in As), *(b.dtype for b in bs))
-    bs = np.stack(bs).astype(dtype)
-    As = np.stack(As).astype(dtype)
+    return _finite_problem(
+        FiniteAtoms(probs=probs, bs=np.stack(bs).astype(dtype), As=np.stack(As).astype(dtype)),
+        label,
+    )
 
-    moments = _finite_support_moments(probs, bs, As)
+
+def _finite_problem(atoms: FiniteAtoms, label: str) -> ProblemDistribution:
+    """The distribution over validated atoms: index sampler and exact moments.
+
+    Each draw picks an atom index with probability p_i, then (only when
+    ``atoms.b_noise`` is set) one standard normal for the intercept scatter.
+    """
+    probs, bs, As, b_noise = atoms.probs, atoms.bs, atoms.As, atoms.b_noise
 
     def sample(rng: np.random.Generator, shape=()) -> tuple[np.ndarray, np.ndarray]:
         shape = tuple(np.atleast_1d(shape).astype(int)) if shape != () else ()
         idx = rng.choice(len(probs), size=shape, p=probs)
-        return bs[idx], As[idx]
+        b = bs[idx]
+        if b_noise is not None:
+            b = b + rng.standard_normal(shape)[..., None] * b_noise[idx]
+        return b, As[idx]
 
     return ProblemDistribution(
-        dim=d,
+        dim=bs.shape[1],
         sample=sample,
-        exact_moments=moments,
+        exact_moments=_finite_support_moments(atoms),
         label=label,
-        atoms=FiniteAtoms(probs=probs, bs=bs, As=As),
+        atoms=atoms,
     )
 
 
-def _finite_support_moments(probs: np.ndarray, bs: np.ndarray, As: np.ndarray) -> Moments:
+def _finite_support_moments(atoms: FiniteAtoms) -> Moments:
+    """Exact moments of a finite-support distribution, by weighted sums."""
+    probs, bs, As = atoms.probs, atoms.bs, atoms.As
     w = probs[:, None]
     b_P = (w * bs).sum(axis=0)
     A_P = (w[:, :, None] * As).sum(axis=0)
     AhA = np.einsum("kji,kjl->kil", As.conj(), As)  # A_k^* A_k
     C_P = (w[:, :, None] * AhA).sum(axis=0)
     sigma_A_sq = float((probs * spectral_norms(As - A_P) ** 2).sum())
-    sigma_b_sq = float((probs * (np.abs(bs - b_P) ** 2).sum(axis=1)).sum())
+    b_dev_sq = (np.abs(bs - b_P) ** 2).sum(axis=1)
+    if atoms.b_noise is not None:
+        b_dev_sq = b_dev_sq + (np.abs(atoms.b_noise) ** 2).sum(axis=1)
+    sigma_b_sq = float((probs * b_dev_sq).sum())
     return Moments.from_parts(A_P, b_P, C_P, sigma_A_sq, sigma_b_sq)
 
 

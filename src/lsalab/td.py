@@ -1,8 +1,8 @@
 """Temporal-difference policy evaluation cast as (b, A) distributions.
 
-Data comes from a finite synthetic MDP replayed i.i.d.: a state s is drawn
-from a fixed sampling distribution, a successor s' from a transition row, and
-the algorithms consume the feature pair (phi_s, phi_{s'}) plus the reward.
+Data comes from a finite synthetic MDP replayed i.i.d. from experience: a
+transition (s, s') is drawn with probability sampling[s] * P_behavior[s, s'],
+and the algorithms consume the feature pair (phi_s, phi_{s'}) plus the reward.
 
 With delta = phi_s (phi_s - gamma*phi_{s'})^T and b = phi_s * r:
 
@@ -19,11 +19,13 @@ With delta = phi_s (phi_s - gamma*phi_{s'})^T and b = phi_s * r:
   for the second.  mu is the importance ratio correcting behavior-to-target
   mismatch when successors are sampled from a behavior transition matrix.
 
-Exact moments are computed by enumerating all (s, s') pairs weighted by
-sampling[s] * P_behavior[s, s'].  Mean matrices are checked for the
-positive-real-part spectrum the stability theory needs; failures are flagged
-on the instance (the known off-policy fragility of the uncorrected one-step
-method), not raised.
+Every instance is therefore a finite-support distribution with one atom per
+(s, s') pair of positive weight (``ProblemDistribution.atoms``); Gaussian
+reward noise is the atoms' intercept scatter.  Its exact moments, and those of
+its similarity transforms, are weighted sums over the atoms.  Mean matrices
+are checked for the positive-real-part spectrum the stability theory needs;
+failures are flagged on the instance (the known off-policy fragility of the
+uncorrected one-step method), not raised.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import Moments, ProblemDistribution, spectral_norms
+from .problems import FiniteAtoms, Moments, ProblemDistribution, _finite_problem
 
 __all__ = [
     "SyntheticMdp",
@@ -176,55 +178,41 @@ class TdInstance:
         return self.problem.exact_moments.theta_star
 
 
-def _pair_weights(mdp: SyntheticMdp) -> np.ndarray:
-    return mdp.sampling[:, None] * mdp.effective_behavior
-
-
-def _enumerate_moments(
+def _pair_instance(
     mdp: SyntheticMdp,
+    algo: str,
     A_of: np.ndarray,  # (n, n, D, D) update matrix per (s, s')
     b_of: np.ndarray,  # (n, n, D) intercept per (s, s')
-    b_noise_of: np.ndarray,  # (n, n, D) noise direction multiplying the reward noise
-) -> Moments:
-    w = _pair_weights(mdp)  # (n, n)
-    ws = w.reshape(-1)
-    keep = ws > 0
-    ws = ws[keep]
+    noise_dir: np.ndarray,  # (n, n, D) intercept direction of the reward noise
+    label: str,
+    eta: float | None = None,
+) -> TdInstance:
+    """Package per-pair update arrays as a finite-support instance.
+
+    Only pairs with positive sampling x behavior weight become atoms.
+    """
+    w = (mdp.sampling[:, None] * mdp.effective_behavior).reshape(-1)
+    keep = w > 0
     D = A_of.shape[-1]
-    As = A_of.reshape(-1, D, D)[keep]
-    bs = b_of.reshape(-1, D)[keep]
-    noise_dirs = b_noise_of.reshape(-1, D)[keep]
-
-    A_P = np.einsum("k,kij->ij", ws, As)
-    b_P = np.einsum("k,ki->i", ws, bs)
-    C_P = np.einsum("k,kji,kjl->il", ws, As, As)
-    sigma_A_sq = float((ws * spectral_norms(As - A_P) ** 2).sum())
-    sigma_b_sq = float((ws * ((bs - b_P) ** 2).sum(axis=1)).sum())
+    b_noise = None
     if mdp.reward_noise_std > 0:
-        sigma_b_sq += mdp.reward_noise_std**2 * float(
-            (ws * (noise_dirs**2).sum(axis=1)).sum()
-        )
-    return Moments.from_parts(A_P, b_P, C_P, sigma_A_sq, sigma_b_sq)
-
-
-def _transition_sampler(mdp: SyntheticMdp):
-    """Vectorized draw of (s, s', reward) under sampling x behavior."""
-    cum_rows = np.cumsum(mdp.effective_behavior, axis=1)
-    cum_rows[:, -1] = 1.0  # guard against rounding
-    sampling = mdp.sampling
-    rewards = mdp.rewards
-    noise_std = mdp.reward_noise_std
-
-    def draw(rng: np.random.Generator, shape):
-        s = rng.choice(mdp.n_states, size=shape, p=sampling)
-        u = rng.random(shape)
-        sp = (u[..., None] > cum_rows[s]).sum(axis=-1)
-        r = rewards[s, sp]
-        if noise_std:
-            r = r + noise_std * rng.standard_normal(shape)
-        return s, sp, r
-
-    return draw
+        b_noise = mdp.reward_noise_std * noise_dir.reshape(-1, D)[keep]
+    atoms = FiniteAtoms(
+        probs=w[keep],
+        bs=b_of.reshape(-1, D)[keep],
+        As=A_of.reshape(-1, D, D)[keep],
+        b_noise=b_noise,
+    )
+    problem = _finite_problem(atoms, label)
+    spectrum = np.linalg.eigvals(problem.exact_moments.A_P)
+    return TdInstance(
+        problem=problem,
+        mdp=mdp,
+        algo=algo,
+        hurwitz=bool(np.min(spectrum.real) > 0),
+        mean_spectrum=spectrum,
+        eta=eta,
+    )
 
 
 def td0_instance(mdp: SyntheticMdp) -> TdInstance:
@@ -244,31 +232,8 @@ def td0_instance(mdp: SyntheticMdp) -> TdInstance:
     )
     b_of = phi[:, None, :] * mdp.rewards[:, :, None]
     noise_dir = np.broadcast_to(phi[:, None, :], b_of.shape)
-    moments = _enumerate_moments(mdp, delta, b_of, noise_dir)
-
-    draw = _transition_sampler(mdp)
-
-    def sample(rng: np.random.Generator, shape=()):
-        shape = tuple(np.atleast_1d(shape).astype(int)) if shape != () else ()
-        s, sp, r = draw(rng, shape)
-        ps = phi[s]
-        A = np.einsum("...i,...j->...ij", ps, ps - gamma * phi[sp])
-        b = ps * r[..., None]
-        return b, A
-
-    problem = ProblemDistribution(
-        dim=d,
-        sample=sample,
-        exact_moments=moments,
-        label=f"td0(n={n}, d={d}, gamma={gamma:g})",
-    )
-    spectrum = np.linalg.eigvals(moments.A_P)
-    return TdInstance(
-        problem=problem,
-        mdp=mdp,
-        algo="td0",
-        hurwitz=bool(np.min(spectrum.real) > 0),
-        mean_spectrum=spectrum,
+    return _pair_instance(
+        mdp, "td0", delta, b_of, noise_dir, label=f"td0(n={n}, d={d}, gamma={gamma:g})"
     )
 
 
@@ -310,39 +275,12 @@ def gtd_instance(mdp: SyntheticMdp, eta: float, variant: str = "gtd") -> TdInsta
     noise_dir = np.zeros((n, n, D))
     noise_dir[:, :, :d] = eta * mu[:, :, None] * phi[:, None, :]
 
-    moments = _enumerate_moments(mdp, A_of, b_of, noise_dir)
-    draw = _transition_sampler(mdp)
-    eye = np.eye(d)
-
-    def sample(rng: np.random.Generator, shape=()):
-        shape = tuple(np.atleast_1d(shape).astype(int)) if shape != () else ()
-        s, sp, r = draw(rng, shape)
-        ps = phi[s]
-        mus = mu[s, sp]
-        dlt = np.einsum("...i,...j->...ij", ps, ps - gamma * phi[sp])
-        A = np.zeros(shape + (D, D))
-        if variant == "gtd":
-            A[..., :d, :d] = eta * eye
-        else:
-            A[..., :d, :d] = eta * np.einsum("...i,...j->...ij", ps, ps)
-        A[..., :d, d:] = eta * mus[..., None, None] * dlt
-        A[..., d:, :d] = -mus[..., None, None] * np.swapaxes(dlt, -1, -2)
-        b = np.zeros(shape + (D,))
-        b[..., :d] = eta * (mus * r)[..., None] * ps
-        return b, A
-
-    problem = ProblemDistribution(
-        dim=D,
-        sample=sample,
-        exact_moments=moments,
+    return _pair_instance(
+        mdp,
+        variant,
+        A_of,
+        b_of,
+        noise_dir,
         label=f"{variant}(n={n}, d={d}, gamma={gamma:g}, eta={eta:g})",
-    )
-    spectrum = np.linalg.eigvals(moments.A_P)
-    return TdInstance(
-        problem=problem,
-        mdp=mdp,
-        algo=variant,
-        hurwitz=bool(np.min(spectrum.real) > 0),
-        mean_spectrum=spectrum,
         eta=eta,
     )

@@ -32,8 +32,9 @@ from .problems import (
     FiniteAtoms,
     Moments,
     ProblemDistribution,
+    _finite_problem,
+    _finite_support_moments,
     spectral_norm,
-    spectral_norms,
 )
 
 __all__ = [
@@ -174,16 +175,18 @@ def jordan_scaled_transform(V, blocks) -> TransformResult:
     return result
 
 
-def _transform_finite_moments(atoms: FiniteAtoms, tr: TransformResult) -> Moments:
-    bs = np.einsum("ij,kj->ki", tr.U_inv, atoms.bs)
-    As = np.einsum("ij,kjl,lm->kim", tr.U_inv, atoms.As, tr.U)
-    w = atoms.probs[:, None]
-    b_P = (w * bs).sum(axis=0)
-    A_P = (w[:, :, None] * As).sum(axis=0)
-    C_P = (w[:, :, None] * np.einsum("kji,kjl->kil", As.conj(), As)).sum(axis=0)
-    sigma_A_sq = float((atoms.probs * spectral_norms(As - A_P) ** 2).sum())
-    sigma_b_sq = float((atoms.probs * (np.abs(bs - b_P) ** 2).sum(axis=1)).sum())
-    return Moments.from_parts(A_P, b_P, C_P, sigma_A_sq, sigma_b_sq)
+def _transform_atoms(atoms: FiniteAtoms, tr: TransformResult) -> FiniteAtoms:
+    """Atoms (U^{-1} b_i, U^{-1} A_i U), intercept scatter mapped by U^{-1}."""
+    U, U_inv = tr.U, tr.U_inv
+    b_noise = None
+    if atoms.b_noise is not None:
+        b_noise = np.einsum("ij,kj->ki", U_inv, atoms.b_noise)
+    return FiniteAtoms(
+        probs=atoms.probs,
+        bs=np.einsum("ij,kj->ki", U_inv, atoms.bs),
+        As=np.einsum("ij,kjl,lm->kim", U_inv, atoms.As, U),
+        b_noise=b_noise,
+    )
 
 
 def transform_moments(
@@ -194,14 +197,17 @@ def transform_moments(
 ) -> Moments:
     """Moments of the transformed distribution (U^{-1} b, U^{-1} A U).
 
-    Exact for finite-support families; exact when the matrix part is
-    deterministic (sigma_A = 0, where C = Lambda^* Lambda); otherwise the
-    second moment is estimated from n_estimate draws.  The noise magnitudes
-    are mapped as the bounds sigma_A^2 -> kappa(U)^2 sigma_A^2 and
-    sigma_b^2 -> ||U^{-1}||^2 sigma_b^2 when not exactly computable.
+    Exact, with no sampling, for finite-support families (plain finite
+    problems and every TD instance: weighted sums over the transformed atoms)
+    and when the matrix part is deterministic (sigma_A = 0, where
+    C = Lambda^* Lambda).  Monte Carlo runs only for a distribution without
+    atoms whose matrix is random (the Gaussian family): its second moment is
+    then estimated from n_estimate draws, and its noise magnitudes are mapped
+    as the bounds sigma_A^2 -> kappa(U)^2 sigma_A^2 and
+    sigma_b^2 -> ||U^{-1}||^2 sigma_b^2.
     """
     if p.atoms is not None:
-        return _transform_finite_moments(p.atoms, tr)
+        return _finite_support_moments(_transform_atoms(p.atoms, tr))
     if p.exact_moments is None:
         raise ValueError("distribution has no exact moments; use estimate_moments first")
     m = p.exact_moments
@@ -237,6 +243,9 @@ def transform_distribution(
     """Distribution of (U^{-1} b_t, U^{-1} A_t U) under the given transform."""
     if tr.U.shape[0] != p.dim:
         raise ValueError("transform dimension does not match distribution")
+    label = f"{p.label}@transformed"
+    if p.atoms is not None:
+        return _finite_problem(_transform_atoms(p.atoms, tr), label)
     U, U_inv = tr.U, tr.U_inv
 
     def sample(rng: np.random.Generator, shape=()) -> tuple[np.ndarray, np.ndarray]:
@@ -245,23 +254,10 @@ def transform_distribution(
         AT = np.einsum("ij,...jl,lm->...im", U_inv, A, U)
         return bT, AT
 
-    atoms = None
-    if p.atoms is not None:
-        bs = np.einsum("ij,kj->ki", U_inv, p.atoms.bs)
-        As = np.einsum("ij,kjl,lm->kim", U_inv, p.atoms.As, U)
-        atoms = FiniteAtoms(probs=p.atoms.probs, bs=bs, As=As)
-
     moments = None
-    if p.exact_moments is not None or p.atoms is not None:
+    if p.exact_moments is not None:
         moments = transform_moments(p, tr, n_estimate=n_estimate, seed=seed)
-
-    return ProblemDistribution(
-        dim=p.dim,
-        sample=sample,
-        exact_moments=moments,
-        label=f"{p.label}@transformed",
-        atoms=atoms,
-    )
+    return ProblemDistribution(dim=p.dim, sample=sample, exact_moments=moments, label=label)
 
 
 def transform_problem(

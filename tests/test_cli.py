@@ -1,0 +1,84 @@
+import json
+
+import numpy as np
+import pytest
+
+from lsalab import gtd_instance, load_problem_file, td0_instance
+from lsalab.cli import EXIT_DIVERGED, EXIT_VALIDATION, main
+from lsalab.problem_io import mdp_from_dict
+
+
+def write_mdp(path, off_policy):
+    """Four-state MDP with two features as the JSON ``lsalab td`` reads."""
+    rng = np.random.default_rng(21)
+    P = rng.uniform(0.1, 1.0, (4, 4))
+    spec = {
+        "features": rng.standard_normal((4, 2)).tolist(),
+        "transitions": (P / P.sum(axis=1, keepdims=True)).tolist(),
+        "rewards": rng.standard_normal(4).tolist(),
+        "discount": 0.9,
+        "reward_noise_std": 0.5,
+    }
+    if off_policy:
+        Pb = rng.uniform(0.1, 1.0, (4, 4))
+        spec["behavior_transitions"] = (Pb / Pb.sum(axis=1, keepdims=True)).tolist()
+    path.write_text(json.dumps(spec))
+    return path
+
+
+@pytest.fixture(params=[("td0", False), ("gtd2", True)], ids=["td0", "gtd2-offpolicy"])
+def td_problem(request, tmp_path, capsys):
+    """A problem file written by ``lsalab td``, with the summary it printed."""
+    algo, off_policy = request.param
+    mdp = write_mdp(tmp_path / "mdp.json", off_policy)
+    out = tmp_path / "problem.json"
+    code = main(["td", "--mdp", str(mdp), "--algo", algo, "--seed", "3", "--out", str(out)])
+    assert code == 0
+    direct = td0_instance if algo == "td0" else lambda mdp: gtd_instance(mdp, 1.0, "gtd2")
+    instance = direct(mdp_from_dict(json.loads(mdp.read_text())))
+    return out, json.loads(capsys.readouterr().out), instance.moments
+
+
+def test_td_file_round_trip(td_problem):
+    path, summary, exact = td_problem
+    m = load_problem_file(path).exact_moments
+    for name in ("A_P", "b_P", "C_P", "sigma_A_sq", "sigma_b_sq"):
+        assert np.array_equal(getattr(m, name), getattr(exact, name))
+    assert summary["hurwitz"] is True
+    assert np.array_equal(m.theta_star, summary["theta_star"])
+    assert m.sigma_A_sq == summary["sigma_A_sq"]
+    assert m.sigma_b_sq == summary["sigma_b_sq"]
+
+
+def test_subcommands_exit_zero_and_rerun_identically(td_problem, tmp_path, capsys):
+    path = td_problem[0]
+    common = ["--problem", str(path), "--seed", "4"]
+    assert main(["transform", *common]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["lambda_min_sym"] > 0
+    alpha = 0.5 * report["witness_alpha_transformed"]
+    bound = tmp_path / "bound.csv"
+    assert main(["bound", *common, "--alpha", repr(alpha), "--t-grid", "1:500:5:log",
+                 "--out", str(bound)]) == 0
+    out = tmp_path / "simulate.csv"
+    sim = ["simulate", *common, "--alpha", repr(alpha), "--horizon", "500", "--reps", "8",
+           "--stride", "100", "--out", str(out)]
+    assert main(sim) == 0
+    first = out.read_bytes()
+    assert main(sim) == 0
+    assert out.read_bytes() == first
+
+
+def test_unknown_algo_exits_2(tmp_path, capsys):
+    mdp = write_mdp(tmp_path / "mdp.json", off_policy=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["td", "--mdp", str(mdp), "--algo", "sarsa"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_all_diverged_simulate_exits_3(td_problem, tmp_path, capsys):
+    code = main(["simulate", "--problem", str(td_problem[0]), "--alpha", "50", "--horizon", "200",
+                 "--reps", "4", "--stride", "50", "--out", str(tmp_path / "sim.csv")])
+    assert code == EXIT_DIVERGED
+    assert "diverged" in capsys.readouterr().err

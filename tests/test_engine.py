@@ -136,6 +136,20 @@ class TestRunMse:
         assert curve.n_diverged[-1] == 20
         assert np.isinf(curve.mse[-1])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowed_error_is_inf_not_divergence(self):
+        # theta* = 1e155: early errors of a converging run exceed ~1.3e154,
+        # so their squares overflow; that reads inf, never NaN or divergence
+        p = scalar_problem(a=1.0, b=1e155)
+        cfg = RunConfig(alpha=0.5, horizon=400, record_stride=10, n_replications=3)
+        curve = run_mse(p, cfg)
+        assert curve.mse[0] == np.inf and curve.stderr[0] == np.inf
+        assert not np.isnan(curve.mse).any() and not np.isnan(curve.stderr).any()
+        assert curve.n_diverged.sum() == 0
+        assert np.isfinite(curve.mse[-1]) and curve.stderr[-1] == 0.0
+        r = run_single(p, cfg)
+        assert r.sq_err[0] == np.inf and not r.diverged
+
     def test_theta_star_required(self):
         p = pm_identity(0.05)  # theta* = 0 exists, so strip the moments
         import dataclasses

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lsalab import (
     NotHurwitzError,
+    SyntheticMdp,
+    gtd_instance,
     hurwitz_to_pd,
     jordan_scaled_transform,
     make_finite_support,
@@ -10,9 +14,11 @@ from lsalab import (
     rho_d,
     rho_s,
     transform_distribution,
+    transform_moments,
     transform_problem,
     witness_alpha,
 )
+from lsalab.problems import FiniteAtoms, _finite_problem
 
 JORDAN_2 = np.array([[0.1, 1.0], [0.0, 0.1]])
 
@@ -157,34 +163,67 @@ class TestTransformDistribution:
         assert np.allclose(p_U.atoms.As[1], -np.eye(2), atol=1e-12)
 
     def test_finite_support_moments_match_bruteforce(self):
-        rng = np.random.default_rng(5)
-        atoms = [
-            ((rng.standard_normal(2), rng.standard_normal((2, 2))), 0.25),
-            ((rng.standard_normal(2), rng.standard_normal((2, 2))), 0.75),
-        ]
-        p = make_finite_support(atoms)
-        U = rng.standard_normal((2, 2)) + 3 * np.eye(2)
         from lsalab.transform import TransformResult
 
-        tr = TransformResult(
-            U=U, U_inv=np.linalg.inv(U), Lambda=np.linalg.inv(U) @ p.exact_moments.A_P @ U,
-            kappa_U=np.linalg.cond(U),
-        )
-        p_U = transform_distribution(p, tr)
-        m = p_U.exact_moments
-        # brute force over transformed atoms
+        rng = np.random.default_rng(5)
+        bs = rng.standard_normal((2, 2))
+        As = rng.standard_normal((2, 2, 2))
+        probs = np.array([0.25, 0.75])
+        U = rng.standard_normal((2, 2)) + 3 * np.eye(2)
         Ui = np.linalg.inv(U)
-        A_exp = sum(
-            w * (Ui @ np.atleast_2d(A) @ U) for (_, A), w in atoms
+        # without and with intercept scatter b = b_i + z*n_i
+        for noise in (np.zeros((2, 2)), np.array([[0.5, -1.0], [2.0, 0.3]])):
+            atoms = FiniteAtoms(probs=probs, bs=bs, As=As, b_noise=noise if noise.any() else None)
+            p = _finite_problem(atoms, "finite")
+            tr = TransformResult(
+                U=U, U_inv=Ui, Lambda=Ui @ p.exact_moments.A_P @ U, kappa_U=np.linalg.cond(U)
+            )
+            m = transform_distribution(p, tr).exact_moments
+            # brute force over transformed atoms
+            A_exp = sum(w * (Ui @ A @ U) for A, w in zip(As, probs))
+            C_exp = sum(w * (Ui @ A @ U).T @ (Ui @ A @ U) for A, w in zip(As, probs))
+            b_exp = sum(w * (Ui @ b) for b, w in zip(bs, probs))
+            sA_exp = sum(
+                w * np.linalg.norm(Ui @ A @ U - A_exp, 2) ** 2 for A, w in zip(As, probs)
+            )
+            sb_exp = sum(
+                w * (np.sum((Ui @ b - b_exp) ** 2) + np.sum((Ui @ n) ** 2))
+                for b, n, w in zip(bs, noise, probs)
+            )
+            assert np.allclose(m.A_P, A_exp, atol=1e-10)
+            assert np.allclose(m.C_P, C_exp, atol=1e-10)
+            assert np.allclose(m.b_P, b_exp, atol=1e-10)
+            assert m.sigma_A_sq == pytest.approx(sA_exp, rel=1e-10)
+            assert m.sigma_b_sq == pytest.approx(sb_exp, rel=1e-10)
+            m2 = transform_moments(p, tr)
+            assert np.array_equal(m2.C_P, m.C_P) and m2.sigma_b_sq == m.sigma_b_sq
+
+    def test_gtd2_transform_is_enumerated(self):
+        # off-policy GTD2: Hurwitz with a singular symmetric part, so a
+        # nontrivial U; its transformed moments come from the atoms alone
+        rng = np.random.default_rng(8)
+        P = rng.uniform(0.1, 1.0, (4, 4))
+        Pb = rng.uniform(0.1, 1.0, (4, 4))
+        mdp = SyntheticMdp(
+            features=rng.standard_normal((4, 2)),
+            transitions=P / P.sum(axis=1, keepdims=True),
+            rewards=rng.standard_normal(4),
+            discount=0.9,
+            behavior_transitions=Pb / Pb.sum(axis=1, keepdims=True),
+            reward_noise_std=0.5,
         )
-        C_exp = sum(
-            w * (Ui @ np.atleast_2d(A) @ U).conj().T @ (Ui @ np.atleast_2d(A) @ U)
-            for (_, A), w in atoms
-        )
-        b_exp = sum(w * (Ui @ b) for (b, _), w in atoms)
-        assert np.allclose(m.A_P, A_exp, atol=1e-10)
-        assert np.allclose(m.C_P, C_exp, atol=1e-10)
-        assert np.allclose(m.b_P, b_exp, atol=1e-10)
+        inst = gtd_instance(mdp, 1.0, variant="gtd2")
+
+        def no_draws(rng, shape=()):
+            raise AssertionError("transform drew samples")
+
+        p = dataclasses.replace(inst.problem, sample=no_draws)
+        _, tr = transform_problem(p)
+        assert tr.kappa_U > 1
+        m, m_U = p.exact_moments, tr.transformed_moments
+        assert m_U.sigma_A_sq <= tr.kappa_U**2 * m.sigma_A_sq
+        assert m_U.sigma_b_sq <= np.linalg.norm(tr.U_inv, 2) ** 2 * m.sigma_b_sq
+        assert np.allclose(m_U.A_P, tr.Lambda, atol=1e-10)
 
     def test_sampler_matches_transformed_atoms(self):
         p = make_finite_support(
