@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Subcommands mirror the library modules: ``rho`` (spectral gaps on a step-size
-grid), ``transform`` (PD-certifying similarity report), ``simulate`` (Monte
-Carlo MSE curves), ``bound`` (closed-form envelopes), ``tune`` (automatic
-step-size halving), ``td`` (materialize a TD instance as a problem file), and
-``repro-fig1`` (the full tuning experiment: tuned step-sizes vs the
-hand-computed certificate across noise levels, plus MSE curves at the tuned
-step-sizes).
+Subcommands mirror the library modules: ``rho`` (spectral gaps of the
+PD-certifying transform on a step-size grid), ``transform`` (that
+similarity's report), ``simulate`` (Monte Carlo MSE curves), ``bound``
+(closed-form envelopes), ``tune`` (automatic step-size halving), ``td``
+(materialize a TD instance as a problem file), and ``repro-fig1`` (the full
+tuning experiment: tuned step-sizes vs the hand-computed certificate across
+noise levels, plus MSE curves at the tuned step-sizes).
 
 Every CSV gets a provenance comment (the exact invocation) and a header row,
 and every subcommand is deterministic given --seed, so reruns are
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -104,6 +103,17 @@ def _moments_of(p: ProblemDistribution, seed: int):
     return estimate_moments(p, 200_000, seed)
 
 
+def _transformed(p: ProblemDistribution, seed: int):
+    """The PD-certifying transform of ``p``, with estimated moments if it has none.
+
+    Returns (moments of ``p``, TransformResult); ``rho``, ``transform`` and
+    ``bound`` all report on this one transformed problem.
+    """
+    if p.exact_moments is None:
+        p = dataclasses.replace(p, exact_moments=_moments_of(p, seed))
+    return p.exact_moments, transform_problem(p, seed=seed)[1]
+
+
 def _seed_of(args, p: ProblemDistribution) -> int:
     if args.seed is not None:
         return args.seed
@@ -117,7 +127,8 @@ def _seed_of(args, p: ProblemDistribution) -> int:
 
 def _cmd_rho(args) -> int:
     p = _problem_from_args(args)
-    m = _moments_of(p, _seed_of(args, p))
+    _, tr = _transformed(p, _seed_of(args, p))
+    m = tr.transformed_moments
     grid = _parse_grid(args.alpha_grid)
     rows = []
     for a in grid:
@@ -137,10 +148,7 @@ def _cmd_rho(args) -> int:
 
 def _cmd_transform(args) -> int:
     p = _problem_from_args(args)
-    seed = _seed_of(args, p)
-    if p.exact_moments is None:
-        p = dataclasses.replace(p, exact_moments=_moments_of(p, seed))
-    p_U, tr = transform_problem(p, seed=seed)
+    _, tr = _transformed(p, _seed_of(args, p))
     try:
         wit = witness_alpha(tr.transformed_moments)
     except NotPositiveDefiniteError:
@@ -182,16 +190,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bound(args) -> int:
     p = _problem_from_args(args)
-    seed = _seed_of(args, p)
-    m = _moments_of(p, seed)
+    m, tr = _transformed(p, _seed_of(args, p))
     theta0 = (
         np.asarray(json.loads(args.theta0), dtype=float)
         if args.theta0
         else np.zeros(p.dim)
     )
-    if p.exact_moments is None:
-        p = dataclasses.replace(p, exact_moments=m)
-    _, tr = transform_problem(p, seed=seed)
     inputs = bound_inputs_for(m, args.alpha, theta0, transform=tr)
     times = _parse_grid(args.t_grid, integer=True)
     curve = bound_curve(inputs, times)
@@ -302,8 +306,7 @@ def repro_fig1(
     2/(||A||^2 + sigma_A^2) = 2/(101 + sigma_A^2), and the averaged-iterate
     MSE is simulated at the median tuned step-size.  Writes
     ``fig1_left.csv`` (per-level tuned/hand step-sizes), ``fig1_right.csv``
-    (MSE curves), ``fig1_summary.json``, and an SVG rendering of both panels
-    when matplotlib is available.
+    (MSE curves) and ``fig1_summary.json``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -370,46 +373,7 @@ def repro_fig1(
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    svg = _plot_fig1(out_dir, left_rows, curves)
-    summary["svg"] = svg
     return summary
-
-
-def _plot_fig1(out_dir: Path, left_rows, curves) -> str | None:
-    """Render both panels to SVG; skipped quietly when matplotlib is absent."""
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        matplotlib.rcParams["svg.hashsalt"] = "lsalab"
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return None
-    fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(11, 4.2))
-    sig = [r[0] for r in left_rows]
-    med = [r[1] for r in left_rows]
-    iqr = [r[2] for r in left_rows]
-    hand = [r[3] for r in left_rows]
-    ax1.errorbar(sig, med, yerr=np.asarray(iqr) / 2, fmt="o", label="tuned (median)")
-    ax1.plot(sig, hand, "s", color="tab:red", label="hand computed")
-    ax1.set_yscale("log")
-    ax1.set_xlabel("noise magnitude")
-    ax1.set_ylabel("step-size")
-    ax1.set_title("Tuned vs hand-computed step-size")
-    ax1.legend()
-    for s, curve in curves.items():
-        ax2.plot(curve.times, curve.mse, label=f"noise {s:g}", lw=0.9)
-    ax2.set_xscale("log")
-    ax2.set_yscale("log")
-    ax2.set_xlabel("t")
-    ax2.set_ylabel("MSE of averaged iterate")
-    ax2.set_title("MSE at the tuned step-size")
-    ax2.legend()
-    fig.tight_layout()
-    path = out_dir / "fig1.svg"
-    fig.savefig(path, format="svg", metadata={"Date": None})
-    plt.close(fig)
-    return str(path)
 
 
 def _cmd_repro_fig1(args) -> int:
@@ -442,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--problem", required=True, help="problem JSON file")
         sp.add_argument("--seed", type=int, default=None)
 
-    sp = sub.add_parser("rho", help="spectral gaps over a step-size grid")
+    sp = sub.add_parser("rho", help="spectral gaps of the transformed problem on a step-size grid")
     add_common(sp)
     sp.add_argument("--alpha-grid", required=True, help="a0:a1:n[:log]")
     sp.add_argument("--out", help="CSV output path (stdout when omitted)")
@@ -505,9 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if os.environ.get("LSA_LAB_THREADS"):
-        # cap BLAS pools too, best effort (only effective before numpy spins up)
-        os.environ.setdefault("OMP_NUM_THREADS", os.environ["LSA_LAB_THREADS"])
     ap = _build_parser()
     args = ap.parse_args(argv)
     args._raw_argv = list(argv)

@@ -5,19 +5,18 @@ the reported output is the running average hat_theta_t = mean(theta_0..theta_t),
 maintained incrementally as hat += (theta - hat)/(t+1).
 
 Replications are vectorized: all replication states advance together in
-(R, d) arrays, while each replication consumes its own spawned random stream,
-so results are bit-identical whether replications run singly, batched, or on
-several worker threads.  A replication whose iterate exceeds the divergence
-bound is frozen and flagged with its divergence time rather than raising.  The
-bound is relative to the problem (see ``divergence_bound``), so a fixed point
-or start far from the origin does not read as divergence.
+(R, d) arrays through one step kernel (``_advance``, which the tuner shares),
+while each replication consumes its own spawned random stream, so results are
+bit-identical whether replications run singly or batched.  A replication whose
+iterate would pass the divergence bound is frozen, flagged with its divergence
+time and dropped from the live set rather than raising.  The bound is relative
+to the problem (see ``divergence_bound``), so a fixed point or start far from
+the origin does not read as divergence.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,6 +97,7 @@ class MseCurve:
     surviving replication's squared error overflows (error beyond ~1.3e154,
     e.g. a far fixed point early in the run), ``mse`` and ``stderr`` are both
     +inf while ``n_diverged`` does not count it: an overflow, not divergence.
+    Finite squared errors whose sum overflows still give a finite mean.
     """
 
     times: np.ndarray
@@ -136,78 +136,84 @@ def _sq_err(hat: np.ndarray, theta_star: np.ndarray) -> np.ndarray:
         return (np.abs(hat - theta_star) ** 2).sum(axis=-1).astype(float)
 
 
-def _sample_dtype(p: ProblemDistribution) -> np.dtype:
-    b, A = p.sample(np.random.default_rng(0), ())
-    return np.result_type(np.float64, b.dtype, A.dtype)
+def _advance(theta, hat, n: int, b, A, alpha: float, bound: float):
+    """Step (R, d) states through a pre-drawn block, keeping the running average.
+
+    ``b`` is (S, R, d) and ``A`` is (S, R, d, d); ``n`` is the number of steps
+    already averaged into ``hat``.  Stops just before the first step that
+    would take some replication past ``bound`` (a NaN counts as past it).
+    Returns (theta, hat, steps_taken, mask): ``mask`` marks the replications
+    that step would take past the bound, or is None when all S steps were
+    taken.  The inputs are not modified.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(len(b)):
+            upd = theta + alpha * (b[s] - np.matmul(A[s], theta[..., None])[..., 0])
+            if not np.abs(upd).max() <= bound:
+                return theta, hat, s, ~(np.abs(upd).max(axis=1) <= bound)
+            theta = upd
+            hat = hat + (theta - hat) / (n + s + 2)
+    return theta, hat, len(b), None
 
 
 def _simulate_block(
     p: ProblemDistribution,
     cfg: RunConfig,
     rngs: list[np.random.Generator],
-    dtype,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance len(rngs) replications; returns snapshots and divergence times.
 
     Returns (theta_snaps, hat_snaps, diverged_at) with snapshot shapes
     (n_records, R, d); diverged_at is -1 for replications that never diverge.
+    A diverged replication leaves the live set: its state before the
+    diverging step fills its remaining snapshots and its stream is no longer
+    drawn.  The dtype is that of the first chunk drawn.
     """
     R = len(rngs)
-    d = p.dim
-    alpha = cfg.alpha
     record = cfg.record_times()
     n_rec = len(record)
-
-    theta0 = _resolve_theta0(p, cfg, dtype)
-    bound = divergence_bound(p, theta0)
-    theta = np.tile(theta0, (R, 1))
-    hat = theta.copy()
-    alive = np.ones(R, dtype=bool)
+    live = np.arange(R)
     diverged_at = np.full(R, -1, dtype=np.int64)
-
-    theta_snaps = np.empty((n_rec, R, d), dtype=dtype)
-    hat_snaps = np.empty((n_rec, R, d), dtype=dtype)
-
+    chunk = min(_SAMPLE_CHUNK, cfg.horizon)
     rec_i = 0
     t = 0
-    chunk = min(_SAMPLE_CHUNK, cfg.horizon)
-    b_buf = np.empty((chunk, R, d), dtype=dtype)
-    A_buf = np.empty((chunk, R, d, d), dtype=dtype)
-    while t < cfg.horizon:
+    while t < cfg.horizon and live.size:
         steps = min(chunk, cfg.horizon - t)
-        for r, rng in enumerate(rngs):
-            b, A = p.sample(rng, (steps,))
-            b_buf[:steps, r] = b
-            A_buf[:steps, r] = A
-        with np.errstate(over="ignore", invalid="ignore"):
-            for c in range(steps):
-                t += 1
-                upd = theta + alpha * (
-                    b_buf[c] - np.matmul(A_buf[c], theta[..., None])[..., 0]
-                )
-                if alive.all():
-                    bad = ~(np.abs(upd).max(axis=1) <= bound)
-                    if bad.any():
-                        diverged_at[bad] = t
-                        alive &= ~bad
-                        theta = np.where(alive[:, None], upd, theta)
-                        hat = np.where(
-                            alive[:, None], hat + (theta - hat) / (t + 1), hat
-                        )
-                    else:
-                        theta = upd
-                        hat += (theta - hat) / (t + 1)
-                else:
-                    bad = alive & ~(np.abs(upd).max(axis=1) <= bound)
-                    if bad.any():
-                        diverged_at[bad] = t
-                        alive &= ~bad
-                    theta = np.where(alive[:, None], upd, theta)
-                    hat = np.where(alive[:, None], hat + (theta - hat) / (t + 1), hat)
-                if rec_i < n_rec and t == record[rec_i]:
-                    theta_snaps[rec_i] = theta
-                    hat_snaps[rec_i] = hat
-                    rec_i += 1
+        for j, r in enumerate(live):
+            bs, As = p.sample(rngs[r], (steps,))
+            if t == 0 and j == 0:
+                dtype = np.result_type(np.float64, bs.dtype, As.dtype)
+                b_buf = np.empty((chunk, R, p.dim), dtype=dtype)
+                A_buf = np.empty((chunk, R, p.dim, p.dim), dtype=dtype)
+            b_buf[:steps, j] = bs
+            A_buf[:steps, j] = As
+        b, A = b_buf[:steps, : live.size], A_buf[:steps, : live.size]
+        if t == 0:
+            theta0 = _resolve_theta0(p, cfg, dtype)
+            bound = divergence_bound(p, theta0)
+            theta = np.tile(theta0, (R, 1))
+            hat = theta.copy()
+            theta_snaps = np.empty((n_rec, R, p.dim), dtype=dtype)
+            hat_snaps = np.empty((n_rec, R, p.dim), dtype=dtype)
+        c = 0
+        while c < steps and live.size:
+            until = record[rec_i] if rec_i < n_rec else cfg.horizon
+            stop = c + min(steps - c, until - t)
+            theta, hat, k, bad = _advance(theta, hat, t, b[c:stop], A[c:stop], cfg.alpha, bound)
+            t += k
+            c += k
+            if bad is not None:
+                gone = live[bad]
+                diverged_at[gone] = t + 1
+                theta_snaps[rec_i:, gone] = theta[bad]
+                hat_snaps[rec_i:, gone] = hat[bad]
+                keep = ~bad
+                live, theta, hat = live[keep], theta[keep], hat[keep]
+                b, A = b[:, keep], A[:, keep]
+            elif rec_i < n_rec and t == record[rec_i]:
+                theta_snaps[rec_i, live] = theta
+                hat_snaps[rec_i, live] = hat
+                rec_i += 1
     return theta_snaps, hat_snaps, diverged_at
 
 
@@ -230,14 +236,13 @@ def run_single(
     """
     if theta_star is None and p.exact_moments is not None:
         theta_star = p.exact_moments.theta_star
-    dtype = _sample_dtype(p)
     if replication_seed is None:
         rngs = _replication_rngs(cfg.seed, 1)
     elif isinstance(replication_seed, np.random.Generator):
         rngs = [replication_seed]
     else:
         rngs = [np.random.default_rng(replication_seed)]
-    theta_snaps, hat_snaps, div_at = _simulate_block(p, cfg, rngs, dtype)
+    theta_snaps, hat_snaps, div_at = _simulate_block(p, cfg, rngs)
     times = cfg.record_times()
     diverged = bool(div_at[0] >= 0)
     sq = None
@@ -259,14 +264,14 @@ def run_mse(
     p: ProblemDistribution,
     cfg: RunConfig,
     theta_star: np.ndarray | None = None,
-    n_workers: int | None = None,
 ) -> MseCurve:
     """Monte Carlo MSE of the averaged iterate across seeded replications.
 
     Each replication consumes its own spawned stream, so the curve does not
-    depend on batching or worker count; aggregation is a deterministic
-    reduction in replication order.  Worker count defaults to the
-    LSA_LAB_THREADS environment variable (1 when unset).
+    depend on how replications are batched; aggregation is a deterministic
+    reduction in replication order.  Where the mean of finite squared errors
+    overflows, it and the standard error are taken on the errors scaled by
+    their largest, so they read the representable mean, not inf.
     """
     if theta_star is None:
         if p.exact_moments is None or p.exact_moments.theta_star is None:
@@ -274,33 +279,10 @@ def run_mse(
                 "theta_star unavailable: pass it explicitly or estimate moments"
             )
         theta_star = p.exact_moments.theta_star
-    if n_workers is None:
-        n_workers = int(os.environ.get("LSA_LAB_THREADS", "1"))
-    n_workers = max(1, n_workers)
 
-    dtype = _sample_dtype(p)
     R = cfg.n_replications
-    rngs = _replication_rngs(cfg.seed, R)
     times = cfg.record_times()
-
-    batch_size = R if n_workers == 1 else max(1, -(-R // n_workers))
-    batches = [(i, rngs[i : i + batch_size]) for i in range(0, R, batch_size)]
-    hat_all = np.empty((len(times), R, p.dim), dtype=dtype)
-    div_all = np.empty(R, dtype=np.int64)
-
-    def work(batch):
-        start, batch_rngs = batch
-        _, hat, div = _simulate_block(p, cfg, batch_rngs, dtype)
-        return start, hat, div
-
-    if n_workers == 1 or len(batches) == 1:
-        results = map(work, batches)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(work, batches))
-    for start, hat, div in results:
-        hat_all[:, start : start + hat.shape[1], :] = hat
-        div_all[start : start + div.shape[0]] = div
+    _, hat_all, div_all = _simulate_block(p, cfg, _replication_rngs(cfg.seed, R))
 
     sq = _sq_err(hat_all, theta_star)  # (m, R)
     diverged_mask = (div_all[None, :] >= 0) & (div_all[None, :] <= times[:, None])
@@ -313,16 +295,23 @@ def run_mse(
     with np.errstate(over="ignore"):
         for i in range(len(times)):
             vals = sq[i, valid[i]]
-            if len(vals):
-                mse[i] = vals.mean()
-                if not np.isfinite(mse[i]):
+            if not len(vals):
+                continue
+            scale = 1.0
+            mse[i] = vals.mean()
+            if not np.isfinite(mse[i]):
+                if not np.isfinite(vals).all():
                     stderr[i] = np.inf  # the spread of overflowed errors is inf - inf
-                elif len(vals) > 1:
-                    stderr[i] = vals.std(ddof=1) / np.sqrt(len(vals))
+                    continue
+                scale = vals.max()
+                vals = vals / scale
+                mse[i] = scale * vals.mean()
+            if len(vals) > 1:
+                stderr[i] = scale * (vals.std(ddof=1) / np.sqrt(len(vals)))
     return MseCurve(
         times=times,
         mse=mse,
         stderr=stderr,
-        n_diverged=(len(rngs) - n_valid).astype(np.int64),
+        n_diverged=(R - n_valid).astype(np.int64),
         n_replications=R,
     )

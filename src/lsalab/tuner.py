@@ -1,10 +1,11 @@
 """Automatic constant step-size tuning by instability detection and halving.
 
 The tuner runs the iteration at the current step-size while maintaining the
-running average.  The norm of the average is recorded at every multiple of
-the epoch length T; once k+1 such norms are available, the epoch-over-epoch
-growth ratios r_i = ||hat||_i / ||hat||_{i-1} are tested, and any ratio above
-the threshold c > 1 halves the step-size.
+running average, on the engine's step kernel (one replication, advanced from
+one epoch boundary to the next).  The norm of the average is recorded at every
+multiple of the epoch length T; once k+1 such norms are available, the
+epoch-over-epoch growth ratios r_i = ||hat||_i / ||hat||_{i-1} are tested,
+and any ratio above the threshold c > 1 halves the step-size.
 
 On a halving the iterate is kept, while the running average and the epoch
 window restart from the current iterate: a running average contaminated by an
@@ -23,11 +24,11 @@ is declared final.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import divergence_bound
+from .engine import _advance, divergence_bound
 from .problems import ProblemDistribution
 
 __all__ = [
@@ -67,7 +68,6 @@ class TunerConfig:
     horizon: int = 160
     seed: int = 0
     theta_0: np.ndarray | None = None
-    reset_average_on_halving: bool = True
 
     def __post_init__(self):
         if self.alpha_max <= 0:
@@ -143,10 +143,9 @@ def tune(p: ProblemDistribution, cfg: TunerConfig) -> TunerTrace:
 
     bound = divergence_bound(p, theta0)
     alpha = float(cfg.alpha_max)
-    theta = theta0.copy()
-    hat = theta0.copy()
+    theta = hat = np.array([theta0])  # one replication for the engine's kernel
     n_avg = 0  # steps averaged since the last restart
-    window: list[float] = [_norm(hat)]
+    window: list[float] = [_norm(hat[0])]
     events: list[tuple[int, float]] = []
     checks: list[RatioCheck] = []
 
@@ -165,50 +164,49 @@ def tune(p: ProblemDistribution, cfg: TunerConfig) -> TunerTrace:
     while t < cfg.horizon:
         steps = min(chunk, cfg.horizon - t)
         bs, As = p.sample(rng, (steps,))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for c in range(steps):
+        bs, As = bs[:, None], As[:, None]
+        c = 0
+        while c < steps:
+            # advance to the next epoch boundary, or to the end of the draws
+            stop = c + min(steps - c, cfg.T - t % cfg.T)
+            theta, hat, k, diverged = _advance(
+                theta, hat, n_avg, bs[c:stop], As[c:stop], alpha, bound
+            )
+            t += k
+            c += k
+            n_avg += k
+            if diverged is not None:
+                # emergency restart: the bound was passed between checks
                 t += 1
-                theta = theta + alpha * (bs[c] - As[c] @ theta)
-                if not np.all(np.abs(theta) <= bound):
-                    # emergency restart: the bound was passed between checks
-                    halve(t)
-                    theta = theta0.copy()
-                    hat = theta0.copy()
-                    n_avg = 0
-                    window = [_norm(hat)]
-                    continue
-                n_avg += 1
-                hat = hat + (theta - hat) / (n_avg + 1)
-                if t % cfg.T == 0:
-                    window.append(_norm(hat))
-                    if len(window) > cfg.k + 1:
-                        window.pop(0)
-                    if len(window) == cfg.k + 1:
-                        finite = all(np.isfinite(x) for x in window)
-                        positive = all(x > 0 for x in window)
-                        if finite and positive:
-                            ratios = tuple(
-                                window[i] / window[i - 1]
-                                for i in range(1, len(window))
-                            )
-                        else:
-                            ratios = ()
-                        triggered = is_unstable(window, cfg.c_threshold)
-                        checks.append(
-                            RatioCheck(t=t, ratios=ratios, triggered=triggered)
+                c += 1
+                halve(t)
+                theta = hat = np.array([theta0])
+                n_avg = 0
+                window = [_norm(hat[0])]
+            elif t % cfg.T == 0:
+                window.append(_norm(hat[0]))
+                if len(window) > cfg.k + 1:
+                    window.pop(0)
+                if len(window) == cfg.k + 1:
+                    finite = all(np.isfinite(x) for x in window)
+                    positive = all(x > 0 for x in window)
+                    if finite and positive:
+                        ratios = tuple(
+                            window[i] / window[i - 1] for i in range(1, len(window))
                         )
-                        if triggered:
-                            halve(t)
-                            if cfg.reset_average_on_halving:
-                                hat = theta.copy()
-                                n_avg = 0
-                                window = [_norm(hat)]
-                            else:
-                                window = [window[-1]]
+                    else:
+                        ratios = ()
+                    triggered = is_unstable(window, cfg.c_threshold)
+                    checks.append(RatioCheck(t=t, ratios=ratios, triggered=triggered))
+                    if triggered:
+                        halve(t)
+                        hat = theta
+                        n_avg = 0
+                        window = [_norm(hat[0])]
 
     return TunerTrace(
         events=tuple(events),
         final_alpha=alpha,
-        final_theta_hat=hat,
+        final_theta_hat=hat[0],
         checks=tuple(checks),
     )

@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lsalab import gtd_instance, load_problem_file, td0_instance
-from lsalab.cli import EXIT_DIVERGED, EXIT_VALIDATION, main
+from lsalab import gtd_instance, load_problem_file, spectral_report, td0_instance
+from lsalab.cli import EXIT_DIVERGED, EXIT_VALIDATION, FIG1_SIGMAS, main, repro_fig1
 from lsalab.problem_io import mdp_from_dict
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
 
 
 def write_mdp(path, off_policy):
@@ -82,3 +85,61 @@ def test_all_diverged_simulate_exits_3(td_problem, tmp_path, capsys):
                  "--reps", "4", "--stride", "50", "--out", str(tmp_path / "sim.csv")])
     assert code == EXIT_DIVERGED
     assert "diverged" in capsys.readouterr().err
+
+
+def rho_rows(path, capsys, grid="1e-3:1e-1:3:log"):
+    assert main(["rho", "--problem", str(path), "--alpha-grid", grid]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "alpha,rho_d,rho_s,contraction_s,contraction_d"
+    return [[float(x) for x in row.split(",")] for row in rows]
+
+
+def test_rho_reports_the_transformed_problem(capsys):
+    # off-policy GTD2 is Hurwitz but its A_P + A_P^T is not PD: the gaps of
+    # the untransformed problem are negative, those of the transform that
+    # ``bound`` and ``transform`` use are positive
+    rows = rho_rows(PROBLEMS / "gtd2_offpolicy.json", capsys)
+    assert rows[0][0] == 1e-3
+    assert rows[0][1] == pytest.approx(0.412, abs=5e-4)
+    m = load_problem_file(PROBLEMS / "gtd2_offpolicy.json").exact_moments
+    assert spectral_report(m, 1e-3).rho_d < 0
+
+
+def test_rho_identity_transform_keeps_the_gaps(capsys):
+    # TD(0) on-policy: the transform is the identity, so the rows are the
+    # gaps of the problem itself
+    rows = rho_rows(PROBLEMS / "td0_onpolicy.json", capsys)
+    m = load_problem_file(PROBLEMS / "td0_onpolicy.json").exact_moments
+    for alpha, rd, rs, cs, cd in rows:
+        rep = spectral_report(m, alpha)
+        assert (rd, rs, cs, cd) == (rep.rho_d, rep.rho_s, rep.contraction_factor_s,
+                                    rep.contraction_factor_d)
+
+
+def test_rho_not_hurwitz_exits_2(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"type": "finite", "atoms": [{"b": [1.0], "A": [[-1.0]], "p": 1.0}]}))
+    assert main(["rho", "--problem", str(path), "--alpha-grid", "0.1:1:2"]) == EXIT_VALIDATION
+    assert "not Hurwitz" in capsys.readouterr().err
+
+
+def test_repro_fig1_files_and_rerun(tmp_path):
+    def run(out_dir):
+        return repro_fig1(out_dir, n_seeds=2, seed=3, sim_horizon=200, n_replications=5)
+
+    summary = run(tmp_path / "a")
+    assert set(summary) == {"sigma_A", "n_seeds", "seed"}
+    assert set(summary["sigma_A"]) == {str(s) for s in FIG1_SIGMAS}
+    left = (tmp_path / "a" / "fig1_left.csv").read_text().splitlines()
+    right = (tmp_path / "a" / "fig1_right.csv").read_text().splitlines()
+    assert left[0] == right[0] == "# lsalab repro-fig1"
+    assert left[1] == "sigma_A,tuned_alpha_median,tuned_alpha_iqr,hand_alpha"
+    assert len(left) == 2 + len(FIG1_SIGMAS)
+    assert right[1] == "t," + ",".join(f"mse_sigma_{s:g}" for s in FIG1_SIGMAS)
+    assert len(right) == 2 + 200 // 25
+    stored = json.loads((tmp_path / "a" / "fig1_summary.json").read_text())
+    assert stored == json.loads(json.dumps(summary))
+
+    run(tmp_path / "b")
+    for name in ("fig1_left.csv", "fig1_right.csv"):
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsalab import (
     RunConfig,
@@ -11,6 +15,9 @@ from lsalab import (
     run_single,
     witness_alpha,
 )
+from lsalab import engine
+from lsalab.engine import _SAMPLE_CHUNK, _replication_rngs, _simulate_block, divergence_bound
+from lsalab.problems import FiniteAtoms, _finite_problem
 
 
 def scalar_problem(a=1.0, b=0.0):
@@ -69,7 +76,6 @@ class TestRunSingle:
         assert r.diverged and r.diverged_at is not None
         assert np.isinf(r.sq_err[r.times >= r.diverged_at]).all()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_far_fixed_point_is_not_divergence(self):
         # theta* = 1e155 lies beyond DIVERGENCE_SENTINEL itself; the bound is
         # relative to the problem, so a contracting run is not flagged
@@ -111,13 +117,19 @@ class TestRunMse:
         assert np.allclose(c1.mse, c5.mse)
         assert np.allclose(c5.stderr, 0.0)
 
-    def test_worker_count_does_not_change_result(self):
-        p = make_gaussian_noise(np.diag([1.0, 2.0]), np.ones(2), 1.0, 1.0)
-        cfg = RunConfig(alpha=0.05, horizon=200, record_stride=25, n_replications=64, seed=5)
-        a = run_mse(p, cfg, n_workers=1)
-        b = run_mse(p, cfg, n_workers=4)
-        assert np.array_equal(a.mse, b.mse)
-        assert np.array_equal(a.stderr, b.stderr)
+    def test_batching_does_not_change_result(self):
+        # each replication draws from its own stream and leaves the live set
+        # alone when it diverges, so a batch equals its replications run singly
+        p = pm_identity(0.05)
+        cfg = RunConfig(alpha=2.0, horizon=720, theta_0=np.array([1.0, 1.0]),
+                        record_stride=24, n_replications=12, seed=5)
+        theta, hat, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 12))
+        assert 0 < (div >= 0).sum() < 12
+        for r, rng in enumerate(_replication_rngs(cfg.seed, 12)):
+            theta_r, hat_r, div_r = _simulate_block(p, cfg, [rng])
+            assert np.array_equal(theta_r[:, 0], theta[:, r])
+            assert np.array_equal(hat_r[:, 0], hat[:, r])
+            assert div_r[0] == div[r]
 
     def test_stderr_shrinks_with_replications(self):
         p = make_lower_bound_instance(1.0, 2.0, 1.0)
@@ -136,7 +148,6 @@ class TestRunMse:
         assert curve.n_diverged[-1] == 20
         assert np.isinf(curve.mse[-1])
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_error_is_inf_not_divergence(self):
         # theta* = 1e155: early errors of a converging run exceed ~1.3e154,
         # so their squares overflow; that reads inf, never NaN or divergence
@@ -149,6 +160,10 @@ class TestRunMse:
         assert np.isfinite(curve.mse[-1]) and curve.stderr[-1] == 0.0
         r = run_single(p, cfg)
         assert r.sq_err[0] == np.inf and not r.diverged
+        # at t=20 every squared error is 9.07e307: finite, but their plain sum
+        # overflows; the mean is the representable common value
+        assert curve.times[1] == 20 and np.isfinite(r.sq_err[1])
+        assert curve.mse[1] == r.sq_err[1] and curve.stderr[1] == 0.0
 
     def test_theta_star_required(self):
         p = pm_identity(0.05)  # theta* = 0 exists, so strip the moments
@@ -174,9 +189,7 @@ class TestStatisticalProperties:
         cfg = RunConfig(alpha=alpha, horizon=400, theta_0=theta0, record_stride=40,
                         n_replications=R, seed=13)
         # per-replication squared iterate errors at recorded times
-        from lsalab.engine import _replication_rngs, _sample_dtype, _simulate_block
-
-        theta_snaps, _, _ = _simulate_block(p, cfg, _replication_rngs(cfg.seed, R), np.float64)
+        theta_snaps, _, _ = _simulate_block(p, cfg, _replication_rngs(cfg.seed, R))
         sq = ((theta_snaps - m.theta_star) ** 2).sum(axis=2)
         for i, t in enumerate(cfg.record_times()):
             bound = (
@@ -193,8 +206,90 @@ class TestStatisticalProperties:
         assert rho_s(p.exact_moments, 0.4) == pytest.approx(-0.2)
         cfg = RunConfig(alpha=0.4, horizon=60, theta_0=np.array([1.0, 1.0]),
                         record_stride=30, n_replications=4000, seed=2)
-        from lsalab.engine import _replication_rngs, _simulate_block
-
-        theta_snaps, _, _ = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 4000), np.float64)
+        theta_snaps, _, _ = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 4000))
         sq = (theta_snaps**2).sum(axis=2)
         assert sq[1].mean() > sq[0].mean() > 2.0  # 1.08^30 ~ 10
+
+
+def reference_block(p, cfg, rngs):
+    """One replication at a time, one step at a time: the oracle of ``_simulate_block``.
+
+    Draws in the engine's chunks from each replication's stream and freezes a
+    replication at the step that would take it past the divergence bound.
+    """
+    theta0 = np.zeros(p.dim) if cfg.theta_0 is None else np.asarray(cfg.theta_0, float)
+    bound = divergence_bound(p, theta0)
+    record = list(cfg.record_times())
+    theta_snaps, hat_snaps, diverged_at = [], [], []
+    for rng in rngs:
+        theta, hat, div = theta0.copy(), theta0.copy(), -1
+        thetas, hats = [], []
+        t = 0
+        while t < cfg.horizon:
+            bs, As = p.sample(rng, (min(_SAMPLE_CHUNK, cfg.horizon - t),))
+            for b, A in zip(bs, As):
+                t += 1
+                if div < 0:
+                    nxt = theta + cfg.alpha * (b - A @ theta)
+                    if np.abs(nxt).max() <= bound:
+                        theta = nxt
+                        hat = hat + (theta - hat) / (t + 1)
+                    else:
+                        div = t
+                if t in record:
+                    thetas.append(theta)
+                    hats.append(hat)
+        theta_snaps.append(thetas)
+        hat_snaps.append(hats)
+        diverged_at.append(div)
+    return (
+        np.array(theta_snaps).transpose(1, 0, 2),
+        np.array(hat_snaps).transpose(1, 0, 2),
+        np.array(diverged_at),
+    )
+
+
+@st.composite
+def finite_runs(draw):
+    """A random finite-support problem (d <= 3), a run on it and a sentinel.
+
+    Atoms are A_i = I + 0.6 G_i, so small step-sizes converge and large ones
+    diverge; a divergence sentinel drawn down to 10 lets replications of one
+    run diverge at different steps within short horizons.  Half the problems
+    scatter their intercepts, which draws one normal per step after the atom
+    index.
+    """
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.dirichlet(np.ones(k))
+    atoms = FiniteAtoms(
+        probs=probs / probs.sum(),
+        bs=rng.standard_normal((k, d)),
+        As=np.eye(d) + 0.6 * rng.standard_normal((k, d, d)),
+        b_noise=rng.standard_normal((k, d)) if draw(st.booleans()) else None,
+    )
+    horizon = draw(st.integers(1, 1200))
+    cfg = RunConfig(
+        alpha=10 ** draw(st.floats(-2.0, 1.0)),
+        horizon=horizon,
+        theta_0=rng.standard_normal(d) if draw(st.booleans()) else None,
+        record_stride=draw(st.integers(1, horizon)),
+        n_replications=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return _finite_problem(atoms, "random"), cfg, 10.0 ** draw(st.integers(1, 150))
+
+
+class TestAgainstReferenceLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(finite_runs())
+    def test_matches_per_replication_loop(self, run):
+        p, cfg, sentinel = run
+        R = cfg.n_replications
+        with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
+            theta, hat, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, R))
+            ref_theta, ref_hat, ref_div = reference_block(p, cfg, _replication_rngs(cfg.seed, R))
+        assert np.array_equal(div, ref_div)
+        np.testing.assert_allclose(theta, ref_theta, rtol=1e-12)
+        np.testing.assert_allclose(hat, ref_hat, rtol=1e-12)

@@ -26,7 +26,6 @@ class TestFiniteSupport:
         assert m.sigma_A_sq == 0.0
         assert np.allclose(m.theta_star, 0.0)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_single_atom_huge_fixed_point(self):
         # ||theta*||^2 = 1e400 overflows; the noise constants of a noise-free
         # atom are still 0, not 0*inf = NaN

@@ -150,7 +150,6 @@ def test_sampled_pair_frequencies_match_atoms(algo):
     assert np.all(np.abs(counts / n - atoms.probs) <= 5 * se)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_off_policy_td0_not_hurwitz_is_flagged():
     # features 1 and 2; the replay over-samples state 0 and its jump into the
     # larger feature, whose one-step term 1*(1 - 2*gamma) is negative
