@@ -7,11 +7,16 @@ maintained incrementally as hat += (theta - hat)/(t+1).
 Replications are vectorized: all replication states advance together in
 (R, d) arrays through one step kernel (``_advance``, which the tuner shares),
 while each replication consumes its own spawned random stream, so results are
-bit-identical whether replications run singly or batched.  A replication whose
-iterate would pass the divergence bound is frozen, flagged with its divergence
-time and dropped from the live set rather than raising.  The bound is relative
-to the problem (see ``divergence_bound``), so a fixed point or start far from
-the origin does not read as divergence.
+bit-identical whether replications run singly or batched.  Steps are drawn
+and applied through the problem's ``StepForm`` when it has one (the Gaussian
+family: d normals per step instead of a d x d matrix, never an (S, R, d, d)
+buffer), otherwise through the dense (b, A) of ``sample``; the tuner always
+uses the dense form.
+
+A replication whose iterate would pass the divergence bound is frozen,
+flagged with its divergence time and dropped from the live set rather than
+raising.  The bound is relative to the problem (see ``divergence_bound``), so
+a fixed point or start far from the origin does not read as divergence.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemDistribution
+from .problems import ProblemDistribution, StepForm
 
 __all__ = [
     "RunConfig",
@@ -136,24 +141,39 @@ def _sq_err(hat: np.ndarray, theta_star: np.ndarray) -> np.ndarray:
         return (np.abs(hat - theta_star) ** 2).sum(axis=-1).astype(float)
 
 
-def _advance(theta, hat, n: int, b, A, alpha: float, bound: float):
+def _dense_direction(draws, s: int, theta):
+    """b_s - A_s theta for dense draws b (S, R, d) and A (S, R, d, d)."""
+    b, A = draws
+    return b[s] - np.matmul(A[s], theta[..., None])[..., 0]
+
+
+def _step_form(p: ProblemDistribution) -> StepForm:
+    """The problem's step form, or the dense one derived from ``sample``."""
+    if p.step_form is not None:
+        return p.step_form
+    return StepForm(lambda rng, n: p.sample(rng, (n,)), _dense_direction)
+
+
+def _advance(theta, hat, n: int, draws, direction, alpha: float, bound: float):
     """Step (R, d) states through a pre-drawn block, keeping the running average.
 
-    ``b`` is (S, R, d) and ``A`` is (S, R, d, d); ``n`` is the number of steps
+    ``draws`` is a tuple of (S, R, ...) blocks and ``direction(draws, s,
+    theta)`` gives b_s - A_s theta from them; ``n`` is the number of steps
     already averaged into ``hat``.  Stops just before the first step that
     would take some replication past ``bound`` (a NaN counts as past it).
     Returns (theta, hat, steps_taken, mask): ``mask`` marks the replications
     that step would take past the bound, or is None when all S steps were
     taken.  The inputs are not modified.
     """
+    steps = len(draws[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(len(b)):
-            upd = theta + alpha * (b[s] - np.matmul(A[s], theta[..., None])[..., 0])
-            if not np.abs(upd).max() <= bound:
-                return theta, hat, s, ~(np.abs(upd).max(axis=1) <= bound)
+        for s in range(steps):
+            upd = theta + alpha * direction(draws, s, theta)
+            if not np.maximum.reduce(np.abs(upd), axis=None) <= bound:
+                return theta, hat, s, ~(np.maximum.reduce(np.abs(upd), axis=1) <= bound)
             theta = upd
             hat = hat + (theta - hat) / (n + s + 2)
-    return theta, hat, len(b), None
+    return theta, hat, steps, None
 
 
 def _simulate_block(
@@ -167,8 +187,10 @@ def _simulate_block(
     (n_records, R, d); diverged_at is -1 for replications that never diverge.
     A diverged replication leaves the live set: its state before the
     diverging step fills its remaining snapshots and its stream is no longer
-    drawn.  The dtype is that of the first chunk drawn.
+    drawn.  The dtype is that of the first chunk drawn.  Each array the step
+    form draws gets one (chunk, R, ...) buffer.
     """
+    form = _step_form(p)
     R = len(rngs)
     record = cfg.record_times()
     n_rec = len(record)
@@ -180,14 +202,13 @@ def _simulate_block(
     while t < cfg.horizon and live.size:
         steps = min(chunk, cfg.horizon - t)
         for j, r in enumerate(live):
-            bs, As = p.sample(rngs[r], (steps,))
+            drawn = form.draw(rngs[r], steps)
             if t == 0 and j == 0:
-                dtype = np.result_type(np.float64, bs.dtype, As.dtype)
-                b_buf = np.empty((chunk, R, p.dim), dtype=dtype)
-                A_buf = np.empty((chunk, R, p.dim, p.dim), dtype=dtype)
-            b_buf[:steps, j] = bs
-            A_buf[:steps, j] = As
-        b, A = b_buf[:steps, : live.size], A_buf[:steps, : live.size]
+                dtype = np.result_type(np.float64, *(x.dtype for x in drawn))
+                bufs = [np.empty((chunk, R) + x.shape[1:], dtype=dtype) for x in drawn]
+            for buf, x in zip(bufs, drawn):
+                buf[:steps, j] = x
+        draws = tuple(buf[:steps, : live.size] for buf in bufs)
         if t == 0:
             theta0 = _resolve_theta0(p, cfg, dtype)
             bound = divergence_bound(p, theta0)
@@ -199,7 +220,9 @@ def _simulate_block(
         while c < steps and live.size:
             until = record[rec_i] if rec_i < n_rec else cfg.horizon
             stop = c + min(steps - c, until - t)
-            theta, hat, k, bad = _advance(theta, hat, t, b[c:stop], A[c:stop], cfg.alpha, bound)
+            theta, hat, k, bad = _advance(
+                theta, hat, t, tuple(x[c:stop] for x in draws), form.direction, cfg.alpha, bound
+            )
             t += k
             c += k
             if bad is not None:
@@ -209,7 +232,7 @@ def _simulate_block(
                 hat_snaps[rec_i:, gone] = hat[bad]
                 keep = ~bad
                 live, theta, hat = live[keep], theta[keep], hat[keep]
-                b, A = b[:, keep], A[:, keep]
+                draws = tuple(x[:, keep] for x in draws)
             elif rec_i < n_rec and t == record[rec_i]:
                 theta_snaps[rec_i, live] = theta
                 hat_snaps[rec_i, live] = hat

@@ -12,6 +12,11 @@ Conventions
   ``shape + (d, d)``.  Identical generators reproduce identical samples, and
   cloned generators give independent streams, so replications can run
   concurrently without shared state.
+- A problem may also carry a ``StepForm``: how the engine draws a step and
+  applies it to a batch of states without forming A_t.  The Gaussian family
+  has one, drawing d normals per step for the matrix noise instead of d^2;
+  its steps follow the law of ``sample`` but are a different random stream.
+  Every other problem steps through its dense (b, A) draws.
 - Matrix norms are spectral (operator 2-) norms throughout; vector norms are
   Euclidean.  sigma_A_sq bounds E||A_t - A_P||^2 and sigma_b_sq bounds
   E||b_t - b_P||^2 in those norms.
@@ -28,6 +33,7 @@ import numpy as np
 __all__ = [
     "Moments",
     "ProblemDistribution",
+    "StepForm",
     "make_finite_support",
     "make_gaussian_noise",
     "make_lower_bound_instance",
@@ -41,6 +47,7 @@ __all__ = [
 SINGULAR_COND_LIMIT = 1e12
 
 Sampler = Callable[[np.random.Generator, tuple], tuple[np.ndarray, np.ndarray]]
+Draws = tuple[np.ndarray, ...]
 
 
 def spectral_norm(A: np.ndarray) -> float:
@@ -132,13 +139,30 @@ class FiniteAtoms:
 
 
 @dataclass(frozen=True)
+class StepForm:
+    """How the engine draws steps and applies them, in place of dense (b, A).
+
+    ``draw(rng, n)`` returns a tuple of arrays with leading axis n, one row
+    per step; the engine stacks the rows of R replications into (n, R, ...)
+    blocks.  ``direction(draws, s, theta)`` returns b_s - A_s theta for step s
+    of those blocks and an (R, d) state, computed row by row, so a
+    replication's result does not depend on the rest of its batch.
+    """
+
+    draw: Callable[[np.random.Generator, int], Draws]
+    direction: Callable[[Draws, int, np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
 class ProblemDistribution:
     """A sampleable (b, A) distribution, with exact moments when known.
 
     ``sample(rng, shape)`` draws ``shape``-many i.i.d. pairs.  ``atoms`` is set
     for finite-support families so downstream transforms can map moments in
     closed form.  ``seed`` is an optional default stream carried over from a
-    problem file; runs always take their own seeds.
+    problem file; runs always take their own seeds.  ``step_form`` is how the
+    engine steps the problem; None means through the dense (b, A) of
+    ``sample``.
     """
 
     dim: int
@@ -147,6 +171,7 @@ class ProblemDistribution:
     label: str
     atoms: FiniteAtoms | None = None
     seed: int | None = None
+    step_form: StepForm | None = None
 
     def with_label(self, label: str) -> "ProblemDistribution":
         return replace(self, label=label)
@@ -276,6 +301,14 @@ def make_gaussian_noise(
 
     Exact moments carry C_P = A_P^T A_P + s^2 d I, where s is the entry scale:
     for i.i.d. entries E[M^T M] = s^2 d I.
+
+    The engine steps this family matrix-free: M_t is independent of
+    theta_{t-1}, so given theta, M_t theta has exactly the law of
+    s ||theta|| z with z ~ N(0, I_d).  Its ``step_form`` draws s z (when
+    sigma_A > 0) and b_t (when sigma_b > 0), d normals each per step, and
+    applies b_t - A_P theta - ||theta|| s z.  Runs therefore draw a different
+    stream than ``sample`` from the same seed, with the same law (the same
+    stream when sigma_A = 0).
     """
     if sigma_A < 0 or sigma_b < 0:
         raise ValueError("noise magnitudes must be nonnegative")
@@ -293,21 +326,62 @@ def make_gaussian_noise(
     C_P = A_P.T @ A_P + entry_scale_A**2 * d * np.eye(d)
     moments = Moments.from_parts(A_P, b_P, C_P, sigma_A**2, sigma_b**2)
 
+    def draw_b(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+        if entry_scale_b:
+            return b_P + entry_scale_b * rng.standard_normal(shape + (d,))
+        return np.broadcast_to(b_P, shape + (d,)).copy()
+
     def sample(rng: np.random.Generator, shape=()) -> tuple[np.ndarray, np.ndarray]:
         shape = tuple(np.atleast_1d(shape).astype(int)) if shape != () else ()
         if entry_scale_A:
             A = A_P + entry_scale_A * rng.standard_normal(shape + (d, d))
         else:
             A = np.broadcast_to(A_P, shape + (d, d)).copy()
-        if entry_scale_b:
-            b = b_P + entry_scale_b * rng.standard_normal(shape + (d,))
-        else:
-            b = np.broadcast_to(b_P, shape + (d,)).copy()
-        return b, A
+        return draw_b(rng, shape), A
 
+    # matrix-free steps: a draw holds s z when sigma_A > 0 (first, as sample
+    # draws A first), then b when it is random or nothing else is drawn; a
+    # fixed b is read from b_P
+    b_drawn = bool(entry_scale_b) or not entry_scale_A
+
+    def draw(rng: np.random.Generator, n: int) -> Draws:
+        rows = ()
+        if entry_scale_A:
+            rows += (entry_scale_A * rng.standard_normal((n, d)),)
+        if b_drawn:
+            rows += (draw_b(rng, (n,)),)
+        return rows
+
+    def direction(draws: Draws, s: int, theta: np.ndarray) -> np.ndarray:
+        # A_P theta one row at a time: a single gemm over the batch would
+        # round differently with the batch size
+        v = (draws[-1][s] if b_drawn else b_P) - np.matmul(A_P, theta[..., None])[..., 0]
+        if entry_scale_A:
+            v -= _row_norms(theta) * draws[0][s]
+        return v
+
+    step_form = StepForm(draw, direction)
     if label is None:
         label = f"gaussian(d={d}, sigma_A={sigma_A:g}, sigma_b={sigma_b:g})"
-    return ProblemDistribution(dim=d, sample=sample, exact_moments=moments, label=label)
+    return ProblemDistribution(
+        dim=d, sample=sample, exact_moments=moments, label=label, step_form=step_form
+    )
+
+
+def _row_norms(theta: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a real (R, d) array, as an (R, 1) column.
+
+    Each row is reduced on its own (vecdot), so its norm does not depend on
+    the other rows.  A row whose squared norm overflows (norm beyond
+    ~1.3e154) is recomputed by hypot, so a finite state has a finite norm.
+    """
+    rows = theta[:, None, :]
+    sq = np.vecdot(rows, rows)
+    nrm = np.sqrt(sq)
+    if not np.maximum.reduce(sq, axis=None) < np.inf:
+        big = ~(sq < np.inf)
+        nrm[big] = np.hypot.reduce(rows[big], axis=-1)
+    return nrm
 
 
 def make_lower_bound_instance(

@@ -2,10 +2,15 @@
 
 The tuner runs the iteration at the current step-size while maintaining the
 running average, on the engine's step kernel (one replication, advanced from
-one epoch boundary to the next).  The norm of the average is recorded at every
-multiple of the epoch length T; once k+1 such norms are available, the
-epoch-over-epoch growth ratios r_i = ||hat||_i / ||hat||_{i-1} are tested,
-and any ratio above the threshold c > 1 halves the step-size.
+one epoch boundary to the next).  It steps through the dense (b, A) draws of
+``sample`` even where the problem has a matrix-free step form: on a single
+low-dimensional trajectory the per-step calls of that form cost more than
+the draws they save, and a tuning run's stream stays that of ``sample``.
+
+The norm of the average is recorded at every multiple of the epoch length T;
+once k+1 such norms are available, the epoch-over-epoch growth ratios
+r_i = ||hat||_i / ||hat||_{i-1} are tested, and any ratio above the threshold
+c > 1 halves the step-size.
 
 On a halving the iterate is kept, while the running average and the epoch
 window restart from the current iterate: a running average contaminated by an
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _advance, divergence_bound
+from .engine import _advance, _dense_direction, divergence_bound
 from .problems import ProblemDistribution
 
 __all__ = [
@@ -170,7 +175,7 @@ def tune(p: ProblemDistribution, cfg: TunerConfig) -> TunerTrace:
             # advance to the next epoch boundary, or to the end of the draws
             stop = c + min(steps - c, cfg.T - t % cfg.T)
             theta, hat, k, diverged = _advance(
-                theta, hat, n_avg, bs[c:stop], As[c:stop], alpha, bound
+                theta, hat, n_avg, (bs[c:stop], As[c:stop]), _dense_direction, alpha, bound
             )
             t += k
             c += k

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from lsalab import (
     witness_alpha,
 )
 from lsalab import engine
+from lsalab.cli import FIG1_MEAN
 from lsalab.engine import _SAMPLE_CHUNK, _replication_rngs, _simulate_block, divergence_bound
 from lsalab.problems import FiniteAtoms, _finite_problem
 
@@ -167,8 +169,6 @@ class TestRunMse:
 
     def test_theta_star_required(self):
         p = pm_identity(0.05)  # theta* = 0 exists, so strip the moments
-        import dataclasses
-
         p2 = dataclasses.replace(p, exact_moments=None, atoms=None)
         with pytest.raises(ValueError, match="theta_star"):
             run_mse(p2, RunConfig(alpha=0.1, horizon=10, record_stride=1))
@@ -200,6 +200,43 @@ class TestStatisticalProperties:
             se = sq[i].std(ddof=1) / np.sqrt(R)
             assert sq[i].mean() <= bound + 5 * se
 
+    @pytest.mark.parametrize(
+        "form, sigma_b", [("matrix-free", 1.0), ("matrix-free", 0.0), ("dense", 1.0)]
+    )
+    def test_iterate_error_matches_exact_second_moment(self, form, sigma_b):
+        # e_t = theta_t - theta* = M e_{t-1} + alpha (xi_t - N_t theta_{t-1}),
+        # M = I - alpha A_P, so m_t = E e_t and P_t = E e_t e_t^T follow
+        #   m_t = M m_{t-1},
+        #   P_t = M P_{t-1} M^T
+        #         + alpha^2 (s_A^2 E||theta_{t-1}||^2 + s_b^2) I,
+        # with E||theta||^2 = tr P + 2 m.theta* + ||theta*||^2 and s_A, s_b
+        # the entry scales of the matrix and intercept noise.  At this alpha
+        # and horizon a 5% error in the noise scale gives |z| above 8.
+        d, alpha, R, H = 2, 0.01, 4000, 1000
+        p = make_gaussian_noise(FIG1_MEAN, FIG1_MEAN @ np.ones(d), 5.0, sigma_b)
+        if form == "dense":
+            p = dataclasses.replace(p, step_form=None)
+        m = p.exact_moments
+        sA_sq = np.trace(m.C_P - m.A_P.T @ m.A_P) / d**2
+        sb_sq = sigma_b**2 / d
+        ts = m.theta_star
+        M = np.eye(d) - alpha * m.A_P
+        mean = -ts  # theta_0 = 0
+        P = np.outer(mean, mean)
+        exact = [np.trace(P)]
+        for _ in range(H):
+            q = sA_sq * (np.trace(P) + 2 * mean @ ts + ts @ ts) + sb_sq
+            mean, P = M @ mean, M @ P @ M.T + alpha**2 * q * np.eye(d)
+            exact.append(np.trace(P))
+        cfg = RunConfig(alpha=alpha, horizon=H, record_stride=50, n_replications=R, seed=17)
+        theta_snaps, _, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, R))
+        assert (div < 0).all()
+        sq = ((theta_snaps - ts) ** 2).sum(axis=2)
+        z = (sq.mean(axis=1) - np.array(exact)[cfg.record_times()]) / (
+            sq.std(axis=1, ddof=1) / np.sqrt(R)
+        )
+        assert np.abs(z).max() <= 5
+
     def test_unstable_gap_grows_mean_square(self):
         # rho_s < 0 shows up as growth of the Monte Carlo mean square
         p = pm_identity(0.05)
@@ -209,6 +246,47 @@ class TestStatisticalProperties:
         theta_snaps, _, _ = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 4000))
         sq = (theta_snaps**2).sum(axis=2)
         assert sq[1].mean() > sq[0].mean() > 2.0  # 1.08^30 ~ 10
+
+
+class TestGaussianStepForm:
+    # sigma_A = 2 at alpha = 1 with the sentinel patched to 100: replications
+    # pass the bound at scattered times, some before the horizon, some not.
+    # A_P is not diagonal, so computing A_P theta with one gemm over the
+    # batch would round differently at d = 5 and d = 32.
+    @pytest.mark.parametrize("d, sigma_b, horizon", [(2, 0.0, 40), (5, 0.5, 40), (32, 0.5, 70)])
+    def test_batching_does_not_change_result(self, d, sigma_b, horizon):
+        A_P = np.eye(d) + np.triu(np.full((d, d), 0.5 / d), 1)
+        p = make_gaussian_noise(A_P, np.ones(d), 2.0, sigma_b)
+        cfg = RunConfig(alpha=1.0, horizon=horizon, record_stride=5, n_replications=12, seed=5)
+        with mock.patch.object(engine, "DIVERGENCE_SENTINEL", 100):
+            theta, hat, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 12))
+            assert 0 < (div >= 0).sum() < 12
+            for r, rng in enumerate(_replication_rngs(cfg.seed, 12)):
+                theta_r, hat_r, div_r = _simulate_block(p, cfg, [rng])
+                assert np.array_equal(theta_r[:, 0], theta[:, r])
+                assert np.array_equal(hat_r[:, 0], hat[:, r])
+                assert div_r[0] == div[r]
+
+    def test_runs_never_call_sample(self):
+        def no_draws(rng, shape=()):
+            raise AssertionError("the engine drew dense (b, A) samples")
+
+        for sigma_A in (0.0, 1.0):
+            base = make_gaussian_noise(np.diag([1.0, 2.0, 3.0]), np.ones(3), sigma_A, 0.5)
+            p = dataclasses.replace(base, sample=no_draws)
+            cfg = RunConfig(alpha=0.1, horizon=600, record_stride=50, n_replications=3, seed=2)
+            assert np.isfinite(run_mse(p, cfg).mse).all()
+            assert np.isfinite(run_single(p, cfg).sq_err).all()
+
+    def test_far_fixed_point_is_not_divergence(self):
+        # ||theta||^2 overflows near theta* = 1e155, well within the
+        # divergence bound; the norm in the step must stay finite there
+        p = make_gaussian_noise(np.eye(2), np.full(2, 1e155), 0.1, 0.0)
+        cfg = RunConfig(alpha=0.5, horizon=400, record_stride=100, n_replications=3)
+        r = run_single(p, cfg)
+        assert not r.diverged
+        assert r.theta_hat[-1] == pytest.approx(np.full(2, 1e155), rel=0.05)
+        assert run_mse(p, cfg).n_diverged.sum() == 0
 
 
 def reference_block(p, cfg, rngs):

@@ -225,6 +225,13 @@ class TestTransformDistribution:
         assert m_U.sigma_b_sq <= np.linalg.norm(tr.U_inv, 2) ** 2 * m.sigma_b_sq
         assert np.allclose(m_U.A_P, tr.Lambda, atol=1e-10)
 
+    def test_gaussian_transform_has_no_step_form(self):
+        # the transformed distribution steps through its dense
+        # (U^{-1} b, U^{-1} A U) draws, not the Gaussian family's step form
+        p = make_gaussian_noise(JORDAN_2, np.ones(2), 0.5, 0.3)
+        assert p.step_form is not None
+        assert transform_distribution(p, hurwitz_to_pd(JORDAN_2)).step_form is None
+
     def test_sampler_matches_transformed_atoms(self):
         p = make_finite_support(
             [((np.ones(2), JORDAN_2), 0.5), ((np.zeros(2), np.diag([0.3, 0.4])), 0.5)]
