@@ -59,7 +59,7 @@ from .transform import (
     transform_moments,
     transform_problem,
 )
-from .tuner import NoStableStepSizeError, TunerConfig, TunerTrace, is_unstable, tune
+from .tuner import NoStableStepSizeError, TunerConfig, TunerTrace, is_unstable, tune, tune_many
 
 __all__ = [
     "__version__",
@@ -104,6 +104,7 @@ __all__ = [
     "TunerTrace",
     "is_unstable",
     "tune",
+    "tune_many",
     "NoStableStepSizeError",
     "SyntheticMdp",
     "TdInstance",

@@ -10,14 +10,14 @@ noise levels, plus MSE curves at the tuned step-sizes).
 
 Every CSV gets a provenance comment (the exact invocation) and a header row,
 and every subcommand is deterministic given --seed, so reruns are
-byte-identical.  Exit codes: 0 success, 2 validation/regime errors, 3
-divergence without a usable result.
+byte-identical.  Exit codes: 0 success, 2 validation/regime errors (among
+them ``simulate`` on a problem with a singular mean matrix: "problem has no
+fixed point (singular mean matrix)"), 3 divergence without a usable result.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -28,7 +28,7 @@ from . import __version__
 from .bounds import BoundInputs, CertifiedRegimeError, bound_curve, bound_inputs_for
 from .engine import RunConfig, run_mse
 from .problem_io import load_problem, load_problem_file, td_instance_from_dict
-from .problems import ProblemDistribution, estimate_moments, make_gaussian_noise
+from .problems import ProblemDistribution, make_gaussian_noise
 from .spectral import (
     NotPositiveDefiniteError,
     rho_d,
@@ -37,7 +37,7 @@ from .spectral import (
     witness_alpha,
 )
 from .transform import NotHurwitzError, TransformFailedError, transform_problem
-from .tuner import NoStableStepSizeError, TunerConfig, tune
+from .tuner import NoStableStepSizeError, TunerConfig, TunerTrace, tune, tune_many
 
 __all__ = ["main", "repro_fig1"]
 
@@ -97,20 +97,12 @@ def _problem_from_args(args) -> ProblemDistribution:
     return load_problem_file(args.problem)
 
 
-def _moments_of(p: ProblemDistribution, seed: int):
-    if p.exact_moments is not None:
-        return p.exact_moments
-    return estimate_moments(p, 200_000, seed)
-
-
 def _transformed(p: ProblemDistribution, seed: int):
-    """The PD-certifying transform of ``p``, with estimated moments if it has none.
+    """The PD-certifying transform of ``p`` (every loadable problem has exact moments).
 
     Returns (moments of ``p``, TransformResult); ``rho``, ``transform`` and
     ``bound`` all report on this one transformed problem.
     """
-    if p.exact_moments is None:
-        p = dataclasses.replace(p, exact_moments=_moments_of(p, seed))
     return p.exact_moments, transform_problem(p, seed=seed)[1]
 
 
@@ -175,12 +167,9 @@ def _cmd_simulate(args) -> int:
         n_replications=args.reps,
         seed=seed,
     )
-    theta_star = None
-    if p.exact_moments is None or p.exact_moments.theta_star is None:
-        theta_star = _moments_of(p, seed).theta_star
-        if theta_star is None:
-            raise ValueError("problem has no fixed point (singular mean matrix)")
-    curve = run_mse(p, cfg, theta_star=theta_star)
+    if p.exact_moments.theta_star is None:
+        raise ValueError("problem has no fixed point (singular mean matrix)")
+    curve = run_mse(p, cfg)
     rows = list(zip(curve.times, curve.mse, curve.stderr, curve.n_diverged))
     _write_csv(args.out, ["t", "mse", "stderr", "n_diverged"], rows, _invocation(args))
     if not np.isfinite(curve.mse[-1]):
@@ -301,12 +290,16 @@ def repro_fig1(
 ) -> dict:
     """Tuned vs hand-computed step-sizes across noise levels, plus MSE curves.
 
-    For each noise level, the tuner (k=2, T=5, c=1.025) runs once per seed;
-    the per-level median step-size is compared against the certificate
-    2/(||A||^2 + sigma_A^2) = 2/(101 + sigma_A^2), and the averaged-iterate
-    MSE is simulated at the median tuned step-size.  Writes
-    ``fig1_left.csv`` (per-level tuned/hand step-sizes), ``fig1_right.csv``
-    (MSE curves) and ``fig1_summary.json``.
+    For each noise level, the tuner (k=2, T=5, c=1.025) runs once per seed,
+    all seeds of the level in one ``tune_many`` call (the traces equal those
+    of one ``tune`` call per seed); the per-level median step-size is
+    compared against the certificate 2/(||A||^2 + sigma_A^2) =
+    2/(101 + sigma_A^2), and the averaged-iterate MSE is simulated at the
+    median tuned step-size.  Writes ``fig1_left.csv`` (per-level tuned/hand
+    step-sizes), ``fig1_right.csv`` (MSE curves) and ``fig1_summary.json``;
+    per level the summary counts the aborted runs (``n_aborted``) and the
+    tuned step-sizes at which the mean iteration is not certified stable,
+    rho_d <= 0 (``n_tuned_mean_unstable``).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -318,14 +311,9 @@ def repro_fig1(
     summary = {"sigma_A": {}, "n_seeds": n_seeds, "seed": seed}
     for sigma_A in FIG1_SIGMAS:
         p = make_fig1_problem(sigma_A)
-        finals = []
-        aborted = 0
-        for s in tuner_seeds:
-            cfg = TunerConfig(alpha_max=alpha_max, horizon=tune_horizon, seed=s)
-            try:
-                finals.append(tune(p, cfg).final_alpha)
-            except NoStableStepSizeError:
-                aborted += 1
+        results = tune_many(p, TunerConfig(alpha_max=alpha_max, horizon=tune_horizon), tuner_seeds)
+        finals = [r.final_alpha for r in results if isinstance(r, TunerTrace)]
+        unstable = {a for a in set(finals) if rho_d(p.exact_moments, a) <= 0}
         hand = 2.0 / (101.0 + sigma_A**2)
         if finals:
             med = float(np.median(finals))
@@ -338,7 +326,8 @@ def repro_fig1(
             "tuned_alpha_median": med,
             "tuned_alpha_iqr": iqr,
             "hand_alpha": hand,
-            "n_aborted": aborted,
+            "n_aborted": len(results) - len(finals),
+            "n_tuned_mean_unstable": sum(a in unstable for a in finals),
             "tuned_alphas": finals,
         }
         if np.isfinite(med):

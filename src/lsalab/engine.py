@@ -159,8 +159,11 @@ def _advance(theta, hat, n: int, draws, direction, alpha: float, bound: float):
 
     ``draws`` is a tuple of (S, R, ...) blocks and ``direction(draws, s,
     theta)`` gives b_s - A_s theta from them; ``n`` is the number of steps
-    already averaged into ``hat``.  Stops just before the first step that
-    would take some replication past ``bound`` (a NaN counts as past it).
+    already averaged into ``hat``.  ``alpha`` and ``n`` are numbers shared by
+    all replications, or (R, 1) columns with one value per replication (the
+    tuner's rows); equal values give equal bits either way.  Stops just
+    before the first step that would take some replication past ``bound``
+    (a NaN counts as past it).
     Returns (theta, hat, steps_taken, mask): ``mask`` marks the replications
     that step would take past the bound, or is None when all S steps were
     taken.  The inputs are not modified.

@@ -4,8 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lsalab import gtd_instance, load_problem_file, spectral_report, td0_instance
-from lsalab.cli import EXIT_DIVERGED, EXIT_VALIDATION, FIG1_SIGMAS, main, repro_fig1
+from lsalab import gtd_instance, load_problem_file, rho_d, spectral_report, td0_instance
+from lsalab.cli import (
+    EXIT_DIVERGED,
+    EXIT_VALIDATION,
+    FIG1_SIGMAS,
+    main,
+    make_fig1_problem,
+    repro_fig1,
+)
 from lsalab.problem_io import mdp_from_dict
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
@@ -87,6 +94,17 @@ def test_all_diverged_simulate_exits_3(td_problem, tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_simulate_singular_mean_exits_2(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"type": "gaussian", "A": [[1.0, 1.0], [1.0, 1.0]], "b": [1.0, 0.0],
+                                "sigma_A": 0.5}))
+    code = main(["simulate", "--problem", str(path), "--alpha", "0.1", "--horizon", "50",
+                 "--reps", "2", "--stride", "10", "--out", str(tmp_path / "sim.csv")])
+    assert code == EXIT_VALIDATION
+    assert "problem has no fixed point (singular mean matrix)" in capsys.readouterr().err
+    assert not (tmp_path / "sim.csv").exists()
+
+
 def rho_rows(path, capsys, grid="1e-3:1e-1:3:log"):
     assert main(["rho", "--problem", str(path), "--alpha-grid", grid]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
@@ -139,6 +157,16 @@ def test_repro_fig1_files_and_rerun(tmp_path):
     assert len(right) == 2 + 200 // 25
     stored = json.loads((tmp_path / "a" / "fig1_summary.json").read_text())
     assert stored == json.loads(json.dumps(summary))
+    # the count of mean-unstable tuned step-sizes; ten seeds give a nonzero one
+    wide = repro_fig1(tmp_path / "c", n_seeds=10, seed=0, sim_horizon=200, n_replications=5)
+    for s in (summary, wide):
+        for sigma in FIG1_SIGMAS:
+            level = s["sigma_A"][str(sigma)]
+            m = make_fig1_problem(sigma).exact_moments
+            assert level["n_tuned_mean_unstable"] == sum(
+                rho_d(m, a) <= 0 for a in level["tuned_alphas"]
+            )
+    assert sum(level["n_tuned_mean_unstable"] for level in wide["sigma_A"].values()) > 0
 
     run(tmp_path / "b")
     for name in ("fig1_left.csv", "fig1_right.csv"):

@@ -1,18 +1,28 @@
+import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lsalab import (
     DIVERGENCE_SENTINEL,
     NoStableStepSizeError,
     TunerConfig,
+    TunerTrace,
     is_unstable,
     make_finite_support,
     make_gaussian_noise,
     tune,
+    tune_many,
 )
-from lsalab.cli import make_fig1_problem
+from lsalab import engine
+from lsalab.cli import FIG1_SIGMAS, make_fig1_problem
+from lsalab.engine import divergence_bound
+from lsalab.problems import FiniteAtoms, _finite_problem
+from lsalab.tuner import RatioCheck, _norm
 
 
 def scalar_problem(a=1.0, b=1.0):
@@ -158,6 +168,7 @@ class TestTune:
             tune(p, cfg)
         t = int(re.search(r"at t=(\d+)", str(exc.value)).group(1))
         assert t % cfg.T != 0  # raised by the emergency restart, not a check
+        assert str(exc.value) == "no stable step-size found: reached alpha=7.5e-13 at t=7"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -184,3 +195,170 @@ class TestExperimentFamily:
             assert hand / 4 <= med <= 4 * hand, (sigma, med, hand)
             medians.append(med)
         assert all(medians[i] >= medians[i + 1] - 1e-15 for i in range(len(medians) - 1))
+
+
+def reference_tune(p, cfg, seed):
+    """One trajectory, one step at a time: the oracle of ``tune_many``.
+
+    Draws (b, A) from ``default_rng(seed)`` in chunks of 1024 steps and applies
+    theta + alpha*(b - A @ theta); returns the trace, or the error ``tune``
+    raises for this seed.
+    """
+    rng = np.random.default_rng(seed)
+    theta0 = np.zeros(p.dim) if cfg.theta_0 is None else np.asarray(cfg.theta_0, float)
+    bound = divergence_bound(p, theta0)
+    alpha, theta, hat, n = cfg.alpha_max, theta0, theta0, 0
+    window = [_norm(theta0)]
+    events, checks = [], []
+    t = 0
+    while t < cfg.horizon:
+        bs, As = p.sample(rng, (min(1024, cfg.horizon - t),))
+        for b, A in zip(bs, As):
+            t += 1
+            nxt = theta + alpha * (b - A @ theta)
+            if np.abs(nxt).max() <= bound:
+                theta, n = nxt, n + 1
+                hat = hat + (theta - hat) / (n + 1)
+                if t % cfg.T:
+                    continue
+                window = (window + [_norm(hat)])[-(cfg.k + 1):]
+                if len(window) <= cfg.k:
+                    continue
+                ok = all(np.isfinite(w) and w > 0 for w in window)
+                ratios = tuple(w1 / w0 for w0, w1 in zip(window, window[1:])) if ok else ()
+                triggered = is_unstable(window, cfg.c_threshold)
+                checks.append(RatioCheck(t=t, ratios=ratios, triggered=triggered))
+                if not triggered:
+                    continue
+                hat = theta  # halving by the ratio test keeps the iterate
+            else:
+                theta = hat = theta0  # emergency restart
+            alpha /= 2.0
+            if alpha < 1e-12:
+                return NoStableStepSizeError(
+                    f"no stable step-size found: reached alpha={alpha:g} at t={t}"
+                )
+            events.append((t, alpha))
+            n = 0
+            window = [_norm(hat)]
+    return TunerTrace(tuple(events), alpha, hat, tuple(checks))
+
+
+def assert_same_result(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, NoStableStepSizeError):
+        assert str(got) == str(want)
+        return
+    assert got.events == want.events
+    assert got.final_alpha == want.final_alpha
+    assert got.checks == want.checks
+    assert got.final_theta_hat.dtype == want.final_theta_hat.dtype
+    assert got.final_theta_hat.tobytes() == want.final_theta_hat.tobytes()
+
+
+def random_atoms(seed, d, n_atoms, scatter):
+    """Finite-support problem with atoms A_i = I + 0.6 G_i and normal b_i."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(n_atoms))
+    atoms = FiniteAtoms(
+        probs=probs / probs.sum(),
+        bs=rng.standard_normal((n_atoms, d)),
+        As=np.eye(d) + 0.6 * rng.standard_normal((n_atoms, d, d)),
+        b_noise=rng.standard_normal((n_atoms, d)) if scatter else None,
+    )
+    return _finite_problem(atoms, f"random({seed})")
+
+
+@st.composite
+def tuning_runs(draw):
+    """A random finite-support problem (d <= 3), a tuner config, seeds and a sentinel.
+
+    alpha_max comes from a mostly stable range, an overflowing one or just
+    above the step-size floor; a divergence sentinel drawn down to 10 makes
+    emergency restarts frequent.
+    """
+    d = draw(st.integers(1, 3))
+    p = random_atoms(draw(st.integers(0, 2**32 - 1)), d, draw(st.integers(1, 4)), draw(st.booleans()))
+    k, T = draw(st.integers(1, 3)), draw(st.integers(1, 7))
+    log_alpha = draw(st.one_of(st.floats(-2.0, 0.5), st.floats(0.5, 3.0), st.floats(-12.0, -11.0)))
+    theta_0 = draw(st.one_of(st.none(), st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+    cfg = TunerConfig(
+        alpha_max=10.0**log_alpha,
+        k=k,
+        T=T,
+        c_threshold=draw(st.floats(1.001, 1.5)),
+        horizon=draw(st.integers(k * T + 1, 1500)),
+        theta_0=None if theta_0 is None else np.array(theta_0),
+    )
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8))
+    return p, cfg, seeds, 10.0 ** draw(st.integers(1, 150))
+
+
+#: runs the property test always includes: (problem, config, seeds, sentinel)
+EXAMPLES = {
+    "restart on an epoch boundary": (
+        random_atoms(1, 2, 2, True), TunerConfig(alpha_max=100.0, horizon=200), list(range(8)), 1e6
+    ),
+    "floor aborts among survivors": (
+        random_atoms(1, 2, 2, True), TunerConfig(alpha_max=1e-11, horizon=300), list(range(8)), 1e20
+    ),
+    "second draw chunk": (
+        random_atoms(7, 2, 4, True), TunerConfig(alpha_max=10.0, horizon=1500), list(range(8)), 1e3
+    ),
+}
+
+
+def tune_with_sentinel(run):
+    p, cfg, seeds, sentinel = run
+    with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
+        return tune_many(p, cfg, seeds), [reference_tune(p, cfg, s) for s in seeds]
+
+
+class TestTuneMany:
+    def test_examples_cover_restarts_aborts_and_chunks(self):
+        results = {name: tune_with_sentinel(run)[0] for name, run in EXAMPLES.items()}
+
+        # a row restarts at an epoch boundary while another row checks there
+        T = EXAMPLES["restart on an epoch boundary"][1].T
+        traces = results["restart on an epoch boundary"]
+        restarts = {t for r in traces for t, _ in r.events
+                    if t % T == 0 and t not in {c.t for c in r.checks}}
+        assert restarts & {c.t for r in traces for c in r.checks}
+
+        aborted = [isinstance(r, NoStableStepSizeError) for r in results["floor aborts among survivors"]]
+        assert any(aborted) and not all(aborted)
+
+        assert EXAMPLES["second draw chunk"][1].horizon > 1024
+        assert any(t > 1024 for r in results["second draw chunk"] for t, _ in r.events)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tuning_runs())
+    @example(EXAMPLES["restart on an epoch boundary"])
+    @example(EXAMPLES["floor aborts among survivors"])
+    @example(EXAMPLES["second draw chunk"])
+    def test_matches_per_trajectory_loop(self, run):
+        got, want = tune_with_sentinel(run)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_result(g, w)
+
+    @pytest.mark.parametrize("sigma", FIG1_SIGMAS)
+    def test_fig1_rows_equal_single_runs(self, sigma):
+        p = make_fig1_problem(sigma)
+        cfg = TunerConfig(alpha_max=1.0, horizon=160)
+        for seed, got in zip(range(50), tune_many(p, cfg, range(50))):
+            assert_same_result(got, tune(p, dataclasses.replace(cfg, seed=seed)))
+
+    def test_results_in_seed_order(self):
+        p, cfg, _, sentinel = EXAMPLES["floor aborts among survivors"]
+        seeds = [5, 0, 4, 4, 2]
+        with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
+            got = tune_many(p, cfg, seeds)
+            for seed, r in zip(seeds, got):
+                assert_same_result(r, tune_many(p, cfg, [seed])[0])
+        assert isinstance(got[2], NoStableStepSizeError)
+        assert isinstance(got[1], TunerTrace)
+
+    def test_empty_seeds_raise(self):
+        with pytest.raises(ValueError):
+            tune_many(scalar_problem(), TunerConfig(alpha_max=1.0), [])
