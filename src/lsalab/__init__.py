@@ -54,7 +54,6 @@ from .transform import (
     TransformFailedError,
     TransformResult,
     hurwitz_to_pd,
-    jordan_scaled_transform,
     transform_distribution,
     transform_moments,
     transform_problem,
@@ -79,7 +78,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "TransformResult",
     "hurwitz_to_pd",
-    "jordan_scaled_transform",
     "transform_distribution",
     "transform_moments",
     "transform_problem",

@@ -10,9 +10,13 @@ noise levels, plus MSE curves at the tuned step-sizes).
 
 Every CSV gets a provenance comment (the exact invocation) and a header row,
 and every subcommand is deterministic given --seed, so reruns are
-byte-identical.  Exit codes: 0 success, 2 validation/regime errors (among
-them ``simulate`` on a problem with a singular mean matrix: "problem has no
-fixed point (singular mean matrix)"), 3 divergence without a usable result.
+byte-identical.  ``rho``, ``transform`` and ``bound`` draw nothing: they
+read the exact moments of the problem and of its transform, so their output
+does not depend on --seed, which they accept like every subcommand.
+
+Exit codes: 0 success, 2 validation/regime errors (among them ``simulate``
+on a problem with a singular mean matrix: "problem has no fixed point
+(singular mean matrix)"), 3 divergence without a usable result.
 """
 
 from __future__ import annotations
@@ -25,14 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import BoundInputs, CertifiedRegimeError, bound_curve, bound_inputs_for
+from .bounds import CertifiedRegimeError, bound_curve, bound_inputs_for
 from .engine import RunConfig, run_mse
-from .problem_io import load_problem, load_problem_file, td_instance_from_dict
+from .problem_io import load_problem_file, td_instance_from_dict
 from .problems import ProblemDistribution, make_gaussian_noise
 from .spectral import (
     NotPositiveDefiniteError,
     rho_d,
-    rho_s,
     spectral_report,
     witness_alpha,
 )
@@ -93,19 +96,6 @@ def _parse_grid(spec: str, integer: bool = False) -> np.ndarray:
     return vals
 
 
-def _problem_from_args(args) -> ProblemDistribution:
-    return load_problem_file(args.problem)
-
-
-def _transformed(p: ProblemDistribution, seed: int):
-    """The PD-certifying transform of ``p`` (every loadable problem has exact moments).
-
-    Returns (moments of ``p``, TransformResult); ``rho``, ``transform`` and
-    ``bound`` all report on this one transformed problem.
-    """
-    return p.exact_moments, transform_problem(p, seed=seed)[1]
-
-
 def _seed_of(args, p: ProblemDistribution) -> int:
     if args.seed is not None:
         return args.seed
@@ -118,8 +108,7 @@ def _seed_of(args, p: ProblemDistribution) -> int:
 
 
 def _cmd_rho(args) -> int:
-    p = _problem_from_args(args)
-    _, tr = _transformed(p, _seed_of(args, p))
+    _, tr = transform_problem(load_problem_file(args.problem))
     m = tr.transformed_moments
     grid = _parse_grid(args.alpha_grid)
     rows = []
@@ -139,8 +128,8 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    p = _problem_from_args(args)
-    _, tr = _transformed(p, _seed_of(args, p))
+    p = load_problem_file(args.problem)
+    _, tr = transform_problem(p)
     try:
         wit = witness_alpha(tr.transformed_moments)
     except NotPositiveDefiniteError:
@@ -156,7 +145,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    p = _problem_from_args(args)
+    p = load_problem_file(args.problem)
     seed = _seed_of(args, p)
     theta0 = np.asarray(json.loads(args.theta0), dtype=float) if args.theta0 else None
     cfg = RunConfig(
@@ -178,14 +167,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    p = _problem_from_args(args)
-    m, tr = _transformed(p, _seed_of(args, p))
+    p = load_problem_file(args.problem)
+    _, tr = transform_problem(p)
     theta0 = (
         np.asarray(json.loads(args.theta0), dtype=float)
         if args.theta0
         else np.zeros(p.dim)
     )
-    inputs = bound_inputs_for(m, args.alpha, theta0, transform=tr)
+    inputs = bound_inputs_for(p.exact_moments, args.alpha, theta0, transform=tr)
     times = _parse_grid(args.t_grid, integer=True)
     curve = bound_curve(inputs, times)
     rows = list(
@@ -201,7 +190,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    p = _problem_from_args(args)
+    p = load_problem_file(args.problem)
     seed = _seed_of(args, p)
     theta0 = np.asarray(json.loads(args.theta0), dtype=float) if args.theta0 else None
     cfg = TunerConfig(

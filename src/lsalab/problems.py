@@ -25,7 +25,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -159,7 +159,11 @@ class ProblemDistribution:
 
     ``sample(rng, shape)`` draws ``shape``-many i.i.d. pairs.  ``atoms`` is set
     for finite-support families so downstream transforms can map moments in
-    closed form.  ``seed`` is an optional default stream carried over from a
+    closed form.  A problem without atoms that carries exact moments must
+    have matrix noise N = A_t - A_P whose law is invariant under left
+    rotation, N -> QN for orthogonal Q (true of the Gaussian family and of
+    every sigma_A = 0 problem): the transform's closed-form second moment
+    rests on it.  ``seed`` is an optional default stream carried over from a
     problem file; runs always take their own seeds.  ``step_form`` is how the
     engine steps the problem; None means through the dense (b, A) of
     ``sample``.

@@ -13,12 +13,15 @@ Construction routes, in order:
    (L diagonal, L^* + L = 2 diag(Re lambda_i) > 0);
 3. complex Schur form with a geometric diagonal rescaling
    D = diag(1, delta, delta^2, ...), shrinking delta by halves until the
-   off-diagonal mass is small enough that L^* + L is PD.
+   off-diagonal mass is small enough that L^* + L is PD.  Defective inputs
+   take this route: numerical Jordan forms are ill-conditioned.
 
-The exact Jordan-chain rescaling (superdiagonal entries proportional to the
-real part of the eigenvalue) is available separately for hand-built defective
-inputs; route 3 is the production path because numerical Jordan forms are
-ill-conditioned.
+Moments of the transformed pair (U^{-1} b, U^{-1} A U) are computed without
+sampling.  For a finite-support problem (plain finite, every TD instance)
+all of them are exact weighted sums over the transformed atoms.  For a
+problem without atoms, A_U = Lambda, b_U = U^{-1} b_P and the second moment
+C_U are exact (see ``transform_moments``); sigma_A^2 and sigma_b^2 become
+the bounds kappa(U)^2 sigma_A^2 and ||U^{-1}||^2 sigma_b^2.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .problems import (
 __all__ = [
     "TransformResult",
     "hurwitz_to_pd",
-    "jordan_scaled_transform",
     "transform_moments",
     "transform_distribution",
     "transform_problem",
@@ -62,7 +64,8 @@ class TransformResult:
     """An invertible U with Lambda = U^{-1} A U satisfying Lambda^* + Lambda > 0.
 
     kappa_U = ||U|| * ||U^{-1}|| enters the error-bound constant.
-    transformed_moments is populated by transform_problem / transform_moments.
+    transformed_moments is populated by transform_problem only; hurwitz_to_pd
+    leaves it None.
     """
 
     U: np.ndarray
@@ -138,43 +141,6 @@ def hurwitz_to_pd(
     )
 
 
-def jordan_scaled_transform(V, blocks) -> TransformResult:
-    """Exact rescaling of a known Jordan decomposition A = V J V^{-1}.
-
-    ``blocks`` is a list of (eigenvalue, size) pairs describing J's Jordan
-    blocks in order.  The returned U = V D uses the diagonal
-    D = blockdiag(diag(1, r, r^2, ...)) with r = Re(eigenvalue) per block, so
-    the transformed matrix has r on the superdiagonal instead of 1 and its
-    Hermitian part is a PD tridiagonal.  Intended for small hand-built inputs
-    where V and the block structure are known exactly.
-    """
-    V = np.asarray(V, dtype=complex)
-    d = V.shape[0]
-    sizes = [int(m) for _, m in blocks]
-    if sum(sizes) != d:
-        raise ValueError("block sizes must sum to the dimension")
-    diag = []
-    Lam = np.zeros((d, d), dtype=complex)
-    pos = 0
-    for lam, m in blocks:
-        r = float(np.real(lam))
-        if r <= 0:
-            raise NotHurwitzError(f"not Hurwitz: Re(eigenvalue) = {r:g} <= 0")
-        diag.extend(r**j for j in range(m))
-        for j in range(m):
-            Lam[pos + j, pos + j] = lam
-            if j + 1 < m:
-                Lam[pos + j, pos + j + 1] = r
-        pos += m
-    D = np.asarray(diag)
-    U = V * D[None, :]
-    U_inv = np.linalg.inv(U)
-    result = TransformResult(U=U, U_inv=U_inv, Lambda=Lam, kappa_U=_kappa(U, U_inv))
-    if result.min_eig_sym <= 0:
-        raise TransformFailedError("rescaled Jordan form is not PD (check inputs)")
-    return result
-
-
 def _transform_atoms(atoms: FiniteAtoms, tr: TransformResult) -> FiniteAtoms:
     """Atoms (U^{-1} b_i, U^{-1} A_i U), intercept scatter mapped by U^{-1}."""
     U, U_inv = tr.U, tr.U_inv
@@ -189,21 +155,19 @@ def _transform_atoms(atoms: FiniteAtoms, tr: TransformResult) -> FiniteAtoms:
     )
 
 
-def transform_moments(
-    p: ProblemDistribution,
-    tr: TransformResult,
-    n_estimate: int = 200_000,
-    seed: int = 0,
-) -> Moments:
-    """Moments of the transformed distribution (U^{-1} b, U^{-1} A U).
+def transform_moments(p: ProblemDistribution, tr: TransformResult) -> Moments:
+    """Moments of the transformed distribution (U^{-1} b, U^{-1} A U), drawing nothing.
 
-    Exact, with no sampling, for finite-support families (plain finite
-    problems and every TD instance: weighted sums over the transformed atoms)
-    and when the matrix part is deterministic (sigma_A = 0, where
-    C = Lambda^* Lambda).  Monte Carlo runs only for a distribution without
-    atoms whose matrix is random (the Gaussian family): its second moment is
-    then estimated from n_estimate draws, and its noise magnitudes are mapped
-    as the bounds sigma_A^2 -> kappa(U)^2 sigma_A^2 and
+    A finite-support problem (plain finite, every TD instance) gets weighted
+    sums over its transformed atoms, all exact.  A problem without atoms
+    gets A_U = Lambda, b_U = U^{-1} b_P and the exact second moment
+
+        C_U = Lambda^* Lambda + (||U^{-1}||_F^2 / d) U^* (C_P - A_P^* A_P) U,
+
+    which holds because the matrix noise N = A - A_P keeps its law under
+    N -> QN for orthogonal Q (the ``ProblemDistribution`` contract), so
+    E[N^* G N] = tr(G)/d E[N^* N] for G = U^{-*} U^{-1}.  Its noise
+    magnitudes are the bounds sigma_A^2 -> kappa(U)^2 sigma_A^2 and
     sigma_b^2 -> ||U^{-1}||^2 sigma_b^2.
     """
     if p.atoms is not None:
@@ -211,35 +175,17 @@ def transform_moments(
     if p.exact_moments is None:
         raise ValueError("distribution has no exact moments; use estimate_moments first")
     m = p.exact_moments
-    A_U = tr.U_inv @ m.A_P @ tr.U
-    b_U = tr.U_inv @ m.b_P
-    u_inv_norm = spectral_norm(tr.U_inv)
-    if m.sigma_A_sq == 0.0:
-        C_U = A_U.conj().T @ A_U
-        sigma_A_sq = 0.0
-    else:
-        rng = np.random.default_rng(seed)
-        C_U = np.zeros((p.dim, p.dim), dtype=complex)
-        left = n_estimate
-        chunk = max(1, 2_000_000 // (p.dim * p.dim))
-        while left > 0:
-            take = min(chunk, left)
-            _, A = p.sample(rng, (take,))
-            AU = np.einsum("ij,kjl,lm->kim", tr.U_inv, A, tr.U)
-            C_U += np.einsum("kji,kjl->il", AU.conj(), AU)
-            left -= take
-        C_U /= n_estimate
-        sigma_A_sq = tr.kappa_U**2 * m.sigma_A_sq
-    sigma_b_sq = u_inv_norm**2 * m.sigma_b_sq
-    return Moments.from_parts(A_U, b_U, C_U, sigma_A_sq, sigma_b_sq)
+    U, U_inv = tr.U, tr.U_inv
+    A_U = U_inv @ m.A_P @ U
+    noise_C = m.C_P - m.A_P.conj().T @ m.A_P  # E[N^* N]
+    scale = np.linalg.norm(U_inv, "fro") ** 2 / p.dim
+    C_U = A_U.conj().T @ A_U + scale * (U.conj().T @ noise_C @ U)
+    sigma_A_sq = tr.kappa_U**2 * m.sigma_A_sq
+    sigma_b_sq = spectral_norm(U_inv) ** 2 * m.sigma_b_sq
+    return Moments.from_parts(A_U, U_inv @ m.b_P, C_U, sigma_A_sq, sigma_b_sq)
 
 
-def transform_distribution(
-    p: ProblemDistribution,
-    tr: TransformResult,
-    n_estimate: int = 200_000,
-    seed: int = 0,
-) -> ProblemDistribution:
+def transform_distribution(p: ProblemDistribution, tr: TransformResult) -> ProblemDistribution:
     """Distribution of (U^{-1} b_t, U^{-1} A_t U) under the given transform."""
     if tr.U.shape[0] != p.dim:
         raise ValueError("transform dimension does not match distribution")
@@ -254,17 +200,11 @@ def transform_distribution(
         AT = np.einsum("ij,...jl,lm->...im", U_inv, A, U)
         return bT, AT
 
-    moments = None
-    if p.exact_moments is not None:
-        moments = transform_moments(p, tr, n_estimate=n_estimate, seed=seed)
+    moments = None if p.exact_moments is None else transform_moments(p, tr)
     return ProblemDistribution(dim=p.dim, sample=sample, exact_moments=moments, label=label)
 
 
-def transform_problem(
-    p: ProblemDistribution,
-    n_estimate: int = 200_000,
-    seed: int = 0,
-) -> tuple[ProblemDistribution, TransformResult]:
+def transform_problem(p: ProblemDistribution) -> tuple[ProblemDistribution, TransformResult]:
     """Transform a problem so its mean matrix is PD; returns (P_U, transform).
 
     The returned TransformResult carries the transformed moments.
@@ -272,6 +212,5 @@ def transform_problem(
     if p.exact_moments is None:
         raise ValueError("distribution has no exact moments; use estimate_moments first")
     tr = hurwitz_to_pd(p.exact_moments.A_P)
-    p_U = transform_distribution(p, tr, n_estimate=n_estimate, seed=seed)
-    tr = replace(tr, transformed_moments=p_U.exact_moments)
-    return p_U, tr
+    p_U = transform_distribution(p, tr)
+    return p_U, replace(tr, transformed_moments=p_U.exact_moments)

@@ -171,3 +171,25 @@ def test_repro_fig1_files_and_rerun(tmp_path):
     run(tmp_path / "b")
     for name in ("fig1_left.csv", "fig1_right.csv"):
         assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+
+def test_transformed_gaussian_output_is_seed_free(tmp_path, capsys):
+    # a Jordan mean needs a non-identity transform; its moments are exact,
+    # so rho, transform and bound read the same numbers under any --seed
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"type": "gaussian", "A": [[0.1, 1.0], [0.0, 0.1]], "b": [1.0, 1.0],
+                                "sigma_A": 0.2, "sigma_b": 0.3}))
+    outputs = []
+    for seed in ("1", "2"):
+        common = ["--problem", str(path), "--seed", seed]
+        assert main(["rho", *common, "--alpha-grid", "1e-3:1e-1:5:log"]) == 0
+        rho = capsys.readouterr().out
+        assert main(["transform", *common]) == 0
+        report = capsys.readouterr().out
+        bound = tmp_path / f"bound{seed}.csv"
+        assert main(["bound", *common, "--alpha", "0.01", "--t-grid", "1:1000:5:log",
+                     "--out", str(bound)]) == 0
+        # past the provenance line, which names the invocation and so the seed
+        outputs.append((rho, report, bound.read_text().split("\n", 1)[1]))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["kappa_U"] > 1

@@ -6,9 +6,9 @@ import pytest
 from lsalab import (
     NotHurwitzError,
     SyntheticMdp,
+    estimate_moments,
     gtd_instance,
     hurwitz_to_pd,
-    jordan_scaled_transform,
     make_finite_support,
     make_gaussian_noise,
     rho_d,
@@ -21,6 +21,7 @@ from lsalab import (
 from lsalab.problems import FiniteAtoms, _finite_problem
 
 JORDAN_2 = np.array([[0.1, 1.0], [0.0, 0.1]])
+CHAIN_3 = 0.2 * np.eye(3) + np.diag([1.0, 1.0], k=1)  # 3-chain at 0.2, kappa(U) = 16
 
 
 def spectrum_distance(got, want) -> float:
@@ -88,11 +89,10 @@ class TestHurwitzToPd:
         )
 
     def test_defective_3chain_triangular(self):
-        J = 0.2 * np.eye(3) + np.diag([1.0, 1.0], k=1)
-        tr = hurwitz_to_pd(J)
+        tr = hurwitz_to_pd(CHAIN_3)
         assert tr.min_eig_sym > 0
         assert (
-            spectrum_distance(np.linalg.eigvals(tr.Lambda), np.linalg.eigvals(J)) <= 1e-8
+            spectrum_distance(np.linalg.eigvals(tr.Lambda), np.linalg.eigvals(CHAIN_3)) <= 1e-8
         )
 
     def test_hand_built_defective_3x3_dense(self):
@@ -118,29 +118,6 @@ class TestHurwitzToPd:
         theta = rng.standard_normal(3)
         gamma = tr.U_inv @ theta
         assert np.linalg.norm(tr.U @ gamma - theta) < 1e-10
-
-
-class TestJordanScaledTransform:
-    def test_single_block(self):
-        tr = jordan_scaled_transform(np.eye(2), [(0.1, 2)])
-        # superdiagonal becomes Re(lambda); Hermitian part is PD tridiagonal
-        assert tr.Lambda[0, 1] == pytest.approx(0.1)
-        assert tr.min_eig_sym > 0
-        assert np.allclose(tr.U, np.diag([1.0, 0.1]))
-
-    def test_recovers_matrix(self):
-        V = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
-        blocks = [(0.3, 2), (0.5 + 0.2j, 1)]
-        J = np.array([[0.3, 1, 0], [0, 0.3, 0], [0, 0, 0.5 + 0.2j]])
-        A = V @ J @ np.linalg.inv(V)
-        tr = jordan_scaled_transform(V, blocks)
-        # U Lambda U^{-1} must reproduce A
-        assert np.allclose(tr.U @ tr.Lambda @ tr.U_inv, A, atol=1e-10)
-        assert tr.min_eig_sym > 0
-
-    def test_rejects_non_hurwitz_block(self):
-        with pytest.raises(NotHurwitzError):
-            jordan_scaled_transform(np.eye(2), [(-0.1, 2)])
 
 
 class TestTransformDistribution:
@@ -225,6 +202,20 @@ class TestTransformDistribution:
         assert m_U.sigma_b_sq <= np.linalg.norm(tr.U_inv, 2) ** 2 * m.sigma_b_sq
         assert np.allclose(m_U.A_P, tr.Lambda, atol=1e-10)
 
+    def test_gaussian_transform_draws_nothing(self):
+        # the Gaussian family has no atoms; its transformed moments are
+        # closed-form too
+        def no_draws(rng, shape=()):
+            raise AssertionError("transform drew samples")
+
+        p = dataclasses.replace(make_gaussian_noise(JORDAN_2, np.ones(2), 0.5, 0.3), sample=no_draws)
+        _, tr = transform_problem(p)
+        assert tr.kappa_U > 1
+        m, m_U = p.exact_moments, tr.transformed_moments
+        assert m_U.sigma_A_sq == pytest.approx(tr.kappa_U**2 * m.sigma_A_sq)
+        assert m_U.sigma_b_sq == pytest.approx(np.linalg.norm(tr.U_inv, 2) ** 2 * m.sigma_b_sq)
+        assert np.allclose(m_U.A_P, tr.Lambda, atol=1e-10)
+
     def test_gaussian_transform_has_no_step_form(self):
         # the transformed distribution steps through its dense
         # (U^{-1} b, U^{-1} A U) draws, not the Gaussian family's step form
@@ -249,7 +240,7 @@ class TestTransformedGaps:
     def test_gaps_positive_below_witness(self, seed):
         A = random_hurwitz_non_pd(seed)
         p = make_gaussian_noise(A, np.ones(3), 0.5, 0.2)
-        p_U, tr = transform_problem(p, seed=seed)
+        p_U, tr = transform_problem(p)
         m_U = tr.transformed_moments
         wit = witness_alpha(m_U)
         for alpha in np.linspace(1e-4, 0.99 * wit, 7):
@@ -262,5 +253,36 @@ class TestTransformedGaps:
         m_U = tr.transformed_moments
         assert m_U.sigma_A_sq == 0.0
         assert np.allclose(m_U.C_P, m_U.A_P.conj().T @ m_U.A_P)
+        LhL = tr.Lambda.conj().T @ tr.Lambda
+        assert np.linalg.norm(m_U.C_P - LhL) <= 1e-12 * np.linalg.norm(LhL)
         wit = witness_alpha(m_U)
         assert rho_s(m_U, 0.99 * wit) > 0
+
+
+class TestClosedFormSecondMoment:
+    """The transformed Gaussian second moment against Monte Carlo from P_U."""
+
+    N_DRAWS = 100_000  # one chunk of estimate_moments, replayable below
+
+    @pytest.mark.parametrize(
+        "A, sigma_A",
+        [(JORDAN_2, 0.5), (CHAIN_3, 2.0), (random_hurwitz_non_pd(1, d=4), 1.0)],
+        ids=["jordan2", "chain3", "random-d4"],
+    )
+    def test_matches_monte_carlo(self, A, sigma_A):
+        d = A.shape[0]
+        p = make_gaussian_noise(A, np.ones(d), sigma_A, 0.3)
+        p_U, tr = transform_problem(p)
+        assert tr.kappa_U > 1
+        C_U = tr.transformed_moments.C_P
+        est = estimate_moments(p_U, self.N_DRAWS, seed=11).C_P
+        # the same draws again, for the entrywise standard error
+        _, A_U = p_U.sample(np.random.default_rng(11), (self.N_DRAWS,))
+        X = np.einsum("kji,kjl->kil", A_U.conj(), A_U)
+        assert np.allclose(X.mean(axis=0), est, rtol=1e-10, atol=0)
+        for part in (np.real, np.imag):
+            se = part(X).std(axis=0, ddof=1) / np.sqrt(self.N_DRAWS)
+            diff = part(est) - part(C_U)
+            noisy = se > 1e-12 * np.abs(C_U).max()
+            assert np.all(np.abs(diff[noisy]) <= 5 * se[noisy])
+            assert np.all(np.abs(diff[~noisy]) <= 1e-10 * np.abs(C_U).max())
