@@ -27,6 +27,7 @@ from .engine import (
     RunConfig,
     RunResult,
     run_mse,
+    run_mse_many,
     run_single,
 )
 from .problem_io import load_problem, load_problem_file
@@ -88,6 +89,7 @@ __all__ = [
     "MseCurve",
     "run_single",
     "run_mse",
+    "run_mse_many",
     "DIVERGENCE_SENTINEL",
     "BoundInputs",
     "BoundCurve",

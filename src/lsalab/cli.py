@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import CertifiedRegimeError, bound_curve, bound_inputs_for
-from .engine import RunConfig, run_mse
+from .engine import RunConfig, run_mse, run_mse_many
 from .problem_io import load_problem_file, td_instance_from_dict
 from .problems import ProblemDistribution, make_gaussian_noise
 from .spectral import (
@@ -284,11 +284,14 @@ def repro_fig1(
     of one ``tune`` call per seed); the per-level median step-size is
     compared against the certificate 2/(||A||^2 + sigma_A^2) =
     2/(101 + sigma_A^2), and the averaged-iterate MSE is simulated at the
-    median tuned step-size.  Writes ``fig1_left.csv`` (per-level tuned/hand
-    step-sizes), ``fig1_right.csv`` (MSE curves) and ``fig1_summary.json``;
-    per level the summary counts the aborted runs (``n_aborted``) and the
-    tuned step-sizes at which the mean iteration is not certified stable,
-    rho_d <= 0 (``n_tuned_mean_unstable``).
+    median tuned step-size.  The levels share the mean, so one
+    ``run_mse_many`` call simulates every level with a finite median, the
+    replications of all levels as rows of one state (each curve equals that
+    of one ``run_mse`` call on its level).  Writes ``fig1_left.csv``
+    (per-level tuned/hand step-sizes), ``fig1_right.csv`` (MSE curves) and
+    ``fig1_summary.json``; per level the summary counts the aborted runs
+    (``n_aborted``) and the tuned step-sizes at which the mean iteration is
+    not certified stable, rho_d <= 0 (``n_tuned_mean_unstable``).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -296,7 +299,7 @@ def repro_fig1(
     tuner_seeds = [int(child.generate_state(1)[0]) for child in master.spawn(n_seeds)]
 
     left_rows = []
-    curves = {}
+    runs = {}
     summary = {"sigma_A": {}, "n_seeds": n_seeds, "seed": seed}
     for sigma_A in FIG1_SIGMAS:
         p = make_fig1_problem(sigma_A)
@@ -320,18 +323,20 @@ def repro_fig1(
             "tuned_alphas": finals,
         }
         if np.isfinite(med):
-            cfg = RunConfig(
+            runs[sigma_A] = p, RunConfig(
                 alpha=med,
                 horizon=sim_horizon,
                 record_stride=stride,
                 n_replications=n_replications,
                 seed=seed,
             )
-            curve = run_mse(p, cfg)
-            curves[sigma_A] = curve
-            summary["sigma_A"][str(sigma_A)]["n_diverged_final"] = int(
-                curve.n_diverged[-1]
-            )
+
+    curves = {}
+    if runs:
+        problems, cfgs = zip(*runs.values())
+        curves = dict(zip(runs, run_mse_many(problems, cfgs)))
+    for sigma_A, curve in curves.items():
+        summary["sigma_A"][str(sigma_A)]["n_diverged_final"] = int(curve.n_diverged[-1])
 
     _write_csv(
         out_dir / "fig1_left.csv",

@@ -13,6 +13,14 @@ family: d normals per step instead of a d x d matrix, never an (S, R, d, d)
 buffer), otherwise through the dense (b, A) of ``sample``; the tuner always
 uses the dense form.
 
+``run_mse_many`` goes one level up: the replications of several runs whose
+step forms share a key (and which share horizon, record stride, theta_0 and
+divergence bound) advance as rows of one state, each row with its run's
+step-size and its run's own stream, so each curve is bit-identical to the
+``run_mse`` of its run alone and a batch of runs costs one Python step loop
+instead of one per run.  ``run_mse`` is its one-run call.  Only ``run_single``
+keeps the iterate snapshots; the MSE runs record the running average alone.
+
 A replication whose iterate would pass the divergence bound is frozen,
 flagged with its divergence time and dropped from the live set rather than
 raising.  The bound is relative to the problem (see ``divergence_bound``), so
@@ -33,6 +41,7 @@ __all__ = [
     "MseCurve",
     "run_single",
     "run_mse",
+    "run_mse_many",
     "DIVERGENCE_SENTINEL",
     "divergence_bound",
 ]
@@ -151,7 +160,7 @@ def _step_form(p: ProblemDistribution) -> StepForm:
     """The problem's step form, or the dense one derived from ``sample``."""
     if p.step_form is not None:
         return p.step_form
-    return StepForm(lambda rng, n: p.sample(rng, (n,)), _dense_direction)
+    return StepForm(lambda rng, n: p.sample(rng, (n,)), _dense_direction, "dense")
 
 
 def _advance(theta, hat, n: int, draws, direction, alpha: float, bound: float):
@@ -184,16 +193,51 @@ def _simulate_block(
     cfg: RunConfig,
     rngs: list[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance len(rngs) replications; returns snapshots and divergence times.
+    """Advance len(rngs) replications of one run; see ``_simulate_runs``."""
+    return _simulate_runs([p], [cfg], [rngs], keep_theta=True)
 
-    Returns (theta_snaps, hat_snaps, diverged_at) with snapshot shapes
-    (n_records, R, d); diverged_at is -1 for replications that never diverge.
-    A diverged replication leaves the live set: its state before the
-    diverging step fills its remaining snapshots and its stream is no longer
-    drawn.  The dtype is that of the first chunk drawn.  Each array the step
-    form draws gets one (chunk, R, ...) buffer.
+
+def _simulate_runs(
+    problems: list[ProblemDistribution],
+    cfgs: list[RunConfig],
+    run_rngs: list[list[np.random.Generator]],
+    keep_theta: bool,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Advance the replications of several runs as rows of one state.
+
+    ``run_rngs[i]`` holds run i's replication streams; the rows are run 0's
+    replications, then run 1's, and so on.  Each row draws through its own
+    run's step form and steps with its run's alpha (an (R, 1) column when the
+    runs' step-sizes differ), through the direction of the first run's form.
+    Returns (theta_snaps, hat_snaps, diverged_at) over all rows, with
+    snapshot shapes (n_records, R, d); theta_snaps is None unless
+    ``keep_theta``; diverged_at is -1 for rows that never diverge.  A diverged
+    row leaves the live set: its state before the diverging step fills its
+    remaining snapshots and its stream is no longer drawn.  The dtype is that
+    of the first chunk drawn.  Each array the step forms draw gets one
+    (chunk, R, ...) buffer.
+
+    Raises ValueError when the runs do not share the step-form key, horizon,
+    record stride, theta_0, divergence bound and the dtype of their draws.
     """
-    form = _step_form(p)
+    forms = [_step_form(p) for p in problems]
+    theta0s = [_resolve_theta0(p, c, None) for p, c in zip(problems, cfgs)]
+    cfg = cfgs[0]
+    for name, values in (
+        ("step-form key", [f.key for f in forms]),
+        ("horizon", [c.horizon for c in cfgs]),
+        ("record stride", [c.record_stride for c in cfgs]),
+        ("theta_0", [th.tolist() for th in theta0s]),
+        ("divergence bound", [divergence_bound(p, th) for p, th in zip(problems, theta0s)]),
+    ):
+        if any(v != values[0] for v in values[1:]):
+            raise ValueError(f"runs must share the {name}")
+    draw = [f.draw for f, run in zip(forms, run_rngs) for _ in run]
+    alphas = [c.alpha for c, run in zip(cfgs, run_rngs) for _ in run]
+    alpha = alphas[0] if len(set(alphas)) == 1 else np.array(alphas)[:, None]
+    rngs = [g for run in run_rngs for g in run]
+    bound = divergence_bound(problems[0], theta0s[0])
+    direction = forms[0].direction
     R = len(rngs)
     record = cfg.record_times()
     n_rec = len(record)
@@ -205,40 +249,46 @@ def _simulate_block(
     while t < cfg.horizon and live.size:
         steps = min(chunk, cfg.horizon - t)
         for j, r in enumerate(live):
-            drawn = form.draw(rngs[r], steps)
-            if t == 0 and j == 0:
-                dtype = np.result_type(np.float64, *(x.dtype for x in drawn))
-                bufs = [np.empty((chunk, R) + x.shape[1:], dtype=dtype) for x in drawn]
+            drawn = draw[r](rngs[r], steps)
+            if t == 0:
+                row_dtype = np.result_type(np.float64, *(x.dtype for x in drawn))
+                if j == 0:
+                    dtype = row_dtype
+                    bufs = [np.empty((chunk, R) + x.shape[1:], dtype=dtype) for x in drawn]
+                elif row_dtype != dtype:
+                    raise ValueError("runs must share the dtype of their draws")
             for buf, x in zip(bufs, drawn):
                 buf[:steps, j] = x
         draws = tuple(buf[:steps, : live.size] for buf in bufs)
         if t == 0:
-            theta0 = _resolve_theta0(p, cfg, dtype)
-            bound = divergence_bound(p, theta0)
-            theta = np.tile(theta0, (R, 1))
+            theta = np.tile(theta0s[0].astype(dtype), (R, 1))
             hat = theta.copy()
-            theta_snaps = np.empty((n_rec, R, p.dim), dtype=dtype)
-            hat_snaps = np.empty((n_rec, R, p.dim), dtype=dtype)
+            hat_snaps = np.empty((n_rec, R, theta.shape[1]), dtype=dtype)
+            theta_snaps = np.empty_like(hat_snaps) if keep_theta else None
         c = 0
         while c < steps and live.size:
             until = record[rec_i] if rec_i < n_rec else cfg.horizon
             stop = c + min(steps - c, until - t)
             theta, hat, k, bad = _advance(
-                theta, hat, t, tuple(x[c:stop] for x in draws), form.direction, cfg.alpha, bound
+                theta, hat, t, tuple(x[c:stop] for x in draws), direction, alpha, bound
             )
             t += k
             c += k
             if bad is not None:
                 gone = live[bad]
                 diverged_at[gone] = t + 1
-                theta_snaps[rec_i:, gone] = theta[bad]
                 hat_snaps[rec_i:, gone] = hat[bad]
+                if keep_theta:
+                    theta_snaps[rec_i:, gone] = theta[bad]
                 keep = ~bad
                 live, theta, hat = live[keep], theta[keep], hat[keep]
+                if isinstance(alpha, np.ndarray):
+                    alpha = alpha[keep]
                 draws = tuple(x[:, keep] for x in draws)
             elif rec_i < n_rec and t == record[rec_i]:
-                theta_snaps[rec_i, live] = theta
                 hat_snaps[rec_i, live] = hat
+                if keep_theta:
+                    theta_snaps[rec_i, live] = theta
                 rec_i += 1
     return theta_snaps, hat_snaps, diverged_at
 
@@ -293,25 +343,66 @@ def run_mse(
 ) -> MseCurve:
     """Monte Carlo MSE of the averaged iterate across seeded replications.
 
-    Each replication consumes its own spawned stream, so the curve does not
-    depend on how replications are batched; aggregation is a deterministic
-    reduction in replication order.  Where the mean of finite squared errors
-    overflows, it and the standard error are taken on the errors scaled by
-    their largest, so they read the representable mean, not inf.
+    The one-run call of ``run_mse_many``.  Each replication consumes its own
+    spawned stream, so the curve does not depend on how replications are
+    batched; aggregation is a deterministic reduction in replication order.
+    Where the mean of finite squared errors overflows, it and the standard
+    error are taken on the errors scaled by their largest, so they read the
+    representable mean, not inf.  theta* defaults to that of the problem's
+    exact moments.
     """
-    if theta_star is None:
-        if p.exact_moments is None or p.exact_moments.theta_star is None:
-            raise ValueError(
-                "theta_star unavailable: pass it explicitly or estimate moments"
-            )
-        theta_star = p.exact_moments.theta_star
+    return run_mse_many([p], [cfg], [theta_star])[0]
 
-    R = cfg.n_replications
-    times = cfg.record_times()
-    _, hat_all, div_all = _simulate_block(p, cfg, _replication_rngs(cfg.seed, R))
 
-    sq = _sq_err(hat_all, theta_star)  # (m, R)
-    diverged_mask = (div_all[None, :] >= 0) & (div_all[None, :] <= times[:, None])
+def run_mse_many(
+    problems: list[ProblemDistribution],
+    cfgs: list[RunConfig],
+    theta_stars: list[np.ndarray | None] | None = None,
+) -> list[MseCurve]:
+    """``run_mse`` of each (problem, cfg) pair, all replications as rows of one state.
+
+    Every replication of every run advances through one step loop; curve i
+    is bit-identical to ``run_mse(problems[i], cfgs[i], theta_stars[i])``,
+    since each row draws from its run's own spawned stream and steps with its
+    run's alpha.  The runs may differ in alpha, seed and n_replications, and
+    in anything their step forms' key leaves out (for Gaussian problems of
+    one mean: the noise levels); they must share the step-form key, horizon,
+    record stride, theta_0 and divergence bound.  A None entry of
+    ``theta_stars`` (or None for all) takes theta* from the problem's exact
+    moments.
+
+    Raises ValueError for an empty list, for runs that do not share what they
+    must, or when some run has no theta*.
+    """
+    problems, cfgs = list(problems), list(cfgs)
+    theta_stars = [None] * len(problems) if theta_stars is None else list(theta_stars)
+    if not problems or not (len(problems) == len(cfgs) == len(theta_stars)):
+        raise ValueError("need at least one run, with one config and theta* per problem")
+    for i, (p, ts) in enumerate(zip(problems, theta_stars)):
+        if ts is None:
+            if p.exact_moments is None or p.exact_moments.theta_star is None:
+                raise ValueError(
+                    "theta_star unavailable: pass it explicitly or estimate moments"
+                )
+            theta_stars[i] = p.exact_moments.theta_star
+    rngs = [_replication_rngs(c.seed, c.n_replications) for c in cfgs]
+    _, hat_all, div_all = _simulate_runs(problems, cfgs, rngs, keep_theta=False)
+    curves = []
+    lo = 0
+    for cfg, ts in zip(cfgs, theta_stars):
+        hi = lo + cfg.n_replications
+        curves.append(_mse_curve(cfg.record_times(), hat_all[:, lo:hi], div_all[lo:hi], ts))
+        lo = hi
+    return curves
+
+
+def _mse_curve(
+    times: np.ndarray, hat: np.ndarray, div: np.ndarray, theta_star: np.ndarray
+) -> MseCurve:
+    """Aggregate one run's (n_records, R, d) averages and divergence times."""
+    R = len(div)
+    sq = _sq_err(hat, theta_star)  # (m, R)
+    diverged_mask = (div[None, :] >= 0) & (div[None, :] <= times[:, None])
     sq[diverged_mask] = np.inf
 
     valid = ~diverged_mask

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -147,10 +147,17 @@ class StepForm:
     blocks.  ``direction(draws, s, theta)`` returns b_s - A_s theta for step s
     of those blocks and an (R, d) state, computed row by row, so a
     replication's result does not depend on the rest of its batch.
+
+    ``key`` names the direction: forms with equal keys draw arrays of the same
+    layout and have interchangeable ``direction``s, so the engine may step the
+    replications of several problems as rows of one state, each row drawing
+    through its own problem's ``draw``.  The dense form derived from
+    ``sample`` is keyed ``"dense"``.
     """
 
     draw: Callable[[np.random.Generator, int], Draws]
     direction: Callable[[Draws, int, np.ndarray], np.ndarray]
+    key: Hashable
 
 
 @dataclass(frozen=True)
@@ -308,11 +315,16 @@ def make_gaussian_noise(
 
     The engine steps this family matrix-free: M_t is independent of
     theta_{t-1}, so given theta, M_t theta has exactly the law of
-    s ||theta|| z with z ~ N(0, I_d).  Its ``step_form`` draws s z (when
-    sigma_A > 0) and b_t (when sigma_b > 0), d normals each per step, and
-    applies b_t - A_P theta - ||theta|| s z.  Runs therefore draw a different
-    stream than ``sample`` from the same seed, with the same law (the same
-    stream when sigma_A = 0).
+    s ||theta|| z with z ~ N(0, I_d).  Its ``step_form`` draws the noise
+    array s z first, then b_t when sigma_b > 0 (a fixed b is read from b_P),
+    d normals each per step, and applies b_t - A_P theta - ||theta|| s z.
+    When sigma_A = 0 the noise array is zeros and draws nothing, so every
+    problem of one mean shares the layout and the key (A_P with its shape,
+    plus b_P when b is fixed), and runs at different sigma_A can step as rows
+    of one state; a lone sigma_A = 0 run still computes the zero noise term,
+    which leaves its bits unchanged.  Runs therefore draw a different stream
+    than ``sample`` from the same seed, with the same law (the same stream
+    when sigma_A = 0).
     """
     if sigma_A < 0 or sigma_b < 0:
         raise ValueError("noise magnitudes must be nonnegative")
@@ -343,28 +355,22 @@ def make_gaussian_noise(
             A = np.broadcast_to(A_P, shape + (d, d)).copy()
         return draw_b(rng, shape), A
 
-    # matrix-free steps: a draw holds s z when sigma_A > 0 (first, as sample
-    # draws A first), then b when it is random or nothing else is drawn; a
-    # fixed b is read from b_P
-    b_drawn = bool(entry_scale_b) or not entry_scale_A
-
     def draw(rng: np.random.Generator, n: int) -> Draws:
-        rows = ()
         if entry_scale_A:
-            rows += (entry_scale_A * rng.standard_normal((n, d)),)
-        if b_drawn:
-            rows += (draw_b(rng, (n,)),)
-        return rows
+            noise = entry_scale_A * rng.standard_normal((n, d))
+        else:
+            noise = np.zeros((n, d))
+        return (noise, draw_b(rng, (n,))) if entry_scale_b else (noise,)
 
     def direction(draws: Draws, s: int, theta: np.ndarray) -> np.ndarray:
         # A_P theta one row at a time: a single gemm over the batch would
         # round differently with the batch size
-        v = (draws[-1][s] if b_drawn else b_P) - np.matmul(A_P, theta[..., None])[..., 0]
-        if entry_scale_A:
-            v -= _row_norms(theta) * draws[0][s]
+        v = (draws[1][s] if entry_scale_b else b_P) - np.matmul(A_P, theta[..., None])[..., 0]
+        v -= _row_norms(theta) * draws[0][s]
         return v
 
-    step_form = StepForm(draw, direction)
+    key = ("gaussian", A_P.shape, A_P.tobytes(), None if entry_scale_b else b_P.tobytes())
+    step_form = StepForm(draw, direction, key)
     if label is None:
         label = f"gaussian(d={d}, sigma_A={sigma_A:g}, sigma_b={sigma_b:g})"
     return ProblemDistribution(

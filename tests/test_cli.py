@@ -4,7 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lsalab import gtd_instance, load_problem_file, rho_d, spectral_report, td0_instance
+from lsalab import (
+    RunConfig,
+    gtd_instance,
+    load_problem_file,
+    rho_d,
+    run_mse,
+    spectral_report,
+    td0_instance,
+)
 from lsalab.cli import (
     EXIT_DIVERGED,
     EXIT_VALIDATION,
@@ -157,6 +165,13 @@ def test_repro_fig1_files_and_rerun(tmp_path):
     assert len(right) == 2 + 200 // 25
     stored = json.loads((tmp_path / "a" / "fig1_summary.json").read_text())
     assert stored == json.loads(json.dumps(summary))
+    # the levels are simulated as one batch; each column is the curve of one
+    # run_mse call on its level at the tuned median
+    columns = np.array([[float(x) for x in row.split(",")] for row in right[2:]]).T
+    for sigma, column in zip(FIG1_SIGMAS, columns[1:]):
+        cfg = RunConfig(alpha=summary["sigma_A"][str(sigma)]["tuned_alpha_median"], horizon=200,
+                        n_replications=5, seed=3)
+        assert np.array_equal(column, run_mse(make_fig1_problem(sigma), cfg).mse)
     # the count of mean-unstable tuned step-sizes; ten seeds give a nonzero one
     wide = repro_fig1(tmp_path / "c", n_seeds=10, seed=0, sim_horizon=200, n_replications=5)
     for s in (summary, wide):

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lsalab import (
@@ -13,6 +13,7 @@ from lsalab import (
     make_lower_bound_instance,
     rho_s,
     run_mse,
+    run_mse_many,
     run_single,
     witness_alpha,
 )
@@ -252,20 +253,48 @@ class TestGaussianStepForm:
     # sigma_A = 2 at alpha = 1 with the sentinel patched to 100: replications
     # pass the bound at scattered times, some before the horizon, some not.
     # A_P is not diagonal, so computing A_P theta with one gemm over the
-    # batch would round differently at d = 5 and d = 32.
-    @pytest.mark.parametrize("d, sigma_b, horizon", [(2, 0.0, 40), (5, 0.5, 40), (32, 0.5, 70)])
-    def test_batching_does_not_change_result(self, d, sigma_b, horizon):
+    # batch would round differently at d = 5 and d = 32.  At sigma_A = 0
+    # the noise array is zeros and the step equals that of ``sample``; alpha
+    # = 2.05 puts the eigenvalue of I - alpha A_P at -1.05, so intercept noise
+    # scatters the divergence times and the noise-free rows diverge at once.
+    @pytest.mark.parametrize(
+        "d, sigma_A, sigma_b, alpha, horizon",
+        [(2, 2.0, 0.0, 1.0, 40), (5, 2.0, 0.5, 1.0, 40), (32, 2.0, 0.5, 1.0, 70),
+         (2, 0.0, 0.0, 2.05, 80), (2, 0.0, 0.5, 2.05, 40)],
+        ids=["2-0.0-40", "5-0.5-40", "32-0.5-70", "no-matrix-noise-2-0.0-80",
+             "no-matrix-noise-2-0.5-40"],
+    )
+    def test_batching_does_not_change_result(self, d, sigma_A, sigma_b, alpha, horizon):
         A_P = np.eye(d) + np.triu(np.full((d, d), 0.5 / d), 1)
-        p = make_gaussian_noise(A_P, np.ones(d), 2.0, sigma_b)
-        cfg = RunConfig(alpha=1.0, horizon=horizon, record_stride=5, n_replications=12, seed=5)
+        p = make_gaussian_noise(A_P, np.ones(d), sigma_A, sigma_b)
+        cfg = RunConfig(alpha=alpha, horizon=horizon, record_stride=5, n_replications=12, seed=5)
         with mock.patch.object(engine, "DIVERGENCE_SENTINEL", 100):
             theta, hat, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 12))
-            assert 0 < (div >= 0).sum() < 12
+            if sigma_A or sigma_b:
+                assert 0 < (div >= 0).sum() < 12
+            else:
+                assert div[0] > 0 and (div == div[0]).all()
             for r, rng in enumerate(_replication_rngs(cfg.seed, 12)):
                 theta_r, hat_r, div_r = _simulate_block(p, cfg, [rng])
                 assert np.array_equal(theta_r[:, 0], theta[:, r])
                 assert np.array_equal(hat_r[:, 0], hat[:, r])
                 assert div_r[0] == div[r]
+            if not sigma_A:
+                ref_theta, ref_hat, ref_div = reference_block(p, cfg, _replication_rngs(cfg.seed, 12))
+                assert np.array_equal(ref_theta, theta)
+                assert np.array_equal(ref_hat, hat)
+                assert np.array_equal(ref_div, div)
+
+    def test_key_names_the_direction(self):
+        # the key holds A_P, and b_P only when b is fixed; not the noise levels
+        A, b = FIG1_MEAN, np.ones(2)
+
+        def key(*args):
+            return make_gaussian_noise(*args).step_form.key
+
+        assert key(A, b, 0.0, 0.0) == key(A, b, 2.0, 0.0) != key(A, 2 * b, 2.0, 0.0)
+        assert key(A, b, 0.0, 0.5) == key(A, 2 * b, 2.0, 1.0) != key(A, b, 2.0, 0.0)
+        assert key(A, b, 2.0, 0.5) != key(2 * A, b, 2.0, 0.5)
 
     def test_runs_never_call_sample(self):
         def no_draws(rng, shape=()):
@@ -371,3 +400,85 @@ class TestAgainstReferenceLoop:
         assert np.array_equal(div, ref_div)
         np.testing.assert_allclose(theta, ref_theta, rtol=1e-12)
         np.testing.assert_allclose(hat, ref_hat, rtol=1e-12)
+
+
+@st.composite
+def finite_batches(draw):
+    """Random finite-support runs that may share one batch, and a sentinel.
+
+    The runs share d, horizon, record stride and theta_0; their intercepts
+    are scaled so that ||theta*||_inf <= 1/2, which gives every run the
+    divergence bound of theta_0.  Each run has its own atoms, alpha (all
+    equal in some batches), replication count and seed.  Atoms
+    A_i = I + 1.2 G_i spread the rows' growth rates (twice the spread of
+    ``finite_runs``), so that with a sentinel drawn down to 10 rows leave the
+    batch at different steps in about a third of the batches.
+    """
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    horizon = draw(st.integers(1, 600))
+    stride = draw(st.integers(1, horizon))
+    theta_0 = rng.standard_normal(d) if draw(st.booleans()) else None
+    n_runs = draw(st.integers(1, 4))
+    shared_alpha = 10 ** draw(st.floats(-1.5, 0.5)) if draw(st.booleans()) else None
+    problems, cfgs = [], []
+    for _ in range(n_runs):
+        k = draw(st.integers(1, 4))
+        probs = rng.dirichlet(np.ones(k))
+        atoms = FiniteAtoms(
+            probs=probs / probs.sum(),
+            bs=rng.standard_normal((k, d)),
+            As=np.eye(d) + 1.2 * rng.standard_normal((k, d, d)),
+            b_noise=rng.standard_normal((k, d)) if draw(st.booleans()) else None,
+        )
+        theta_star = _finite_problem(atoms, "random").exact_moments.theta_star
+        assume(theta_star is not None)
+        scale = max(1.0, 2 * np.abs(theta_star).max())
+        problems.append(_finite_problem(dataclasses.replace(atoms, bs=atoms.bs / scale), "random"))
+        cfgs.append(RunConfig(
+            alpha=shared_alpha or 10 ** draw(st.floats(-1.5, 0.5)),
+            horizon=horizon,
+            theta_0=theta_0,
+            record_stride=stride,
+            n_replications=draw(st.integers(1, 5)),
+            seed=draw(st.integers(0, 2**32 - 1)),
+        ))
+    return problems, cfgs, 10.0 ** draw(st.integers(1, 30))
+
+
+class TestRunMseMany:
+    @settings(max_examples=100, deadline=None)
+    @given(finite_batches())
+    def test_matches_one_run_mse_per_run(self, batch):
+        problems, cfgs, sentinel = batch
+        with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
+            curves = run_mse_many(problems, cfgs)
+            assert len(curves) == len(problems)
+            for p, cfg, curve in zip(problems, cfgs, curves):
+                alone = run_mse(p, cfg)
+                assert curve.n_replications == alone.n_replications
+                for name in ("times", "mse", "stderr", "n_diverged"):
+                    np.testing.assert_array_equal(getattr(curve, name), getattr(alone, name))
+
+    def test_runs_that_cannot_share_a_batch_raise(self):
+        p = pm_identity(0.05)  # dense, theta* = 0
+        cfg = RunConfig(alpha=0.1, horizon=50, record_stride=5)
+        gaussian = make_gaussian_noise(np.eye(2), np.zeros(2), 0.5, 0.0)
+        far = make_finite_support([((np.array([5.0, 0.0]), np.eye(2)), 1.0)])  # theta* = (5, 0)
+        complex_p = make_finite_support([((np.zeros(2, complex), np.eye(2, dtype=complex)), 1.0)])
+        cases = [
+            ([p, gaussian], [cfg, cfg], "step-form key"),
+            ([p, p], [cfg, dataclasses.replace(cfg, horizon=60)], "horizon"),
+            ([p, p], [cfg, dataclasses.replace(cfg, record_stride=10)], "record stride"),
+            ([p, p], [cfg, dataclasses.replace(cfg, theta_0=np.ones(2))], "theta_0"),
+            ([p, far], [cfg, cfg], "divergence bound"),
+            ([p, complex_p], [cfg, cfg], "dtype"),
+            ([], [], "at least one run"),
+        ]
+        for problems, cfgs, match in cases:
+            with pytest.raises(ValueError, match=match):
+                run_mse_many(problems, cfgs)
+        # what the runs may differ in: alpha, seed, replications, noise level
+        quiet = make_gaussian_noise(np.eye(2), np.zeros(2), 0.0, 0.0)
+        other = dataclasses.replace(cfg, alpha=0.2, seed=3, n_replications=4)
+        assert len(run_mse_many([gaussian, quiet], [cfg, other])) == 2
