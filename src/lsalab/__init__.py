@@ -25,10 +25,8 @@ from .engine import (
     DIVERGENCE_SENTINEL,
     MseCurve,
     RunConfig,
-    RunResult,
     run_mse,
     run_mse_many,
-    run_single,
 )
 from .problem_io import load_problem, load_problem_file
 from .problems import (
@@ -85,9 +83,7 @@ __all__ = [
     "NotHurwitzError",
     "TransformFailedError",
     "RunConfig",
-    "RunResult",
     "MseCurve",
-    "run_single",
     "run_mse",
     "run_mse_many",
     "DIVERGENCE_SENTINEL",

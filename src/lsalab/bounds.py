@@ -137,11 +137,9 @@ def beta_partial_sum(x: float, t) -> np.ndarray:
 def lower_bound(inputs: BoundInputs, t) -> np.ndarray:
     """Lower envelope at time(s) t (sharp on the constant-diagonal family)."""
     t = np.asarray(t, dtype=float)
-    x = inputs.alpha * inputs.rho_s
     lead = 1.0 / (inputs.alpha**2 * inputs.rho_d * inputs.rho_s)
-    beta_t = 1.0 - (1.0 - x) ** t
-    noise = inputs.v_sq * beta_partial_sum(x, t)
-    return lead * (beta_t * inputs.initial_err**2 + noise) / (t + 1.0) ** 2
+    noise = inputs.v_sq * beta_partial_sum(inputs.alpha * inputs.rho_s, t)
+    return lead * (beta_coefficient(inputs, t) * inputs.initial_err**2 + noise) / (t + 1.0) ** 2
 
 
 def bound_curve(inputs: BoundInputs, times) -> BoundCurve:

@@ -18,8 +18,10 @@ step forms share a key (and which share horizon, record stride, theta_0 and
 divergence bound) advance as rows of one state, each row with its run's
 step-size and its run's own stream, so each curve is bit-identical to the
 ``run_mse`` of its run alone and a batch of runs costs one Python step loop
-instead of one per run.  ``run_mse`` is its one-run call.  Only ``run_single``
-keeps the iterate snapshots; the MSE runs record the running average alone.
+instead of one per run.  ``run_mse`` is its one-run call.  The fixed point
+theta* always comes from the problem's exact moments.  The MSE runs record
+the running average alone; ``_simulate_block`` also keeps the iterate
+snapshots, for tests that read single trajectories.
 
 A replication whose iterate would pass the divergence bound is frozen,
 flagged with its divergence time and dropped from the live set rather than
@@ -37,9 +39,7 @@ from .problems import ProblemDistribution, StepForm
 
 __all__ = [
     "RunConfig",
-    "RunResult",
     "MseCurve",
-    "run_single",
     "run_mse",
     "run_mse_many",
     "DIVERGENCE_SENTINEL",
@@ -83,25 +83,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class RunResult:
-    """Recorded trajectory of one replication.
-
-    ``theta_hat`` holds the running average at the recorded times; ``sq_err``
-    is ||hat - theta*||^2 when a fixed point was supplied (+inf from the
-    divergence time onward for a diverged run).  An error too large to square
-    in floating point (beyond ~1.3e154) also reads +inf: that is an overflow
-    of the reported error, not divergence, and ``diverged`` stays False.
-    """
-
-    times: np.ndarray
-    theta: np.ndarray
-    theta_hat: np.ndarray
-    sq_err: np.ndarray | None
-    diverged: bool
-    diverged_at: int | None
-
-
-@dataclass(frozen=True)
 class MseCurve:
     """Monte Carlo mean of ||hat - theta*||^2 across replications.
 
@@ -121,7 +102,8 @@ class MseCurve:
     n_replications: int
 
 
-def _resolve_theta0(p: ProblemDistribution, cfg: RunConfig, dtype) -> np.ndarray:
+def _resolve_theta0(p: ProblemDistribution, cfg, dtype) -> np.ndarray:
+    """cfg.theta_0 (a RunConfig's or a TunerConfig's) checked, or zeros."""
     if cfg.theta_0 is None:
         return np.zeros(p.dim, dtype=dtype)
     th0 = np.asarray(cfg.theta_0, dtype=dtype)
@@ -169,10 +151,12 @@ def _advance(theta, hat, n: int, draws, direction, alpha: float, bound: float):
     ``draws`` is a tuple of (S, R, ...) blocks and ``direction(draws, s,
     theta)`` gives b_s - A_s theta from them; ``n`` is the number of steps
     already averaged into ``hat``.  ``alpha`` and ``n`` are numbers shared by
-    all replications, or (R, 1) columns with one value per replication (the
-    tuner's rows); equal values give equal bits either way.  Stops just
-    before the first step that would take some replication past ``bound``
-    (a NaN counts as past it).
+    all replications, or (R, 1) columns with one value per replication (see
+    ``_column``).  Equal values give equal bits either way: each entry is the
+    same float operation on the same operands, whether its factor comes from
+    a number or from a column, so a replication's bits do not depend on the
+    rest of its batch.  Stops just before the first step that would take
+    some replication past ``bound`` (a NaN counts as past it).
     Returns (theta, hat, steps_taken, mask): ``mask`` marks the replications
     that step would take past the bound, or is None when all S steps were
     taken.  The inputs are not modified.
@@ -186,6 +170,13 @@ def _advance(theta, hat, n: int, draws, direction, alpha: float, bound: float):
             theta = upd
             hat = hat + (theta - hat) / (n + s + 2)
     return theta, hat, steps, None
+
+
+def _column(values: list):
+    """Per-replication values as ``_advance`` takes them: a plain number when
+    all are equal (the kernel steps faster, with equal bits), otherwise an
+    (R, 1) column."""
+    return values[0] if len(set(values)) == 1 else np.array(values)[:, None]
 
 
 def _simulate_block(
@@ -233,8 +224,7 @@ def _simulate_runs(
         if any(v != values[0] for v in values[1:]):
             raise ValueError(f"runs must share the {name}")
     draw = [f.draw for f, run in zip(forms, run_rngs) for _ in run]
-    alphas = [c.alpha for c, run in zip(cfgs, run_rngs) for _ in run]
-    alpha = alphas[0] if len(set(alphas)) == 1 else np.array(alphas)[:, None]
+    alpha = _column([c.alpha for c, run in zip(cfgs, run_rngs) for _ in run])
     rngs = [g for run in run_rngs for g in run]
     bound = divergence_bound(problems[0], theta0s[0])
     direction = forms[0].direction
@@ -293,105 +283,54 @@ def _simulate_runs(
     return theta_snaps, hat_snaps, diverged_at
 
 
-def _replication_rngs(seed, n: int) -> list[np.random.Generator]:
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
+def _replication_rngs(seed: int, n: int) -> list[np.random.Generator]:
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n)]
 
 
-def run_single(
-    p: ProblemDistribution,
-    cfg: RunConfig,
-    replication_seed=None,
-    theta_star: np.ndarray | None = None,
-) -> RunResult:
-    """Run one replication; deterministic given (problem, cfg, seed).
-
-    ``replication_seed`` defaults to the first stream spawned from cfg.seed,
-    matching replication 0 of run_mse.  Squared errors are attached when
-    theta* is known (passed explicitly or present in exact moments).
-    """
-    if theta_star is None and p.exact_moments is not None:
-        theta_star = p.exact_moments.theta_star
-    if replication_seed is None:
-        rngs = _replication_rngs(cfg.seed, 1)
-    elif isinstance(replication_seed, np.random.Generator):
-        rngs = [replication_seed]
-    else:
-        rngs = [np.random.default_rng(replication_seed)]
-    theta_snaps, hat_snaps, div_at = _simulate_block(p, cfg, rngs)
-    times = cfg.record_times()
-    diverged = bool(div_at[0] >= 0)
-    sq = None
-    if theta_star is not None:
-        sq = _sq_err(hat_snaps[:, 0, :], theta_star)
-        if diverged:
-            sq[times >= div_at[0]] = np.inf
-    return RunResult(
-        times=times,
-        theta=theta_snaps[:, 0, :],
-        theta_hat=hat_snaps[:, 0, :],
-        sq_err=sq,
-        diverged=diverged,
-        diverged_at=int(div_at[0]) if diverged else None,
-    )
-
-
-def run_mse(
-    p: ProblemDistribution,
-    cfg: RunConfig,
-    theta_star: np.ndarray | None = None,
-) -> MseCurve:
+def run_mse(p: ProblemDistribution, cfg: RunConfig) -> MseCurve:
     """Monte Carlo MSE of the averaged iterate across seeded replications.
 
-    The one-run call of ``run_mse_many``.  Each replication consumes its own
-    spawned stream, so the curve does not depend on how replications are
-    batched; aggregation is a deterministic reduction in replication order.
-    Where the mean of finite squared errors overflows, it and the standard
-    error are taken on the errors scaled by their largest, so they read the
-    representable mean, not inf.  theta* defaults to that of the problem's
-    exact moments.
+    The one-run call of ``run_mse_many``; theta* is that of the problem's
+    exact moments.  Each replication consumes its own spawned stream, so the
+    curve does not depend on how replications are batched; aggregation is a
+    deterministic reduction in replication order.  At n_replications=1 the
+    curve is the squared error of the one trajectory (stderr 0).  Where the
+    mean of finite squared errors overflows, it and the standard error are
+    taken on the errors scaled by their largest, so they read the
+    representable mean, not inf.
     """
-    return run_mse_many([p], [cfg], [theta_star])[0]
+    return run_mse_many([p], [cfg])[0]
 
 
-def run_mse_many(
-    problems: list[ProblemDistribution],
-    cfgs: list[RunConfig],
-    theta_stars: list[np.ndarray | None] | None = None,
-) -> list[MseCurve]:
+def run_mse_many(problems: list[ProblemDistribution], cfgs: list[RunConfig]) -> list[MseCurve]:
     """``run_mse`` of each (problem, cfg) pair, all replications as rows of one state.
 
     Every replication of every run advances through one step loop; curve i
-    is bit-identical to ``run_mse(problems[i], cfgs[i], theta_stars[i])``,
-    since each row draws from its run's own spawned stream and steps with its
-    run's alpha.  The runs may differ in alpha, seed and n_replications, and
-    in anything their step forms' key leaves out (for Gaussian problems of
-    one mean: the noise levels); they must share the step-form key, horizon,
-    record stride, theta_0 and divergence bound.  A None entry of
-    ``theta_stars`` (or None for all) takes theta* from the problem's exact
-    moments.
+    is bit-identical to ``run_mse(problems[i], cfgs[i])``, since each row
+    draws from its run's own spawned stream and steps with its run's alpha.
+    The runs may differ in alpha, seed and n_replications, and in anything
+    their step forms' key leaves out (for Gaussian problems of one mean: the
+    noise levels); they must share the step-form key, horizon, record
+    stride, theta_0 and divergence bound.  Each run's theta* is that of its
+    problem's exact moments.
 
     Raises ValueError for an empty list, for runs that do not share what they
-    must, or when some run has no theta*.
+    must, or when some problem has no theta* in its exact moments.
     """
     problems, cfgs = list(problems), list(cfgs)
-    theta_stars = [None] * len(problems) if theta_stars is None else list(theta_stars)
-    if not problems or not (len(problems) == len(cfgs) == len(theta_stars)):
-        raise ValueError("need at least one run, with one config and theta* per problem")
-    for i, (p, ts) in enumerate(zip(problems, theta_stars)):
-        if ts is None:
-            if p.exact_moments is None or p.exact_moments.theta_star is None:
-                raise ValueError(
-                    "theta_star unavailable: pass it explicitly or estimate moments"
-                )
-            theta_stars[i] = p.exact_moments.theta_star
+    if not problems or len(problems) != len(cfgs):
+        raise ValueError("need at least one run, with one config per problem")
+    if any(p.exact_moments is None or p.exact_moments.theta_star is None for p in problems):
+        raise ValueError("theta_star unavailable: no exact moments with a fixed point")
     rngs = [_replication_rngs(c.seed, c.n_replications) for c in cfgs]
     _, hat_all, div_all = _simulate_runs(problems, cfgs, rngs, keep_theta=False)
     curves = []
     lo = 0
-    for cfg, ts in zip(cfgs, theta_stars):
+    for p, cfg in zip(problems, cfgs):
         hi = lo + cfg.n_replications
-        curves.append(_mse_curve(cfg.record_times(), hat_all[:, lo:hi], div_all[lo:hi], ts))
+        curves.append(_mse_curve(
+            cfg.record_times(), hat_all[:, lo:hi], div_all[lo:hi], p.exact_moments.theta_star
+        ))
         lo = hi
     return curves
 

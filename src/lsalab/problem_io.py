@@ -96,7 +96,7 @@ def load_problem(spec: dict) -> ProblemDistribution:
     if spec.get("seed") is not None:
         p = dataclasses.replace(p, seed=int(spec["seed"]))
     if spec.get("label"):
-        p = p.with_label(spec["label"])
+        p = dataclasses.replace(p, label=spec["label"])
     return p
 
 

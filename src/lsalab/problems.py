@@ -25,7 +25,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Hashable
 
 import numpy as np
@@ -45,6 +45,9 @@ __all__ = [
 #: condition-number cliff above which an estimated mean matrix is treated as
 #: singular and no fixed point is reported
 SINGULAR_COND_LIMIT = 1e12
+
+#: draws per chunk of ``estimate_moments``
+_ESTIMATE_CHUNK = 100_000
 
 Sampler = Callable[[np.random.Generator, tuple], tuple[np.ndarray, np.ndarray]]
 Draws = tuple[np.ndarray, ...]
@@ -86,13 +89,13 @@ class Moments:
         C_P: np.ndarray,
         sigma_A_sq: float,
         sigma_b_sq: float,
-        cond_limit: float = SINGULAR_COND_LIMIT,
     ) -> "Moments":
-        """Assemble moments, solving for theta* when the mean is invertible."""
+        """Assemble moments, solving for theta* when the mean is invertible
+        (condition number below SINGULAR_COND_LIMIT)."""
         A_P = np.asarray(A_P)
         b_P = np.asarray(b_P)
         C_P = np.asarray(C_P)
-        if np.linalg.cond(A_P) < cond_limit:
+        if np.linalg.cond(A_P) < SINGULAR_COND_LIMIT:
             theta_star = np.linalg.solve(A_P, b_P)
             # hypot does not overflow where squaring the entries would, and
             # a noise-free A contributes 0 even when ||theta*||^2 is inf
@@ -183,9 +186,6 @@ class ProblemDistribution:
     atoms: FiniteAtoms | None = None
     seed: int | None = None
     step_form: StepForm | None = None
-
-    def with_label(self, label: str) -> "ProblemDistribution":
-        return replace(self, label=label)
 
 
 def make_finite_support(atoms, label: str = "finite") -> ProblemDistribution:
@@ -427,18 +427,13 @@ def make_lower_bound_instance(
     )
 
 
-def estimate_moments(
-    p: ProblemDistribution,
-    n_samples: int,
-    seed,
-    chunk: int = 100_000,
-) -> Moments:
+def estimate_moments(p: ProblemDistribution, n_samples: int, seed) -> Moments:
     """Empirical moments from n_samples draws of p, deterministic given seed.
 
     Means and raw second moments are sample averages; the centered noise
     magnitudes use the unbiased 1/(n-1) convention.  If the estimated mean
     matrix is numerically singular (condition number above 1e12), no fixed
-    point is reported.
+    point is reported.  Draws come in chunks of 100,000.
     """
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
@@ -451,7 +446,7 @@ def estimate_moments(
     sum_C = None
     left = n_samples
     while left > 0:
-        take = min(chunk, left)
+        take = min(_ESTIMATE_CHUNK, left)
         b, A = p.sample(rng, (take,))
         C = np.einsum("kji,kjl->il", A.conj(), A)
         if sum_b is None:
@@ -471,7 +466,7 @@ def estimate_moments(
     dev_A = 0.0
     left = n_samples
     while left > 0:
-        take = min(chunk, left)
+        take = min(_ESTIMATE_CHUNK, left)
         b, A = p.sample(rng, (take,))
         dev_b += float((np.abs(b - b_P) ** 2).sum())
         dev_A += float((spectral_norms(A - A_P) ** 2).sum())

@@ -39,6 +39,7 @@ from .problems import (
     _finite_support_moments,
     spectral_norm,
 )
+from .spectral import _min_eig_hermitian
 
 __all__ = [
     "TransformResult",
@@ -49,6 +50,12 @@ __all__ = [
     "NotHurwitzError",
     "TransformFailedError",
 ]
+
+#: the eigenvector route is taken only below this condition number of V
+_DIAG_COND_LIMIT = 1e8
+
+#: halvings of the Schur route's delta before giving up
+_MAX_HALVINGS = 60
 
 
 class NotHurwitzError(ValueError):
@@ -77,24 +84,20 @@ class TransformResult:
     @property
     def min_eig_sym(self) -> float:
         """Smallest eigenvalue of Lambda^* + Lambda (positive by construction)."""
-        H = self.Lambda + self.Lambda.conj().T
-        return float(np.linalg.eigvalsh(0.5 * (H + H.conj().T))[0])
+        return _min_eig_hermitian(self.Lambda + self.Lambda.conj().T)
 
 
 def _kappa(U: np.ndarray, U_inv: np.ndarray) -> float:
     return spectral_norm(U) * spectral_norm(U_inv)
 
 
-def hurwitz_to_pd(
-    A_P,
-    diag_cond_limit: float = 1e8,
-    max_halvings: int = 60,
-) -> TransformResult:
+def hurwitz_to_pd(A_P) -> TransformResult:
     """Find U such that U^{-1} A_P U has positive definite Hermitian part.
 
     Raises NotHurwitzError if some eigenvalue of A_P has nonpositive real
     part, and TransformFailedError if the Schur rescaling fails to reach
-    positive definiteness within max_halvings (never silently ignored).
+    positive definiteness within 60 halvings of delta (never silently
+    ignored).
     """
     A = np.atleast_2d(np.asarray(A_P))
     if A.shape[0] != A.shape[1]:
@@ -107,37 +110,33 @@ def hurwitz_to_pd(
         )
 
     # already PD: identity transform, smallest possible condition number
-    H = A + A.conj().T
-    sym_min = float(np.linalg.eigvalsh(0.5 * (H + H.conj().T))[0])
-    if sym_min > 0:
+    if _min_eig_hermitian(A + A.conj().T) > 0:
         eye = np.eye(d, dtype=A.dtype)
         return TransformResult(U=eye, U_inv=eye, Lambda=A.copy(), kappa_U=1.0)
 
     # diagonalizable route
     w, V = np.linalg.eig(A)
     condV = np.linalg.cond(V)
-    if condV < diag_cond_limit:
+    if condV < _DIAG_COND_LIMIT:
         V_inv = np.linalg.inv(V)
         Lam = V_inv @ A @ V
-        Hs = Lam + Lam.conj().T
         inv_ok = np.linalg.norm(V @ V_inv - np.eye(d), 2) <= 1e-9
-        if inv_ok and float(np.linalg.eigvalsh(0.5 * (Hs + Hs.conj().T))[0]) > 0:
+        if inv_ok and _min_eig_hermitian(Lam + Lam.conj().T) > 0:
             return TransformResult(U=V, U_inv=V_inv, Lambda=Lam, kappa_U=_kappa(V, V_inv))
 
     # defective (or borderline) route: Schur + geometric diagonal rescaling
     T, Q = scipy.linalg.schur(A.astype(complex), output="complex")
     delta = 1.0
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         D = delta ** np.arange(d)
         Lam = (T * D[None, :]) / D[:, None]  # D^{-1} T D
-        Hs = Lam + Lam.conj().T
-        if float(np.linalg.eigvalsh(0.5 * (Hs + Hs.conj().T))[0]) > 0:
+        if _min_eig_hermitian(Lam + Lam.conj().T) > 0:
             U = Q * D[None, :]  # Q @ diag(D)
             U_inv = Q.conj().T / D[:, None]  # diag(1/D) @ Q^*
             return TransformResult(U=U, U_inv=U_inv, Lambda=Lam, kappa_U=_kappa(U, U_inv))
         delta *= 0.5
     raise TransformFailedError(
-        f"transform failed: no PD rescaling after {max_halvings} halvings"
+        f"transform failed: no PD rescaling after {_MAX_HALVINGS} halvings"
     )
 
 

@@ -12,11 +12,12 @@ more than the draws they save, and a tuning run's stream stays that of
 rows share the time t (an emergency restart consumes the diverging draw and
 continues at t+1, and checks fall on multiples of T), while each row keeps
 its own step-size and averaging count (the kernel takes them as (R, 1)
-columns), window, events and checks, and draws from its own stream.  So a
-row's trace is bit-identical to the single run ``tune`` makes for its seed.
-A row whose iterate would pass the divergence bound restarts at once while
-the others take that step; a row whose halving crosses the step-size floor
-leaves the batch with its NoStableStepSizeError while the others carry on.
+columns, or as plain numbers while all rows agree), window, events and
+checks, and draws from its own stream.  So a row's trace is bit-identical
+to the single run ``tune`` makes for its seed.  A row whose iterate would
+pass the divergence bound restarts at once while the others take that
+step; a row whose halving crosses the step-size floor leaves the batch
+with its NoStableStepSizeError while the others carry on.
 
 The norm of the average is recorded at every multiple of the epoch length T;
 once k+1 such norms are available, the epoch-over-epoch growth ratios
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _advance, _dense_direction, divergence_bound
+from .engine import _advance, _column, _dense_direction, _resolve_theta0, divergence_bound
 from .problems import ProblemDistribution
 
 __all__ = [
@@ -156,12 +157,6 @@ def tune(p: ProblemDistribution, cfg: TunerConfig) -> TunerTrace:
     return result
 
 
-def _column(values: list):
-    """Per-row values as the kernel takes them: an (R, 1) column, or a plain
-    number for a lone row, which the kernel steps faster (equal bits)."""
-    return values[0] if len(values) == 1 else np.array(values)[:, None]
-
-
 def tune_many(
     p: ProblemDistribution, cfg: TunerConfig, seeds
 ) -> list[TunerTrace | NoStableStepSizeError]:
@@ -177,14 +172,7 @@ def tune_many(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must not be empty")
-    d = p.dim
-    if cfg.theta_0 is None:
-        theta0 = np.zeros(d)
-    else:
-        theta0 = np.asarray(cfg.theta_0, dtype=float)
-        if theta0.shape != (d,):
-            raise ValueError(f"theta_0 must have shape ({d},)")
-
+    theta0 = _resolve_theta0(p, cfg, float)
     bound = divergence_bound(p, theta0)
     rngs = [np.random.default_rng(s) for s in seeds]
     R = len(seeds)

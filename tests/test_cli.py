@@ -149,6 +149,22 @@ def test_rho_not_hurwitz_exits_2(tmp_path, capsys):
     assert "not Hurwitz" in capsys.readouterr().err
 
 
+def test_transform_budget_exhausted_exits_2(tmp_path, capsys):
+    # Hurwitz and defective, but its Schur rescaling needs about 79 halvings
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "type": "gaussian", "A": [[1e-12, 1e12], [0.0, 1e-12]], "b": [1.0, 1.0], "sigma_A": 0.5,
+    }))
+    common = ["--problem", str(path)]
+    for argv in (
+        ["rho", *common, "--alpha-grid", "1e-4:1:5:log"],
+        ["transform", *common],
+        ["bound", *common, "--alpha", "0.01", "--t-grid", "1:100:5", "--out", str(tmp_path / "b.csv")],
+    ):
+        assert main(argv) == EXIT_VALIDATION
+        assert "transform failed: no PD rescaling after 60 halvings" in capsys.readouterr().err
+
+
 def test_repro_fig1_files_and_rerun(tmp_path):
     def run(out_dir):
         return repro_fig1(out_dir, n_seeds=2, seed=3, sim_horizon=200, n_replications=5)

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lsalab import (
@@ -14,7 +14,6 @@ from lsalab import (
     rho_s,
     run_mse,
     run_mse_many,
-    run_single,
     witness_alpha,
 )
 from lsalab import engine
@@ -32,62 +31,79 @@ def pm_identity(eps):
     return make_finite_support([((z, eye), 0.5 + eps), ((z, -eye), 0.5 - eps)])
 
 
+def one_replication(p, cfg):
+    """Replication 0 of ``run_mse(p, cfg)``, alone.
+
+    Returns its iterate and running-average snapshots, (n_records, d) each,
+    its divergence time (-1 when it never diverges) and its ``run_mse``
+    curve, whose mse is the replication's squared error.
+    """
+    cfg = dataclasses.replace(cfg, n_replications=1)
+    theta, hat, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 1))
+    return theta[:, 0], hat[:, 0], int(div[0]), run_mse(p, cfg)
+
+
 class TestRunSingle:
     def test_geometric_recursion(self):
         # b=0, A=1, alpha=0.5, theta_0=1: theta_t = 0.5^t
         p = scalar_problem()
         cfg = RunConfig(alpha=0.5, horizon=4, theta_0=np.array([1.0]), record_stride=1)
-        r = run_single(p, cfg)
-        assert np.allclose(r.theta[:, 0], [0.5, 0.25, 0.125, 0.0625])
-        assert r.theta_hat[1, 0] == pytest.approx((1 + 0.5 + 0.25) / 3)
-        assert not r.diverged
+        theta, hat, div, _ = one_replication(p, cfg)
+        assert np.allclose(theta[:, 0], [0.5, 0.25, 0.125, 0.0625])
+        assert hat[1, 0] == pytest.approx((1 + 0.5 + 0.25) / 3)
+        assert div == -1
 
     def test_averaged_closed_form_on_diagonal_family(self):
         # noiseless: hat components follow (1/(t+1)) (alpha*lam)^{-1} (1-(1-alpha*lam)^{t+1}) theta_0
         p = make_lower_bound_instance(1.0, 2.0, 0.0)
         cfg = RunConfig(alpha=0.1, horizon=10, theta_0=np.array([1.0, 1.0]), record_stride=1)
-        r = run_single(p, cfg)
+        _, hat, _, _ = one_replication(p, cfg)
         t = 10
         for i, lam in enumerate([1.0, 2.0]):
             expect = (1 / (t + 1)) * (1 / (0.1 * lam)) * (1 - (1 - 0.1 * lam) ** (t + 1))
-            assert abs(r.theta_hat[-1, i] - expect) < 1e-10
+            assert abs(hat[-1, i] - expect) < 1e-10
 
     def test_average_identity_matches_batch_mean(self):
         # incremental average equals the batch mean of recorded iterates
         p = make_gaussian_noise(np.diag([1.0, 2.0]), np.ones(2), 1.0, 1.0)
         cfg = RunConfig(alpha=0.05, horizon=300, theta_0=None, record_stride=1, seed=4)
-        r = run_single(p, cfg)
-        batch = np.cumsum(np.vstack([np.zeros(2), r.theta]), axis=0)[1:]
+        theta, hat, _, _ = one_replication(p, cfg)
+        batch = np.cumsum(np.vstack([np.zeros(2), theta]), axis=0)[1:]
         counts = np.arange(2, 302)[:, None]  # theta_0 contributes too
         batch = (batch + 0.0) / counts  # mean over theta_0..theta_t with theta_0 = 0
-        rel = np.abs(r.theta_hat - batch) / np.maximum(np.abs(batch), 1e-30)
+        rel = np.abs(hat - batch) / np.maximum(np.abs(batch), 1e-30)
         assert rel.max() < 1e-10
 
     def test_determinism(self):
         p = make_gaussian_noise(np.diag([1.0, 2.0]), np.ones(2), 1.0, 1.0)
         cfg = RunConfig(alpha=0.05, horizon=200, record_stride=10, seed=11)
-        a = run_single(p, cfg)
-        b = run_single(p, cfg)
-        assert np.array_equal(a.theta, b.theta)
-        assert np.array_equal(a.theta_hat, b.theta_hat)
+        theta_a, hat_a, _, curve_a = one_replication(p, cfg)
+        theta_b, hat_b, _, curve_b = one_replication(p, cfg)
+        assert np.array_equal(theta_a, theta_b)
+        assert np.array_equal(hat_a, hat_b)
+        assert np.array_equal(curve_a.mse, curve_b.mse)
 
     def test_divergence_flagging(self):
-        # alpha far beyond stability: iterates blow past the sentinel
+        # alpha far beyond stability: theta_t = (-2)^t passes the bound 1e150
+        # at step 499 (2^498 < 1e150 < 2^499)
         p = scalar_problem(a=1.0)
         cfg = RunConfig(alpha=3.0, horizon=2000, theta_0=np.array([1.0]), record_stride=100)
-        r = run_single(p, cfg)
-        assert r.diverged and r.diverged_at is not None
-        assert np.isinf(r.sq_err[r.times >= r.diverged_at]).all()
+        theta, _, div, curve = one_replication(p, cfg)
+        assert div == 499
+        assert theta[-1, 0] == (-2.0) ** 498  # frozen before the diverging step
+        after = curve.times >= div
+        assert np.array_equal(curve.n_diverged, after.astype(np.int64))
+        assert np.isinf(curve.mse[after]).all() and np.isfinite(curve.mse[~after]).all()
 
     def test_far_fixed_point_is_not_divergence(self):
         # theta* = 1e155 lies beyond DIVERGENCE_SENTINEL itself; the bound is
         # relative to the problem, so a contracting run is not flagged
         p = scalar_problem(a=1.0, b=1e155)
         cfg = RunConfig(alpha=0.5, horizon=400, record_stride=100)
-        r = run_single(p, cfg)
-        assert not r.diverged and r.diverged_at is None
-        assert r.theta[-1, 0] == pytest.approx(1e155)
-        assert np.isfinite(r.sq_err).all()
+        theta, _, div, curve = one_replication(p, cfg)
+        assert div == -1
+        assert theta[-1, 0] == pytest.approx(1e155)
+        assert np.isfinite(curve.mse).all()
         assert run_mse(p, cfg).n_diverged.sum() == 0
 
     def test_complex_data_supported(self):
@@ -99,18 +115,21 @@ class TestRunSingle:
         tr = hurwitz_to_pd(np.array([[0.1, 1.0], [0.0, 0.1]]))
         p = transform_distribution(base, tr)
         cfg = RunConfig(alpha=0.05, horizon=50, record_stride=10, seed=0)
-        r = run_single(p, cfg)
-        assert np.iscomplexobj(r.theta_hat)
-        assert r.sq_err is not None and np.isfinite(r.sq_err).all()
+        _, hat, div, curve = one_replication(p, cfg)
+        assert np.iscomplexobj(hat) and div == -1
+        assert np.isfinite(curve.mse).all()
 
 
 class TestRunMse:
     def test_single_replication_matches_run_single(self):
+        # at one replication the curve is that trajectory's squared error
         p = make_lower_bound_instance(1.0, 2.0, 1.0)
         cfg = RunConfig(alpha=0.1, horizon=100, record_stride=10, n_replications=1, seed=3)
         curve = run_mse(p, cfg)
-        single = run_single(p, cfg)
-        assert np.allclose(curve.mse, single.sq_err)
+        _, hat, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 1))
+        assert div[0] == -1
+        sq = (np.abs(hat[:, 0] - p.exact_moments.theta_star) ** 2).sum(axis=-1)
+        assert np.array_equal(curve.mse, sq)
         assert np.all(curve.stderr == 0.0)
 
     def test_deterministic_problem_identical_curves(self):
@@ -161,12 +180,12 @@ class TestRunMse:
         assert not np.isnan(curve.mse).any() and not np.isnan(curve.stderr).any()
         assert curve.n_diverged.sum() == 0
         assert np.isfinite(curve.mse[-1]) and curve.stderr[-1] == 0.0
-        r = run_single(p, cfg)
-        assert r.sq_err[0] == np.inf and not r.diverged
+        _, _, div, one = one_replication(p, cfg)
+        assert one.mse[0] == np.inf and div == -1 and one.n_diverged.sum() == 0
         # at t=20 every squared error is 9.07e307: finite, but their plain sum
         # overflows; the mean is the representable common value
-        assert curve.times[1] == 20 and np.isfinite(r.sq_err[1])
-        assert curve.mse[1] == r.sq_err[1] and curve.stderr[1] == 0.0
+        assert curve.times[1] == 20 and np.isfinite(one.mse[1])
+        assert curve.mse[1] == one.mse[1] and curve.stderr[1] == 0.0
 
     def test_theta_star_required(self):
         p = pm_identity(0.05)  # theta* = 0 exists, so strip the moments
@@ -305,16 +324,17 @@ class TestGaussianStepForm:
             p = dataclasses.replace(base, sample=no_draws)
             cfg = RunConfig(alpha=0.1, horizon=600, record_stride=50, n_replications=3, seed=2)
             assert np.isfinite(run_mse(p, cfg).mse).all()
-            assert np.isfinite(run_single(p, cfg).sq_err).all()
+            theta, _, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 1))
+            assert np.isfinite(theta).all() and div[0] == -1
 
     def test_far_fixed_point_is_not_divergence(self):
         # ||theta||^2 overflows near theta* = 1e155, well within the
         # divergence bound; the norm in the step must stay finite there
         p = make_gaussian_noise(np.eye(2), np.full(2, 1e155), 0.1, 0.0)
         cfg = RunConfig(alpha=0.5, horizon=400, record_stride=100, n_replications=3)
-        r = run_single(p, cfg)
-        assert not r.diverged
-        assert r.theta_hat[-1] == pytest.approx(np.full(2, 1e155), rel=0.05)
+        _, hat, div, _ = one_replication(p, cfg)
+        assert div == -1
+        assert hat[-1] == pytest.approx(np.full(2, 1e155), rel=0.05)
         assert run_mse(p, cfg).n_diverged.sum() == 0
 
 
@@ -326,7 +346,7 @@ def reference_block(p, cfg, rngs):
     """
     theta0 = np.zeros(p.dim) if cfg.theta_0 is None else np.asarray(cfg.theta_0, float)
     bound = divergence_bound(p, theta0)
-    record = list(cfg.record_times())
+    record = set(cfg.record_times().tolist())
     theta_snaps, hat_snaps, diverged_at = [], [], []
     for rng in rngs:
         theta, hat, div = theta0.copy(), theta0.copy(), -1
@@ -356,16 +376,29 @@ def reference_block(p, cfg, rngs):
     )
 
 
+def row_peaks(p, cfg):
+    """Largest |theta_t|_inf of each replication up to the horizon, by the reference
+    loop; inf for a replication that passes the 1e300 cap of the bound."""
+    with mock.patch.object(engine, "DIVERGENCE_SENTINEL", np.inf):
+        theta, _, div = reference_block(
+            p, dataclasses.replace(cfg, record_stride=1), _replication_rngs(cfg.seed, cfg.n_replications)
+        )
+    return np.where(div < 0, np.abs(theta).max(axis=(0, 2)), np.inf)
+
+
 @st.composite
 def finite_runs(draw):
     """A random finite-support problem (d <= 3), a run on it and a sentinel.
 
     Atoms are A_i = I + 0.6 G_i, so small step-sizes converge and large ones
-    diverge; a divergence sentinel drawn down to 10 lets replications of one
-    run diverge at different steps within short horizons.  Half the problems
-    scatter their intercepts, which draws one normal per step after the atom
-    index.
+    diverge.  Half the problems scatter their intercepts, which draws one
+    normal per step after the atom index.  The sentinel is drawn from 10 to
+    1e150, or, in about three quarters of the examples (then with at least
+    two replications), aimed between the peaks of two replications, found
+    by the reference loop without a bound, so that some replications of the
+    run diverge and the others do not.
     """
+    aimed = draw(st.integers(0, 3)) > 0  # the sentinel goes between two peaks
     d = draw(st.integers(1, 3))
     k = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -382,15 +415,42 @@ def finite_runs(draw):
         horizon=horizon,
         theta_0=rng.standard_normal(d) if draw(st.booleans()) else None,
         record_stride=draw(st.integers(1, horizon)),
-        n_replications=draw(st.integers(1, 6)),
+        n_replications=draw(st.integers(2 if aimed else 1, 6)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
-    return _finite_problem(atoms, "random"), cfg, 10.0 ** draw(st.integers(1, 150))
+    p = _finite_problem(atoms, "random")
+    sentinel = 10.0 ** draw(st.integers(1, 150))
+    if aimed:
+        peaks = np.unique(row_peaks(p, cfg))
+        gaps = [(a, b) for a, b in zip(peaks, peaks[1:]) if 0 < a < 1e299 and b > (1 + 1e-9) * a]
+        if gaps:
+            a, b = gaps[draw(st.integers(0, len(gaps) - 1))]
+            with mock.patch.object(engine, "DIVERGENCE_SENTINEL", 1.0):
+                scale = divergence_bound(p, np.zeros(d) if cfg.theta_0 is None else cfg.theta_0)
+            sentinel = min(np.sqrt(a) * np.sqrt(b), 2 * a) / scale
+    return p, cfg, sentinel
+
+
+#: the run the property test always includes: replications 0-3 diverge, in
+#: the second draw chunk, and 4-5 do not
+PARTIAL_DIVERGENCE = (
+    pm_identity(0.05),
+    RunConfig(alpha=2.0, horizon=720, theta_0=np.ones(2), record_stride=24, n_replications=6, seed=5),
+    1e150,
+)
 
 
 class TestAgainstReferenceLoop:
+    def test_example_covers_partial_divergence_past_a_chunk(self):
+        p, cfg, sentinel = PARTIAL_DIVERGENCE
+        with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
+            _, _, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, cfg.n_replications))
+        assert 0 < (div >= 0).sum() < len(div)
+        assert (div[div >= 0] > _SAMPLE_CHUNK).all()
+
     @settings(max_examples=200, deadline=None)
     @given(finite_runs())
+    @example(PARTIAL_DIVERGENCE)
     def test_matches_per_replication_loop(self, run):
         p, cfg, sentinel = run
         R = cfg.n_replications

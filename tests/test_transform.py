@@ -6,6 +6,7 @@ import pytest
 from lsalab import (
     NotHurwitzError,
     SyntheticMdp,
+    TransformFailedError,
     estimate_moments,
     gtd_instance,
     hurwitz_to_pd,
@@ -110,6 +111,13 @@ class TestHurwitzToPd:
         assert (
             spectrum_distance(np.linalg.eigvals(tr.Lambda), np.linalg.eigvals(A)) <= 1e-4
         )
+
+    def test_rescaling_budget_exhausted(self):
+        # Hurwitz and defective, and already in Schur form: D^{-1} A D is PD
+        # only once 1e12 delta < 2e-12, about 79 halvings, past the 60 allowed
+        A = np.array([[1e-12, 1e12], [0.0, 1e-12]])
+        with pytest.raises(TransformFailedError, match="no PD rescaling after 60 halvings"):
+            hurwitz_to_pd(A)
 
     def test_round_trip_vectors(self):
         A = random_hurwitz_non_pd(3)
