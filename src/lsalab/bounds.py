@@ -166,10 +166,14 @@ def bound_inputs_for(
 
     The gaps are evaluated on the transformed moments when a transform is
     given (kappa(U) then enters the constant); the noise magnitudes and the
-    fixed point come from the original problem.
+    fixed point come from the original problem.  Raises ValueError without
+    a fixed point or when theta_0 is not a d-vector.
     """
     if moments.theta_star is None:
         raise ValueError("moments carry no fixed point")
+    theta_0 = np.asarray(theta_0)
+    if theta_0.shape != moments.b_P.shape:
+        raise ValueError(f"theta_0 must have shape {moments.b_P.shape}")
     if transform is not None:
         if transform.transformed_moments is None:
             raise ValueError("transform carries no transformed moments")
@@ -182,7 +186,7 @@ def bound_inputs_for(
         alpha=alpha,
         rho_d=_rho_d(gap_moments, alpha),
         rho_s=_rho_s(gap_moments, alpha),
-        theta_0=np.asarray(theta_0),
+        theta_0=theta_0,
         theta_star=moments.theta_star,
         sigma1_sq=moments.sigma1_sq,
         sigma2_sq=moments.sigma2_sq,

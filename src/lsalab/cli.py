@@ -50,6 +50,8 @@ EXIT_DIVERGED = 3
 FIG1_SIGMAS = (0.0, 2.0, 5.0, 10.0, 20.0)
 FIG1_MEAN = np.array([[1.0, -10.0], [10.0, 1.0]])
 FIG1_TARGET = np.array([1.0, 1.0])
+FIG1_ALPHA_MAX = 1.0  # the tuner's starting step-size
+FIG1_STRIDE = 25  # record stride of the MSE curves
 
 
 class DivergedError(RuntimeError):
@@ -94,6 +96,11 @@ def _parse_grid(spec: str, integer: bool = False) -> np.ndarray:
         vals = np.unique(np.round(vals).astype(np.int64))
         vals = vals[vals >= 1]
     return vals
+
+
+def _theta0_of(args, default=None) -> np.ndarray | None:
+    """--theta0 parsed from its JSON array, or ``default`` when omitted."""
+    return np.asarray(json.loads(args.theta0), dtype=float) if args.theta0 else default
 
 
 def _seed_of(args, p: ProblemDistribution) -> int:
@@ -147,7 +154,7 @@ def _cmd_transform(args) -> int:
 def _cmd_simulate(args) -> int:
     p = load_problem_file(args.problem)
     seed = _seed_of(args, p)
-    theta0 = np.asarray(json.loads(args.theta0), dtype=float) if args.theta0 else None
+    theta0 = _theta0_of(args)
     cfg = RunConfig(
         alpha=args.alpha,
         horizon=args.horizon,
@@ -169,11 +176,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_bound(args) -> int:
     p = load_problem_file(args.problem)
     _, tr = transform_problem(p)
-    theta0 = (
-        np.asarray(json.loads(args.theta0), dtype=float)
-        if args.theta0
-        else np.zeros(p.dim)
-    )
+    theta0 = _theta0_of(args, np.zeros(p.dim))
     inputs = bound_inputs_for(p.exact_moments, args.alpha, theta0, transform=tr)
     times = _parse_grid(args.t_grid, integer=True)
     curve = bound_curve(inputs, times)
@@ -192,7 +195,7 @@ def _cmd_bound(args) -> int:
 def _cmd_tune(args) -> int:
     p = load_problem_file(args.problem)
     seed = _seed_of(args, p)
-    theta0 = np.asarray(json.loads(args.theta0), dtype=float) if args.theta0 else None
+    theta0 = _theta0_of(args)
     cfg = TunerConfig(
         alpha_max=args.alpha_max,
         k=args.k,
@@ -273,16 +276,14 @@ def repro_fig1(
     tune_horizon: int = 160,
     sim_horizon: int = 50_000,
     n_replications: int = 100,
-    alpha_max: float = 1.0,
-    stride: int = 25,
     invocation: str = "lsalab repro-fig1",
 ) -> dict:
     """Tuned vs hand-computed step-sizes across noise levels, plus MSE curves.
 
-    For each noise level, the tuner (k=2, T=5, c=1.025) runs once per seed,
-    all seeds of the level in one ``tune_many`` call (the traces equal those
-    of one ``tune`` call per seed); the per-level median step-size is
-    compared against the certificate 2/(||A||^2 + sigma_A^2) =
+    For each noise level, the tuner (alpha_max=1, k=2, T=5, c=1.025) runs
+    once per seed, all seeds of the level in one ``tune_many`` call (the
+    traces equal those of one ``tune`` call per seed); the per-level median
+    step-size is compared against the certificate 2/(||A||^2 + sigma_A^2) =
     2/(101 + sigma_A^2), and the averaged-iterate MSE is simulated at the
     median tuned step-size.  The levels share the mean, so one
     ``run_mse_many`` call simulates every level with a finite median, the
@@ -303,7 +304,8 @@ def repro_fig1(
     summary = {"sigma_A": {}, "n_seeds": n_seeds, "seed": seed}
     for sigma_A in FIG1_SIGMAS:
         p = make_fig1_problem(sigma_A)
-        results = tune_many(p, TunerConfig(alpha_max=alpha_max, horizon=tune_horizon), tuner_seeds)
+        cfg = TunerConfig(alpha_max=FIG1_ALPHA_MAX, horizon=tune_horizon)
+        results = tune_many(p, cfg, tuner_seeds)
         finals = [r.final_alpha for r in results if isinstance(r, TunerTrace)]
         unstable = {a for a in set(finals) if rho_d(p.exact_moments, a) <= 0}
         hand = 2.0 / (101.0 + sigma_A**2)
@@ -326,7 +328,7 @@ def repro_fig1(
             runs[sigma_A] = p, RunConfig(
                 alpha=med,
                 horizon=sim_horizon,
-                record_stride=stride,
+                record_stride=FIG1_STRIDE,
                 n_replications=n_replications,
                 seed=seed,
             )

@@ -25,8 +25,10 @@ snapshots, for tests that read single trajectories.
 
 A replication whose iterate would pass the divergence bound is frozen,
 flagged with its divergence time and dropped from the live set rather than
-raising.  The bound is relative to the problem (see ``divergence_bound``), so
-a fixed point or start far from the origin does not read as divergence.
+raising; the step kernel applies this rule itself, so the others take the
+crossing step in the same call.  The bound is relative to the problem (see
+``divergence_bound``), so a start or fixed point far from the origin does
+not read as divergence.
 """
 
 from __future__ import annotations
@@ -138,10 +140,8 @@ def _dense_direction(draws, s: int, theta):
     return b[s] - np.matmul(A[s], theta[..., None])[..., 0]
 
 
-def _step_form(p: ProblemDistribution) -> StepForm:
-    """The problem's step form, or the dense one derived from ``sample``."""
-    if p.step_form is not None:
-        return p.step_form
+def _dense_form(p: ProblemDistribution) -> StepForm:
+    """The dense step form: the (b, A) of ``p.sample``, looked up at each draw."""
     return StepForm(lambda rng, n: p.sample(rng, (n,)), _dense_direction, "dense")
 
 
@@ -155,18 +155,20 @@ def _advance(theta, hat, n: int, draws, direction, alpha: float, bound: float):
     ``_column``).  Equal values give equal bits either way: each entry is the
     same float operation on the same operands, whether its factor comes from
     a number or from a column, so a replication's bits do not depend on the
-    rest of its batch.  Stops just before the first step that would take
-    some replication past ``bound`` (a NaN counts as past it).
-    Returns (theta, hat, steps_taken, mask): ``mask`` marks the replications
-    that step would take past the bound, or is None when all S steps were
-    taken.  The inputs are not modified.
+    rest of its batch.  At the first step s that would take some replication
+    past ``bound`` (a NaN counts as past it), only the others take it.
+    Returns (theta, hat, steps_taken, bad): steps_taken is then s + 1 and the
+    mask ``bad`` marks the replications held at their state from before step
+    s; otherwise it is S and ``bad`` is None.  The inputs are not modified.
     """
     steps = len(draws[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(steps):
             upd = theta + alpha * direction(draws, s, theta)
             if not np.maximum.reduce(np.abs(upd), axis=None) <= bound:
-                return theta, hat, s, ~(np.maximum.reduce(np.abs(upd), axis=1) <= bound)
+                ok = (np.maximum.reduce(np.abs(upd), axis=1) <= bound)[:, None]
+                theta, hat = np.where(ok, (upd, hat + (upd - hat) / (n + s + 2)), (theta, hat))
+                return theta, hat, s + 1, ~ok[:, 0]
             theta = upd
             hat = hat + (theta - hat) / (n + s + 2)
     return theta, hat, steps, None
@@ -211,7 +213,7 @@ def _simulate_runs(
     Raises ValueError when the runs do not share the step-form key, horizon,
     record stride, theta_0, divergence bound and the dtype of their draws.
     """
-    forms = [_step_form(p) for p in problems]
+    forms = [p.step_form or _dense_form(p) for p in problems]
     theta0s = [_resolve_theta0(p, c, None) for p, c in zip(problems, cfgs)]
     cfg = cfgs[0]
     for name, values in (
@@ -266,7 +268,7 @@ def _simulate_runs(
             c += k
             if bad is not None:
                 gone = live[bad]
-                diverged_at[gone] = t + 1
+                diverged_at[gone] = t
                 hat_snaps[rec_i:, gone] = hat[bad]
                 if keep_theta:
                     theta_snaps[rec_i:, gone] = theta[bad]
@@ -275,7 +277,7 @@ def _simulate_runs(
                 if isinstance(alpha, np.ndarray):
                     alpha = alpha[keep]
                 draws = tuple(x[:, keep] for x in draws)
-            elif rec_i < n_rec and t == record[rec_i]:
+            if rec_i < n_rec and t == record[rec_i]:
                 hat_snaps[rec_i, live] = hat
                 if keep_theta:
                     theta_snaps[rec_i, live] = theta

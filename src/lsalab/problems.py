@@ -121,10 +121,6 @@ class Moments:
             sigma2_sq=sigma2_sq,
         )
 
-    @property
-    def dim(self) -> int:
-        return self.A_P.shape[0]
-
 
 @dataclass(frozen=True)
 class FiniteAtoms:
@@ -228,14 +224,16 @@ def make_finite_support(atoms, label: str = "finite") -> ProblemDistribution:
 def _finite_problem(atoms: FiniteAtoms, label: str) -> ProblemDistribution:
     """The distribution over validated atoms: index sampler and exact moments.
 
-    Each draw picks an atom index with probability p_i, then (only when
-    ``atoms.b_noise`` is set) one standard normal for the intercept scatter.
+    Each draw picks an atom index with probability p_i (drawing nothing when
+    there is one atom), then (only when ``atoms.b_noise`` is set) one
+    standard normal for the intercept scatter.
     """
     probs, bs, As, b_noise = atoms.probs, atoms.bs, atoms.As, atoms.b_noise
 
     def sample(rng: np.random.Generator, shape=()) -> tuple[np.ndarray, np.ndarray]:
         shape = tuple(np.atleast_1d(shape).astype(int)) if shape != () else ()
-        idx = rng.choice(len(probs), size=shape, p=probs)
+        one = len(probs) == 1  # choice would consume the stream for a sure draw
+        idx = np.zeros(shape, int) if one else rng.choice(len(probs), size=shape, p=probs)
         b = bs[idx]
         if b_noise is not None:
             b = b + rng.standard_normal(shape)[..., None] * b_noise[idx]
@@ -402,32 +400,25 @@ def make_lower_bound_instance(
     A_t = diag(lambda_min, lambda_max) for all t; b_t = (N_t, 0) with N_t
     zero-mean Gaussian of variance sigma_b^2.  The fixed point is 0 and the
     iteration matrix is deterministic (sigma_A = 0), which makes the averaged
-    error computable in closed form and the error bounds tight.
+    error computable in closed form and the error bounds tight.  It is the
+    finite distribution of one atom (b = 0, A) whose intercept scatter is
+    (sigma_b, 0).
     """
     if not (0 < lambda_min < lambda_max):
         raise ValueError("need 0 < lambda_min < lambda_max")
     if sigma_b < 0:
         raise ValueError("sigma_b must be nonnegative")
-    A = np.diag([float(lambda_min), float(lambda_max)])
-    b_P = np.zeros(2)
-    moments = Moments.from_parts(A, b_P, A.T @ A, 0.0, sigma_b**2)
-
-    def sample(rng: np.random.Generator, shape=()) -> tuple[np.ndarray, np.ndarray]:
-        shape = tuple(np.atleast_1d(shape).astype(int)) if shape != () else ()
-        b = np.zeros(shape + (2,))
-        if sigma_b:
-            b[..., 0] = sigma_b * rng.standard_normal(shape)
-        return b, np.broadcast_to(A, shape + (2, 2)).copy()
-
-    return ProblemDistribution(
-        dim=2,
-        sample=sample,
-        exact_moments=moments,
-        label=f"lower_bound({lambda_min:g},{lambda_max:g},sigma_b={sigma_b:g})",
+    atoms = FiniteAtoms(
+        probs=np.ones(1),
+        bs=np.zeros((1, 2)),
+        As=np.diag([float(lambda_min), float(lambda_max)])[None],
+        b_noise=np.array([[float(sigma_b), 0.0]]) if sigma_b else None,
     )
+    label = f"lower_bound({lambda_min:g},{lambda_max:g},sigma_b={sigma_b:g})"
+    return _finite_problem(atoms, label)
 
 
-def estimate_moments(p: ProblemDistribution, n_samples: int, seed) -> Moments:
+def estimate_moments(p: ProblemDistribution, n_samples: int, seed: int) -> Moments:
     """Empirical moments from n_samples draws of p, deterministic given seed.
 
     Means and raw second moments are sample averages; the centered noise
@@ -437,7 +428,7 @@ def estimate_moments(p: ProblemDistribution, n_samples: int, seed) -> Moments:
     """
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     start_state = rng.bit_generator.state  # replayed for the centered pass
 
     # pass 1: means and the raw second moment

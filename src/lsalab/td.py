@@ -145,13 +145,6 @@ class SyntheticMdp:
             mu = np.where(Pb > 0, self.transitions / Pb, 0.0)
         return mu
 
-    def true_values(self) -> np.ndarray:
-        """Tabular value function of the target policy: (I - gamma P) v = r_bar."""
-        r_bar = (self.transitions * self.rewards).sum(axis=1)
-        return np.linalg.solve(
-            np.eye(self.n_states) - self.discount * self.transitions, r_bar
-        )
-
 
 @dataclass(frozen=True)
 class TdInstance:

@@ -1,23 +1,22 @@
 """Automatic constant step-size tuning by instability detection and halving.
 
 The tuner runs the iteration at the current step-size while maintaining the
-running average, on the engine's step kernel.  It steps through the dense
-(b, A) draws of ``sample`` even where the problem has a matrix-free step
-form: on low-dimensional trajectories the per-step calls of that form cost
-more than the draws they save, and a tuning run's stream stays that of
-``sample``.
+running average, on the engine's step kernel.  It steps through the
+engine's dense step form, the (b, A) draws of ``sample``, even where the
+problem has a matrix-free step form: on low-dimensional trajectories the
+per-step calls of that form cost more than the draws they save, and a
+tuning run's stream stays that of ``sample``.
 
 ``tune_many`` runs one halving loop per seed, the seeds as rows of one
-(R, d) state advanced together from one epoch boundary to the next.  All
-rows share the time t (an emergency restart consumes the diverging draw and
-continues at t+1, and checks fall on multiples of T), while each row keeps
-its own step-size and averaging count (the kernel takes them as (R, 1)
-columns, or as plain numbers while all rows agree), window, events and
-checks, and draws from its own stream.  So a row's trace is bit-identical
-to the single run ``tune`` makes for its seed.  A row whose iterate would
-pass the divergence bound restarts at once while the others take that
-step; a row whose halving crosses the step-size floor leaves the batch
-with its NoStableStepSizeError while the others carry on.
+(R, d) state advanced together from one epoch boundary to the next.  As in
+the engine, ``live`` holds the seed of each row; step-sizes, restart
+times, windows, events and checks are kept per seed.  All rows share the
+time t and each draws from its own stream, so a row's trace is
+bit-identical to the single run ``tune`` makes for its seed.  Every halving
+is one restart: from the current iterate after the ratio test, from
+theta_0 for a row the kernel holds at the divergence bound (the others take
+that step).  A row whose halving crosses the step-size floor leaves the
+batch with its NoStableStepSizeError while the others carry on.
 
 The norm of the average is recorded at every multiple of the epoch length T;
 once k+1 such norms are available, the epoch-over-epoch growth ratios
@@ -45,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _advance, _column, _dense_direction, _resolve_theta0, divergence_bound
+from .engine import _advance, _column, _dense_form, _resolve_theta0, divergence_bound
 from .problems import ProblemDistribution
 
 __all__ = [
@@ -174,33 +173,36 @@ def tune_many(
         raise ValueError("seeds must not be empty")
     theta0 = _resolve_theta0(p, cfg, float)
     bound = divergence_bound(p, theta0)
+    form = _dense_form(p)
     rngs = [np.random.default_rng(s) for s in seeds]
     R = len(seeds)
-    # per-row state, row j tuning seeds[live[j]]
-    live = list(range(R))
+    # per-seed state and records; state row j tunes seed live[j]
+    live = np.arange(R)
     alpha = [float(cfg.alpha_max)] * R
-    n_avg = [0] * R  # steps averaged since the last restart
-    # per-seed records
-    norm0 = _norm(theta0)
-    windows = [[norm0] for _ in range(R)]
+    since = [0] * R  # time of the last restart: the average holds t - since[r] steps
+    windows = [[_norm(theta0)] for _ in range(R)]
     events: list[list[tuple[int, float]]] = [[] for _ in range(R)]
     checks: list[list[RatioCheck]] = [[] for _ in range(R)]
     results: list[TunerTrace | NoStableStepSizeError | None] = [None] * R
 
-    def halve(j: int, t: int) -> bool:
-        """Halve row j's step-size at t; False when that crosses the floor."""
-        alpha[j] /= 2.0
-        if alpha[j] < _ALPHA_FLOOR:
-            results[live[j]] = NoStableStepSizeError(
-                f"no stable step-size found: reached alpha={alpha[j]:g} at t={t}"
+    def restart(j: int, t: int, start) -> bool:
+        """Halve row j's step-size at t and restart it from ``start``; False at the floor."""
+        r = rows[j]
+        alpha[r] /= 2.0
+        if alpha[r] < _ALPHA_FLOOR:
+            results[r] = NoStableStepSizeError(
+                f"no stable step-size found: reached alpha={alpha[r]:g} at t={t}"
             )
             return False
-        events[live[j]].append((t, alpha[j]))
+        events[r].append((t, alpha[r]))
+        theta[j] = hat[j] = start
+        since[r] = t
+        windows[r] = [_norm(start)]
         return True
 
     def epoch_boundary(j: int, t: int) -> bool:
         """Append row j's norm to its window and test it; False on a floor abort."""
-        r = live[j]
+        r = rows[j]
         window = windows[r]
         window.append(_norm(hat[j]))
         if len(window) > cfg.k + 1:
@@ -213,73 +215,43 @@ def tune_many(
             ratios = ()
         triggered = is_unstable(window, cfg.c_threshold)
         checks[r].append(RatioCheck(t=t, ratios=ratios, triggered=triggered))
-        if not triggered:
-            return True
-        if not halve(j, t):
-            return False
-        hat[j] = theta[j]
-        n_avg[j] = 0
-        windows[r] = [_norm(hat[j])]
-        return True
+        # a halving by the ratio test keeps the iterate
+        return not triggered or restart(j, t, theta[j])
 
-    chunk = 1024
+    chunk = 1024  # steps drawn per seed at a time; fixes each seed's stream
     t = 0
-    while t < cfg.horizon and live:
+    while t < cfg.horizon and live.size:
         steps = min(chunk, cfg.horizon - t)
-        drawn = [p.sample(rngs[r], (steps,)) for r in live]
-        bs = np.stack([x[0] for x in drawn], axis=1)
-        As = np.stack([x[1] for x in drawn], axis=1)
+        draws = tuple(np.stack(x, axis=1) for x in zip(*(form.draw(rngs[r], steps) for r in live)))
         if t == 0:
-            theta = np.tile(theta0.astype(np.result_type(theta0, bs, As)), (R, 1))
+            theta = np.tile(theta0.astype(np.result_type(theta0, *draws)), (R, 1))
             hat = theta.copy()
         c = 0
-        while c < steps and live:
+        while c < steps and live.size:
             # advance to the next epoch boundary, or to the end of the draws
             stop = c + min(steps - c, cfg.T - t % cfg.T)
+            rows = live.tolist()  # the live seeds as ints, for indexing the per-seed lists
             theta, hat, k, bad = _advance(
-                theta, hat, _column(n_avg), (bs[c:stop], As[c:stop]),
-                _dense_direction, _column(alpha), bound,
+                theta, hat, _column([t - since[r] for r in rows]), tuple(x[c:stop] for x in draws),
+                form.direction, _column([alpha[r] for r in rows]), bound,
             )
             t += k
             c += k
-            n_avg = [n + k for n in n_avg]
-            aborted = []
-            if bad is not None:
-                # the bound was passed between checks: the rows that passed it
-                # restart (emergency halving), the others take this step
-                ok = np.flatnonzero(~bad)
-                if ok.size:
-                    theta[ok], hat[ok], _, _ = _advance(
-                        theta[ok], hat[ok], _column([n_avg[j] for j in ok]),
-                        (bs[c : c + 1, ok], As[c : c + 1, ok]),
-                        _dense_direction, _column([alpha[j] for j in ok]), bound,
-                    )
-                    for j in ok:
-                        n_avg[j] += 1
-                t += 1
-                c += 1
-                for j in np.flatnonzero(bad):
-                    if not halve(j, t):
-                        aborted.append(j)
-                    theta[j] = hat[j] = theta0
-                    n_avg[j] = 0
-                    windows[live[j]] = [norm0]
-            if t % cfg.T == 0:
-                for j in range(len(live)):
-                    # a row restarted at t skips this boundary
-                    if (bad is None or not bad[j]) and not epoch_boundary(j, t):
-                        aborted.append(j)
-            if aborted:
-                keep = np.ones(len(live), dtype=bool)
-                keep[aborted] = False
-                live, alpha, n_avg = ([x for x, kept in zip(v, keep) if kept]
-                                      for v in (live, alpha, n_avg))
-                theta, hat, bs, As = theta[keep], hat[keep], bs[:, keep], As[:, keep]
+            # a row held at the bound restarts from theta_0 (emergency halving), skipping this check
+            kept = [
+                restart(j, t, theta0) if bad is not None and bad[j]
+                else t % cfg.T != 0 or epoch_boundary(j, t)
+                for j in range(live.size)
+            ]
+            if not all(kept):
+                keep = np.array(kept)
+                live, theta, hat = live[keep], theta[keep], hat[keep]
+                draws = tuple(x[:, keep] for x in draws)
 
     for j, r in enumerate(live):
         results[r] = TunerTrace(
             events=tuple(events[r]),
-            final_alpha=alpha[j],
+            final_alpha=alpha[r],
             final_theta_hat=hat[j].copy(),
             checks=tuple(checks[r]),
         )

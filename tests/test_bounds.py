@@ -78,6 +78,11 @@ class TestUpperBound:
         with pytest.raises(CertifiedRegimeError, match="outside certified regime"):
             bound_inputs_for(m, 1.5, THETA0)  # rho_s(1.5) < 0
 
+    def test_theta0_shape_checked(self):
+        m = make_lower_bound_instance(1.0, 2.0, 1.0).exact_moments
+        with pytest.raises(ValueError, match=r"theta_0 must have shape \(2,\)"):
+            bound_inputs_for(m, 0.1, np.array([5.0]))
+
     def test_dominates_exact_mse(self):
         # the envelope must sit above the exact closed-form MSE everywhere
         inputs = instance_inputs()

@@ -113,6 +113,20 @@ def test_simulate_singular_mean_exits_2(tmp_path, capsys):
     assert not (tmp_path / "sim.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["bound", "simulate", "tune"])
+def test_theta0_of_wrong_shape_exits_2(command, tmp_path, capsys):
+    args = {
+        "bound": ["--alpha", "0.01", "--t-grid", "1:100:5", "--out", str(tmp_path / "out.csv")],
+        "simulate": ["--alpha", "0.01", "--horizon", "100", "--reps", "2",
+                     "--out", str(tmp_path / "out.csv")],
+        "tune": ["--alpha-max", "1.0"],
+    }[command]
+    code = main([command, "--problem", str(PROBLEMS / "td0_onpolicy.json"), "--theta0", "[5]", *args])
+    assert code == EXIT_VALIDATION
+    assert "theta_0 must have shape (4,)" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def rho_rows(path, capsys, grid="1e-3:1e-1:3:log"):
     assert main(["rho", "--problem", str(path), "--alpha-grid", grid]) == 0
     header, *rows = capsys.readouterr().out.splitlines()

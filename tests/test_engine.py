@@ -18,7 +18,14 @@ from lsalab import (
 )
 from lsalab import engine
 from lsalab.cli import FIG1_MEAN
-from lsalab.engine import _SAMPLE_CHUNK, _replication_rngs, _simulate_block, divergence_bound
+from lsalab.engine import (
+    _SAMPLE_CHUNK,
+    _advance,
+    _dense_direction,
+    _replication_rngs,
+    _simulate_block,
+    divergence_bound,
+)
 from lsalab.problems import FiniteAtoms, _finite_problem
 
 
@@ -118,6 +125,50 @@ class TestRunSingle:
         _, hat, div, curve = one_replication(p, cfg)
         assert np.iscomplexobj(hat) and div == -1
         assert np.isfinite(curve.mse).all()
+
+
+class TestAdvance:
+    """The kernel's divergence rule: at the first step that would take some
+    rows past the bound, only the other rows take it."""
+
+    BOUND = 1e3
+
+    def draws(self):
+        rng = np.random.default_rng(8)
+        b = rng.standard_normal((5, 2, 2))
+        A = np.eye(2) + 0.3 * rng.standard_normal((5, 2, 2, 2))
+        A[2, 1] = -1e6 * np.eye(2)  # row 1 passes the bound at step 2
+        return b, A
+
+    @pytest.mark.parametrize("columns", [False, True], ids=["numbers", "columns"])
+    def test_crossing_row_holds_and_the_other_steps(self, columns):
+        draws = self.draws()
+        direction = _dense_direction
+        theta = np.array([[1.0, -1.0], [0.5, 2.0]])
+        hat = np.array([[0.8, -0.6], [0.4, 1.5]])
+        alpha, n = (np.array([[0.1], [0.2]]), np.array([[3], [7]])) if columns else (0.1, 3)
+        before = theta.copy(), hat.copy()
+
+        th, h, k, bad = _advance(theta, hat, n, draws, direction, alpha, self.BOUND)
+        assert k == 3
+        assert bad.tolist() == [False, True]
+        assert theta.tobytes() == before[0].tobytes() and hat.tobytes() == before[1].tobytes()
+
+        # row 1 holds its state from before step 2
+        th2, h2, k2, bad2 = _advance(
+            theta, hat, n, tuple(x[:2] for x in draws), direction, alpha, self.BOUND
+        )
+        assert (k2, bad2) == (2, None)
+        assert th[1].tobytes() == th2[1].tobytes()
+        assert h[1].tobytes() == h2[1].tobytes()
+
+        # row 0 takes step 2, bit for bit as it would alone
+        th0, h0, k0, bad0 = _advance(
+            theta[:1], hat[:1], 3, tuple(x[:3, :1] for x in draws), direction, 0.1, self.BOUND
+        )
+        assert (k0, bad0) == (3, None)
+        assert th[0].tobytes() == th0[0].tobytes()
+        assert h[0].tobytes() == h0[0].tobytes()
 
 
 class TestRunMse:

@@ -129,6 +129,25 @@ class TestLowerBoundInstance:
         assert np.all(bs[:, 1] == 0.0)
         assert (bs[:, 0] ** 2).mean() == pytest.approx(1.0, rel=0.05)
 
+    @pytest.mark.parametrize("sigma_b", [0.0, 0.3, 1.0])
+    def test_one_atom_distribution(self, sigma_b):
+        # one atom (b = 0, A), intercept scatter (sigma_b, 0): the sampler draws
+        # no atom index, so b_t[0] = sigma_b z_t on the bare normal stream
+        p = make_lower_bound_instance(0.5, 4.0, sigma_b)
+        A = np.diag([0.5, 4.0])
+        assert p.atoms is not None and p.atoms.probs.tolist() == [1.0]
+        b, As = p.sample(np.random.default_rng(5), (7, 3))
+        want_b = np.zeros((7, 3, 2))
+        if sigma_b:
+            want_b[..., 0] = sigma_b * np.random.default_rng(5).standard_normal((7, 3))
+        assert b.tobytes() == want_b.tobytes()
+        assert As.tobytes() == np.broadcast_to(A, (7, 3, 2, 2)).tobytes()
+        m, want = p.exact_moments, Moments.from_parts(A, np.zeros(2), A.T @ A, 0.0, sigma_b**2)
+        for name in ("A_P", "b_P", "C_P", "theta_star"):
+            assert getattr(m, name).tobytes() == getattr(want, name).tobytes(), name
+        for name in ("sigma_A_sq", "sigma_b_sq", "sigma1_sq", "sigma2_sq"):
+            assert getattr(m, name) == getattr(want, name), name
+
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             make_lower_bound_instance(2.0, 1.0, 0.0)
