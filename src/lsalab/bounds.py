@@ -21,19 +21,30 @@ family with b-noise the exact MSE exceeds the resulting envelope, while the
 sqrt form matches it exactly (the mean iteration matrix is symmetric PSD
 there, making the geometric-series bound tight).
 
-Lower bound (attained by the constant-diagonal family with noise on the first
-coordinate of b):
+Lower envelope: the paper's worst-case construction,
 
     (1/(alpha^2 rho_d rho_s)) * ( beta_t ||theta_0 - theta*||^2
         + v^2 * sum_{s=1..t} beta_{t-s} ) / (t+1)^2,
     beta_t = 1 - (1 - alpha rho_s)^t.
 
+It shows that no bound in these constants can be much smaller than the
+upper one, because some problem attains it: it is sharp only on the
+constant-diagonal family with noise on the first coordinate of b.  It is
+not a lower bound on the MSE of the problem at hand: on GTD2, TD(0) and the
+Fig. 1 problems the exact MSE falls far below it.
+
 The beta partial sum is evaluated in closed form:
 sum_{s=1..t} beta_{t-s} = t - (1 - (1-x)^t)/x with x = alpha rho_s.
+
+Where a term overflows (a far fixed point or start), the envelopes read
++inf, never NaN: ||theta_0 - theta*|| is computed without squaring when the
+squares would overflow, and a zero coefficient times an infinite constant
+counts as zero (an empty sum).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +98,18 @@ class BoundInputs:
 
     @property
     def initial_err(self) -> float:
-        return float(np.linalg.norm(np.asarray(self.theta_0) - np.asarray(self.theta_star)))
+        diff = np.asarray(self.theta_0) - np.asarray(self.theta_star)
+        if np.abs(diff).max() < 1e150:  # no sum of squares can overflow
+            return float(np.linalg.norm(diff))
+        return math.hypot(*np.abs(diff))
+
+    @property
+    def initial_err_sq(self) -> float:
+        """||theta_0 - theta*||^2, +inf where the square overflows."""
+        try:
+            return self.initial_err**2
+        except OverflowError:
+            return math.inf
 
     @property
     def v_sq(self) -> float:
@@ -117,7 +139,7 @@ def upper_bound(inputs: BoundInputs, t) -> tuple[np.ndarray, np.ndarray, np.ndar
     """(total, bias, variance) of the upper envelope at time(s) t."""
     t = np.asarray(t, dtype=float)
     nu = inputs.nu
-    bias = nu * inputs.initial_err**2 / (t + 1.0) ** 2
+    bias = nu * inputs.initial_err_sq / (t + 1.0) ** 2
     variance = nu * inputs.v_sq / (t + 1.0)
     return bias + variance, bias, variance
 
@@ -134,12 +156,26 @@ def beta_partial_sum(x: float, t) -> np.ndarray:
     return t - (1.0 - (1.0 - x) ** t) / x
 
 
+def _times(coef: np.ndarray, value: float) -> np.ndarray:
+    """coef * value for a nonnegative constant value, counting 0 * inf as 0.
+
+    Where value is +inf, a positive coefficient gives +inf and a
+    nonpositive one (a sum with no terms, or its rounding) gives 0.
+    """
+    return np.where(coef > 0, math.inf, 0.0) if value == math.inf else coef * value
+
+
 def lower_bound(inputs: BoundInputs, t) -> np.ndarray:
-    """Lower envelope at time(s) t (sharp on the constant-diagonal family)."""
+    """The paper's worst-case lower envelope at time(s) t.
+
+    Sharp only on the constant-diagonal family; not a lower bound on the MSE
+    of an arbitrary problem (see the module docstring).
+    """
     t = np.asarray(t, dtype=float)
     lead = 1.0 / (inputs.alpha**2 * inputs.rho_d * inputs.rho_s)
-    noise = inputs.v_sq * beta_partial_sum(inputs.alpha * inputs.rho_s, t)
-    return lead * (beta_coefficient(inputs, t) * inputs.initial_err**2 + noise) / (t + 1.0) ** 2
+    noise = _times(beta_partial_sum(inputs.alpha * inputs.rho_s, t), inputs.v_sq)
+    bias = _times(beta_coefficient(inputs, t), inputs.initial_err_sq)
+    return lead * (bias + noise) / (t + 1.0) ** 2
 
 
 def bound_curve(inputs: BoundInputs, times) -> BoundCurve:

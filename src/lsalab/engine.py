@@ -351,7 +351,15 @@ def _mse_curve(
     mse = np.full(len(times), np.inf)
     stderr = np.zeros(len(times))
     with np.errstate(over="ignore"):
-        for i in range(len(times)):
+        # records whose every row is live and finite reduce in one call, with
+        # the bits of the per-record reduction below (each row of the last
+        # axis is summed alone); a mean that overflows falls through to it
+        full = np.isfinite(sq).all(axis=1)
+        mse[full] = sq[full].mean(axis=1)
+        full &= mse < np.inf
+        if R > 1:
+            stderr[full] = sq[full].std(axis=1, ddof=1) / np.sqrt(R)
+        for i in np.flatnonzero(~full):
             vals = sq[i, valid[i]]
             if not len(vals):
                 continue

@@ -24,11 +24,13 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
 import numpy as np
+from numpy.polynomial import legendre
 
 __all__ = [
     "Moments",
@@ -191,8 +193,9 @@ def make_finite_support(atoms, label: str = "finite") -> ProblemDistribution:
     second moment C_P = sum_i p_i A_i^* A_i and the exact noise magnitudes
     sigma_A_sq = E||A - A_P||^2, sigma_b_sq = E||b - b_P||^2.
 
-    Raises ValueError on dimension mismatch or if the probabilities are not a
-    distribution (negative entries, or not summing to 1 within 1e-12).
+    Raises ValueError on dimension mismatch, on non-finite entries of an atom
+    or a probability, or if the probabilities are not a distribution
+    (negative entries, or not summing to 1 within 1e-12).
     """
     if len(atoms) == 0:
         raise ValueError("need at least one atom")
@@ -214,11 +217,19 @@ def make_finite_support(atoms, label: str = "finite") -> ProblemDistribution:
             raise ValueError(
                 f"atom shapes {b.shape}, {A.shape} do not match dimension {d}"
             )
-    dtype = np.result_type(float, *(a.dtype for a in As), *(b.dtype for b in bs))
+    bs, As = np.stack(bs), np.stack(As)
+    _check_finite(b=bs, A=As, p=probs)
+    dtype = np.result_type(float, As.dtype, bs.dtype)
     return _finite_problem(
-        FiniteAtoms(probs=probs, bs=np.stack(bs).astype(dtype), As=np.stack(As).astype(dtype)),
-        label,
+        FiniteAtoms(probs=probs, bs=bs.astype(dtype), As=As.astype(dtype)), label
     )
+
+
+def _check_finite(**arrays) -> None:
+    """Raise ValueError naming the first array with a NaN or inf entry."""
+    for name, value in arrays.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} has a non-finite entry")
 
 
 def _finite_problem(atoms: FiniteAtoms, label: str) -> ProblemDistribution:
@@ -266,32 +277,101 @@ def _finite_support_moments(atoms: FiniteAtoms) -> Moments:
 
 # --- entrywise Gaussian noise, calibrated to a spectral-norm target ----------
 
-# cache of E||G||^2 for G a d x d standard normal matrix, keyed by d
-_GINIBRE_SPECNORM_SQ: dict[int, float] = {}
-_CALIBRATION_SAMPLES = 40_000
-_CALIBRATION_SEED = 20240901
 
+@functools.cache
+def _mean_specnorm_sq_standard(d: int, nodes: int = 24) -> float:
+    """c_d = E||G||^2 for a d x d matrix G of i.i.d. standard normals, exact.
 
-def _mean_specnorm_sq_standard(d: int) -> float:
-    """E||G||^2 for a d x d matrix of i.i.d. standard normals (Monte Carlo).
+    ||G||^2 is the largest eigenvalue of the real Wishart matrix G^T G ~
+    W_d(d, I), whose eigenvalue density has the weight lambda^(-1/2)
+    e^(-lambda/2) on [0, inf).  By de Bruijn's (1955) integration formula,
+    its CDF is a Pfaffian, F(x) = sqrt(det A(x) / det A(inf)) (Chiani 2014,
+    J. Multivariate Anal. 129), where A(x) is the d x d skew matrix of
+    sign-kernel integrals a_ij(x) = int int_[0,x]^2 sgn(z - y) psi_i(y)
+    psi_j(z), bordered by int_0^x psi_i when d is odd, for any basis
+    psi_i = (polynomial of degree i) * weight.  Then c_d = int (1 - F).
 
-    Computed once per dimension with a fixed seed so the derived entry scale
-    is deterministic; the relative standard error at the default sample count
-    is well under 1%, inside the 2% calibration budget.
+    With lambda = u^2 the weighted basis becomes g_i(u) = 2 h_2i(u) on
+    u >= 0, h_k the orthonormal Hermite functions (this basis keeps A(inf)
+    well conditioned: cond 43 at d = 32, 193 at d = 128).  G_i = int_0^u g_i
+    and H_ij = int_0^u G_i g_j give a_ij = H_ij - H_ji, and
+    c_d = int_0^umax (1 - F(u^2)) 2u du.  All three integrals run on panels
+    of ``nodes`` Gauss-Legendre nodes up to umax = sqrt(8d + 120), past
+    which 1 - F is below double precision; inside a panel the integrals to
+    each node come from the Legendre interpolant.
+
+    The result is c_1 = 1 and c_2 = 2 + pi/2 to rounding; it agrees with
+    Monte Carlo (|z| < 3) from d = 3 to d = 128 and moves by less than
+    1e-13 (relative) when the nodes double, up to d = 384.  It takes 0.02 s
+    at d = 32, 0.3 s at d = 128 and 12 s at d = 384 on a 2-vCPU host, and is
+    cached per (d, nodes).
     """
-    if d not in _GINIBRE_SPECNORM_SQ:
-        rng = np.random.default_rng(_CALIBRATION_SEED + d)
-        n = max(2_000, _CALIBRATION_SAMPLES // d)
-        total = 0.0
-        chunk = max(1, 2_000_000 // (d * d))
-        left = n
-        while left > 0:
-            take = min(chunk, left)
-            G = rng.standard_normal((take, d, d))
-            total += float((spectral_norms(G) ** 2).sum())
-            left -= take
-        _GINIBRE_SPECNORM_SQ[d] = total / n
-    return _GINIBRE_SPECNORM_SQ[d]
+    t, w = legendre.leggauss(nodes)
+    # S[k, m] = int_{-1}^{t_k} of the m-th Lagrange polynomial on the nodes
+    S = legendre.legvander(t, nodes) @ legendre.legint(
+        np.linalg.inv(legendre.legvander(t, nodes - 1)), lbnd=-1
+    )
+    u_max = math.sqrt(8 * d + 120)
+    # h_2d oscillates with a wavelength of about pi/sqrt(d): unit panels
+    # resolve it up to d = 128, narrower ones beyond
+    panels = math.ceil(u_max * math.sqrt(max(1, d / 128)))
+    h = u_max / panels / 2  # half a panel's width
+    u = (2 * np.arange(panels)[:, None] + 1 + t) * h  # (panels, nodes)
+    g = 2 * _even_hermite_functions(u.ravel(), d).reshape(panels, nodes, d)
+    G_end = np.zeros(d)
+    H_end = np.zeros((d, d))
+    logdet = np.empty((panels, nodes))
+    for p in range(panels):
+        G = G_end + h * (S @ g[p])  # (nodes, d): G_i at each node
+        H = H_end + h * np.matmul((S[:, :, None] * G).transpose(0, 2, 1), g[p])
+        logdet[p] = _sign_kernel_logdet(G, H)
+        G_end = G_end + h * (w @ g[p])
+        H_end = H_end + h * ((w[:, None] * G).T @ g[p])
+    one_minus_F = -np.expm1(0.5 * (logdet - _sign_kernel_logdet(G_end, H_end)))
+    return float(((h * w) * 2 * u * one_minus_F).sum())
+
+
+def _even_hermite_functions(u: np.ndarray, d: int) -> np.ndarray:
+    """(len(u), d) array of h_0(u), h_2(u), ..., h_2(d-1)(u).
+
+    h_k(u) = H_k(u) e^(-u^2/2) / sqrt(2^k k! sqrt(pi)), by the three-term
+    recurrence on the polynomial part; a node's running values are scaled
+    down by 1e100 whenever they pass it and the scale is kept in log form,
+    so neither e^(-u^2/2) nor the growing polynomial under- or overflows.
+    """
+    out = np.empty((len(u), d))
+    log_scale = -0.5 * u * u
+    prev = np.zeros_like(u)
+    cur = np.full_like(u, math.pi**-0.25)
+    for k in range(2 * d - 1):
+        if k % 2 == 0:
+            out[:, k // 2] = cur * np.exp(log_scale)
+        prev, cur = cur, math.sqrt(2 / (k + 1)) * u * cur - math.sqrt(k / (k + 1)) * prev
+        big = np.abs(cur) > 1e100
+        if big.any():
+            cur[big] *= 1e-100
+            prev[big] *= 1e-100
+            log_scale[big] += 100 * math.log(10)
+    return out
+
+
+def _sign_kernel_logdet(G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """log det of the skew matrices H - H^T, bordered by G when d is odd.
+
+    A real skew matrix's determinant is the square of its Pfaffian; where
+    rounding makes it nonpositive (only near u = 0, where F vanishes) the
+    result is -inf.
+    """
+    A = H - np.swapaxes(H, -1, -2)
+    d = A.shape[-1]
+    if d % 2:
+        B = np.zeros(A.shape[:-2] + (d + 1, d + 1))
+        B[..., :d, :d] = A
+        B[..., :d, d] = G
+        B[..., d, :d] = -G
+        A = B
+    sign, logdet = np.linalg.slogdet(A)
+    return np.where(sign > 0, logdet, -np.inf)
 
 
 def make_gaussian_noise(
@@ -304,12 +384,16 @@ def make_gaussian_noise(
     """Mean matrix plus i.i.d. Gaussian-entry perturbations.
 
     Samples A_t = A_P + M_t and b_t = b_P + N_t with independent zero-mean
-    Gaussian entries, scaled so that E||M_t||^2 = sigma_A^2 (calibrated via a
-    one-time Monte Carlo constant per dimension) and E||N_t||^2 = sigma_b^2
-    (exact).  M_t and N_t are independent, so E[M_t N_t] = 0.
+    Gaussian entries, scaled so that E||M_t||^2 = sigma_A^2 and
+    E||N_t||^2 = sigma_b^2, both exactly: the matrix entries have scale
+    sigma_A / sqrt(c_d), c_d = E||G||^2 for a d x d standard normal G (see
+    ``_mean_specnorm_sq_standard``).  M_t and N_t are independent, so
+    E[M_t N_t] = 0.
 
     Exact moments carry C_P = A_P^T A_P + s^2 d I, where s is the entry scale:
-    for i.i.d. entries E[M^T M] = s^2 d I.
+    for i.i.d. entries E[M^T M] = s^2 d I.  Raises ValueError on a negative
+    or non-finite noise magnitude, on non-finite entries of A_P or b_P, and
+    on shapes that do not match.
 
     The engine steps this family matrix-free: M_t is independent of
     theta_{t-1}, so given theta, M_t theta has exactly the law of
@@ -324,8 +408,8 @@ def make_gaussian_noise(
     than ``sample`` from the same seed, with the same law (the same stream
     when sigma_A = 0).
     """
-    if sigma_A < 0 or sigma_b < 0:
-        raise ValueError("noise magnitudes must be nonnegative")
+    if not (0 <= sigma_A < math.inf and 0 <= sigma_b < math.inf):
+        raise ValueError("noise magnitudes must be finite and nonnegative")
     A_P = np.atleast_2d(np.asarray(A_P, dtype=float))
     if A_P.shape[0] != A_P.shape[1]:
         raise ValueError("A_P must be square")
@@ -333,6 +417,7 @@ def make_gaussian_noise(
     b_P = np.atleast_1d(np.asarray(b_P, dtype=float))
     if b_P.shape != (d,):
         raise ValueError(f"b_P must have shape ({d},)")
+    _check_finite(A_P=A_P, b_P=b_P)
 
     entry_scale_A = sigma_A / np.sqrt(_mean_specnorm_sq_standard(d)) if sigma_A else 0.0
     entry_scale_b = sigma_b / np.sqrt(d)
@@ -402,12 +487,13 @@ def make_lower_bound_instance(
     iteration matrix is deterministic (sigma_A = 0), which makes the averaged
     error computable in closed form and the error bounds tight.  It is the
     finite distribution of one atom (b = 0, A) whose intercept scatter is
-    (sigma_b, 0).
+    (sigma_b, 0).  Raises ValueError unless 0 < lambda_min < lambda_max and
+    sigma_b >= 0, all finite.
     """
-    if not (0 < lambda_min < lambda_max):
-        raise ValueError("need 0 < lambda_min < lambda_max")
-    if sigma_b < 0:
-        raise ValueError("sigma_b must be nonnegative")
+    if not (0 < lambda_min < lambda_max < math.inf):
+        raise ValueError("need 0 < lambda_min < lambda_max, finite")
+    if not 0 <= sigma_b < math.inf:
+        raise ValueError("sigma_b must be finite and nonnegative")
     atoms = FiniteAtoms(
         probs=np.ones(1),
         bs=np.zeros((1, 2)),

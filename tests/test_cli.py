@@ -238,3 +238,41 @@ def test_transformed_gaussian_output_is_seed_free(tmp_path, capsys):
         outputs.append((rho, report, bound.read_text().split("\n", 1)[1]))
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0][1])["kappa_U"] > 1
+
+
+@pytest.mark.parametrize("command", ["rho", "transform", "bound"])
+def test_non_finite_problem_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    # json writes NaN, which Python's json reader accepts
+    path.write_text(json.dumps({"type": "gaussian", "A": [[1.0, 0.0], [0.0, 1.0]],
+                                "b": [float("nan"), 1.0], "sigma_A": 1.0}))
+    args = {
+        "rho": ["--alpha-grid", "0.1:1:2"],
+        "transform": [],
+        "bound": ["--alpha", "0.01", "--t-grid", "1:100:5", "--out", str(tmp_path / "out.csv")],
+    }[command]
+    assert main([command, "--problem", str(path), *args]) == EXIT_VALIDATION
+    assert "b_P has a non-finite entry" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theta0", [None, "[1e300, 1e300]"])
+def test_bound_on_a_huge_fixed_point_reads_inf_not_nan(theta0, tmp_path):
+    # theta* = (1e300, 1e300): ||theta_0 - theta*||^2 and sigma_1^2 overflow
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"type": "gaussian", "A": [[1.0, 0.0], [0.0, 1.0]],
+                                "b": [1e300, 1e300], "sigma_A": 1.0}))
+    out = tmp_path / "bound.csv"
+    argv = ["bound", "--problem", str(path), "--alpha", "0.01", "--t-grid", "1:100:5:log",
+            "--out", str(out)]
+    assert main(argv + (["--theta0", theta0] if theta0 else [])) == 0
+    rows = np.array([[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[2:]])
+    assert rows.shape == (5, 5) and not np.isnan(rows).any()
+    t, lower, upper, bias, variance = rows.T
+    assert (upper == np.inf).all() and (variance == np.inf).all()
+    if theta0 is None:
+        assert (lower == np.inf).all() and (bias == np.inf).all()
+    else:
+        # theta_0 = theta*: no bias, and at t = 1 no noise term either
+        assert (bias == 0).all() and lower[0] == 0 and (lower[1:] == np.inf).all()

@@ -593,3 +593,63 @@ class TestRunMseMany:
         quiet = make_gaussian_noise(np.eye(2), np.zeros(2), 0.0, 0.0)
         other = dataclasses.replace(cfg, alpha=0.2, seed=3, n_replications=4)
         assert len(run_mse_many([gaussian, quiet], [cfg, other])) == 2
+
+
+def reference_mse_curve(times, hat, div, theta_star):
+    """``engine._mse_curve`` as a reduction per record, the reference the
+    batched aggregation must match bit for bit."""
+    R = len(div)
+    sq = engine._sq_err(hat, theta_star)
+    valid = ~((div[None, :] >= 0) & (div[None, :] <= times[:, None]))
+    mse = np.full(len(times), np.inf)
+    stderr = np.zeros(len(times))
+    with np.errstate(over="ignore"):
+        for i in range(len(times)):
+            vals = sq[i, valid[i]]
+            if not len(vals):
+                continue
+            scale = 1.0
+            mse[i] = vals.mean()
+            if not np.isfinite(mse[i]):
+                if not np.isfinite(vals).all():
+                    stderr[i] = np.inf
+                    continue
+                scale = vals.max()
+                vals = vals / scale
+                mse[i] = scale * vals.mean()
+            if len(vals) > 1:
+                stderr[i] = scale * (vals.std(ddof=1) / np.sqrt(len(vals)))
+    return mse, stderr, R - valid.sum(axis=1)
+
+
+class TestMseCurveAggregation:
+    @pytest.mark.parametrize(
+        "p, cfg, sentinel",
+        [
+            PARTIAL_DIVERGENCE,
+            # every replication diverges, at different records
+            (pm_identity(0.05), RunConfig(
+                alpha=2.5, horizon=3000, theta_0=np.ones(2), record_stride=500,
+                n_replications=20, seed=7), 1e150),
+            # overflowed squared errors (t=10), an overflowing sum of finite
+            # ones (t=20), then finite records
+            (scalar_problem(a=1.0, b=1e155), RunConfig(
+                alpha=0.5, horizon=400, record_stride=10, n_replications=3), 1e150),
+            # one replication, and a Gaussian run with every record finite
+            (scalar_problem(a=1.0, b=1.0), RunConfig(
+                alpha=0.5, horizon=50, record_stride=5, n_replications=1), 1e150),
+            (make_gaussian_noise(FIG1_MEAN, FIG1_MEAN @ np.ones(2), 5.0, 0.5), RunConfig(
+                alpha=0.005, horizon=600, record_stride=25, n_replications=40, seed=3), 1e150),
+        ],
+        ids=["partial-divergence", "all-diverge", "overflow", "one-replication", "gaussian"],
+    )
+    def test_matches_per_record_reduction(self, p, cfg, sentinel):
+        R = cfg.n_replications
+        with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
+            _, hat, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, R))
+        times, theta_star = cfg.record_times(), p.exact_moments.theta_star
+        curve = engine._mse_curve(times, hat, div, theta_star)
+        mse, stderr, n_div = reference_mse_curve(times, hat, div, theta_star)
+        assert curve.mse.tobytes() == mse.tobytes()
+        assert curve.stderr.tobytes() == stderr.tobytes()
+        assert np.array_equal(curve.n_diverged, n_div)
