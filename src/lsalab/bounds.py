@@ -37,9 +37,9 @@ The beta partial sum is evaluated in closed form:
 sum_{s=1..t} beta_{t-s} = t - (1 - (1-x)^t)/x with x = alpha rho_s.
 
 Where a term overflows (a far fixed point or start), the envelopes read
-+inf, never NaN: ||theta_0 - theta*|| is computed without squaring when the
-squares would overflow, and a zero coefficient times an infinite constant
-counts as zero (an empty sum).
++inf, never NaN: ||theta_0 - theta*|| is +inf where the difference
+overflows and is computed without squaring when the squares would, and a
+zero coefficient times an infinite constant counts as zero (an empty sum).
 """
 
 from __future__ import annotations
@@ -98,7 +98,9 @@ class BoundInputs:
 
     @property
     def initial_err(self) -> float:
-        diff = np.asarray(self.theta_0) - np.asarray(self.theta_star)
+        """||theta_0 - theta*||, +inf where the difference overflows."""
+        with np.errstate(over="ignore"):
+            diff = np.asarray(self.theta_0) - np.asarray(self.theta_star)
         if np.abs(diff).max() < 1e150:  # no sum of squares can overflow
             return float(np.linalg.norm(diff))
         return math.hypot(*np.abs(diff))

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import CertifiedRegimeError, bound_curve, bound_inputs_for
+from .bounds import bound_curve, bound_inputs_for
 from .engine import RunConfig, run_mse, run_mse_many
 from .problem_io import load_problem_file, td_instance_from_dict
 from .problems import ProblemDistribution, make_gaussian_noise
@@ -44,7 +44,7 @@ from .spectral import (
     spectral_report,
     witness_alpha,
 )
-from .transform import NotHurwitzError, TransformFailedError, transform_problem
+from .transform import TransformFailedError, transform_problem
 from .tuner import NoStableStepSizeError, TunerConfig, TunerTrace, tune, tune_many
 
 __all__ = ["main", "repro_fig1"]
@@ -120,7 +120,7 @@ def _seed_of(args, p: ProblemDistribution) -> int:
 
 
 def _cmd_rho(args) -> int:
-    _, tr = transform_problem(load_problem_file(args.problem))
+    tr = transform_problem(load_problem_file(args.problem))
     m = tr.transformed_moments
     grid = _parse_grid(args.alpha_grid)
     rows = []
@@ -141,7 +141,7 @@ def _cmd_rho(args) -> int:
 
 def _cmd_transform(args) -> int:
     p = load_problem_file(args.problem)
-    _, tr = transform_problem(p)
+    tr = transform_problem(p)
     try:
         wit = witness_alpha(tr.transformed_moments)
     except NotPositiveDefiniteError:
@@ -168,8 +168,6 @@ def _cmd_simulate(args) -> int:
         n_replications=args.reps,
         seed=seed,
     )
-    if p.exact_moments.theta_star is None:
-        raise ValueError("problem has no fixed point (singular mean matrix)")
     curve = run_mse(p, cfg)
     rows = list(zip(curve.times, curve.mse, curve.stderr, curve.n_diverged))
     _write_csv(args.out, ["t", "mse", "stderr", "n_diverged"], rows, _invocation(args))
@@ -180,7 +178,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bound(args) -> int:
     p = load_problem_file(args.problem)
-    _, tr = transform_problem(p)
+    tr = transform_problem(p)
     theta0 = _theta0_of(args, np.zeros(p.dim))
     inputs = bound_inputs_for(p.exact_moments, args.alpha, theta0, transform=tr)
     times = _parse_grid(args.t_grid, integer=True)
@@ -391,9 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, problem=True):
-        if problem:
-            sp.add_argument("--problem", required=True, help="problem JSON file")
+    def add_common(sp):
+        sp.add_argument("--problem", required=True, help="problem JSON file")
         sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("rho", help="spectral gaps of the transformed problem on a step-size grid")
@@ -472,15 +469,9 @@ def main(argv=None) -> int:
     args._raw_argv = list(argv)
     try:
         return args.func(args)
-    except (
-        ValueError,
-        NotHurwitzError,
-        NotPositiveDefiniteError,
-        CertifiedRegimeError,
-        TransformFailedError,
-        FileNotFoundError,
-        KeyError,
-    ) as exc:
+    # ValueError covers NotHurwitzError, NotPositiveDefiniteError and
+    # CertifiedRegimeError
+    except (ValueError, TransformFailedError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (DivergedError, NoStableStepSizeError) as exc:

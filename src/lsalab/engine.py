@@ -104,8 +104,14 @@ class MseCurve:
     n_replications: int
 
 
-def _resolve_theta0(p: ProblemDistribution, cfg, dtype) -> np.ndarray:
-    """cfg.theta_0 (a RunConfig's or a TunerConfig's) checked, or zeros."""
+def _resolve_theta0(p: ProblemDistribution, cfg) -> np.ndarray:
+    """cfg.theta_0 (a RunConfig's or a TunerConfig's) checked, or zeros.
+
+    Its dtype is the run's: that of the problem's A_P and b_P, at least
+    float64, which the problem's draws share.
+    """
+    m = p.exact_moments
+    dtype = np.result_type(np.float64, m.A_P, m.b_P)
     if cfg.theta_0 is None:
         return np.zeros(p.dim, dtype=dtype)
     th0 = np.asarray(cfg.theta_0, dtype=dtype)
@@ -118,13 +124,14 @@ def divergence_bound(p: ProblemDistribution, theta_0: np.ndarray) -> float:
     """Iterate magnitude (max-abs entry) beyond which a run counts as diverged.
 
     This is DIVERGENCE_SENTINEL * max(1, ||theta_0||_inf, ||theta*||_inf),
-    capped at 1e300; theta* is taken from the problem's exact moments when
-    known.  Shared by the engine and the tuner.
+    capped at 1e300; theta* is taken from the problem's exact moments (the
+    scale omits it when the mean is singular).  Shared by the engine and the
+    tuner.
     """
     scale = max(1.0, float(np.max(np.abs(theta_0))))
-    m = p.exact_moments
-    if m is not None and m.theta_star is not None:
-        scale = max(scale, float(np.max(np.abs(m.theta_star))))
+    theta_star = p.exact_moments.theta_star
+    if theta_star is not None:
+        scale = max(scale, float(np.max(np.abs(theta_star))))
     return min(DIVERGENCE_SENTINEL * scale, _DIVERGENCE_CAP)
 
 
@@ -206,20 +213,21 @@ def _simulate_runs(
     snapshot shapes (n_records, R, d); theta_snaps is None unless
     ``keep_theta``; diverged_at is -1 for rows that never diverge.  A diverged
     row leaves the live set: its state before the diverging step fills its
-    remaining snapshots and its stream is no longer drawn.  The dtype is that
-    of the first chunk drawn.  Each array the step forms draw gets one
-    (chunk, R, ...) buffer.
+    remaining snapshots and its stream is no longer drawn.  The dtype is the
+    run's (see ``_resolve_theta0``).  Each array the step forms draw gets one
+    (chunk, R, ...) buffer, allocated at the first draw.
 
     Raises ValueError when the runs do not share the step-form key, horizon,
-    record stride, theta_0, divergence bound and the dtype of their draws.
+    record stride, dtype, theta_0 and divergence bound.
     """
     forms = [p.step_form or _dense_form(p) for p in problems]
-    theta0s = [_resolve_theta0(p, c, None) for p, c in zip(problems, cfgs)]
+    theta0s = [_resolve_theta0(p, c) for p, c in zip(problems, cfgs)]
     cfg = cfgs[0]
     for name, values in (
         ("step-form key", [f.key for f in forms]),
         ("horizon", [c.horizon for c in cfgs]),
         ("record stride", [c.record_stride for c in cfgs]),
+        ("dtype", [th.dtype for th in theta0s]),
         ("theta_0", [th.tolist() for th in theta0s]),
         ("divergence bound", [divergence_bound(p, th) for p, th in zip(problems, theta0s)]),
     ):
@@ -235,28 +243,23 @@ def _simulate_runs(
     n_rec = len(record)
     live = np.arange(R)
     diverged_at = np.full(R, -1, dtype=np.int64)
+    theta = np.tile(theta0s[0], (R, 1))
+    hat = theta.copy()
+    hat_snaps = np.empty((n_rec,) + theta.shape, dtype=theta.dtype)
+    theta_snaps = np.empty_like(hat_snaps) if keep_theta else None
     chunk = min(_SAMPLE_CHUNK, cfg.horizon)
+    bufs = None
     rec_i = 0
     t = 0
     while t < cfg.horizon and live.size:
         steps = min(chunk, cfg.horizon - t)
         for j, r in enumerate(live):
             drawn = draw[r](rngs[r], steps)
-            if t == 0:
-                row_dtype = np.result_type(np.float64, *(x.dtype for x in drawn))
-                if j == 0:
-                    dtype = row_dtype
-                    bufs = [np.empty((chunk, R) + x.shape[1:], dtype=dtype) for x in drawn]
-                elif row_dtype != dtype:
-                    raise ValueError("runs must share the dtype of their draws")
+            if bufs is None:
+                bufs = [np.empty((chunk, R) + x.shape[1:], dtype=theta.dtype) for x in drawn]
             for buf, x in zip(bufs, drawn):
                 buf[:steps, j] = x
         draws = tuple(buf[:steps, : live.size] for buf in bufs)
-        if t == 0:
-            theta = np.tile(theta0s[0].astype(dtype), (R, 1))
-            hat = theta.copy()
-            hat_snaps = np.empty((n_rec, R, theta.shape[1]), dtype=dtype)
-            theta_snaps = np.empty_like(hat_snaps) if keep_theta else None
         c = 0
         while c < steps and live.size:
             until = record[rec_i] if rec_i < n_rec else cfg.horizon
@@ -317,13 +320,13 @@ def run_mse_many(problems: list[ProblemDistribution], cfgs: list[RunConfig]) -> 
     problem's exact moments.
 
     Raises ValueError for an empty list, for runs that do not share what they
-    must, or when some problem has no theta* in its exact moments.
+    must, or when some problem has no fixed point (a singular mean matrix).
     """
     problems, cfgs = list(problems), list(cfgs)
     if not problems or len(problems) != len(cfgs):
         raise ValueError("need at least one run, with one config per problem")
-    if any(p.exact_moments is None or p.exact_moments.theta_star is None for p in problems):
-        raise ValueError("theta_star unavailable: no exact moments with a fixed point")
+    if any(p.exact_moments.theta_star is None for p in problems):
+        raise ValueError("problem has no fixed point (singular mean matrix)")
     rngs = [_replication_rngs(c.seed, c.n_replications) for c in cfgs]
     _, hat_all, div_all = _simulate_runs(problems, cfgs, rngs, keep_theta=False)
     curves = []
@@ -340,40 +343,41 @@ def run_mse_many(problems: list[ProblemDistribution], cfgs: list[RunConfig]) -> 
 def _mse_curve(
     times: np.ndarray, hat: np.ndarray, div: np.ndarray, theta_star: np.ndarray
 ) -> MseCurve:
-    """Aggregate one run's (n_records, R, d) averages and divergence times."""
+    """Aggregate one run's (n_records, R, d) averages and divergence times.
+
+    A replication never returns once it diverges, so records with the same
+    live count share one live set; each run of such records reduces in one
+    ``mean``/``std`` call, row by row, with the bits of a reduction per
+    record.  A record whose mean is not finite is redone alone on its
+    errors scaled by their largest.
+    """
     R = len(div)
     sq = _sq_err(hat, theta_star)  # (m, R)
-    diverged_mask = (div[None, :] >= 0) & (div[None, :] <= times[:, None])
-    sq[diverged_mask] = np.inf
-
-    valid = ~diverged_mask
+    valid = (div[None, :] < 0) | (div[None, :] > times[:, None])
     n_valid = valid.sum(axis=1)
     mse = np.full(len(times), np.inf)
     stderr = np.zeros(len(times))
-    with np.errstate(over="ignore"):
-        # records whose every row is live and finite reduce in one call, with
-        # the bits of the per-record reduction below (each row of the last
-        # axis is summed alone); a mean that overflows falls through to it
-        full = np.isfinite(sq).all(axis=1)
-        mse[full] = sq[full].mean(axis=1)
-        full &= mse < np.inf
-        if R > 1:
-            stderr[full] = sq[full].std(axis=1, ddof=1) / np.sqrt(R)
-        for i in np.flatnonzero(~full):
-            vals = sq[i, valid[i]]
-            if not len(vals):
-                continue
-            scale = 1.0
-            mse[i] = vals.mean()
-            if not np.isfinite(mse[i]):
+    starts = np.flatnonzero(np.diff(n_valid, prepend=-1)).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(starts, starts[1:] + [len(times)]):
+            n = n_valid[lo]
+            if not n:
+                break
+            # compress keeps the block C-ordered, so each row reduces alone
+            block = sq[lo:hi].compress(valid[lo], axis=1)
+            mse[lo:hi] = block.mean(axis=1)
+            if n > 1:
+                stderr[lo:hi] = block.std(axis=1, ddof=1) / np.sqrt(n)
+            for i in np.flatnonzero(~np.isfinite(mse[lo:hi])):
+                vals = block[i]
                 if not np.isfinite(vals).all():
-                    stderr[i] = np.inf  # the spread of overflowed errors is inf - inf
+                    stderr[lo + i] = np.inf  # the spread of overflowed errors is inf - inf
                     continue
                 scale = vals.max()
                 vals = vals / scale
-                mse[i] = scale * vals.mean()
-            if len(vals) > 1:
-                stderr[i] = scale * (vals.std(ddof=1) / np.sqrt(len(vals)))
+                mse[lo + i] = scale * vals.mean()
+                if n > 1:
+                    stderr[lo + i] = scale * (vals.std(ddof=1) / np.sqrt(n))
     return MseCurve(
         times=times,
         mse=mse,

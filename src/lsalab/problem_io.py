@@ -48,21 +48,13 @@ __all__ = ["load_problem", "load_problem_file", "mdp_from_dict"]
 
 
 def mdp_from_dict(spec: dict) -> SyntheticMdp:
-    kwargs = dict(
-        features=np.asarray(spec["features"], dtype=float),
-        transitions=np.asarray(spec["transitions"], dtype=float),
-        rewards=np.asarray(spec["rewards"], dtype=float),
-        discount=float(spec["discount"]),
-    )
-    if spec.get("sampling") is not None:
-        kwargs["sampling"] = np.asarray(spec["sampling"], dtype=float)
-    if spec.get("behavior_transitions") is not None:
-        kwargs["behavior_transitions"] = np.asarray(
-            spec["behavior_transitions"], dtype=float
-        )
-    if spec.get("reward_noise_std") is not None:
-        kwargs["reward_noise_std"] = float(spec["reward_noise_std"])
-    return SyntheticMdp(**kwargs)
+    """The MDP of a ``td_mdp`` file's ``mdp`` object; optional fields may be
+    omitted or null.  ``SyntheticMdp`` converts and checks every field."""
+    fields = {k: spec[k] for k in ("features", "transitions", "rewards", "discount")}
+    for k in ("sampling", "behavior_transitions", "reward_noise_std"):
+        if spec.get(k) is not None:
+            fields[k] = spec[k]
+    return SyntheticMdp(**fields)
 
 
 def load_problem(spec: dict) -> ProblemDistribution:

@@ -163,14 +163,17 @@ class StepForm:
 
 @dataclass(frozen=True)
 class ProblemDistribution:
-    """A sampleable (b, A) distribution, with exact moments when known.
+    """A sampleable (b, A) distribution with its exact moments.
 
-    ``sample(rng, shape)`` draws ``shape``-many i.i.d. pairs.  ``atoms`` is set
-    for finite-support families so downstream transforms can map moments in
-    closed form.  A problem without atoms that carries exact moments must
-    have matrix noise N = A_t - A_P whose law is invariant under left
-    rotation, N -> QN for orthogonal Q (true of the Gaussian family and of
-    every sigma_A = 0 problem): the transform's closed-form second moment
+    ``sample(rng, shape)`` draws ``shape``-many i.i.d. pairs, and
+    ``exact_moments`` holds the exact moments of that law: every constructor
+    computes them, and construction raises TypeError when they are not a
+    ``Moments``.  The run's dtype is that of A_P and b_P (at least float64),
+    which the draws share.  ``atoms`` is set for finite-support families so
+    downstream transforms can map moments in closed form.  A problem without
+    atoms must have matrix noise N = A_t - A_P whose law is invariant under
+    left rotation, N -> QN for orthogonal Q (true of the Gaussian family and
+    of every sigma_A = 0 problem): the transform's closed-form second moment
     rests on it.  ``seed`` is an optional default stream carried over from a
     problem file; runs always take their own seeds.  ``step_form`` is how the
     engine steps the problem; None means through the dense (b, A) of
@@ -179,11 +182,15 @@ class ProblemDistribution:
 
     dim: int
     sample: Sampler
-    exact_moments: Moments | None
+    exact_moments: Moments
     label: str
     atoms: FiniteAtoms | None = None
     seed: int | None = None
     step_form: StepForm | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.exact_moments, Moments):
+            raise TypeError("exact_moments must be a Moments")
 
 
 def make_finite_support(atoms, label: str = "finite") -> ProblemDistribution:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import FiniteAtoms, Moments, ProblemDistribution, _finite_problem
+from .problems import FiniteAtoms, Moments, ProblemDistribution, _check_finite, _finite_problem
 
 __all__ = [
     "SyntheticMdp",
@@ -43,6 +43,17 @@ __all__ = [
     "gtd_instance",
     "stationary_distribution",
 ]
+
+
+def _stochastic(name: str, P, n: int) -> np.ndarray:
+    """P as a float (n, n) row-stochastic matrix; ValueError naming it otherwise."""
+    P = np.asarray(P, dtype=float)
+    if P.shape != (n, n):
+        raise ValueError(f"{name} must be ({n},{n})")
+    _check_finite(**{name: P})
+    if np.any(P < 0) or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-12):
+        raise ValueError(f"{name} rows must be nonnegative and sum to 1")
+    return P
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
@@ -66,6 +77,11 @@ class SyntheticMdp:
     (defaults to the stationary distribution of the behavior chain).
     Rewards may depend on the state (shape (n,)) or the transition (n, n);
     ``reward_noise_std`` adds zero-mean Gaussian noise per draw.
+
+    Construction converts every input to float (arrays, discount and noise
+    level) and raises ValueError on a non-finite entry, a wrong shape, rows
+    that are not distributions, a discount outside [0, 1), a negative noise
+    level or features without full column rank.
     """
 
     features: np.ndarray  # (n, d)
@@ -78,48 +94,41 @@ class SyntheticMdp:
 
     def __post_init__(self):
         feats = np.atleast_2d(np.asarray(self.features, dtype=float))
-        object.__setattr__(self, "features", feats)
+        _check_finite(features=feats)
         n = feats.shape[0]
-        P = np.asarray(self.transitions, dtype=float)
-        if P.shape != (n, n):
-            raise ValueError(f"transitions must be ({n},{n})")
-        if np.any(P < 0) or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("transition rows must be nonnegative and sum to 1")
-        object.__setattr__(self, "transitions", P)
+        P = _stochastic("transitions", self.transitions, n)
         r = np.asarray(self.rewards, dtype=float)
+        _check_finite(rewards=r)
         if r.shape == (n,):
             r = np.repeat(r[:, None], n, axis=1)
         if r.shape != (n, n):
             raise ValueError(f"rewards must have shape ({n},) or ({n},{n})")
-        object.__setattr__(self, "rewards", r)
-        if not (0.0 <= self.discount < 1.0):
+        discount = float(self.discount)
+        if not (0.0 <= discount < 1.0):
             raise ValueError("discount must lie in [0, 1)")
-        if self.behavior_transitions is not None:
-            Pb = np.asarray(self.behavior_transitions, dtype=float)
-            if Pb.shape != (n, n):
-                raise ValueError(f"behavior_transitions must be ({n},{n})")
-            if np.any(Pb < 0) or np.any(np.abs(Pb.sum(axis=1) - 1.0) > 1e-12):
-                raise ValueError("behavior rows must be nonnegative and sum to 1")
+        Pb = self.behavior_transitions
+        if Pb is not None:
+            Pb = _stochastic("behavior_transitions", Pb, n)
             if np.any((P > 0) & (Pb == 0)):
                 raise ValueError("behavior must cover every target transition")
-            object.__setattr__(self, "behavior_transitions", Pb)
         if self.sampling is None:
-            object.__setattr__(
-                self,
-                "sampling",
-                stationary_distribution(
-                    self.behavior_transitions if self.behavior_transitions is not None else P
-                ),
-            )
+            mu = stationary_distribution(P if Pb is None else Pb)
         else:
             mu = np.asarray(self.sampling, dtype=float)
+            _check_finite(sampling=mu)
             if mu.shape != (n,) or np.any(mu < 0) or abs(mu.sum() - 1.0) > 1e-10:
                 raise ValueError("sampling must be a distribution over states")
-            object.__setattr__(self, "sampling", mu / mu.sum())
+            mu = mu / mu.sum()
+        noise = float(self.reward_noise_std)
+        if not 0.0 <= noise < np.inf:
+            raise ValueError("reward_noise_std must be finite and nonnegative")
         if np.linalg.matrix_rank(feats) < feats.shape[1]:
             raise ValueError("features do not have full column rank")
-        if self.reward_noise_std < 0:
-            raise ValueError("reward_noise_std must be nonnegative")
+        for name, value in (
+            ("features", feats), ("transitions", P), ("rewards", r), ("discount", discount),
+            ("sampling", mu), ("behavior_transitions", Pb), ("reward_noise_std", noise),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def n_states(self) -> int:
@@ -156,19 +165,13 @@ class TdInstance:
     """
 
     problem: ProblemDistribution
-    mdp: SyntheticMdp
     algo: str
     hurwitz: bool
     mean_spectrum: np.ndarray
-    eta: float | None = None
 
     @property
     def moments(self) -> Moments:
         return self.problem.exact_moments
-
-    @property
-    def theta_star(self) -> np.ndarray | None:
-        return self.problem.exact_moments.theta_star
 
 
 def _pair_instance(
@@ -178,7 +181,6 @@ def _pair_instance(
     b_of: np.ndarray,  # (n, n, D) intercept per (s, s')
     noise_dir: np.ndarray,  # (n, n, D) intercept direction of the reward noise
     label: str,
-    eta: float | None = None,
 ) -> TdInstance:
     """Package per-pair update arrays as a finite-support instance.
 
@@ -200,11 +202,9 @@ def _pair_instance(
     spectrum = np.linalg.eigvals(problem.exact_moments.A_P)
     return TdInstance(
         problem=problem,
-        mdp=mdp,
         algo=algo,
         hurwitz=bool(np.min(spectrum.real) > 0),
         mean_spectrum=spectrum,
-        eta=eta,
     )
 
 
@@ -275,5 +275,4 @@ def gtd_instance(mdp: SyntheticMdp, eta: float, variant: str = "gtd") -> TdInsta
         b_of,
         noise_dir,
         label=f"{variant}(n={n}, d={d}, gamma={gamma:g}, eta={eta:g})",
-        eta=eta,
     )

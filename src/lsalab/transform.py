@@ -171,8 +171,6 @@ def transform_moments(p: ProblemDistribution, tr: TransformResult) -> Moments:
     """
     if p.atoms is not None:
         return _finite_support_moments(_transform_atoms(p.atoms, tr))
-    if p.exact_moments is None:
-        raise ValueError("distribution has no exact moments; use estimate_moments first")
     m = p.exact_moments
     U, U_inv = tr.U, tr.U_inv
     A_U = U_inv @ m.A_P @ U
@@ -199,17 +197,16 @@ def transform_distribution(p: ProblemDistribution, tr: TransformResult) -> Probl
         AT = np.einsum("ij,...jl,lm->...im", U_inv, A, U)
         return bT, AT
 
-    moments = None if p.exact_moments is None else transform_moments(p, tr)
-    return ProblemDistribution(dim=p.dim, sample=sample, exact_moments=moments, label=label)
+    return ProblemDistribution(
+        dim=p.dim, sample=sample, exact_moments=transform_moments(p, tr), label=label
+    )
 
 
-def transform_problem(p: ProblemDistribution) -> tuple[ProblemDistribution, TransformResult]:
-    """Transform a problem so its mean matrix is PD; returns (P_U, transform).
+def transform_problem(p: ProblemDistribution) -> TransformResult:
+    """The PD-certifying transform of p's mean matrix, carrying the moments
+    of the transformed problem (``transform_moments``).
 
-    The returned TransformResult carries the transformed moments.
+    Build the transformed distribution itself with ``transform_distribution``.
     """
-    if p.exact_moments is None:
-        raise ValueError("distribution has no exact moments; use estimate_moments first")
     tr = hurwitz_to_pd(p.exact_moments.A_P)
-    p_U = transform_distribution(p, tr)
-    return p_U, replace(tr, transformed_moments=p_U.exact_moments)
+    return replace(tr, transformed_moments=transform_moments(p, tr))

@@ -171,7 +171,7 @@ def tune_many(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must not be empty")
-    theta0 = _resolve_theta0(p, cfg, float)
+    theta0 = _resolve_theta0(p, cfg)
     bound = divergence_bound(p, theta0)
     form = _dense_form(p)
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -184,6 +184,8 @@ def tune_many(
     events: list[list[tuple[int, float]]] = [[] for _ in range(R)]
     checks: list[list[RatioCheck]] = [[] for _ in range(R)]
     results: list[TunerTrace | NoStableStepSizeError | None] = [None] * R
+    theta = np.tile(theta0, (R, 1))
+    hat = theta.copy()
 
     def restart(j: int, t: int, start) -> bool:
         """Halve row j's step-size at t and restart it from ``start``; False at the floor."""
@@ -223,9 +225,6 @@ def tune_many(
     while t < cfg.horizon and live.size:
         steps = min(chunk, cfg.horizon - t)
         draws = tuple(np.stack(x, axis=1) for x in zip(*(form.draw(rngs[r], steps) for r in live)))
-        if t == 0:
-            theta = np.tile(theta0.astype(np.result_type(theta0, *draws)), (R, 1))
-            hat = theta.copy()
         c = 0
         while c < steps and live.size:
             # advance to the next epoch boundary, or to the end of the draws

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 
 from lsalab import (
     RunConfig,
+    TunerConfig,
     gtd_instance,
     load_problem_file,
     rho_d,
     run_mse,
     spectral_report,
     td0_instance,
+    tune,
 )
 from lsalab.cli import (
     EXIT_DIVERGED,
@@ -257,12 +260,15 @@ def test_non_finite_problem_exits_2(command, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("theta0", [None, "[1e300, 1e300]"])
+@pytest.mark.parametrize("theta0", [None, "[1e300, 1e300]", "[-1e308, 0]"])
 def test_bound_on_a_huge_fixed_point_reads_inf_not_nan(theta0, tmp_path):
-    # theta* = (1e300, 1e300): ||theta_0 - theta*||^2 and sigma_1^2 overflow
+    # theta* = (1e300, 1e300): ||theta_0 - theta*||^2 and sigma_1^2 overflow;
+    # theta* = (1e308, 0) from theta_0 = (-1e308, 0): theta_0 - theta* itself does
+    problem = {"type": "gaussian", "A": [[1.0, 0.0], [0.0, 1.0]], "b": [1e300, 1e300], "sigma_A": 1.0}
+    if theta0 == "[-1e308, 0]":
+        problem.update(b=[1e308, 0.0], sigma_A=0.5)
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps({"type": "gaussian", "A": [[1.0, 0.0], [0.0, 1.0]],
-                                "b": [1e300, 1e300], "sigma_A": 1.0}))
+    path.write_text(json.dumps(problem))
     out = tmp_path / "bound.csv"
     argv = ["bound", "--problem", str(path), "--alpha", "0.01", "--t-grid", "1:100:5:log",
             "--out", str(out)]
@@ -271,8 +277,89 @@ def test_bound_on_a_huge_fixed_point_reads_inf_not_nan(theta0, tmp_path):
     assert rows.shape == (5, 5) and not np.isnan(rows).any()
     t, lower, upper, bias, variance = rows.T
     assert (upper == np.inf).all() and (variance == np.inf).all()
-    if theta0 is None:
-        assert (lower == np.inf).all() and (bias == np.inf).all()
-    else:
+    if theta0 == "[1e300, 1e300]":
         # theta_0 = theta*: no bias, and at t = 1 no noise term either
         assert (bias == 0).all() and lower[0] == 0 and (lower[1:] == np.inf).all()
+    else:
+        assert (lower == np.inf).all() and (bias == np.inf).all()
+
+
+@pytest.mark.parametrize("command", ["rho", "bound"])
+def test_non_finite_mdp_exits_2(command, tmp_path, capsys):
+    spec = json.loads((PROBLEMS / "td0_onpolicy.json").read_text())
+    spec["mdp"]["rewards"][0] = float("nan")
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(spec))
+    args = {
+        "rho": ["--alpha-grid", "0.1:1:2"],
+        "bound": ["--alpha", "0.01", "--t-grid", "1:10:2", "--out", str(tmp_path / "out.csv")],
+    }[command]
+    assert main([command, "--problem", str(path), *args]) == EXIT_VALIDATION
+    assert "rewards has a non-finite entry" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_tune_reports_its_trace(tmp_path, capsys):
+    problem = PROBLEMS / "td0_onpolicy.json"
+    common = ["tune", "--problem", str(problem), "--seed", "5", "--alpha-max", "1", "--horizon", "200"]
+    trace = tune(load_problem_file(problem), TunerConfig(alpha_max=1.0, horizon=200, seed=5))
+    assert trace.events
+    assert main(common) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "final_alpha": trace.final_alpha, "n_halvings": len(trace.events)
+    }
+    out_json, out_csv = tmp_path / "trace.json", tmp_path / "events.csv"
+    argv = [*common, "--out-json", str(out_json), "--out-csv", str(out_csv)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out_json.read_text()) == {
+        "final_alpha": trace.final_alpha,
+        "n_halvings": len(trace.events),
+        "events": [{"t": t, "alpha": a} for t, a in trace.events],
+        "final_theta_hat": trace.final_theta_hat.real.tolist(),
+        "checks": [{"t": c.t, "ratios": list(c.ratios), "triggered": c.triggered}
+                   for c in trace.checks],
+    }
+    assert out_csv.read_text().splitlines() == [
+        "# lsalab " + " ".join(argv),
+        "event_index,t,alpha",
+        *(f"{i},{t},{a!r}" for i, (t, a) in enumerate(trace.events)),
+    ]
+    first = out_json.read_bytes(), out_csv.read_bytes()
+    assert main(argv) == 0
+    assert (out_json.read_bytes(), out_csv.read_bytes()) == first
+
+
+def test_rho_out_writes_the_stdout_rows(tmp_path, capsys):
+    problem = PROBLEMS / "gtd2_offpolicy.json"
+    out = tmp_path / "rho.csv"
+    argv = ["rho", "--problem", str(problem), "--alpha-grid", "1e-3:1e-1:3:log", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    provenance, *rows = out.read_text().splitlines()
+    assert provenance == "# lsalab " + " ".join(argv)
+    assert main(argv[:-2]) == 0
+    assert rows == capsys.readouterr().out.splitlines()
+
+
+def test_repro_fig1_through_main(tmp_path, capsys):
+    argv = ["repro-fig1", "--out-dir", str(tmp_path / "cli"), "--seeds", "2", "--seed", "3",
+            "--horizon", "200", "--reps", "5"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {"n_seeds": 2, "seed": 3}
+    repro_fig1(tmp_path / "lib", n_seeds=2, seed=3, sim_horizon=200, n_replications=5)
+    for name in ("fig1_left.csv", "fig1_right.csv"):
+        provenance, rest = (tmp_path / "cli" / name).read_text().split("\n", 1)
+        assert provenance == "# lsalab " + " ".join(argv)
+        assert rest == (tmp_path / "lib" / name).read_text().split("\n", 1)[1]
+    summary = "fig1_summary.json"
+    assert (tmp_path / "cli" / summary).read_bytes() == (tmp_path / "lib" / summary).read_bytes()
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "rho.csv"
+    argv = ["rho", "--problem", str(PROBLEMS / "td0_onpolicy.json"), "--alpha-grid", "0.01:0.1:2",
+            "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", ["lsalab", *argv])
+    assert main() == 0
+    assert out.read_text().splitlines()[0] == "# lsalab " + " ".join(argv)

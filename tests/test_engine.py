@@ -239,10 +239,14 @@ class TestRunMse:
         assert curve.mse[1] == one.mse[1] and curve.stderr[1] == 0.0
 
     def test_theta_star_required(self):
-        p = pm_identity(0.05)  # theta* = 0 exists, so strip the moments
-        p2 = dataclasses.replace(p, exact_moments=None, atoms=None)
-        with pytest.raises(ValueError, match="theta_star"):
-            run_mse(p2, RunConfig(alpha=0.1, horizon=10, record_stride=1))
+        p = make_gaussian_noise([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0], 0.5, 0.0)  # singular mean
+        assert p.exact_moments.theta_star is None
+        with pytest.raises(ValueError, match=r"no fixed point \(singular mean matrix\)"):
+            run_mse(p, RunConfig(alpha=0.1, horizon=10, record_stride=1))
+
+    def test_exact_moments_required(self):
+        with pytest.raises(TypeError, match="exact_moments must be a Moments"):
+            dataclasses.replace(pm_identity(0.05), exact_moments=None)
 
 
 class TestStatisticalProperties:

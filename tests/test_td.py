@@ -120,7 +120,7 @@ def test_exact_moments_match_estimate(algo, kw):
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_td0_fixed_point_is_lstd(seed):
     mdp = random_mdp(seed)
-    assert np.allclose(td0_instance(mdp).theta_star, lstd_solution(mdp), atol=1e-10)
+    assert np.allclose(td0_instance(mdp).moments.theta_star, lstd_solution(mdp), atol=1e-10)
 
 
 @pytest.mark.parametrize("variant", ["gtd", "gtd2"])
@@ -128,9 +128,9 @@ def test_td0_fixed_point_is_lstd(seed):
 def test_gtd_on_policy_matches_td0(variant, eta):
     mdp = random_mdp(6, reward_noise_std=0.3)
     d = mdp.feature_dim
-    x_star = gtd_instance(mdp, eta, variant=variant).theta_star
+    x_star = gtd_instance(mdp, eta, variant=variant).moments.theta_star
     assert np.allclose(x_star[:d], 0.0, atol=1e-10)
-    assert np.allclose(x_star[d:], td0_instance(mdp).theta_star, atol=1e-10)
+    assert np.allclose(x_star[d:], td0_instance(mdp).moments.theta_star, atol=1e-10)
 
 
 @pytest.mark.parametrize("algo", ["td0", "gtd2"])
@@ -168,3 +168,51 @@ def test_off_policy_td0_not_hurwitz_is_flagged():
     assert A_P[0, 0] < 0
     # the importance-corrected variant stays Hurwitz on the same data
     assert gtd_instance(mdp, 1.0, variant="gtd2").hurwitz is True
+
+
+def mdp_fields():
+    """Valid SyntheticMdp keywords, every optional field set, as plain lists."""
+    rng = np.random.default_rng(4)
+    P = rng.uniform(0.1, 1.0, (4, 4))
+    Pb = rng.uniform(0.1, 1.0, (4, 4))
+    return dict(
+        features=rng.standard_normal((4, 2)).tolist(),
+        transitions=(P / P.sum(axis=1, keepdims=True)).tolist(),
+        rewards=rng.standard_normal(4).tolist(),
+        discount=0.9,
+        sampling=[0.25] * 4,
+        behavior_transitions=(Pb / Pb.sum(axis=1, keepdims=True)).tolist(),
+        reward_noise_std=0.5,
+    )
+
+
+def test_inputs_are_converted_to_float():
+    mdp = SyntheticMdp(**{**mdp_fields(), "discount": np.float32(0.5), "reward_noise_std": 1})
+    for name in ("features", "transitions", "rewards", "sampling", "behavior_transitions"):
+        assert getattr(mdp, name).dtype == np.float64
+    assert type(mdp.discount) is float and type(mdp.reward_noise_std) is float
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        pytest.param(field, message, id=field)
+        for field, message in [
+            ("features", "features has a non-finite entry"),
+            ("transitions", "transitions has a non-finite entry"),
+            ("rewards", "rewards has a non-finite entry"),
+            ("discount", r"discount must lie in \[0, 1\)"),
+            ("sampling", "sampling has a non-finite entry"),
+            ("behavior_transitions", "behavior_transitions has a non-finite entry"),
+            ("reward_noise_std", "reward_noise_std must be finite and nonnegative"),
+        ]
+    ],
+)
+def test_non_finite_input_raises(field, message, bad):
+    fields = mdp_fields()
+    value = np.array(fields[field], dtype=float)
+    value.flat[0] = bad
+    fields[field] = value
+    with pytest.raises(ValueError, match=message):
+        SyntheticMdp(**fields)

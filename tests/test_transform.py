@@ -131,7 +131,8 @@ class TestHurwitzToPd:
 class TestTransformDistribution:
     def test_identity_transform_is_noop(self):
         p = make_gaussian_noise(np.diag([1.0, 2.0]), np.ones(2), 0.0, 1.0)
-        p_U, tr = transform_problem(p)
+        tr = transform_problem(p)
+        p_U = transform_distribution(p, tr)
         assert np.allclose(tr.U, np.eye(2))
         b, A = p_U.sample(np.random.default_rng(0), (10,))
         b0, A0 = p.sample(np.random.default_rng(0), (10,))
@@ -203,7 +204,7 @@ class TestTransformDistribution:
             raise AssertionError("transform drew samples")
 
         p = dataclasses.replace(inst.problem, sample=no_draws)
-        _, tr = transform_problem(p)
+        tr = transform_problem(p)
         assert tr.kappa_U > 1
         m, m_U = p.exact_moments, tr.transformed_moments
         assert m_U.sigma_A_sq <= tr.kappa_U**2 * m.sigma_A_sq
@@ -217,12 +218,29 @@ class TestTransformDistribution:
             raise AssertionError("transform drew samples")
 
         p = dataclasses.replace(make_gaussian_noise(JORDAN_2, np.ones(2), 0.5, 0.3), sample=no_draws)
-        _, tr = transform_problem(p)
+        tr = transform_problem(p)
         assert tr.kappa_U > 1
         m, m_U = p.exact_moments, tr.transformed_moments
         assert m_U.sigma_A_sq == pytest.approx(tr.kappa_U**2 * m.sigma_A_sq)
         assert m_U.sigma_b_sq == pytest.approx(np.linalg.norm(tr.U_inv, 2) ** 2 * m.sigma_b_sq)
         assert np.allclose(m_U.A_P, tr.Lambda, atol=1e-10)
+
+    @pytest.mark.parametrize("family", ["finite", "gaussian"])
+    def test_problem_moments_are_the_distributions(self, family):
+        # transform_problem computes the moments P_U would carry, bit for bit
+        if family == "finite":
+            p = make_finite_support(
+                [((np.ones(2), JORDAN_2), 0.5), ((np.zeros(2), np.diag([0.3, 0.4])), 0.5)]
+            )
+        else:
+            p = make_gaussian_noise(JORDAN_2, np.ones(2), 0.5, 0.3)
+        tr = transform_problem(p)
+        assert tr.kappa_U > 1
+        m, m_U = transform_distribution(p, tr).exact_moments, tr.transformed_moments
+        for name in ("A_P", "b_P", "C_P", "theta_star"):
+            assert getattr(m, name).tobytes() == getattr(m_U, name).tobytes()
+        for name in ("sigma_A_sq", "sigma_b_sq", "sigma1_sq", "sigma2_sq"):
+            assert getattr(m, name) == getattr(m_U, name)
 
     def test_gaussian_transform_has_no_step_form(self):
         # the transformed distribution steps through its dense
@@ -248,7 +266,7 @@ class TestTransformedGaps:
     def test_gaps_positive_below_witness(self, seed):
         A = random_hurwitz_non_pd(seed)
         p = make_gaussian_noise(A, np.ones(3), 0.5, 0.2)
-        p_U, tr = transform_problem(p)
+        tr = transform_problem(p)
         m_U = tr.transformed_moments
         wit = witness_alpha(m_U)
         for alpha in np.linspace(1e-4, 0.99 * wit, 7):
@@ -257,7 +275,7 @@ class TestTransformedGaps:
 
     def test_deterministic_matrix_gaps_exact(self):
         p = make_gaussian_noise(JORDAN_2, np.array([1.0, 1.0]), 0.0, 0.5)
-        p_U, tr = transform_problem(p)
+        tr = transform_problem(p)
         m_U = tr.transformed_moments
         assert m_U.sigma_A_sq == 0.0
         assert np.allclose(m_U.C_P, m_U.A_P.conj().T @ m_U.A_P)
@@ -280,7 +298,8 @@ class TestClosedFormSecondMoment:
     def test_matches_monte_carlo(self, A, sigma_A):
         d = A.shape[0]
         p = make_gaussian_noise(A, np.ones(d), sigma_A, 0.3)
-        p_U, tr = transform_problem(p)
+        tr = transform_problem(p)
+        p_U = transform_distribution(p, tr)
         assert tr.kappa_U > 1
         C_U = tr.transformed_moments.C_P
         est = estimate_moments(p_U, self.N_DRAWS, seed=11).C_P
