@@ -89,8 +89,8 @@ class BoundInputs:
     kappa_U: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:  # NaN fails too
+            raise ValueError("alpha must be finite and positive")
         if self.rho_d <= 0 or self.rho_s <= 0:
             raise CertifiedRegimeError(
                 f"outside certified regime: rho_d={self.rho_d:g}, rho_s={self.rho_s:g}"

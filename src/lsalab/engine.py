@@ -71,8 +71,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:  # NaN fails too
+            raise ValueError("alpha must be finite and positive")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
         if not (1 <= self.record_stride <= self.horizon):

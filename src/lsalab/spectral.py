@@ -45,16 +45,16 @@ def _min_eig_hermitian(H: np.ndarray) -> float:
 
 def rho_d(moments: Moments, alpha: float) -> float:
     """Deterministic spectral gap at step-size alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:  # NaN fails too
+        raise ValueError("alpha must be finite and positive")
     A = moments.A_P
     return _min_eig_hermitian(A + A.conj().T - alpha * (A.conj().T @ A))
 
 
 def rho_s(moments: Moments, alpha: float) -> float:
     """Stochastic spectral gap at step-size alpha; needs the second moment C_P."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:  # NaN fails too
+        raise ValueError("alpha must be finite and positive")
     A = moments.A_P
     return _min_eig_hermitian(A + A.conj().T - alpha * moments.C_P)
 
@@ -135,8 +135,8 @@ def inadmissibility_witness_pb(alpha: float) -> ProblemDistribution:
     4*eps - alpha = -alpha/2 < 0: no step-size works uniformly over bounded
     positive-definite families.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:  # NaN fails too
+        raise ValueError("alpha must be finite and positive")
     eps = alpha / 8.0
     if eps >= 0.5:
         raise ValueError("alpha too large: need alpha/8 < 1/2")

@@ -240,8 +240,8 @@ def gtd_instance(mdp: SyntheticMdp, eta: float, variant: str = "gtd") -> TdInsta
     applied to the reward and correction terms so the fixed point matches the
     target policy even under off-policy sampling.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < np.inf:  # NaN fails too
+        raise ValueError("eta must be finite and positive")
     if variant not in ("gtd", "gtd2"):
         raise ValueError("variant must be 'gtd' or 'gtd2'")
     phi = mdp.features

@@ -87,8 +87,8 @@ class TunerConfig:
     theta_0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.alpha_max <= 0:
-            raise ValueError("alpha_max must be positive")
+        if not 0 < self.alpha_max < math.inf:  # NaN fails too
+            raise ValueError("alpha_max must be finite and positive")
         if self.k < 1 or self.T < 1:
             raise ValueError("k and T must be positive")
         if self.c_threshold <= 1:

@@ -20,6 +20,7 @@ from lsalab.cli import (
     EXIT_DIVERGED,
     EXIT_VALIDATION,
     FIG1_SIGMAS,
+    _parse_grid,
     main,
     make_fig1_problem,
     repro_fig1,
@@ -297,6 +298,46 @@ def test_non_finite_mdp_exits_2(command, tmp_path, capsys):
     assert main([command, "--problem", str(path), *args]) == EXIT_VALIDATION
     assert "rewards has a non-finite entry" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["simulate", "tune", "bound"])
+def test_non_finite_step_size_exits_2(command, bad, tmp_path, capsys):
+    args, name = {
+        "simulate": (["--alpha", bad, "--horizon", "50", "--reps", "2", "--stride", "10",
+                      "--out", str(tmp_path / "out.csv")], "alpha"),
+        "tune": (["--alpha-max", bad, "--horizon", "40"], "alpha_max"),
+        "bound": (["--alpha", bad, "--t-grid", "1:10:2", "--out", str(tmp_path / "out.csv")], "alpha"),
+    }[command]
+    assert main([command, "--problem", str(PROBLEMS / "td0_onpolicy.json"), *args]) == EXIT_VALIDATION
+    assert f"{name} must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_grid_end_exits_2(bad, capsys):
+    argv = ["rho", "--problem", str(PROBLEMS / "td0_onpolicy.json"), "--alpha-grid", f"0.1:{bad}:2"]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"grid '0.1:{bad}:2' has a non-finite end" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["1:2000:20:log", "1:1e6:200:log", "100:1:7", "0:5:30", "0.2:3.7:11"])
+def test_integer_grid_is_sorted_distinct_and_positive(spec):
+    start, stop, count, *log = spec.split(":")
+    space = np.geomspace if log else np.linspace
+    want = np.unique(np.round(space(float(start), float(stop), int(count))).astype(np.int64))
+    got = _parse_grid(spec, integer=True)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want[want >= 1])
+
+
+def test_non_finite_eta_exits_2(tmp_path, capsys):
+    spec = json.loads((PROBLEMS / "gtd2_offpolicy.json").read_text())
+    spec["eta"] = float("nan")
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(spec))
+    assert main(["rho", "--problem", str(path), "--alpha-grid", "0.1:1:2"]) == EXIT_VALIDATION
+    assert "eta must be finite and positive" in capsys.readouterr().err
 
 
 def test_tune_reports_its_trace(tmp_path, capsys):

@@ -248,6 +248,11 @@ class TestRunMse:
         with pytest.raises(TypeError, match="exact_moments must be a Moments"):
             dataclasses.replace(pm_identity(0.05), exact_moments=None)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, np.nan, np.inf])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            RunConfig(alpha=alpha, horizon=10)
+
 
 class TestStatisticalProperties:
     def test_iterate_second_moment_contraction(self):

@@ -40,6 +40,12 @@ class TestRhoD:
         with pytest.raises(ValueError):
             rho_d(moments_of(np.eye(2)), 0.0)
 
+    @pytest.mark.parametrize("gap", [rho_d, rho_s])
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_alpha_must_be_finite(self, gap, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            gap(moments_of(np.eye(2)), alpha)
+
 
 class TestRhoS:
     def test_pm_identity_formula(self):

@@ -133,6 +133,12 @@ def test_gtd_on_policy_matches_td0(variant, eta):
     assert np.allclose(x_star[d:], td0_instance(mdp).moments.theta_star, atol=1e-10)
 
 
+@pytest.mark.parametrize("eta", [0.0, np.nan, np.inf])
+def test_gtd_eta_must_be_finite_and_positive(eta):
+    with pytest.raises(ValueError, match="eta must be finite and positive"):
+        gtd_instance(random_mdp(6), eta, variant="gtd2")
+
+
 @pytest.mark.parametrize("algo", ["td0", "gtd2"])
 def test_sampled_pair_frequencies_match_atoms(algo):
     mdp = random_mdp(7, off_policy=True, reward_noise_std=0.4)

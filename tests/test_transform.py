@@ -1,8 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lsalab
 from lsalab import (
     NotHurwitzError,
     SyntheticMdp,
@@ -78,6 +84,22 @@ class TestHurwitzToPd:
         assert tr.min_eig_sym > 0
         assert np.allclose(np.sort(np.linalg.eigvals(tr.Lambda).real), [0.1, 0.1], atol=1e-8)
         assert np.linalg.norm(tr.U @ tr.U_inv - np.eye(2)) <= 1e-8
+
+    def test_only_the_schur_route_imports_scipy(self):
+        # a fresh interpreter: the in-process Schur tests import scipy, so a
+        # sys.modules check here would depend on test order
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import lsalab, lsalab.cli
+            assert "scipy" not in sys.modules
+            tr = lsalab.hurwitz_to_pd(np.array([[0.1, 1.0], [0.0, 0.1]]))
+            assert np.linalg.eigvalsh(tr.Lambda.conj().T + tr.Lambda)[0] > 0
+            assert "scipy.linalg" in sys.modules
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(lsalab.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_hurwitz(self, seed):

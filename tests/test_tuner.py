@@ -171,8 +171,9 @@ class TestTune:
         assert str(exc.value) == "no stable step-size found: reached alpha=7.5e-13 at t=7"
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TunerConfig(alpha_max=0.0)
+        for alpha_max in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="alpha_max must be finite and positive"):
+                TunerConfig(alpha_max=alpha_max)
         with pytest.raises(ValueError):
             TunerConfig(alpha_max=1.0, c_threshold=1.0)
         with pytest.raises(ValueError):
