@@ -205,13 +205,15 @@ def bound_inputs_for(
     The gaps are evaluated on the transformed moments when a transform is
     given (kappa(U) then enters the constant); the noise magnitudes and the
     fixed point come from the original problem.  Raises ValueError without
-    a fixed point or when theta_0 is not a d-vector.
+    a fixed point or when theta_0 is not a finite d-vector.
     """
     if moments.theta_star is None:
         raise ValueError("moments carry no fixed point")
     theta_0 = np.asarray(theta_0)
     if theta_0.shape != moments.b_P.shape:
         raise ValueError(f"theta_0 must have shape {moments.b_P.shape}")
+    if not np.isfinite(theta_0).all():
+        raise ValueError("theta_0 must be finite")
     if transform is not None:
         if transform.transformed_moments is None:
             raise ValueError("transform carries no transformed moments")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -100,6 +101,8 @@ def _parse_grid(spec: str, integer: bool = False) -> np.ndarray:
     else:
         vals = np.linspace(start, stop, count)
     if integer:
+        if not (np.abs(vals) < 2.0**63).all():
+            raise ValueError(f"grid {spec!r} has a point past the int64 range")
         # sorted distinct integers; np.unique would import numpy.ma (~10 ms) here
         vals = np.array(sorted(set(np.round(vals).astype(np.int64).tolist())), dtype=np.int64)
         vals = vals[vals >= 1]
@@ -275,6 +278,38 @@ def make_fig1_problem(sigma_A: float) -> ProblemDistribution:
     return make_gaussian_noise(FIG1_MEAN, b, sigma_A, 0.0, label=f"fig1(sigma_A={sigma_A:g})")
 
 
+def _median(xs: list[float]) -> float:
+    """``np.median`` of sorted values, bit for bit: the middle one, or the
+    mean (a + b) / 2 of the middle two.
+
+    Unlike numpy's median and percentile, this and ``_percentile`` import
+    no ``numpy.ma``.  The values hold no -0.0: numpy orders and sums signed
+    zeros its own way.
+    """
+    m = len(xs) // 2
+    return xs[m] if len(xs) % 2 else (xs[m - 1] + xs[m]) / 2
+
+
+def _percentile(xs: list[float], q: float) -> float:
+    """``np.percentile(xs, 100 q)`` of sorted values, bit for bit.
+
+    numpy's linear method reads the virtual index v = (n - 1) q and
+    interpolates its neighbours a, b by its ``_lerp``: a + (b - a) t for
+    t < 1/2, else b - (b - a)(1 - t).  From v >= n - 1 on, both neighbours
+    are the last value and t = v + 1.
+    """
+    v = (len(xs) - 1) * q
+    if v >= len(xs) - 1:
+        a = b = xs[-1]
+        t = v + 1
+    else:
+        i = math.floor(v)
+        a, b = xs[i], xs[i + 1]
+        t = v - i
+    diff = b - a
+    return a + diff * t if t < 0.5 else b - diff * (1 - t)
+
+
 def repro_fig1(
     out_dir,
     n_seeds: int = 10,
@@ -316,9 +351,9 @@ def repro_fig1(
         unstable = {a for a in set(finals) if rho_d(p.exact_moments, a) <= 0}
         hand = 2.0 / (101.0 + sigma_A**2)
         if finals:
-            med = float(np.median(finals))
-            q1, q3 = np.percentile(finals, [25, 75])
-            iqr = float(q3 - q1)
+            xs = sorted(finals)
+            med = _median(xs)
+            iqr = _percentile(xs, 0.75) - _percentile(xs, 0.25)
         else:
             med, iqr = np.nan, np.nan
         left_rows.append((sigma_A, med, iqr, hand))

@@ -8,20 +8,24 @@ Replications are vectorized: all replication states advance together in
 (R, d) arrays through one step kernel (``_advance``, which the tuner shares),
 while each replication consumes its own spawned random stream, so results are
 bit-identical whether replications run singly or batched.  Steps are drawn
-and applied through the problem's ``StepForm`` when it has one (the Gaussian
-family: d normals per step instead of a d x d matrix, never an (S, R, d, d)
-buffer), otherwise through the dense (b, A) of ``sample``; the tuner always
-uses the dense form.
+and applied through the problem's ``StepForm`` when it has one, otherwise
+through the dense (b, A) of ``sample``; the tuner always uses the dense
+form.  Neither the Gaussian family's form (d normals per step instead of a
+d x d matrix) nor a finite problem's (an atom index per step, with A_i
+gathered one step at a time) fills an (S, R, d, d) buffer: a finite
+problem's blocks are its (S, R, d) intercepts and (S, R) int64 indices.
 
 ``run_mse_many`` goes one level up: the replications of several runs whose
 step forms share a key (and which share horizon, record stride, theta_0 and
 divergence bound) advance as rows of one state, each row with its run's
 step-size and its run's own stream, so each curve is bit-identical to the
 ``run_mse`` of its run alone and a batch of runs costs one Python step loop
-instead of one per run.  ``run_mse`` is its one-run call.  The fixed point
-theta* always comes from the problem's exact moments.  The MSE runs record
-the running average alone; ``_simulate_block`` also keeps the iterate
-snapshots, for tests that read single trajectories.
+instead of one per run.  Finite problems of distinct atoms, whose forms do
+not share a key, batch through the dense form, which draws the same steps.
+``run_mse`` is its one-run call.  The fixed point theta* always comes from
+the problem's exact moments.  The MSE runs record the running average
+alone; ``_simulate_block`` also keeps the iterate snapshots, for tests that
+read single trajectories.
 
 A replication whose iterate would pass the divergence bound is frozen,
 flagged with its divergence time and dropped from the live set rather than
@@ -105,7 +109,8 @@ class MseCurve:
 
 
 def _resolve_theta0(p: ProblemDistribution, cfg) -> np.ndarray:
-    """cfg.theta_0 (a RunConfig's or a TunerConfig's) checked, or zeros.
+    """cfg.theta_0 (a RunConfig's or a TunerConfig's) checked to be a finite
+    d-vector, or zeros.
 
     Its dtype is the run's: that of the problem's A_P and b_P, at least
     float64, which the problem's draws share.
@@ -117,6 +122,8 @@ def _resolve_theta0(p: ProblemDistribution, cfg) -> np.ndarray:
     th0 = np.asarray(cfg.theta_0, dtype=dtype)
     if th0.shape != (p.dim,):
         raise ValueError(f"theta_0 must have shape ({p.dim},)")
+    if not np.isfinite(th0).all():
+        raise ValueError("theta_0 must be finite")
     return th0
 
 
@@ -209,18 +216,24 @@ def _simulate_runs(
     replications, then run 1's, and so on.  Each row draws through its own
     run's step form and steps with its run's alpha (an (R, 1) column when the
     runs' step-sizes differ), through the direction of the first run's form.
+    When the keys differ, finite problems step through the dense form (the
+    atom form draws its steps bit for bit), so finite problems of distinct
+    atoms still share a batch.
     Returns (theta_snaps, hat_snaps, diverged_at) over all rows, with
     snapshot shapes (n_records, R, d); theta_snaps is None unless
     ``keep_theta``; diverged_at is -1 for rows that never diverge.  A diverged
     row leaves the live set: its state before the diverging step fills its
     remaining snapshots and its stream is no longer drawn.  The dtype is the
     run's (see ``_resolve_theta0``).  Each array the step forms draw gets one
-    (chunk, R, ...) buffer, allocated at the first draw.
+    (chunk, R, ...) buffer of that array's dtype, allocated at the first
+    draw: an atom index buffer is int64.
 
     Raises ValueError when the runs do not share the step-form key, horizon,
     record stride, dtype, theta_0 and divergence bound.
     """
     forms = [p.step_form or _dense_form(p) for p in problems]
+    if any(f.key != forms[0].key for f in forms):
+        forms = [_dense_form(p) if p.atoms is not None else f for p, f in zip(problems, forms)]
     theta0s = [_resolve_theta0(p, c) for p, c in zip(problems, cfgs)]
     cfg = cfgs[0]
     for name, values in (
@@ -256,7 +269,7 @@ def _simulate_runs(
         for j, r in enumerate(live):
             drawn = draw[r](rngs[r], steps)
             if bufs is None:
-                bufs = [np.empty((chunk, R) + x.shape[1:], dtype=theta.dtype) for x in drawn]
+                bufs = [np.empty((chunk, R) + x.shape[1:], dtype=x.dtype) for x in drawn]
             for buf, x in zip(bufs, drawn):
                 buf[:steps, j] = x
         draws = tuple(buf[:steps, : live.size] for buf in bufs)
@@ -315,9 +328,13 @@ def run_mse_many(problems: list[ProblemDistribution], cfgs: list[RunConfig]) -> 
     draws from its run's own spawned stream and steps with its run's alpha.
     The runs may differ in alpha, seed and n_replications, and in anything
     their step forms' key leaves out (for Gaussian problems of one mean: the
-    noise levels); they must share the step-form key, horizon, record
-    stride, theta_0 and divergence bound.  Each run's theta* is that of its
-    problem's exact moments.
+    noise levels; for finite problems of the same matrices A_i: the weights
+    and intercepts); they must share the step-form key, horizon, record
+    stride, theta_0 and divergence bound.  Finite problems of distinct atoms,
+    whose atom forms do not share a key, step through the dense (b, A) of
+    ``sample`` instead, which draws the same steps: any mix of finite
+    problems and problems without a step form batches.  Each run's theta*
+    is that of its problem's exact moments.
 
     Raises ValueError for an empty list, for runs that do not share what they
     must, or when some problem has no fixed point (a singular mean matrix).

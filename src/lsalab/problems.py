@@ -16,7 +16,11 @@ Conventions
   applies it to a batch of states without forming A_t.  The Gaussian family
   has one, drawing d normals per step for the matrix noise instead of d^2;
   its steps follow the law of ``sample`` but are a different random stream.
-  Every other problem steps through its dense (b, A) draws.
+  Finite-support problems (plain finite, lower-bound, TD(0), GTD, GTD2 and
+  transformed atoms) have one that draws atom indices and gathers each
+  step's A_i from the atoms; it draws the stream of ``sample``, bit for bit.
+  The rest (transformed Gaussian problems) step through their dense (b, A)
+  draws.
 - Matrix norms are spectral (operator 2-) norms throughout; vector norms are
   Euclidean.  sigma_A_sq bounds E||A_t - A_P||^2 and sigma_b_sq bounds
   E||b_t - b_P||^2 in those norms.
@@ -145,15 +149,18 @@ class StepForm:
 
     ``draw(rng, n)`` returns a tuple of arrays with leading axis n, one row
     per step; the engine stacks the rows of R replications into (n, R, ...)
-    blocks.  ``direction(draws, s, theta)`` returns b_s - A_s theta for step s
-    of those blocks and an (R, d) state, computed row by row, so a
+    blocks, each of the dtype its array is drawn with (the run's float or
+    complex dtype, or int64 for the atom indices of a finite problem).
+    ``direction(draws, s, theta)`` returns b_s - A_s theta for step s of
+    those blocks and an (R, d) state, computed row by row, so a
     replication's result does not depend on the rest of its batch.
 
     ``key`` names the direction: forms with equal keys draw arrays of the same
     layout and have interchangeable ``direction``s, so the engine may step the
     replications of several problems as rows of one state, each row drawing
     through its own problem's ``draw``.  The dense form derived from
-    ``sample`` is keyed ``"dense"``.
+    ``sample`` is keyed ``"dense"``; a finite problem's form is keyed by the
+    matrices A_i it gathers from.
     """
 
     draw: Callable[[np.random.Generator, int], Draws]
@@ -176,8 +183,9 @@ class ProblemDistribution:
     of every sigma_A = 0 problem): the transform's closed-form second moment
     rests on it.  ``seed`` is an optional default stream carried over from a
     problem file; runs always take their own seeds.  ``step_form`` is how the
-    engine steps the problem; None means through the dense (b, A) of
-    ``sample``.
+    engine steps the problem: d normals per step for the Gaussian family,
+    (b, atom index) draws for finite-support problems; None means through the
+    dense (b, A) of ``sample``.
     """
 
     dim: int
@@ -244,25 +252,49 @@ def _finite_problem(atoms: FiniteAtoms, label: str) -> ProblemDistribution:
 
     Each draw picks an atom index with probability p_i (drawing nothing when
     there is one atom), then (only when ``atoms.b_noise`` is set) one
-    standard normal for the intercept scatter.
+    standard normal for the intercept scatter.  The index is a search of one
+    uniform in the cumulative weights, computed once here:
+    ``Generator.choice(k, size=n, p=probs)`` draws the same index from the
+    same stream, but checks and sums ``probs`` on every call.
+
+    The problem steps through atom indices: its ``step_form`` draws an
+    intercept block and an int64 index block, and ``direction`` gathers the
+    matrices A_i of each step's indices.  ``sample`` is built on the same
+    ``draw``, so a run's steps are ``sample``'s draws, bit for bit, and the
+    form is keyed by the matrices it gathers from.
     """
     probs, bs, As, b_noise = atoms.probs, atoms.bs, atoms.As, atoms.b_noise
+    d = bs.shape[1]
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+
+    def draw(rng: np.random.Generator, n: int) -> Draws:
+        if len(probs) == 1:  # a search would consume the stream for a sure draw
+            idx = np.zeros(n, np.int64)
+        else:
+            idx = cdf.searchsorted(rng.random(n), side="right")
+        b = bs[idx]
+        if b_noise is not None:
+            b = b + rng.standard_normal(n)[:, None] * b_noise[idx]
+        return b, idx
+
+    def direction(draws: Draws, s: int, theta: np.ndarray) -> np.ndarray:
+        b, idx = draws
+        return b[s] - np.matmul(As[idx[s]], theta[..., None])[..., 0]
 
     def sample(rng: np.random.Generator, shape=()) -> tuple[np.ndarray, np.ndarray]:
         shape = tuple(np.atleast_1d(shape).astype(int)) if shape != () else ()
-        one = len(probs) == 1  # choice would consume the stream for a sure draw
-        idx = np.zeros(shape, int) if one else rng.choice(len(probs), size=shape, p=probs)
-        b = bs[idx]
-        if b_noise is not None:
-            b = b + rng.standard_normal(shape)[..., None] * b_noise[idx]
-        return b, As[idx]
+        b, idx = draw(rng, math.prod(shape))
+        return b.reshape(shape + (d,)), As[idx.reshape(shape)]
 
+    key = ("atoms", As.shape, As.dtype.str, bs.dtype.str, As.tobytes())
     return ProblemDistribution(
-        dim=bs.shape[1],
+        dim=d,
         sample=sample,
         exact_moments=_finite_support_moments(atoms),
         label=label,
         atoms=atoms,
+        step_form=StepForm(draw, direction, key),
     )
 
 

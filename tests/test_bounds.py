@@ -83,6 +83,12 @@ class TestUpperBound:
         with pytest.raises(ValueError, match=r"theta_0 must have shape \(2,\)"):
             bound_inputs_for(m, 0.1, np.array([5.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_theta0_must_be_finite(self, bad):
+        m = make_lower_bound_instance(1.0, 2.0, 1.0).exact_moments
+        with pytest.raises(ValueError, match="theta_0 must be finite"):
+            bound_inputs_for(m, 0.1, np.array([bad, 0.0]))
+
     def test_dominates_exact_mse(self):
         # the envelope must sit above the exact closed-form MSE everywhere
         inputs = instance_inputs()

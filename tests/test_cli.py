@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lsalab
 from lsalab import (
     RunConfig,
     TunerConfig,
@@ -20,7 +26,9 @@ from lsalab.cli import (
     EXIT_DIVERGED,
     EXIT_VALIDATION,
     FIG1_SIGMAS,
+    _median,
     _parse_grid,
+    _percentile,
     main,
     make_fig1_problem,
     repro_fig1,
@@ -129,6 +137,12 @@ def test_theta0_of_wrong_shape_exits_2(command, tmp_path, capsys):
     assert code == EXIT_VALIDATION
     assert "theta_0 must have shape (4,)" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+    # JSON reads NaN, and reads 1e400 as inf
+    for theta0 in ("[NaN,0,0,0]", "[1e400,0,0,0]"):
+        code = main([command, "--problem", str(PROBLEMS / "td0_onpolicy.json"), "--theta0", theta0, *args])
+        assert code == EXIT_VALIDATION
+        assert "theta_0 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
 
 def rho_rows(path, capsys, grid="1e-3:1e-1:3:log"):
@@ -329,6 +343,44 @@ def test_integer_grid_is_sorted_distinct_and_positive(spec):
     got = _parse_grid(spec, integer=True)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, want[want >= 1])
+
+
+@pytest.mark.parametrize("spec", ["1:1e30:5:log", "-1e19:10:3"])
+def test_integer_grid_past_int64_exits_2(spec, tmp_path, capsys):
+    # casting 1e22 to int64 read INT64_MIN, and the row was dropped as < 1
+    argv = ["bound", "--problem", str(PROBLEMS / "td0_onpolicy.json"), "--alpha", "0.01",
+            f"--t-grid={spec}", "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"grid {spec!r} has a point past the int64 range" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+# finite values without -0.0, whose order numpy's partition picks its own way
+order_stat_values = st.lists(
+    st.floats(-1e300, 1e300, allow_nan=False).map(lambda x: x + 0.0), min_size=1, max_size=40
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(order_stat_values)
+def test_order_statistics_equal_numpy(values):
+    xs = sorted(values)
+    assert _median(xs).hex() == float(np.median(values)).hex()
+    for q in (25, 75):
+        assert _percentile(xs, q / 100).hex() == float(np.percentile(values, q)).hex()
+
+
+def test_repro_fig1_loads_no_numpy_ma(tmp_path):
+    # a fresh interpreter: numpy.ma stays loaded once any test imports it
+    script = textwrap.dedent(f"""
+        import sys
+        from lsalab.cli import repro_fig1
+        repro_fig1({str(tmp_path)!r}, n_seeds=3, sim_horizon=100, n_replications=3)
+        assert "numpy.ma" not in sys.modules
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(lsalab.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_non_finite_eta_exits_2(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,7 +28,10 @@ from lsalab.engine import (
     _simulate_block,
     divergence_bound,
 )
+from lsalab.problem_io import load_problem_file
 from lsalab.problems import FiniteAtoms, _finite_problem
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
 
 
 def scalar_problem(a=1.0, b=0.0):
@@ -253,6 +258,12 @@ class TestRunMse:
         with pytest.raises(ValueError, match="alpha must be finite and positive"):
             RunConfig(alpha=alpha, horizon=10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_theta_0_must_be_finite(self, bad):
+        cfg = RunConfig(alpha=0.1, horizon=10, theta_0=np.array([bad, 0.0]), record_stride=5)
+        with pytest.raises(ValueError, match="theta_0 must be finite"):
+            run_mse(pm_identity(0.05), cfg)
+
 
 class TestStatisticalProperties:
     def test_iterate_second_moment_contraction(self):
@@ -328,6 +339,10 @@ class TestStatisticalProperties:
         assert sq[1].mean() > sq[0].mean() > 2.0  # 1.08^30 ~ 10
 
 
+def no_draws(rng, shape=()):
+    raise AssertionError("the engine drew dense (b, A) samples")
+
+
 class TestGaussianStepForm:
     # sigma_A = 2 at alpha = 1 with the sentinel patched to 100: replications
     # pass the bound at scattered times, some before the horizon, some not.
@@ -376,9 +391,6 @@ class TestGaussianStepForm:
         assert key(A, b, 2.0, 0.5) != key(2 * A, b, 2.0, 0.5)
 
     def test_runs_never_call_sample(self):
-        def no_draws(rng, shape=()):
-            raise AssertionError("the engine drew dense (b, A) samples")
-
         for sigma_A in (0.0, 1.0):
             base = make_gaussian_noise(np.diag([1.0, 2.0, 3.0]), np.ones(3), sigma_A, 0.5)
             p = dataclasses.replace(base, sample=no_draws)
@@ -520,6 +532,50 @@ class TestAgainstReferenceLoop:
         assert np.array_equal(div, ref_div)
         np.testing.assert_allclose(theta, ref_theta, rtol=1e-12)
         np.testing.assert_allclose(hat, ref_hat, rtol=1e-12)
+
+
+class TestAtomStepForm:
+    @settings(max_examples=50, deadline=None)
+    @given(finite_runs())
+    @example(PARTIAL_DIVERGENCE)
+    def test_matches_the_dense_form(self, run):
+        p, cfg, sentinel = run
+        dense = dataclasses.replace(p, step_form=None)
+        with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
+            got = _simulate_block(p, cfg, _replication_rngs(cfg.seed, cfg.n_replications))
+            want = _simulate_block(dense, cfg, _replication_rngs(cfg.seed, cfg.n_replications))
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
+
+    def test_runs_never_call_sample(self):
+        # runs of one problem, and of problems of the same matrices, step
+        # through atom indices; the curves are those of the dense form
+        p, q = pm_identity(0.05), pm_identity(0.2)
+        cfg = RunConfig(alpha=0.3, horizon=700, record_stride=50, n_replications=4, seed=2)
+        other = dataclasses.replace(cfg, alpha=0.2, seed=5, n_replications=3)
+        want = [run_mse(p, cfg), run_mse(q, other)]
+        got = run_mse_many(
+            [dataclasses.replace(x, sample=no_draws) for x in (p, q)], [cfg, other]
+        )
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.mse, w.mse)
+            np.testing.assert_array_equal(g.stderr, w.stderr)
+        td = dataclasses.replace(load_problem_file(PROBLEMS / "td0_onpolicy.json"), sample=no_draws)
+        assert np.isfinite(run_mse(td, cfg).mse).all()
+
+    def test_no_dense_matrix_buffer(self):
+        # the dense form's (512, 100, 6, 6) float64 buffer alone took 14.7 MB
+        p = load_problem_file(PROBLEMS / "gtd2_offpolicy.json")
+        cfg = RunConfig(alpha=0.01, horizon=512, record_stride=16, n_replications=100)
+        run_mse(p, dataclasses.replace(cfg, horizon=16, n_replications=1))  # warm caches
+        tracemalloc.start()
+        try:
+            curve = run_mse(p, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(curve.mse).all()
+        assert peak < 6e6
 
 
 @st.composite

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsalab import (
     Moments,
@@ -8,7 +12,13 @@ from lsalab import (
     make_gaussian_noise,
     make_lower_bound_instance,
 )
-from lsalab.problems import _mean_specnorm_sq_standard, spectral_norm, spectral_norms
+from lsalab.problems import (
+    FiniteAtoms,
+    _finite_problem,
+    _mean_specnorm_sq_standard,
+    spectral_norm,
+    spectral_norms,
+)
 
 
 def pm_identity(eps):
@@ -73,6 +83,60 @@ class TestFiniteSupport:
         b2, A2 = p.sample(np.random.default_rng(7), (100,))
         assert np.array_equal(A1, A2) and np.array_equal(b1, b2)
         assert b1.shape == (100, 2) and A1.shape == (100, 2, 2)
+
+
+@st.composite
+def random_atoms(draw):
+    """Atoms of a random finite problem, with or without intercept scatter;
+    the weights sum to 1 up to rounding, as Dirichlet draws do."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    return FiniteAtoms(
+        probs=rng.dirichlet(np.ones(k)),
+        bs=rng.standard_normal((k, d)),
+        As=rng.standard_normal((k, d, d)),
+        b_noise=rng.standard_normal((k, d)) if draw(st.booleans()) else None,
+    )
+
+
+class TestAtomDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(random_atoms(), st.integers(0, 700), st.integers(0, 2**32 - 1))
+    def test_draw_is_choice_then_normals(self, atoms, n, seed):
+        # the stream ``sample`` drew through ``Generator.choice`` before the
+        # step form searched the cumulative weights itself
+        rng = np.random.default_rng(seed)
+        b, idx = _finite_problem(atoms, "random").step_form.draw(rng, n)
+        ref = np.random.default_rng(seed)
+        k = len(atoms.probs)
+        want_idx = ref.choice(k, size=n, p=atoms.probs) if k > 1 else np.zeros(n, np.int64)
+        want_b = atoms.bs[want_idx]
+        if atoms.b_noise is not None:
+            want_b = want_b + ref.standard_normal(n)[:, None] * atoms.b_noise[want_idx]
+        assert idx.dtype == np.int64 and idx.shape == (n,)
+        np.testing.assert_array_equal(idx, want_idx)
+        assert b.tobytes() == want_b.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("shape", [(), (1,), (5,), (3, 4), 7])
+    def test_sample_is_the_draw_reshaped(self, shape):
+        p = make_lower_bound_instance(1.0, 2.0, 0.5)  # one atom, intercept scatter
+        q = pm_identity(0.1)  # two atoms, exact intercepts
+        for prob in (p, q):
+            b, A = prob.sample(np.random.default_rng(3), shape)
+            full = () if shape == () else tuple(np.atleast_1d(shape))
+            assert b.shape == full + (2,) and A.shape == full + (2, 2)
+            bd, idx = prob.step_form.draw(np.random.default_rng(3), math.prod(full))
+            assert b.reshape(-1, 2).tobytes() == bd.tobytes()
+            np.testing.assert_array_equal(A.reshape(-1, 2, 2), prob.atoms.As[idx])
+
+    def test_forms_share_a_key_when_they_share_the_matrices(self):
+        z, eye = np.zeros(2), np.eye(2)
+        p, q = pm_identity(0.1), pm_identity(0.2)
+        shifted = make_finite_support([((z + 1, eye), 0.6), ((z, -eye), 0.4)])
+        assert p.step_form.key == q.step_form.key == shifted.step_form.key
+        other = make_finite_support([((z, 2 * eye), 0.6), ((z, -eye), 0.4)])
+        assert other.step_form.key != p.step_form.key
 
 
 class TestGaussianNoise:
