@@ -30,13 +30,18 @@ read single trajectories.
 A replication whose iterate would pass the divergence bound is frozen,
 flagged with its divergence time and dropped from the live set rather than
 raising; the step kernel applies this rule itself, so the others take the
-crossing step in the same call.  The bound is relative to the problem (see
-``divergence_bound``), so a start or fixed point far from the origin does
-not read as divergence.
+crossing step in the same call.  The kernel writes its iterates into a
+buffer of at most ``_CHECK_EVERY`` steps and tests the bound once per
+buffer; only a buffer that fails the test is searched for its first
+crossing step, so the result is that of a test after every step, and the
+buffer's memory does not grow with the record stride.  The bound is
+relative to the problem (see ``divergence_bound``), so a start or fixed
+point far from the origin does not read as divergence.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +67,20 @@ _DIVERGENCE_CAP = 1e300
 
 _SAMPLE_CHUNK = 512  # steps pre-sampled per replication block
 
+#: most steps ``_advance`` takes between divergence checks; it caps the
+#: kernel's iterate buffer at (32, R, d) whatever the record stride
+_CHECK_EVERY = 32
+
+
+def _check_integers(cfg, *names: str) -> None:
+    """Raise ValueError naming the first of cfg's fields ``names`` that is
+    not an integer (a float such as 2.0 is not: slices reject it)."""
+    for name in names:
+        try:
+            operator.index(getattr(cfg, name))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer") from None
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -75,6 +94,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self, "horizon", "record_stride", "n_replications")
         if not 0 < self.alpha < np.inf:  # NaN fails too
             raise ValueError("alpha must be finite and positive")
         if self.horizon < 1:
@@ -169,23 +189,43 @@ def _advance(theta, hat, n: int, draws, direction, alpha: float, bound: float):
     ``_column``).  Equal values give equal bits either way: each entry is the
     same float operation on the same operands, whether its factor comes from
     a number or from a column, so a replication's bits do not depend on the
-    rest of its batch.  At the first step s that would take some replication
-    past ``bound`` (a NaN counts as past it), only the others take it.
-    Returns (theta, hat, steps_taken, bad): steps_taken is then s + 1 and the
-    mask ``bad`` marks the replications held at their state from before step
-    s; otherwise it is S and ``bad`` is None.  The inputs are not modified.
+    rest of its batch.
+
+    The iterates are written into an (S', R, d) buffer, S' at most
+    ``_CHECK_EVERY`` steps, and the divergence bound is tested once per
+    buffer, on the largest magnitude it holds.  Only when that test fails
+    (a NaN fails it too) is the first step s that takes some replication
+    past ``bound`` looked up, and the averages up to it are taken again from
+    the buffer; only the replications within the bound take step s.
+    Returns (theta, hat, steps_taken, bad): steps_taken is then s + 1 and
+    the mask ``bad`` marks the replications held at their state from before
+    step s; otherwise it is S and ``bad`` is None.  The steps after s are
+    dropped.  The inputs are not modified, and the outputs share no memory
+    with the buffer.
+
+    A diverging replication overflows by design: callers run the kernel
+    under ``np.errstate(over="ignore", invalid="ignore")``.
     """
     steps = len(draws[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(steps):
-            upd = theta + alpha * direction(draws, s, theta)
-            if not np.maximum.reduce(np.abs(upd), axis=None) <= bound:
-                ok = (np.maximum.reduce(np.abs(upd), axis=1) <= bound)[:, None]
-                theta, hat = np.where(ok, (upd, hat + (upd - hat) / (n + s + 2)), (theta, hat))
-                return theta, hat, s + 1, ~ok[:, 0]
-            theta = upd
-            hat = hat + (theta - hat) / (n + s + 2)
-    return theta, hat, steps, None
+    for done in range(0, steps, _CHECK_EVERY):
+        width = min(steps - done, _CHECK_EVERY)
+        thetas = np.empty((width,) + theta.shape, dtype=theta.dtype)
+        start = theta, hat
+        for s, th in zip(range(done, done + width), thetas):
+            np.add(theta, alpha * direction(draws, s, theta), out=th)
+            hat = hat + (th - hat) / (n + s + 2)
+            theta = th
+        if not np.maximum.reduce(np.abs(thetas), axis=None) <= bound:
+            peaks = np.maximum.reduce(np.abs(thetas).reshape(width, -1), axis=1)
+            i = int(np.argmin(peaks <= bound))
+            theta, hat = start
+            for s, th in zip(range(done, done + i + 1), thetas):  # the averages up to step i, again
+                before = theta, hat
+                theta, hat = th, hat + (th - hat) / (n + s + 2)
+            ok = (np.maximum.reduce(np.abs(theta), axis=1) <= bound)[:, None]
+            theta, hat = np.where(ok, (theta, hat), before)
+            return theta, hat, done + i + 1, ~ok[:, 0]
+    return theta.copy(), hat, steps, None
 
 
 def _column(values: list):
@@ -264,6 +304,10 @@ def _simulate_runs(
     bufs = None
     rec_i = 0
     t = 0
+    # most steps per kernel call: the kernel drops the steps it took past a
+    # crossing, so after one the span restarts at 1 and doubles while no
+    # other crossing follows; runs that never cross step whole segments
+    span = cfg.horizon
     while t < cfg.horizon and live.size:
         steps = min(chunk, cfg.horizon - t)
         for j, r in enumerate(live):
@@ -274,30 +318,32 @@ def _simulate_runs(
                 buf[:steps, j] = x
         draws = tuple(buf[:steps, : live.size] for buf in bufs)
         c = 0
-        while c < steps and live.size:
-            until = record[rec_i] if rec_i < n_rec else cfg.horizon
-            stop = c + min(steps - c, until - t)
-            theta, hat, k, bad = _advance(
-                theta, hat, t, tuple(x[c:stop] for x in draws), direction, alpha, bound
-            )
-            t += k
-            c += k
-            if bad is not None:
-                gone = live[bad]
-                diverged_at[gone] = t
-                hat_snaps[rec_i:, gone] = hat[bad]
-                if keep_theta:
-                    theta_snaps[rec_i:, gone] = theta[bad]
-                keep = ~bad
-                live, theta, hat = live[keep], theta[keep], hat[keep]
-                if isinstance(alpha, np.ndarray):
-                    alpha = alpha[keep]
-                draws = tuple(x[:, keep] for x in draws)
-            if rec_i < n_rec and t == record[rec_i]:
-                hat_snaps[rec_i, live] = hat
-                if keep_theta:
-                    theta_snaps[rec_i, live] = theta
-                rec_i += 1
+        with np.errstate(over="ignore", invalid="ignore"):  # see _advance
+            while c < steps and live.size:
+                until = record[rec_i] if rec_i < n_rec else cfg.horizon
+                stop = c + min(steps - c, until - t, span)
+                theta, hat, k, bad = _advance(
+                    theta, hat, t, tuple(x[c:stop] for x in draws), direction, alpha, bound
+                )
+                t += k
+                c += k
+                span = 1 if bad is not None else 2 * span
+                if bad is not None:
+                    gone = live[bad]
+                    diverged_at[gone] = t
+                    hat_snaps[rec_i:, gone] = hat[bad]
+                    if keep_theta:
+                        theta_snaps[rec_i:, gone] = theta[bad]
+                    keep = ~bad
+                    live, theta, hat = live[keep], theta[keep], hat[keep]
+                    if isinstance(alpha, np.ndarray):
+                        alpha = alpha[keep]
+                    draws = tuple(x[:, keep] for x in draws)
+                if rec_i < n_rec and t == record[rec_i]:
+                    hat_snaps[rec_i, live] = hat
+                    if keep_theta:
+                        theta_snaps[rec_i, live] = theta
+                    rec_i += 1
     return theta_snaps, hat_snaps, diverged_at
 
 

@@ -16,7 +16,11 @@ bit-identical to the single run ``tune`` makes for its seed.  Every halving
 is one restart: from the current iterate after the ratio test, from
 theta_0 for a row the kernel holds at the divergence bound (the others take
 that step).  A row whose halving crosses the step-size floor leaves the
-batch with its NoStableStepSizeError while the others carry on.
+batch with its NoStableStepSizeError while the others carry on.  Each
+epoch is one kernel call, which tests the divergence bound once for the
+epoch's steps; between calls the loop rebuilds the step-size and
+restart-time columns only after a restart, and takes the norms of all rows
+in one call.
 
 The norm of the average is recorded at every multiple of the epoch length T;
 once k+1 such norms are available, the epoch-over-epoch growth ratios
@@ -40,11 +44,19 @@ is declared final.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _advance, _column, _dense_form, _resolve_theta0, divergence_bound
+from .engine import (
+    _advance,
+    _check_integers,
+    _column,
+    _dense_form,
+    _resolve_theta0,
+    divergence_bound,
+)
 from .problems import ProblemDistribution
 
 __all__ = [
@@ -66,7 +78,7 @@ class NoStableStepSizeError(RuntimeError):
 
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm without the overflow of squaring large entries."""
-    return math.hypot(*np.abs(x))
+    return math.hypot(*np.abs(x).tolist())
 
 
 @dataclass(frozen=True)
@@ -87,12 +99,13 @@ class TunerConfig:
     theta_0: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_integers(self, "k", "T", "horizon")
         if not 0 < self.alpha_max < math.inf:  # NaN fails too
             raise ValueError("alpha_max must be finite and positive")
         if self.k < 1 or self.T < 1:
             raise ValueError("k and T must be positive")
-        if self.c_threshold <= 1:
-            raise ValueError("c_threshold must exceed 1")
+        if not 1 < self.c_threshold < math.inf:  # NaN fails too
+            raise ValueError("c_threshold must be finite and exceed 1")
         if self.k * self.T >= self.horizon:
             raise ValueError("horizon must exceed k*T")
 
@@ -130,11 +143,17 @@ def is_unstable(norms, c_threshold: float) -> bool:
     norms = [float(x) for x in norms]
     if len(norms) < 2:
         raise ValueError("need at least two norms")
-    if not all(map(math.isfinite, norms)):
-        return True
-    if 0.0 in norms:
-        return False
-    return any(norms[i] / norms[i - 1] > c_threshold for i in range(1, len(norms)))
+    return _ratio_test(norms, c_threshold)[1]
+
+
+def _ratio_test(norms: list[float], c_threshold: float) -> tuple[tuple[float, ...], bool]:
+    """(ratios, triggered) of ``is_unstable`` on a list of floats; the
+    ratios are empty unless every norm is finite and nonzero."""
+    finite = all(map(math.isfinite, norms))
+    if not finite or 0.0 in norms:
+        return (), not finite
+    ratios = tuple(map(operator.truediv, norms[1:], norms))
+    return ratios, max(ratios) > c_threshold
 
 
 def tune(p: ProblemDistribution, cfg: TunerConfig) -> TunerTrace:
@@ -171,6 +190,7 @@ def tune_many(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must not be empty")
+    T, k, c_threshold, horizon = cfg.T, cfg.k, cfg.c_threshold, cfg.horizon
     theta0 = _resolve_theta0(p, cfg)
     bound = divergence_bound(p, theta0)
     form = _dense_form(p)
@@ -186,9 +206,12 @@ def tune_many(
     results: list[TunerTrace | NoStableStepSizeError | None] = [None] * R
     theta = np.tile(theta0, (R, 1))
     hat = theta.copy()
+    stale = True  # the live rows, their step-sizes or restart times changed
 
     def restart(j: int, t: int, start) -> bool:
         """Halve row j's step-size at t and restart it from ``start``; False at the floor."""
+        nonlocal stale
+        stale = True
         r = rows[j]
         alpha[r] /= 2.0
         if alpha[r] < _ALPHA_FLOOR:
@@ -202,50 +225,54 @@ def tune_many(
         windows[r] = [_norm(start)]
         return True
 
-    def epoch_boundary(j: int, t: int) -> bool:
-        """Append row j's norm to its window and test it; False on a floor abort."""
+    def epoch_boundary(j: int, t: int, norm: float) -> bool:
+        """Append ``norm`` to row j's window and test it; False on a floor abort."""
         r = rows[j]
         window = windows[r]
-        window.append(_norm(hat[j]))
-        if len(window) > cfg.k + 1:
-            window.pop(0)
-        if len(window) < cfg.k + 1:
+        window.append(norm)
+        if len(window) > k + 1:
+            del window[0]
+        elif len(window) <= k:
             return True
-        if all(math.isfinite(x) and x > 0 for x in window):
-            ratios = tuple(window[i] / window[i - 1] for i in range(1, len(window)))
-        else:
-            ratios = ()
-        triggered = is_unstable(window, cfg.c_threshold)
-        checks[r].append(RatioCheck(t=t, ratios=ratios, triggered=triggered))
+        ratios, triggered = _ratio_test(window, c_threshold)
+        checks[r].append(RatioCheck(t, ratios, triggered))
         # a halving by the ratio test keeps the iterate
         return not triggered or restart(j, t, theta[j])
 
     chunk = 1024  # steps drawn per seed at a time; fixes each seed's stream
     t = 0
-    while t < cfg.horizon and live.size:
-        steps = min(chunk, cfg.horizon - t)
-        draws = tuple(np.stack(x, axis=1) for x in zip(*(form.draw(rngs[r], steps) for r in live)))
+    while t < horizon and live.size:
+        steps = min(chunk, horizon - t)
+        b, A = (np.stack(x, axis=1) for x in zip(*(form.draw(rngs[r], steps) for r in live)))
         c = 0
-        while c < steps and live.size:
-            # advance to the next epoch boundary, or to the end of the draws
-            stop = c + min(steps - c, cfg.T - t % cfg.T)
-            rows = live.tolist()  # the live seeds as ints, for indexing the per-seed lists
-            theta, hat, k, bad = _advance(
-                theta, hat, _column([t - since[r] for r in rows]), tuple(x[c:stop] for x in draws),
-                form.direction, _column([alpha[r] for r in rows]), bound,
-            )
-            t += k
-            c += k
-            # a row held at the bound restarts from theta_0 (emergency halving), skipping this check
-            kept = [
-                restart(j, t, theta0) if bad is not None and bad[j]
-                else t % cfg.T != 0 or epoch_boundary(j, t)
-                for j in range(live.size)
-            ]
-            if not all(kept):
-                keep = np.array(kept)
-                live, theta, hat = live[keep], theta[keep], hat[keep]
-                draws = tuple(x[:, keep] for x in draws)
+        with np.errstate(over="ignore", invalid="ignore"):  # see engine._advance
+            while c < steps and live.size:
+                if stale:
+                    rows = live.tolist()  # the live seeds as ints, for indexing the per-seed lists
+                    alpha_col = _column([alpha[r] for r in rows])
+                    since_col = _column([since[r] for r in rows])
+                    stale = False
+                # advance to the next epoch boundary, or to the end of the draws
+                stop = c + min(steps - c, T - t % T)
+                theta, hat, n_steps, bad = _advance(
+                    theta, hat, t - since_col, (b[c:stop], A[c:stop]), form.direction, alpha_col, bound
+                )
+                t += n_steps
+                c += n_steps
+                if bad is None and t % T:
+                    continue
+                # a row held at the bound restarts from theta_0 (emergency halving), skipping this check
+                held = bad.tolist() if bad is not None else [False] * len(rows)
+                norms = np.abs(hat).tolist() if t % T == 0 else None
+                kept = [
+                    restart(j, t, theta0) if held[j]
+                    else norms is None or epoch_boundary(j, t, math.hypot(*norms[j]))
+                    for j in range(len(rows))
+                ]
+                if not all(kept):
+                    keep = np.array(kept)
+                    live, theta, hat = live[keep], theta[keep], hat[keep]
+                    b, A = b[:, keep], A[:, keep]
 
     for j, r in enumerate(live):
         results[r] = TunerTrace(

@@ -328,6 +328,16 @@ def test_non_finite_step_size_exits_2(command, bad, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_ratio_threshold_exits_2(bad, tmp_path, capsys):
+    # a NaN threshold never triggers: alpha_max 1e3 would come back unhalved
+    argv = ["tune", "--problem", str(PROBLEMS / "td0_onpolicy.json"), "--alpha-max", "1e3",
+            "--c", bad, "--horizon", "40", "--out-json", str(tmp_path / "tune.json")]
+    assert main(argv) == EXIT_VALIDATION
+    assert "c_threshold must be finite and exceed 1" in capsys.readouterr().err
+    assert not (tmp_path / "tune.json").exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_grid_end_exits_2(bad, capsys):
     argv = ["rho", "--problem", str(PROBLEMS / "td0_onpolicy.json"), "--alpha-grid", f"0.1:{bad}:2"]

@@ -21,6 +21,7 @@ from lsalab import (
 from lsalab import engine
 from lsalab.cli import FIG1_MEAN
 from lsalab.engine import (
+    _CHECK_EVERY,
     _SAMPLE_CHUNK,
     _advance,
     _dense_direction,
@@ -175,6 +176,112 @@ class TestAdvance:
         assert th[0].tobytes() == th0[0].tobytes()
         assert h[0].tobytes() == h0[0].tobytes()
 
+    def stepwise(self, theta, hat, n, draws, alpha):
+        """``_advance`` one step per call: the per-step divergence rule."""
+        for s in range(len(draws[0])):
+            one = tuple(x[s : s + 1] for x in draws)
+            theta, hat, k, bad = _advance(theta, hat, n + s, one, _dense_direction, alpha, self.BOUND)
+            if bad is not None:
+                return theta, hat, s + 1, bad
+        return theta, hat, len(draws[0]), None
+
+    @staticmethod
+    def crossing(at, row):
+        def edit(b, A):
+            A[at, row] = -1e6 * np.eye(2)
+        return edit
+
+    @staticmethod
+    def turns_nan(b, A):
+        # row 0 stays at theta_1 = 1 until step 3, where b - A theta = inf - inf
+        A[:3, 0], b[:3, 0] = np.eye(2), 1.0
+        A[3, 0], b[3, 0] = [[np.inf, 0.0], [0.0, 1.0]], [np.inf, 0.0]
+
+    @staticmethod
+    def comes_back(b, A):
+        # row 2 passes the bound at step 2; alpha A = I at step 3 brings it to alpha b
+        A[2, 2], A[3, 2] = -1e6 * np.eye(2), 10 * np.eye(2)
+
+    CASES = {
+        "crossing at step 0": (5, crossing(0, 1)),
+        "crossing at a buffer's last step": (_CHECK_EVERY + 8, crossing(_CHECK_EVERY - 1, 0)),
+        "crossing at the segment's last step": (_CHECK_EVERY, crossing(_CHECK_EVERY - 1, 2)),
+        "a row turns NaN": (6, turns_nan),
+        "a row passes the bound and comes back": (8, comes_back),
+        "longer than the buffer": (3 * _CHECK_EVERY + 5, lambda b, A: None),
+        "crossing in the third buffer": (3 * _CHECK_EVERY + 5, crossing(2 * _CHECK_EVERY + 3, 1)),
+    }
+
+    @pytest.mark.parametrize("columns", [False, True], ids=["numbers", "columns"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_block_check_matches_stepwise(self, case, columns):
+        steps, edit = self.CASES[case]
+        rng = np.random.default_rng(9)
+        b = rng.standard_normal((steps, 3, 2))
+        A = np.eye(2) + 0.3 * rng.standard_normal((steps, 3, 2, 2))
+        edit(b, A)
+        theta = np.array([[1.0, -1.0], [0.5, 2.0], [-0.3, 0.7]])
+        hat = np.array([[0.8, -0.6], [0.4, 1.5], [0.1, 0.2]])
+        alpha, n = (np.array([[0.1], [0.1], [0.1]]), np.array([[3], [7], [0]])) if columns else (0.1, 3)
+        before = theta.tobytes(), hat.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _advance(theta, hat, n, (b, A), _dense_direction, alpha, self.BOUND)
+            want = self.stepwise(theta, hat, n, (b, A), alpha)
+        assert (theta.tobytes(), hat.tobytes()) == before
+        assert got[2] == want[2]
+        assert (got[3] is None) == (want[3] is None)
+        if want[3] is not None:
+            assert got[3].tolist() == want[3].tolist()
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        if case == "a row turns NaN":
+            assert (want[2], want[3].tolist()) == (4, [True, False, False])
+            with np.errstate(invalid="ignore"):
+                step = _dense_direction((b, A), 3, want[0])
+            assert np.isnan(step[0, 0])
+        if case == "a row passes the bound and comes back":
+            assert (want[2], want[3].tolist()) == (3, [False, False, True])
+
+    def test_buffers_do_not_grow_with_the_stride(self):
+        # one 512-step segment at stride == horizon steps through (32, R, d)
+        # iterate buffers, as a 16-step stride does through (16, R, d) ones;
+        # a buffer as long as the segment, and the magnitudes tested on it,
+        # would add two (512, R, d) arrays, 9.8 MB
+        R, d, horizon = 200, 6, 512
+        p = make_gaussian_noise(np.eye(d), np.ones(d), 0.5, 0.0)
+        cfg = RunConfig(alpha=0.01, horizon=horizon, record_stride=horizon, n_replications=R)
+        run_mse(p, dataclasses.replace(cfg, horizon=32, record_stride=32))  # warm caches
+        peaks = {}
+        for stride in (16, horizon):
+            tracemalloc.start()
+            try:
+                run_mse(p, dataclasses.replace(cfg, record_stride=stride))
+                peaks[stride] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        capped = 3 * _CHECK_EVERY * R * d * 8  # two buffers and the magnitudes of one
+        assert peaks[horizon] <= peaks[16] + capped
+
+    def test_crossings_cost_few_dropped_steps(self):
+        # 200 rows leave at ~100 distinct steps from 627 to 792; the kernel drops
+        # what it stepped past each crossing, and the engine's span restarts
+        # at one step after it, so the steps stepped stay within twice those
+        # kept (with no restart, each crossing would step the rest of a buffer)
+        z, eye = np.zeros(2), np.eye(2)
+        p = make_finite_support([((z, eye), 0.55), ((z, -eye), 0.45)])
+        calls = []
+
+        def direction(draws, s, theta):
+            calls.append(s)
+            return p.step_form.direction(draws, s, theta)
+
+        counted = dataclasses.replace(p, step_form=dataclasses.replace(p.step_form, direction=direction))
+        cfg = RunConfig(alpha=2.0, horizon=2000, theta_0=np.ones(2), record_stride=500,
+                        n_replications=200, seed=5)
+        _, _, div = _simulate_block(counted, cfg, _replication_rngs(cfg.seed, 200))
+        assert (div > 0).all() and len(set(div.tolist())) > 50
+        assert len(calls) <= 2 * div.max()
+
 
 class TestRunMse:
     def test_single_replication_matches_run_single(self):
@@ -257,6 +364,13 @@ class TestRunMse:
     def test_alpha_must_be_finite_and_positive(self, alpha):
         with pytest.raises(ValueError, match="alpha must be finite and positive"):
             RunConfig(alpha=alpha, horizon=10)
+
+    @pytest.mark.parametrize(
+        "name, value", [("horizon", 10.5), ("record_stride", 2.5), ("n_replications", 3.0)]
+    )
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            RunConfig(alpha=0.1, **{"horizon": 10, "record_stride": 2, name: value})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_theta_0_must_be_finite(self, bad):

@@ -176,8 +176,16 @@ class TestTune:
                 TunerConfig(alpha_max=alpha_max)
         with pytest.raises(ValueError):
             TunerConfig(alpha_max=1.0, c_threshold=1.0)
+        for c in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="c_threshold must be finite and exceed 1"):
+                TunerConfig(alpha_max=1.0, c_threshold=c)
         with pytest.raises(ValueError):
             TunerConfig(alpha_max=1.0, k=2, T=5, horizon=10)
+        # k = 1.5 would run with no ratio check; T and horizon would fail mid-run
+        for name, value in (("k", 1.5), ("T", 2.5), ("horizon", 100.5), ("horizon", 160.0)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                TunerConfig(alpha_max=1.0, **{name: value})
+        assert TunerConfig(alpha_max=1.0, k=np.int64(2)).k == 2
 
 
 class TestExperimentFamily:
