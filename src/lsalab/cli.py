@@ -38,7 +38,7 @@ from . import __version__
 from .bounds import bound_curve, bound_inputs_for
 from .engine import RunConfig, run_mse, run_mse_many
 from .problem_io import load_problem_file, td_instance_from_dict
-from .problems import ProblemDistribution, make_gaussian_noise
+from .problems import ProblemDistribution, _check_integer, make_gaussian_noise
 from .spectral import (
     NotPositiveDefiniteError,
     rho_d,
@@ -333,8 +333,10 @@ def repro_fig1(
     (per-level tuned/hand step-sizes), ``fig1_right.csv`` (MSE curves) and
     ``fig1_summary.json``; per level the summary counts the aborted runs
     (``n_aborted``) and the tuned step-sizes at which the mean iteration is
-    not certified stable, rho_d <= 0 (``n_tuned_mean_unstable``).
+    not certified stable, rho_d <= 0 (``n_tuned_mean_unstable``).  Raises
+    ValueError unless ``seed`` is a non-negative integer.
     """
+    _check_integer(seed, "seed", seed=True)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     master = np.random.SeedSequence(seed)

@@ -8,10 +8,9 @@ Replications are vectorized: all replication states advance together in
 (R, d) arrays through one step kernel (``_advance``, which the tuner shares),
 while each replication consumes its own spawned random stream, so results are
 bit-identical whether replications run singly or batched.  Steps are drawn
-and applied through the problem's ``StepForm`` when it has one, otherwise
-through the dense (b, A) of ``sample``; the tuner always uses the dense
-form.  Neither the Gaussian family's form (d normals per step instead of a
-d x d matrix) nor a finite problem's (an atom index per step, with A_i
+and applied through the problem's ``StepForm``; the engine never calls
+``sample``.  Neither the Gaussian family's form (d normals per step instead
+of a d x d matrix) nor a finite problem's (an atom index per step, with A_i
 gathered one step at a time) fills an (S, R, d, d) buffer: a finite
 problem's blocks are its (S, R, d) intercepts and (S, R) int64 indices.
 
@@ -20,12 +19,10 @@ step forms share a key (and which share horizon, record stride, theta_0 and
 divergence bound) advance as rows of one state, each row with its run's
 step-size and its run's own stream, so each curve is bit-identical to the
 ``run_mse`` of its run alone and a batch of runs costs one Python step loop
-instead of one per run.  Finite problems of distinct atoms, whose forms do
-not share a key, batch through the dense form, which draws the same steps.
-``run_mse`` is its one-run call.  The fixed point theta* always comes from
-the problem's exact moments.  The MSE runs record the running average
-alone; ``_simulate_block`` also keeps the iterate snapshots, for tests that
-read single trajectories.
+instead of one per run.  ``run_mse`` is its one-run call.  The fixed point
+theta* always comes from the problem's exact moments.  The MSE runs record
+the running average alone; ``_simulate_block`` also keeps the iterate
+snapshots, for tests that read single trajectories.
 
 A replication whose iterate would pass the divergence bound is frozen,
 flagged with its divergence time and dropped from the live set rather than
@@ -41,12 +38,11 @@ point far from the origin does not read as divergence.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemDistribution, StepForm
+from .problems import ProblemDistribution, _check_integer
 
 __all__ = [
     "RunConfig",
@@ -72,19 +68,10 @@ _SAMPLE_CHUNK = 512  # steps pre-sampled per replication block
 _CHECK_EVERY = 32
 
 
-def _check_integers(cfg, *names: str) -> None:
-    """Raise ValueError naming the first of cfg's fields ``names`` that is
-    not an integer (a float such as 2.0 is not: slices reject it)."""
-    for name in names:
-        try:
-            operator.index(getattr(cfg, name))
-        except TypeError:
-            raise ValueError(f"{name} must be an integer") from None
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Parameters of one simulation: step-size, horizon, recording, seeding."""
+    """Parameters of one simulation: step-size, horizon, recording, seeding
+    (``seed`` a non-negative integer; see ``problems._check_integer``)."""
 
     alpha: float
     horizon: int
@@ -94,7 +81,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(self, "horizon", "record_stride", "n_replications")
+        for name in ("horizon", "record_stride", "n_replications"):
+            _check_integer(getattr(self, name), name)
+        _check_integer(self.seed, "seed", seed=True)
         if not 0 < self.alpha < np.inf:  # NaN fails too
             raise ValueError("alpha must be finite and positive")
         if self.horizon < 1:
@@ -166,17 +155,6 @@ def _sq_err(hat: np.ndarray, theta_star: np.ndarray) -> np.ndarray:
     """||hat - theta*||^2 over the last axis, +inf where the square overflows."""
     with np.errstate(over="ignore"):
         return (np.abs(hat - theta_star) ** 2).sum(axis=-1).astype(float)
-
-
-def _dense_direction(draws, s: int, theta):
-    """b_s - A_s theta for dense draws b (S, R, d) and A (S, R, d, d)."""
-    b, A = draws
-    return b[s] - np.matmul(A[s], theta[..., None])[..., 0]
-
-
-def _dense_form(p: ProblemDistribution) -> StepForm:
-    """The dense step form: the (b, A) of ``p.sample``, looked up at each draw."""
-    return StepForm(lambda rng, n: p.sample(rng, (n,)), _dense_direction, "dense")
 
 
 def _advance(theta, hat, n: int, draws, direction, alpha: float, bound: float):
@@ -256,9 +234,6 @@ def _simulate_runs(
     replications, then run 1's, and so on.  Each row draws through its own
     run's step form and steps with its run's alpha (an (R, 1) column when the
     runs' step-sizes differ), through the direction of the first run's form.
-    When the keys differ, finite problems step through the dense form (the
-    atom form draws its steps bit for bit), so finite problems of distinct
-    atoms still share a batch.
     Returns (theta_snaps, hat_snaps, diverged_at) over all rows, with
     snapshot shapes (n_records, R, d); theta_snaps is None unless
     ``keep_theta``; diverged_at is -1 for rows that never diverge.  A diverged
@@ -269,18 +244,17 @@ def _simulate_runs(
     draw: an atom index buffer is int64.
 
     Raises ValueError when the runs do not share the step-form key, horizon,
-    record stride, dtype, theta_0 and divergence bound.
+    record stride, theta_0 and divergence bound.  A shared key implies a
+    shared dtype: a finite form's key holds the dtypes of its A_i and b_i,
+    and a Gaussian problem is always float64.
     """
-    forms = [p.step_form or _dense_form(p) for p in problems]
-    if any(f.key != forms[0].key for f in forms):
-        forms = [_dense_form(p) if p.atoms is not None else f for p, f in zip(problems, forms)]
+    forms = [p.step_form for p in problems]
     theta0s = [_resolve_theta0(p, c) for p, c in zip(problems, cfgs)]
     cfg = cfgs[0]
     for name, values in (
         ("step-form key", [f.key for f in forms]),
         ("horizon", [c.horizon for c in cfgs]),
         ("record stride", [c.record_stride for c in cfgs]),
-        ("dtype", [th.dtype for th in theta0s]),
         ("theta_0", [th.tolist() for th in theta0s]),
         ("divergence bound", [divergence_bound(p, th) for p, th in zip(problems, theta0s)]),
     ):
@@ -376,11 +350,9 @@ def run_mse_many(problems: list[ProblemDistribution], cfgs: list[RunConfig]) -> 
     their step forms' key leaves out (for Gaussian problems of one mean: the
     noise levels; for finite problems of the same matrices A_i: the weights
     and intercepts); they must share the step-form key, horizon, record
-    stride, theta_0 and divergence bound.  Finite problems of distinct atoms,
-    whose atom forms do not share a key, step through the dense (b, A) of
-    ``sample`` instead, which draws the same steps: any mix of finite
-    problems and problems without a step form batches.  Each run's theta*
-    is that of its problem's exact moments.
+    stride, theta_0 and divergence bound, so finite problems of distinct
+    matrices A_i do not batch.  Each run's theta* is that of its problem's
+    exact moments.
 
     Raises ValueError for an empty list, for runs that do not share what they
     must, or when some problem has no fixed point (a singular mean matrix).

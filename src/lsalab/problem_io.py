@@ -30,7 +30,8 @@ type "td_mdp"::
      "seed": 123}
 
 ``seed`` is optional everywhere; command-line tools fall back to it when no
---seed is given.
+--seed is given.  It must be a non-negative integer: a float (even 1.0), a
+boolean or a negative number raises ValueError naming ``seed``.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def load_problem(spec: dict) -> ProblemDistribution:
     else:
         raise ValueError(f"unknown problem type {kind!r}")
     if spec.get("seed") is not None:
-        p = dataclasses.replace(p, seed=int(spec["seed"]))
+        p = dataclasses.replace(p, seed=spec["seed"])
     if spec.get("label"):
         p = dataclasses.replace(p, label=spec["label"])
     return p

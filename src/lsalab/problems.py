@@ -12,15 +12,13 @@ Conventions
   ``shape + (d, d)``.  Identical generators reproduce identical samples, and
   cloned generators give independent streams, so replications can run
   concurrently without shared state.
-- A problem may also carry a ``StepForm``: how the engine draws a step and
-  applies it to a batch of states without forming A_t.  The Gaussian family
-  has one, drawing d normals per step for the matrix noise instead of d^2;
+- Every problem also carries a ``StepForm``: how the engine draws a step
+  and applies it to a batch of states without forming A_t.  The Gaussian
+  family's form draws d normals per step for the matrix noise, not d^2;
   its steps follow the law of ``sample`` but are a different random stream.
   Finite-support problems (plain finite, lower-bound, TD(0), GTD, GTD2 and
-  transformed atoms) have one that draws atom indices and gathers each
-  step's A_i from the atoms; it draws the stream of ``sample``, bit for bit.
-  The rest (transformed Gaussian problems) step through their dense (b, A)
-  draws.
+  transformed atoms) draw atom indices and gather each step's A_i from the
+  atoms; they draw the stream of ``sample``, bit for bit.
 - Matrix norms are spectral (operator 2-) norms throughout; vector norms are
   Euclidean.  sigma_A_sq bounds E||A_t - A_P||^2 and sigma_b_sq bounds
   E||b_t - b_P||^2 in those norms.
@@ -30,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
@@ -158,9 +157,8 @@ class StepForm:
     ``key`` names the direction: forms with equal keys draw arrays of the same
     layout and have interchangeable ``direction``s, so the engine may step the
     replications of several problems as rows of one state, each row drawing
-    through its own problem's ``draw``.  The dense form derived from
-    ``sample`` is keyed ``"dense"``; a finite problem's form is keyed by the
-    matrices A_i it gathers from.
+    through its own problem's ``draw``.  A finite problem's form is keyed by
+    the matrices A_i it gathers from, with the dtypes of A_i and b_i.
     """
 
     draw: Callable[[np.random.Generator, int], Draws]
@@ -170,35 +168,55 @@ class StepForm:
 
 @dataclass(frozen=True)
 class ProblemDistribution:
-    """A sampleable (b, A) distribution with its exact moments.
+    """A sampleable (b, A) distribution with its exact moments and step form.
 
-    ``sample(rng, shape)`` draws ``shape``-many i.i.d. pairs, and
-    ``exact_moments`` holds the exact moments of that law: every constructor
-    computes them, and construction raises TypeError when they are not a
-    ``Moments``.  The run's dtype is that of A_P and b_P (at least float64),
+    ``sample(rng, shape)`` draws ``shape``-many i.i.d. pairs, ``exact_moments``
+    holds the exact moments of that law and ``step_form`` is how the engine
+    steps it (d normals per step for the Gaussian family, (b, atom index)
+    draws for finite-support problems).  Every constructor sets both, and
+    construction raises TypeError when they are not a ``Moments`` and a
+    ``StepForm``.  The run's dtype is that of A_P and b_P (at least float64),
     which the draws share.  ``atoms`` is set for finite-support families so
     downstream transforms can map moments in closed form.  A problem without
     atoms must have matrix noise N = A_t - A_P whose law is invariant under
     left rotation, N -> QN for orthogonal Q (true of the Gaussian family and
     of every sigma_A = 0 problem): the transform's closed-form second moment
     rests on it.  ``seed`` is an optional default stream carried over from a
-    problem file; runs always take their own seeds.  ``step_form`` is how the
-    engine steps the problem: d normals per step for the Gaussian family,
-    (b, atom index) draws for finite-support problems; None means through the
-    dense (b, A) of ``sample``.
+    problem file (None or a non-negative integer, else ValueError); runs
+    always take their own seeds.
     """
 
     dim: int
     sample: Sampler
     exact_moments: Moments
     label: str
+    step_form: StepForm
     atoms: FiniteAtoms | None = None
     seed: int | None = None
-    step_form: StepForm | None = None
 
     def __post_init__(self):
         if not isinstance(self.exact_moments, Moments):
             raise TypeError("exact_moments must be a Moments")
+        if not isinstance(self.step_form, StepForm):
+            raise TypeError("step_form must be a StepForm")
+        if self.seed is not None:
+            _check_integer(self.seed, "seed", seed=True)
+
+
+def _check_integer(value, name: str, seed: bool = False) -> None:
+    """Raise ValueError naming ``name`` unless value is an integer (a float
+    such as 2.0 is not: slices reject it).
+
+    A seed must also be non-negative and not a bool.  Sequences of ints are
+    refused too: ``SeedSequence`` takes them, but no caller passes one.
+    """
+    try:
+        ok = operator.index(value) >= 0 or not seed
+    except TypeError:
+        ok = False
+    if not ok or (seed and isinstance(value, (bool, np.bool_))):
+        kind = "a non-negative integer" if seed else "an integer"
+        raise ValueError(f"{name} must be {kind}, not {value!r}")
 
 
 def make_finite_support(atoms, label: str = "finite") -> ProblemDistribution:

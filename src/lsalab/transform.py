@@ -187,23 +187,17 @@ def transform_moments(p: ProblemDistribution, tr: TransformResult) -> Moments:
 
 
 def transform_distribution(p: ProblemDistribution, tr: TransformResult) -> ProblemDistribution:
-    """Distribution of (U^{-1} b_t, U^{-1} A_t U) under the given transform."""
+    """Distribution of (U^{-1} b_t, U^{-1} A_t U): the finite problem over the
+    transformed atoms, which draws p's atom indices from the same stream.
+
+    Raises ValueError for a problem without atoms (the Gaussian family), whose
+    transformed moments ``transform_moments`` gives in closed form.
+    """
     if tr.U.shape[0] != p.dim:
         raise ValueError("transform dimension does not match distribution")
-    label = f"{p.label}@transformed"
-    if p.atoms is not None:
-        return _finite_problem(_transform_atoms(p.atoms, tr), label)
-    U, U_inv = tr.U, tr.U_inv
-
-    def sample(rng: np.random.Generator, shape=()) -> tuple[np.ndarray, np.ndarray]:
-        b, A = p.sample(rng, shape)
-        bT = np.einsum("ij,...j->...i", U_inv, b)
-        AT = np.einsum("ij,...jl,lm->...im", U_inv, A, U)
-        return bT, AT
-
-    return ProblemDistribution(
-        dim=p.dim, sample=sample, exact_moments=transform_moments(p, tr), label=label
-    )
+    if p.atoms is None:
+        raise ValueError(f"{p.label!r} has no atoms: only finite-support problems transform")
+    return _finite_problem(_transform_atoms(p.atoms, tr), f"{p.label}@transformed")
 
 
 def transform_problem(p: ProblemDistribution) -> TransformResult:

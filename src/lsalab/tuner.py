@@ -1,11 +1,11 @@
 """Automatic constant step-size tuning by instability detection and halving.
 
 The tuner runs the iteration at the current step-size while maintaining the
-running average, on the engine's step kernel.  It steps through the
-engine's dense step form, the (b, A) draws of ``sample``, even where the
-problem has a matrix-free step form: on low-dimensional trajectories the
-per-step calls of that form cost more than the draws they save, and a
-tuning run's stream stays that of ``sample``.
+running average, on the engine's step kernel.  It steps through the dense
+(b, A) draws of ``sample`` (``_dense_direction``), not the problem's step
+form: on low-dimensional trajectories the per-step calls of that form cost
+more than the draws they save, and a tuning run's stream stays that of
+``sample``.
 
 ``tune_many`` runs one halving loop per seed, the seeds as rows of one
 (R, d) state advanced together from one epoch boundary to the next.  As in
@@ -49,15 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    _advance,
-    _check_integers,
-    _column,
-    _dense_form,
-    _resolve_theta0,
-    divergence_bound,
-)
-from .problems import ProblemDistribution
+from .engine import _advance, _column, _resolve_theta0, divergence_bound
+from .problems import ProblemDistribution, _check_integer
 
 __all__ = [
     "TunerConfig",
@@ -81,13 +74,20 @@ def _norm(x: np.ndarray) -> float:
     return math.hypot(*np.abs(x).tolist())
 
 
+def _dense_direction(draws, s: int, theta):
+    """b_s - A_s theta for dense draws b (S, R, d) and A (S, R, d, d)."""
+    b, A = draws
+    return b[s] - np.matmul(A[s], theta[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class TunerConfig:
     """Knobs of the tuning loop.
 
     k is the number of ratios per check (window of k+1 epoch norms), T the
     epoch length in steps, c_threshold the growth factor treated as evidence
-    of instability.
+    of instability; ``seed`` is a non-negative integer (see
+    ``problems._check_integer``).
     """
 
     alpha_max: float
@@ -99,7 +99,9 @@ class TunerConfig:
     theta_0: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_integers(self, "k", "T", "horizon")
+        for name in ("k", "T", "horizon"):
+            _check_integer(getattr(self, name), name)
+        _check_integer(self.seed, "seed", seed=True)
         if not 0 < self.alpha_max < math.inf:  # NaN fails too
             raise ValueError("alpha_max must be finite and positive")
         if self.k < 1 or self.T < 1:
@@ -185,15 +187,17 @@ def tune_many(
     would, so its result is bit-identical to that single run.  Returns, in
     seed order, each row's TunerTrace, or the NoStableStepSizeError that
     ``tune`` would raise for it (that row leaves the batch at its floor
-    crossing; the others carry on).
+    crossing; the others carry on).  Raises ValueError when ``seeds`` is
+    empty or one of them is not a non-negative integer.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must not be empty")
+    for i, seed in enumerate(seeds):
+        _check_integer(seed, f"seeds[{i}]", seed=True)
     T, k, c_threshold, horizon = cfg.T, cfg.k, cfg.c_threshold, cfg.horizon
     theta0 = _resolve_theta0(p, cfg)
     bound = divergence_bound(p, theta0)
-    form = _dense_form(p)
     rngs = [np.random.default_rng(s) for s in seeds]
     R = len(seeds)
     # per-seed state and records; state row j tunes seed live[j]
@@ -243,7 +247,7 @@ def tune_many(
     t = 0
     while t < horizon and live.size:
         steps = min(chunk, horizon - t)
-        b, A = (np.stack(x, axis=1) for x in zip(*(form.draw(rngs[r], steps) for r in live)))
+        b, A = (np.stack(x, axis=1) for x in zip(*(p.sample(rngs[r], (steps,)) for r in live)))
         c = 0
         with np.errstate(over="ignore", invalid="ignore"):  # see engine._advance
             while c < steps and live.size:
@@ -255,7 +259,8 @@ def tune_many(
                 # advance to the next epoch boundary, or to the end of the draws
                 stop = c + min(steps - c, T - t % T)
                 theta, hat, n_steps, bad = _advance(
-                    theta, hat, t - since_col, (b[c:stop], A[c:stop]), form.direction, alpha_col, bound
+                    theta, hat, t - since_col, (b[c:stop], A[c:stop]),
+                    _dense_direction, alpha_col, bound,
                 )
                 t += n_steps
                 c += n_steps

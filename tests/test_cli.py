@@ -274,6 +274,42 @@ def test_non_finite_problem_exits_2(command, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "tune", "rho"])
+def test_non_integer_problem_seed_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    spec = json.loads((PROBLEMS / "td0_onpolicy.json").read_text())
+    path.write_text(json.dumps({**spec, "seed": 1.5}))
+    out = str(tmp_path / "out.csv")
+    args = {
+        "simulate": ["--alpha", "0.01", "--horizon", "50", "--reps", "2", "--out", out],
+        "tune": ["--alpha-max", "1", "--out-json", str(tmp_path / "t.json"), "--out-csv", out],
+        "rho": ["--alpha-grid", "0.1:1:2"],
+    }[command]
+    assert main([command, "--problem", str(path), *args]) == EXIT_VALIDATION
+    assert "seed must be a non-negative integer, not 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("seed", [1.5, -1])
+def test_repro_fig1_seed_must_be_a_non_negative_integer(seed, tmp_path):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        repro_fig1(tmp_path / "out", seed=seed)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "tune"])
+def test_negative_seed_exits_2(command, tmp_path, capsys):
+    out = str(tmp_path / "out.csv")
+    args = {
+        "simulate": ["--alpha", "0.01", "--horizon", "50", "--reps", "2", "--out", out],
+        "tune": ["--alpha-max", "1", "--out-json", str(tmp_path / "t.json"), "--out-csv", out],
+    }[command]
+    argv = [command, "--problem", str(PROBLEMS / "td0_onpolicy.json"), "--seed", "-1", *args]
+    assert main(argv) == EXIT_VALIDATION
+    assert "seed must be a non-negative integer, not -1" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("theta0", [None, "[1e300, 1e300]", "[-1e308, 0]"])
 def test_bound_on_a_huge_fixed_point_reads_inf_not_nan(theta0, tmp_path):

@@ -24,13 +24,13 @@ from lsalab.engine import (
     _CHECK_EVERY,
     _SAMPLE_CHUNK,
     _advance,
-    _dense_direction,
     _replication_rngs,
     _simulate_block,
     divergence_bound,
 )
 from lsalab.problem_io import load_problem_file
-from lsalab.problems import FiniteAtoms, _finite_problem
+from lsalab.problems import FiniteAtoms, StepForm, _finite_problem
+from lsalab.tuner import _dense_direction
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
 
@@ -42,6 +42,14 @@ def scalar_problem(a=1.0, b=0.0):
 def pm_identity(eps):
     z, eye = np.zeros(2), np.eye(2)
     return make_finite_support([((z, eye), 0.5 + eps), ((z, -eye), 0.5 - eps)])
+
+
+def dense_form(p):
+    """p stepping through the dense (b, A) draws of ``p.sample``: the
+    reference its own step form must match in law (Gaussian) or in bits
+    (finite support)."""
+    form = StepForm(lambda rng, n: p.sample(rng, (n,)), _dense_direction, "dense")
+    return dataclasses.replace(p, step_form=form)
 
 
 def one_replication(p, cfg):
@@ -122,11 +130,13 @@ class TestRunSingle:
     def test_complex_data_supported(self):
         from lsalab import hurwitz_to_pd, transform_distribution
 
-        base = make_gaussian_noise(
-            np.array([[0.1, 1.0], [0.0, 0.1]]), np.array([1.0, 0.2]), 0.0, 0.3
+        # a Jordan-block mean takes the complex Schur route; the intercepts
+        # scatter by +-0.3 around (1, 0.2)
+        J = np.array([[0.1, 1.0], [0.0, 0.1]])
+        base = make_finite_support(
+            [((np.array([1.3, 0.2]), J), 0.5), ((np.array([0.7, 0.2]), J), 0.5)]
         )
-        tr = hurwitz_to_pd(np.array([[0.1, 1.0], [0.0, 0.1]]))
-        p = transform_distribution(base, tr)
+        p = transform_distribution(base, hurwitz_to_pd(J))
         cfg = RunConfig(alpha=0.05, horizon=50, record_stride=10, seed=0)
         _, hat, div, curve = one_replication(p, cfg)
         assert np.iscomplexobj(hat) and div == -1
@@ -360,6 +370,11 @@ class TestRunMse:
         with pytest.raises(TypeError, match="exact_moments must be a Moments"):
             dataclasses.replace(pm_identity(0.05), exact_moments=None)
 
+    def test_step_form_required(self):
+        for p in (pm_identity(0.05), make_gaussian_noise(np.eye(2), np.ones(2), 0.5, 0.0)):
+            with pytest.raises(TypeError, match="step_form must be a StepForm"):
+                dataclasses.replace(p, step_form=None)
+
     @pytest.mark.parametrize("alpha", [0.0, -0.1, np.nan, np.inf])
     def test_alpha_must_be_finite_and_positive(self, alpha):
         with pytest.raises(ValueError, match="alpha must be finite and positive"):
@@ -371,6 +386,12 @@ class TestRunMse:
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             RunConfig(alpha=0.1, **{"horizon": 10, "record_stride": 2, name: value})
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, -1, True, [1, 2], "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            RunConfig(alpha=0.1, horizon=100, seed=seed)
+        assert RunConfig(alpha=0.1, horizon=100, seed=np.uint32(7)).seed == 7
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_theta_0_must_be_finite(self, bad):
@@ -420,7 +441,7 @@ class TestStatisticalProperties:
         d, alpha, R, H = 2, 0.01, 4000, 1000
         p = make_gaussian_noise(FIG1_MEAN, FIG1_MEAN @ np.ones(d), 5.0, sigma_b)
         if form == "dense":
-            p = dataclasses.replace(p, step_form=None)
+            p = dense_form(p)
         m = p.exact_moments
         sA_sq = np.trace(m.C_P - m.A_P.T @ m.A_P) / d**2
         sb_sq = sigma_b**2 / d
@@ -654,7 +675,7 @@ class TestAtomStepForm:
     @example(PARTIAL_DIVERGENCE)
     def test_matches_the_dense_form(self, run):
         p, cfg, sentinel = run
-        dense = dataclasses.replace(p, step_form=None)
+        dense = dense_form(p)
         with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
             got = _simulate_block(p, cfg, _replication_rngs(cfg.seed, cfg.n_replications))
             want = _simulate_block(dense, cfg, _replication_rngs(cfg.seed, cfg.n_replications))
@@ -696,13 +717,14 @@ class TestAtomStepForm:
 def finite_batches(draw):
     """Random finite-support runs that may share one batch, and a sentinel.
 
-    The runs share d, horizon, record stride and theta_0; their intercepts
-    are scaled so that ||theta*||_inf <= 1/2, which gives every run the
-    divergence bound of theta_0.  Each run has its own atoms, alpha (all
-    equal in some batches), replication count and seed.  Atoms
-    A_i = I + 1.2 G_i spread the rows' growth rates (twice the spread of
-    ``finite_runs``), so that with a sentinel drawn down to 10 rows leave the
-    batch at different steps in about a third of the batches.
+    The runs share d, horizon, record stride, theta_0 and the matrices A_i,
+    as the step-form key of a batch requires; their intercepts are scaled
+    so that ||theta*||_inf <= 1/2, which gives every run the divergence
+    bound of theta_0.  Each run has its own weights, intercepts, intercept
+    scatter, alpha (all equal in some batches), replication count and
+    seed.  Atoms A_i = I + 1.2 G_i spread the rows' growth rates (twice the
+    spread of ``finite_runs``), so that with a sentinel drawn down to 10
+    rows leave the batch at different steps in about two batches of five.
     """
     d = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -711,14 +733,15 @@ def finite_batches(draw):
     theta_0 = rng.standard_normal(d) if draw(st.booleans()) else None
     n_runs = draw(st.integers(1, 4))
     shared_alpha = 10 ** draw(st.floats(-1.5, 0.5)) if draw(st.booleans()) else None
+    k = draw(st.integers(1, 4))
+    As = np.eye(d) + 1.2 * rng.standard_normal((k, d, d))
     problems, cfgs = [], []
     for _ in range(n_runs):
-        k = draw(st.integers(1, 4))
         probs = rng.dirichlet(np.ones(k))
         atoms = FiniteAtoms(
             probs=probs / probs.sum(),
             bs=rng.standard_normal((k, d)),
-            As=np.eye(d) + 1.2 * rng.standard_normal((k, d, d)),
+            As=As,
             b_noise=rng.standard_normal((k, d)) if draw(st.booleans()) else None,
         )
         theta_star = _finite_problem(atoms, "random").exact_moments.theta_star
@@ -751,18 +774,23 @@ class TestRunMseMany:
                     np.testing.assert_array_equal(getattr(curve, name), getattr(alone, name))
 
     def test_runs_that_cannot_share_a_batch_raise(self):
-        p = pm_identity(0.05)  # dense, theta* = 0
+        p = pm_identity(0.05)  # atoms +-I, A_P = 0.1 I, theta* = 0
         cfg = RunConfig(alpha=0.1, horizon=50, record_stride=5)
         gaussian = make_gaussian_noise(np.eye(2), np.zeros(2), 0.5, 0.0)
-        far = make_finite_support([((np.array([5.0, 0.0]), np.eye(2)), 1.0)])  # theta* = (5, 0)
+        # p's matrices with intercepts (0.5, 0): the same key, theta* = (5, 0)
+        far = make_finite_support(
+            [((np.array([0.5, 0.0]), A), w) for A, w in zip(p.atoms.As, p.atoms.probs)]
+        )
+        other_atoms = make_finite_support([((np.zeros(2), 2 * np.eye(2)), 1.0)])
         complex_p = make_finite_support([((np.zeros(2, complex), np.eye(2, dtype=complex)), 1.0)])
         cases = [
             ([p, gaussian], [cfg, cfg], "step-form key"),
+            ([p, other_atoms], [cfg, cfg], "step-form key"),
+            ([p, complex_p], [cfg, cfg], "step-form key"),
             ([p, p], [cfg, dataclasses.replace(cfg, horizon=60)], "horizon"),
             ([p, p], [cfg, dataclasses.replace(cfg, record_stride=10)], "record stride"),
             ([p, p], [cfg, dataclasses.replace(cfg, theta_0=np.ones(2))], "theta_0"),
             ([p, far], [cfg, cfg], "divergence bound"),
-            ([p, complex_p], [cfg, cfg], "dtype"),
             ([], [], "at least one run"),
         ]
         for problems, cfgs, match in cases:

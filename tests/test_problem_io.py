@@ -79,6 +79,14 @@ def test_seed_and_label_override_the_defaults(kind):
     assert p.seed == 123 and p.label == "mine"
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, -1, "7"])
+def test_seed_must_be_a_non_negative_integer(seed):
+    # int() would turn 1.5 and true into 1 without a word
+    spec, _ = SPECS["finite"]
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        load_problem({**spec, "seed": seed})
+
+
 def test_unknown_type_raises():
     with pytest.raises(ValueError, match="unknown problem type 'jordan'"):
         load_problem({"type": "jordan"})

@@ -7,10 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lsalab
 from lsalab import (
     NotHurwitzError,
+    RunConfig,
     SyntheticMdp,
     TransformFailedError,
     estimate_moments,
@@ -25,8 +28,11 @@ from lsalab import (
     transform_problem,
     witness_alpha,
 )
+from lsalab.engine import _replication_rngs, _simulate_block
+from lsalab.problem_io import load_problem_file
 from lsalab.problems import FiniteAtoms, _finite_problem
 
+PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
 JORDAN_2 = np.array([[0.1, 1.0], [0.0, 0.1]])
 CHAIN_3 = 0.2 * np.eye(3) + np.diag([1.0, 1.0], k=1)  # 3-chain at 0.2, kappa(U) = 16
 
@@ -152,7 +158,9 @@ class TestHurwitzToPd:
 
 class TestTransformDistribution:
     def test_identity_transform_is_noop(self):
-        p = make_gaussian_noise(np.diag([1.0, 2.0]), np.ones(2), 0.0, 1.0)
+        p = make_finite_support(
+            [((np.ones(2), np.diag([1.0, 2.0])), 0.5), ((np.zeros(2), np.diag([0.5, 3.0])), 0.5)]
+        )
         tr = transform_problem(p)
         p_U = transform_distribution(p, tr)
         assert np.allclose(tr.U, np.eye(2))
@@ -247,15 +255,15 @@ class TestTransformDistribution:
         assert m_U.sigma_b_sq == pytest.approx(np.linalg.norm(tr.U_inv, 2) ** 2 * m.sigma_b_sq)
         assert np.allclose(m_U.A_P, tr.Lambda, atol=1e-10)
 
-    @pytest.mark.parametrize("family", ["finite", "gaussian"])
+    @pytest.mark.parametrize("family", ["finite", "gtd2"])
     def test_problem_moments_are_the_distributions(self, family):
         # transform_problem computes the moments P_U would carry, bit for bit
         if family == "finite":
             p = make_finite_support(
                 [((np.ones(2), JORDAN_2), 0.5), ((np.zeros(2), np.diag([0.3, 0.4])), 0.5)]
             )
-        else:
-            p = make_gaussian_noise(JORDAN_2, np.ones(2), 0.5, 0.3)
+        else:  # off-policy, with reward noise: intercept scatter to map
+            p = load_problem_file(PROBLEMS / "gtd2_offpolicy.json")
         tr = transform_problem(p)
         assert tr.kappa_U > 1
         m, m_U = transform_distribution(p, tr).exact_moments, tr.transformed_moments
@@ -264,12 +272,13 @@ class TestTransformDistribution:
         for name in ("sigma_A_sq", "sigma_b_sq", "sigma1_sq", "sigma2_sq"):
             assert getattr(m, name) == getattr(m_U, name)
 
-    def test_gaussian_transform_has_no_step_form(self):
-        # the transformed distribution steps through its dense
-        # (U^{-1} b, U^{-1} A U) draws, not the Gaussian family's step form
+    def test_problem_without_atoms_is_refused(self):
+        # a Gaussian problem has transformed moments but no transformed
+        # distribution: only atoms map to a problem with a step form
         p = make_gaussian_noise(JORDAN_2, np.ones(2), 0.5, 0.3)
-        assert p.step_form is not None
-        assert transform_distribution(p, hurwitz_to_pd(JORDAN_2)).step_form is None
+        assert transform_problem(p).transformed_moments is not None
+        with pytest.raises(ValueError, match="has no atoms: only finite-support problems"):
+            transform_distribution(p, hurwitz_to_pd(JORDAN_2))
 
     def test_sampler_matches_transformed_atoms(self):
         p = make_finite_support(
@@ -281,6 +290,67 @@ class TestTransformDistribution:
         b_raw, A_raw = p.sample(np.random.default_rng(1), (50,))
         assert np.allclose(A, np.einsum("ij,kjl,lm->kim", tr.U_inv, A_raw, tr.U))
         assert np.allclose(b, np.einsum("ij,kj->ki", tr.U_inv, b_raw))
+
+
+@st.composite
+def hurwitz_finite_problems(draw):
+    """A random finite problem (d = 2 or 3) whose mean is a Hurwitz matrix
+    with an indefinite symmetric part, so that its transform is not the
+    identity, and a start theta_0.  Half the problems scatter their
+    intercepts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 4))
+    probs = rng.dirichlet(np.ones(k))
+    probs /= probs.sum()
+    noise = 0.3 * rng.standard_normal((k, d, d))
+    noise -= np.einsum("k,kij->ij", probs, noise)  # the atoms' mean is the Hurwitz matrix
+    atoms = FiniteAtoms(
+        probs=probs,
+        bs=rng.standard_normal((k, d)),
+        As=random_hurwitz_non_pd(int(rng.integers(2**31)), d) + noise,
+        b_noise=rng.standard_normal((k, d)) if draw(st.booleans()) else None,
+    )
+    return _finite_problem(atoms, "random"), rng.standard_normal(d)
+
+
+#: atoms around the Jordan block, whose transform takes the complex Schur route
+JORDAN_ATOMS = (
+    make_finite_support([
+        ((np.ones(2), JORDAN_2 + 0.05 * np.array([[1.0, 0.0], [1.0, -1.0]])), 0.5),
+        ((np.array([0.0, 2.0]), JORDAN_2 - 0.05 * np.array([[1.0, 0.0], [1.0, -1.0]])), 0.5),
+    ]),
+    np.array([1.0, -2.0]),
+)
+
+
+class TestTransformedRun:
+    @settings(max_examples=40, deadline=None)
+    @given(hurwitz_finite_problems(), st.floats(0.05, 0.95))
+    @example(JORDAN_ATOMS, 0.5)
+    def test_tracks_the_original_run(self, problem, frac):
+        # P and P_U draw the same atom indices from the same stream, so the
+        # run of P_U from U^{-1} theta_0 is U^{-1} times the run of P from
+        # theta_0, to rounding
+        p, theta_0 = problem
+        tr = transform_problem(p)
+        alpha = frac * witness_alpha(tr.transformed_moments)
+        cfg = RunConfig(alpha=alpha, horizon=300, theta_0=theta_0, record_stride=10,
+                        n_replications=4, seed=3)
+        cfg_U = dataclasses.replace(cfg, theta_0=tr.U_inv @ theta_0)
+        theta, hat, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 4))
+        p_U = transform_distribution(p, tr)
+        theta_U, hat_U, div_U = _simulate_block(p_U, cfg_U, _replication_rngs(cfg.seed, 4))
+        assert (div < 0).all() and (div_U < 0).all()
+        for got, run in ((theta_U, theta), (hat_U, hat)):
+            want = np.einsum("ij,trj->tri", tr.U_inv, run)
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= 1e-12 * tr.kappa_U  # 2.3e-15 at most over 300 examples
+
+    def test_jordan_example_is_complex(self):
+        p, _ = JORDAN_ATOMS
+        tr = transform_problem(p)
+        assert np.iscomplexobj(tr.U) and tr.kappa_U > 1
 
 
 class TestTransformedGaps:
@@ -308,7 +378,8 @@ class TestTransformedGaps:
 
 
 class TestClosedFormSecondMoment:
-    """The transformed Gaussian second moment against Monte Carlo from P_U."""
+    """The transformed Gaussian second moment against Monte Carlo: draws of
+    A from P, mapped to U^{-1} A U."""
 
     N_DRAWS = 100_000  # one chunk of estimate_moments, replayable below
 
@@ -321,12 +392,16 @@ class TestClosedFormSecondMoment:
         d = A.shape[0]
         p = make_gaussian_noise(A, np.ones(d), sigma_A, 0.3)
         tr = transform_problem(p)
-        p_U = transform_distribution(p, tr)
         assert tr.kappa_U > 1
         C_U = tr.transformed_moments.C_P
-        est = estimate_moments(p_U, self.N_DRAWS, seed=11).C_P
+
+        def sample_U(rng, shape):
+            b, A = p.sample(rng, shape)
+            return b @ tr.U_inv.T, tr.U_inv @ A @ tr.U
+
+        est = estimate_moments(dataclasses.replace(p, sample=sample_U), self.N_DRAWS, seed=11).C_P
         # the same draws again, for the entrywise standard error
-        _, A_U = p_U.sample(np.random.default_rng(11), (self.N_DRAWS,))
+        _, A_U = sample_U(np.random.default_rng(11), (self.N_DRAWS,))
         X = np.einsum("kji,kjl->kil", A_U.conj(), A_U)
         assert np.allclose(X.mean(axis=0), est, rtol=1e-10, atol=0)
         for part in (np.real, np.imag):

@@ -371,3 +371,11 @@ class TestTuneMany:
     def test_empty_seeds_raise(self):
         with pytest.raises(ValueError):
             tune_many(scalar_problem(), TunerConfig(alpha_max=1.0), [])
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, [1, 2]])
+    def test_seeds_must_be_non_negative_integers(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            TunerConfig(alpha_max=1.0, seed=seed)
+        # checked before any row is tuned, naming the position
+        with pytest.raises(ValueError, match=r"seeds\[1\] must be a non-negative integer"):
+            tune_many(scalar_problem(), TunerConfig(alpha_max=1.0), [0, seed])
