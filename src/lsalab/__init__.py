@@ -32,7 +32,6 @@ from .problem_io import load_problem, load_problem_file
 from .problems import (
     Moments,
     ProblemDistribution,
-    estimate_moments,
     make_finite_support,
     make_gaussian_noise,
     make_lower_bound_instance,
@@ -57,7 +56,7 @@ from .transform import (
     transform_moments,
     transform_problem,
 )
-from .tuner import NoStableStepSizeError, TunerConfig, TunerTrace, is_unstable, tune, tune_many
+from .tuner import NoStableStepSizeError, TunerConfig, TunerTrace, tune, tune_many
 
 __all__ = [
     "__version__",
@@ -66,7 +65,6 @@ __all__ = [
     "make_finite_support",
     "make_gaussian_noise",
     "make_lower_bound_instance",
-    "estimate_moments",
     "SpectralReport",
     "rho_d",
     "rho_s",
@@ -98,7 +96,6 @@ __all__ = [
     "CertifiedRegimeError",
     "TunerConfig",
     "TunerTrace",
-    "is_unstable",
     "tune",
     "tune_many",
     "NoStableStepSizeError",

@@ -21,8 +21,8 @@ step-size and its run's own stream, so each curve is bit-identical to the
 ``run_mse`` of its run alone and a batch of runs costs one Python step loop
 instead of one per run.  ``run_mse`` is its one-run call.  The fixed point
 theta* always comes from the problem's exact moments.  The MSE runs record
-the running average alone; ``_simulate_block`` also keeps the iterate
-snapshots, for tests that read single trajectories.
+the running average alone; ``_simulate_runs`` can also keep the iterate
+snapshots (``keep_theta``), for tests that read single trajectories.
 
 A replication whose iterate would pass the divergence bound is frozen,
 flagged with its divergence time and dropped from the live set rather than
@@ -211,15 +211,6 @@ def _column(values: list):
     all are equal (the kernel steps faster, with equal bits), otherwise an
     (R, 1) column."""
     return values[0] if len(set(values)) == 1 else np.array(values)[:, None]
-
-
-def _simulate_block(
-    p: ProblemDistribution,
-    cfg: RunConfig,
-    rngs: list[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance len(rngs) replications of one run; see ``_simulate_runs``."""
-    return _simulate_runs([p], [cfg], [rngs], keep_theta=True)
 
 
 def _simulate_runs(

@@ -31,7 +31,9 @@ type "td_mdp"::
 
 ``seed`` is optional everywhere; command-line tools fall back to it when no
 --seed is given.  It must be a non-negative integer: a float (even 1.0), a
-boolean or a negative number raises ValueError naming ``seed``.
+boolean or a negative number raises ValueError naming ``seed``.  The file,
+``mdp`` and each atom must be JSON objects, ``atoms`` an array and every scalar
+(``sigma_A``, ``p``, ``eta``, ``discount``, ...) a number, else ValueError.
 """
 
 from __future__ import annotations
@@ -48,38 +50,59 @@ from .td import SyntheticMdp, TdInstance, gtd_instance, td0_instance
 __all__ = ["load_problem", "load_problem_file", "mdp_from_dict"]
 
 
+def _object(value, name: str) -> dict:
+    """value, when it is a JSON object; ValueError naming ``name`` otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    return value
+
+
+def _number(value, name: str) -> float:
+    """value as a float; ValueError naming ``name`` unless a JSON number (not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return float(value)
+
+
 def mdp_from_dict(spec: dict) -> SyntheticMdp:
     """The MDP of a ``td_mdp`` file's ``mdp`` object; optional fields may be
     omitted or null.  ``SyntheticMdp`` converts and checks every field."""
-    fields = {k: spec[k] for k in ("features", "transitions", "rewards", "discount")}
-    for k in ("sampling", "behavior_transitions", "reward_noise_std"):
+    spec = _object(spec, "mdp")
+    fields = {k: spec[k] for k in ("features", "transitions", "rewards")}
+    fields["discount"] = _number(spec["discount"], "discount")
+    for k in ("sampling", "behavior_transitions"):
         if spec.get(k) is not None:
             fields[k] = spec[k]
+    if spec.get("reward_noise_std") is not None:
+        fields["reward_noise_std"] = _number(spec["reward_noise_std"], "reward_noise_std")
     return SyntheticMdp(**fields)
 
 
 def load_problem(spec: dict) -> ProblemDistribution:
     """Build a ProblemDistribution from a problem-file dictionary."""
-    kind = spec.get("type")
+    kind = _object(spec, "problem").get("type")
     if kind == "finite":
-        atoms = [
-            ((np.asarray(a["b"], dtype=float), np.asarray(a["A"], dtype=float)), a["p"])
-            for a in spec["atoms"]
-        ]
+        if not isinstance(spec["atoms"], list):
+            raise ValueError("atoms must be a JSON array")
+        atoms = []
+        for i, a in enumerate(spec["atoms"]):
+            a = _object(a, f"atoms[{i}]")
+            b, A = (np.asarray(a[k], dtype=float) for k in ("b", "A"))
+            atoms.append(((b, A), _number(a["p"], f"atoms[{i}].p")))
         p = make_finite_support(atoms, label=spec.get("label", "finite"))
     elif kind == "gaussian":
         p = make_gaussian_noise(
             np.asarray(spec["A"], dtype=float),
             np.asarray(spec["b"], dtype=float),
-            float(spec.get("sigma_A", 0.0)),
-            float(spec.get("sigma_b", 0.0)),
+            _number(spec.get("sigma_A", 0.0), "sigma_A"),
+            _number(spec.get("sigma_b", 0.0), "sigma_b"),
             label=spec.get("label"),
         )
     elif kind == "lower_bound":
         p = make_lower_bound_instance(
-            float(spec["lambda_min"]),
-            float(spec["lambda_max"]),
-            float(spec.get("sigma_b", 0.0)),
+            _number(spec["lambda_min"], "lambda_min"),
+            _number(spec["lambda_max"], "lambda_max"),
+            _number(spec.get("sigma_b", 0.0), "sigma_b"),
         )
     elif kind == "td_mdp":
         instance = td_instance_from_dict(spec)
@@ -99,7 +122,7 @@ def td_instance_from_dict(spec: dict) -> TdInstance:
     if algo == "td0":
         return td0_instance(mdp)
     if algo in ("gtd", "gtd2"):
-        return gtd_instance(mdp, float(spec.get("eta", 1.0)), variant=algo)
+        return gtd_instance(mdp, _number(spec.get("eta", 1.0), "eta"), variant=algo)
     raise ValueError(f"unknown algo {algo!r}")
 
 

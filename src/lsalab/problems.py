@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
 import numpy as np
@@ -42,17 +42,13 @@ __all__ = [
     "make_finite_support",
     "make_gaussian_noise",
     "make_lower_bound_instance",
-    "estimate_moments",
     "spectral_norm",
     "spectral_norms",
 ]
 
-#: condition-number cliff above which an estimated mean matrix is treated as
-#: singular and no fixed point is reported
+#: condition-number cliff above which a mean matrix is treated as singular
+#: and no fixed point is reported
 SINGULAR_COND_LIMIT = 1e12
-
-#: draws per chunk of ``estimate_moments``
-_ESTIMATE_CHUNK = 100_000
 
 Sampler = Callable[[np.random.Generator, tuple], tuple[np.ndarray, np.ndarray]]
 Draws = tuple[np.ndarray, ...]
@@ -72,9 +68,13 @@ def spectral_norms(As: np.ndarray) -> np.ndarray:
 class Moments:
     """First and second moments of a (b, A) distribution.
 
+    Built from ``(A_P, b_P, C_P, sigma_A_sq, sigma_b_sq)``; the rest is
+    derived.  theta* = A_P^{-1} b_P when the mean is invertible (condition
+    number below SINGULAR_COND_LIMIT), and then
     ``sigma1_sq = sigma_A_sq*||theta*||^2 + sigma_b_sq`` and
-    ``sigma2_sq = sigma_A_sq*||theta*||`` are the noise constants entering the
-    error bounds; they are None when no fixed point exists (singular mean).
+    ``sigma2_sq = sigma_A_sq*||theta*||`` are the noise constants entering
+    the error bounds; all three are None when no fixed point exists
+    (singular mean).
     """
 
     A_P: np.ndarray
@@ -82,24 +82,15 @@ class Moments:
     C_P: np.ndarray
     sigma_A_sq: float
     sigma_b_sq: float
-    theta_star: np.ndarray | None
-    sigma1_sq: float | None
-    sigma2_sq: float | None
+    theta_star: np.ndarray | None = field(init=False)
+    sigma1_sq: float | None = field(init=False)
+    sigma2_sq: float | None = field(init=False)
 
-    @classmethod
-    def from_parts(
-        cls,
-        A_P: np.ndarray,
-        b_P: np.ndarray,
-        C_P: np.ndarray,
-        sigma_A_sq: float,
-        sigma_b_sq: float,
-    ) -> "Moments":
-        """Assemble moments, solving for theta* when the mean is invertible
-        (condition number below SINGULAR_COND_LIMIT)."""
-        A_P = np.asarray(A_P)
-        b_P = np.asarray(b_P)
-        C_P = np.asarray(C_P)
+    def __post_init__(self):
+        A_P = np.asarray(self.A_P)
+        b_P = np.asarray(self.b_P)
+        sigma_A_sq, sigma_b_sq = self.sigma_A_sq, self.sigma_b_sq
+        theta_star = sigma1_sq = sigma2_sq = None
         if np.linalg.cond(A_P) < SINGULAR_COND_LIMIT:
             theta_star = np.linalg.solve(A_P, b_P)
             # hypot does not overflow where squaring the entries would, and
@@ -111,20 +102,12 @@ class Moments:
             else:
                 sigma1_sq = sigma_A_sq * (nrm * nrm) + sigma_b_sq
                 sigma2_sq = sigma_A_sq * nrm
-        else:
-            theta_star = None
-            sigma1_sq = None
-            sigma2_sq = None
-        return cls(
-            A_P=A_P,
-            b_P=b_P,
-            C_P=C_P,
-            sigma_A_sq=float(sigma_A_sq),
-            sigma_b_sq=float(sigma_b_sq),
-            theta_star=theta_star,
-            sigma1_sq=sigma1_sq,
-            sigma2_sq=sigma2_sq,
-        )
+        for name, value in (
+            ("A_P", A_P), ("b_P", b_P), ("C_P", np.asarray(self.C_P)),
+            ("sigma_A_sq", float(sigma_A_sq)), ("sigma_b_sq", float(sigma_b_sq)),
+            ("theta_star", theta_star), ("sigma1_sq", sigma1_sq), ("sigma2_sq", sigma2_sq),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -175,7 +158,8 @@ class ProblemDistribution:
     steps it (d normals per step for the Gaussian family, (b, atom index)
     draws for finite-support problems).  Every constructor sets both, and
     construction raises TypeError when they are not a ``Moments`` and a
-    ``StepForm``.  The run's dtype is that of A_P and b_P (at least float64),
+    ``StepForm``.  ``dim`` is not an argument: it is read from the moments'
+    b_P.  The run's dtype is that of A_P and b_P (at least float64),
     which the draws share.  ``atoms`` is set for finite-support families so
     downstream transforms can map moments in closed form.  A problem without
     atoms must have matrix noise N = A_t - A_P whose law is invariant under
@@ -186,7 +170,7 @@ class ProblemDistribution:
     always take their own seeds.
     """
 
-    dim: int
+    dim: int = field(init=False)
     sample: Sampler
     exact_moments: Moments
     label: str
@@ -201,6 +185,7 @@ class ProblemDistribution:
             raise TypeError("step_form must be a StepForm")
         if self.seed is not None:
             _check_integer(self.seed, "seed", seed=True)
+        object.__setattr__(self, "dim", len(self.exact_moments.b_P))
 
 
 def _check_integer(value, name: str, seed: bool = False) -> None:
@@ -307,7 +292,6 @@ def _finite_problem(atoms: FiniteAtoms, label: str) -> ProblemDistribution:
 
     key = ("atoms", As.shape, As.dtype.str, bs.dtype.str, As.tobytes())
     return ProblemDistribution(
-        dim=d,
         sample=sample,
         exact_moments=_finite_support_moments(atoms),
         label=label,
@@ -329,7 +313,7 @@ def _finite_support_moments(atoms: FiniteAtoms) -> Moments:
     if atoms.b_noise is not None:
         b_dev_sq = b_dev_sq + (np.abs(atoms.b_noise) ** 2).sum(axis=1)
     sigma_b_sq = float((probs * b_dev_sq).sum())
-    return Moments.from_parts(A_P, b_P, C_P, sigma_A_sq, sigma_b_sq)
+    return Moments(A_P, b_P, C_P, sigma_A_sq, sigma_b_sq)
 
 
 # --- entrywise Gaussian noise, calibrated to a spectral-norm target ----------
@@ -480,7 +464,7 @@ def make_gaussian_noise(
     entry_scale_b = sigma_b / np.sqrt(d)
 
     C_P = A_P.T @ A_P + entry_scale_A**2 * d * np.eye(d)
-    moments = Moments.from_parts(A_P, b_P, C_P, sigma_A**2, sigma_b**2)
+    moments = Moments(A_P, b_P, C_P, sigma_A**2, sigma_b**2)
 
     def draw_b(rng: np.random.Generator, shape: tuple) -> np.ndarray:
         if entry_scale_b:
@@ -514,7 +498,7 @@ def make_gaussian_noise(
     if label is None:
         label = f"gaussian(d={d}, sigma_A={sigma_A:g}, sigma_b={sigma_b:g})"
     return ProblemDistribution(
-        dim=d, sample=sample, exact_moments=moments, label=label, step_form=step_form
+        sample=sample, exact_moments=moments, label=label, step_form=step_form
     )
 
 
@@ -560,52 +544,3 @@ def make_lower_bound_instance(
     label = f"lower_bound({lambda_min:g},{lambda_max:g},sigma_b={sigma_b:g})"
     return _finite_problem(atoms, label)
 
-
-def estimate_moments(p: ProblemDistribution, n_samples: int, seed: int) -> Moments:
-    """Empirical moments from n_samples draws of p, deterministic given seed.
-
-    Means and raw second moments are sample averages; the centered noise
-    magnitudes use the unbiased 1/(n-1) convention.  If the estimated mean
-    matrix is numerically singular (condition number above 1e12), no fixed
-    point is reported.  Draws come in chunks of 100,000.
-    """
-    if n_samples < 2:
-        raise ValueError("need n_samples >= 2")
-    rng = np.random.default_rng(seed)
-    start_state = rng.bit_generator.state  # replayed for the centered pass
-
-    # pass 1: means and the raw second moment
-    sum_b = None
-    sum_A = None
-    sum_C = None
-    left = n_samples
-    while left > 0:
-        take = min(_ESTIMATE_CHUNK, left)
-        b, A = p.sample(rng, (take,))
-        C = np.einsum("kji,kjl->il", A.conj(), A)
-        if sum_b is None:
-            sum_b, sum_A, sum_C = b.sum(axis=0), A.sum(axis=0), C
-        else:
-            sum_b = sum_b + b.sum(axis=0)
-            sum_A = sum_A + A.sum(axis=0)
-            sum_C = sum_C + C
-        left -= take
-    b_P = sum_b / n_samples
-    A_P = sum_A / n_samples
-    C_P = sum_C / n_samples
-
-    # pass 2: deviations from the final means, replaying the same stream
-    rng.bit_generator.state = start_state
-    dev_b = 0.0
-    dev_A = 0.0
-    left = n_samples
-    while left > 0:
-        take = min(_ESTIMATE_CHUNK, left)
-        b, A = p.sample(rng, (take,))
-        dev_b += float((np.abs(b - b_P) ** 2).sum())
-        dev_A += float((spectral_norms(A - A_P) ** 2).sum())
-        left -= take
-    sigma_b_sq = dev_b / (n_samples - 1)
-    sigma_A_sq = dev_A / (n_samples - 1)
-
-    return Moments.from_parts(A_P, b_P, C_P, sigma_A_sq, sigma_b_sq)

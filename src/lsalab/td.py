@@ -30,7 +30,7 @@ uncorrected one-step method), not raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,14 +131,6 @@ class SyntheticMdp:
             object.__setattr__(self, name, value)
 
     @property
-    def n_states(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
     def effective_behavior(self) -> np.ndarray:
         return (
             self.behavior_transitions
@@ -159,15 +151,22 @@ class SyntheticMdp:
 class TdInstance:
     """A TD algorithm on an MDP, packaged as a (b, A) distribution.
 
-    ``hurwitz`` records whether every eigenvalue of the mean update matrix has
-    positive real part; ``mean_spectrum`` carries the eigenvalues for
-    inspection when it does not.
+    Built from ``problem`` and ``algo``; the rest is derived from the
+    problem's mean update matrix A_P.  ``mean_spectrum`` holds its
+    eigenvalues and ``hurwitz`` (a bool) records whether every one has
+    positive real part, so ``replace(inst, problem=...)`` reports the new
+    problem's spectrum.
     """
 
     problem: ProblemDistribution
     algo: str
-    hurwitz: bool
-    mean_spectrum: np.ndarray
+    hurwitz: bool = field(init=False)
+    mean_spectrum: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        spectrum = np.linalg.eigvals(self.problem.exact_moments.A_P)
+        object.__setattr__(self, "mean_spectrum", spectrum)
+        object.__setattr__(self, "hurwitz", bool(np.min(spectrum.real) > 0))
 
     @property
     def moments(self) -> Moments:
@@ -198,14 +197,13 @@ def _pair_instance(
         As=A_of.reshape(-1, D, D)[keep],
         b_noise=b_noise,
     )
-    problem = _finite_problem(atoms, label)
-    spectrum = np.linalg.eigvals(problem.exact_moments.A_P)
-    return TdInstance(
-        problem=problem,
-        algo=algo,
-        hurwitz=bool(np.min(spectrum.real) > 0),
-        mean_spectrum=spectrum,
-    )
+    return TdInstance(problem=_finite_problem(atoms, label), algo=algo)
+
+
+def _td_delta(phi: np.ndarray, gamma: float) -> np.ndarray:
+    """(n, n, d, d) array of delta(s, s') = phi_s phi_s^T - gamma phi_s phi_{s'}^T."""
+    outer = np.einsum("si,sj->sij", phi, phi)[:, None, :, :]
+    return outer - gamma * np.einsum("si,tj->stij", phi, phi)
 
 
 def td0_instance(mdp: SyntheticMdp) -> TdInstance:
@@ -219,10 +217,7 @@ def td0_instance(mdp: SyntheticMdp) -> TdInstance:
     phi = mdp.features
     gamma = mdp.discount
     n, d = phi.shape
-    # delta(s, s') = phi_s phi_s^T - gamma phi_s phi_{s'}^T
-    delta = np.einsum("si,sj->sij", phi, phi)[:, None, :, :] - gamma * np.einsum(
-        "si,tj->stij", phi, phi
-    )
+    delta = _td_delta(phi, gamma)
     b_of = phi[:, None, :] * mdp.rewards[:, :, None]
     noise_dir = np.broadcast_to(phi[:, None, :], b_of.shape)
     return _pair_instance(
@@ -250,9 +245,7 @@ def gtd_instance(mdp: SyntheticMdp, eta: float, variant: str = "gtd") -> TdInsta
     D = 2 * d
     mu = mdp.importance_ratios
 
-    delta = np.einsum("si,sj->sij", phi, phi)[:, None, :, :] - gamma * np.einsum(
-        "si,tj->stij", phi, phi
-    )
+    delta = _td_delta(phi, gamma)
     if variant == "gtd":
         Q = np.broadcast_to(np.eye(d), (n, n, d, d))
     else:

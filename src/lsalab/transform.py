@@ -183,7 +183,7 @@ def transform_moments(p: ProblemDistribution, tr: TransformResult) -> Moments:
     C_U = A_U.conj().T @ A_U + scale * (U.conj().T @ noise_C @ U)
     sigma_A_sq = tr.kappa_U**2 * m.sigma_A_sq
     sigma_b_sq = spectral_norm(U_inv) ** 2 * m.sigma_b_sq
-    return Moments.from_parts(A_U, U_inv @ m.b_P, C_U, sigma_A_sq, sigma_b_sq)
+    return Moments(A_U, U_inv @ m.b_P, C_U, sigma_A_sq, sigma_b_sq)
 
 
 def transform_distribution(p: ProblemDistribution, tr: TransformResult) -> ProblemDistribution:

@@ -56,7 +56,6 @@ __all__ = [
     "TunerConfig",
     "TunerTrace",
     "RatioCheck",
-    "is_unstable",
     "tune",
     "tune_many",
     "NoStableStepSizeError",
@@ -135,22 +134,15 @@ class TunerTrace:
     checks: tuple[RatioCheck, ...]
 
 
-def is_unstable(norms, c_threshold: float) -> bool:
-    """Growth test on k+1 epoch-boundary norms of the running average.
-
-    Returns True iff some consecutive ratio norms[i]/norms[i-1] exceeds
-    c_threshold.  Any non-finite norm is definite divergence (True); any zero
-    norm means ratios are uninformative and yields False (no growth evidence).
-    """
-    norms = [float(x) for x in norms]
-    if len(norms) < 2:
-        raise ValueError("need at least two norms")
-    return _ratio_test(norms, c_threshold)[1]
-
-
 def _ratio_test(norms: list[float], c_threshold: float) -> tuple[tuple[float, ...], bool]:
-    """(ratios, triggered) of ``is_unstable`` on a list of floats; the
-    ratios are empty unless every norm is finite and nonzero."""
+    """Growth test on the k+1 epoch-boundary norms (floats) of the running
+    average: (ratios, triggered).
+
+    ``triggered`` is True iff some consecutive ratio norms[i]/norms[i-1]
+    exceeds c_threshold.  Any non-finite norm is definite divergence (True);
+    any zero norm means ratios are uninformative and yields False (no growth
+    evidence).  The ratios are empty unless every norm is finite and nonzero.
+    """
     finite = all(map(math.isfinite, norms))
     if not finite or 0.0 in norms:
         return (), not finite

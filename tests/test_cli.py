@@ -107,6 +107,32 @@ def test_unknown_algo_exits_2(tmp_path, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+GAUSSIAN = {"type": "gaussian", "A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "command, spec, message",
+    [
+        pytest.param("transform", [1, 2], "problem must be a JSON object", id="array"),
+        pytest.param("transform", {**GAUSSIAN, "sigma_A": [1, 2]},
+                     "sigma_A must be a number, not [1, 2]", id="sigma_A-array"),
+        pytest.param("transform", {"type": "finite", "atoms": 5}, "atoms must be a JSON array",
+                     id="atoms-number"),
+        pytest.param("transform", {"type": "finite", "atoms": [5]},
+                     "atoms[0] must be a JSON object", id="atom-number"),
+        pytest.param("transform", {"type": "td_mdp", "mdp": [1]}, "mdp must be a JSON object",
+                     id="mdp-array"),
+        pytest.param("td", [1], "mdp must be a JSON object", id="td-mdp-array"),
+    ],
+)
+def test_malformed_file_exits_2(command, spec, message, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    flag = "--mdp" if command == "td" else "--problem"
+    assert main([command, flag, str(path)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
 def test_all_diverged_simulate_exits_3(td_problem, tmp_path, capsys):
     code = main(["simulate", "--problem", str(td_problem[0]), "--alpha", "50", "--horizon", "200",
                  "--reps", "4", "--stride", "50", "--out", str(tmp_path / "sim.csv")])

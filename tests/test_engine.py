@@ -25,7 +25,7 @@ from lsalab.engine import (
     _SAMPLE_CHUNK,
     _advance,
     _replication_rngs,
-    _simulate_block,
+    _simulate_runs,
     divergence_bound,
 )
 from lsalab.problem_io import load_problem_file
@@ -60,7 +60,7 @@ def one_replication(p, cfg):
     curve, whose mse is the replication's squared error.
     """
     cfg = dataclasses.replace(cfg, n_replications=1)
-    theta, hat, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 1))
+    theta, hat, div = _simulate_runs([p], [cfg], [_replication_rngs(cfg.seed, 1)], keep_theta=True)
     return theta[:, 0], hat[:, 0], int(div[0]), run_mse(p, cfg)
 
 
@@ -288,7 +288,9 @@ class TestAdvance:
         counted = dataclasses.replace(p, step_form=dataclasses.replace(p.step_form, direction=direction))
         cfg = RunConfig(alpha=2.0, horizon=2000, theta_0=np.ones(2), record_stride=500,
                         n_replications=200, seed=5)
-        _, _, div = _simulate_block(counted, cfg, _replication_rngs(cfg.seed, 200))
+        _, _, div = _simulate_runs(
+            [counted], [cfg], [_replication_rngs(cfg.seed, 200)], keep_theta=True
+        )
         assert (div > 0).all() and len(set(div.tolist())) > 50
         assert len(calls) <= 2 * div.max()
 
@@ -299,7 +301,7 @@ class TestRunMse:
         p = make_lower_bound_instance(1.0, 2.0, 1.0)
         cfg = RunConfig(alpha=0.1, horizon=100, record_stride=10, n_replications=1, seed=3)
         curve = run_mse(p, cfg)
-        _, hat, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 1))
+        _, hat, div = _simulate_runs([p], [cfg], [_replication_rngs(cfg.seed, 1)], keep_theta=True)
         assert div[0] == -1
         sq = (np.abs(hat[:, 0] - p.exact_moments.theta_star) ** 2).sum(axis=-1)
         assert np.array_equal(curve.mse, sq)
@@ -318,10 +320,12 @@ class TestRunMse:
         p = pm_identity(0.05)
         cfg = RunConfig(alpha=2.0, horizon=720, theta_0=np.array([1.0, 1.0]),
                         record_stride=24, n_replications=12, seed=5)
-        theta, hat, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 12))
+        theta, hat, div = _simulate_runs(
+            [p], [cfg], [_replication_rngs(cfg.seed, 12)], keep_theta=True
+        )
         assert 0 < (div >= 0).sum() < 12
         for r, rng in enumerate(_replication_rngs(cfg.seed, 12)):
-            theta_r, hat_r, div_r = _simulate_block(p, cfg, [rng])
+            theta_r, hat_r, div_r = _simulate_runs([p], [cfg], [[rng]], keep_theta=True)
             assert np.array_equal(theta_r[:, 0], theta[:, r])
             assert np.array_equal(hat_r[:, 0], hat[:, r])
             assert div_r[0] == div[r]
@@ -415,7 +419,9 @@ class TestStatisticalProperties:
         cfg = RunConfig(alpha=alpha, horizon=400, theta_0=theta0, record_stride=40,
                         n_replications=R, seed=13)
         # per-replication squared iterate errors at recorded times
-        theta_snaps, _, _ = _simulate_block(p, cfg, _replication_rngs(cfg.seed, R))
+        theta_snaps, _, _ = _simulate_runs(
+            [p], [cfg], [_replication_rngs(cfg.seed, R)], keep_theta=True
+        )
         sq = ((theta_snaps - m.theta_star) ** 2).sum(axis=2)
         for i, t in enumerate(cfg.record_times()):
             bound = (
@@ -455,7 +461,9 @@ class TestStatisticalProperties:
             mean, P = M @ mean, M @ P @ M.T + alpha**2 * q * np.eye(d)
             exact.append(np.trace(P))
         cfg = RunConfig(alpha=alpha, horizon=H, record_stride=50, n_replications=R, seed=17)
-        theta_snaps, _, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, R))
+        theta_snaps, _, div = _simulate_runs(
+            [p], [cfg], [_replication_rngs(cfg.seed, R)], keep_theta=True
+        )
         assert (div < 0).all()
         sq = ((theta_snaps - ts) ** 2).sum(axis=2)
         z = (sq.mean(axis=1) - np.array(exact)[cfg.record_times()]) / (
@@ -469,7 +477,9 @@ class TestStatisticalProperties:
         assert rho_s(p.exact_moments, 0.4) == pytest.approx(-0.2)
         cfg = RunConfig(alpha=0.4, horizon=60, theta_0=np.array([1.0, 1.0]),
                         record_stride=30, n_replications=4000, seed=2)
-        theta_snaps, _, _ = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 4000))
+        theta_snaps, _, _ = _simulate_runs(
+            [p], [cfg], [_replication_rngs(cfg.seed, 4000)], keep_theta=True
+        )
         sq = (theta_snaps**2).sum(axis=2)
         assert sq[1].mean() > sq[0].mean() > 2.0  # 1.08^30 ~ 10
 
@@ -498,13 +508,15 @@ class TestGaussianStepForm:
         p = make_gaussian_noise(A_P, np.ones(d), sigma_A, sigma_b)
         cfg = RunConfig(alpha=alpha, horizon=horizon, record_stride=5, n_replications=12, seed=5)
         with mock.patch.object(engine, "DIVERGENCE_SENTINEL", 100):
-            theta, hat, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 12))
+            theta, hat, div = _simulate_runs(
+                [p], [cfg], [_replication_rngs(cfg.seed, 12)], keep_theta=True
+            )
             if sigma_A or sigma_b:
                 assert 0 < (div >= 0).sum() < 12
             else:
                 assert div[0] > 0 and (div == div[0]).all()
             for r, rng in enumerate(_replication_rngs(cfg.seed, 12)):
-                theta_r, hat_r, div_r = _simulate_block(p, cfg, [rng])
+                theta_r, hat_r, div_r = _simulate_runs([p], [cfg], [[rng]], keep_theta=True)
                 assert np.array_equal(theta_r[:, 0], theta[:, r])
                 assert np.array_equal(hat_r[:, 0], hat[:, r])
                 assert div_r[0] == div[r]
@@ -531,7 +543,9 @@ class TestGaussianStepForm:
             p = dataclasses.replace(base, sample=no_draws)
             cfg = RunConfig(alpha=0.1, horizon=600, record_stride=50, n_replications=3, seed=2)
             assert np.isfinite(run_mse(p, cfg).mse).all()
-            theta, _, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 1))
+            theta, _, div = _simulate_runs(
+                [p], [cfg], [_replication_rngs(cfg.seed, 1)], keep_theta=True
+            )
             assert np.isfinite(theta).all() and div[0] == -1
 
     def test_far_fixed_point_is_not_divergence(self):
@@ -546,7 +560,7 @@ class TestGaussianStepForm:
 
 
 def reference_block(p, cfg, rngs):
-    """One replication at a time, one step at a time: the oracle of ``_simulate_block``.
+    """One replication at a time, one step at a time: the oracle of ``_simulate_runs``.
 
     Draws in the engine's chunks from each replication's stream and freezes a
     replication at the step that would take it past the divergence bound.
@@ -651,7 +665,9 @@ class TestAgainstReferenceLoop:
     def test_example_covers_partial_divergence_past_a_chunk(self):
         p, cfg, sentinel = PARTIAL_DIVERGENCE
         with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
-            _, _, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, cfg.n_replications))
+            _, _, div = _simulate_runs(
+                [p], [cfg], [_replication_rngs(cfg.seed, cfg.n_replications)], keep_theta=True
+            )
         assert 0 < (div >= 0).sum() < len(div)
         assert (div[div >= 0] > _SAMPLE_CHUNK).all()
 
@@ -662,7 +678,9 @@ class TestAgainstReferenceLoop:
         p, cfg, sentinel = run
         R = cfg.n_replications
         with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
-            theta, hat, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, R))
+            theta, hat, div = _simulate_runs(
+                [p], [cfg], [_replication_rngs(cfg.seed, R)], keep_theta=True
+            )
             ref_theta, ref_hat, ref_div = reference_block(p, cfg, _replication_rngs(cfg.seed, R))
         assert np.array_equal(div, ref_div)
         np.testing.assert_allclose(theta, ref_theta, rtol=1e-12)
@@ -677,8 +695,12 @@ class TestAtomStepForm:
         p, cfg, sentinel = run
         dense = dense_form(p)
         with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
-            got = _simulate_block(p, cfg, _replication_rngs(cfg.seed, cfg.n_replications))
-            want = _simulate_block(dense, cfg, _replication_rngs(cfg.seed, cfg.n_replications))
+            got = _simulate_runs(
+                [p], [cfg], [_replication_rngs(cfg.seed, cfg.n_replications)], keep_theta=True
+            )
+            want = _simulate_runs(
+                [dense], [cfg], [_replication_rngs(cfg.seed, cfg.n_replications)], keep_theta=True
+            )
         for x, y in zip(got, want):
             assert x.tobytes() == y.tobytes()
 
@@ -853,7 +875,9 @@ class TestMseCurveAggregation:
     def test_matches_per_record_reduction(self, p, cfg, sentinel):
         R = cfg.n_replications
         with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
-            _, hat, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, R))
+            _, hat, div = _simulate_runs(
+                [p], [cfg], [_replication_rngs(cfg.seed, R)], keep_theta=True
+            )
         times, theta_star = cfg.record_times(), p.exact_moments.theta_star
         curve = engine._mse_curve(times, hat, div, theta_star)
         mse, stderr, n_div = reference_mse_curve(times, hat, div, theta_star)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,30 @@ def test_seed_must_be_a_non_negative_integer(seed):
     spec, _ = SPECS["finite"]
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         load_problem({**spec, "seed": seed})
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("finite", "p", "0.3"),
+        ("gaussian", "sigma_b", True),
+        ("lower_bound", "lambda_min", None),
+        ("gtd", "eta", [0.5]),
+        ("td0", "discount", "0.9"),
+        ("td0", "reward_noise_std", {"std": 0.1}),
+    ],
+)
+def test_scalar_must_be_a_number(kind, field, value):
+    spec = json.loads(json.dumps(SPECS[kind][0]))
+    if kind == "finite":
+        spec["atoms"][1]["p"] = value
+        field = "atoms[1].p"
+    elif kind == "td0":
+        spec["mdp"][field] = value
+    else:
+        spec[field] = value
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be a number, not "):
+        load_problem(spec)
 
 
 def test_unknown_type_raises():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from lsalab import (
     Moments,
-    estimate_moments,
     make_finite_support,
     make_gaussian_noise,
     make_lower_bound_instance,
@@ -19,6 +19,7 @@ from lsalab.problems import (
     spectral_norm,
     spectral_norms,
 )
+from oracles import estimate_moments
 
 
 def pm_identity(eps):
@@ -44,7 +45,7 @@ class TestFiniteSupport:
         assert m.theta_star[0] == 1e200
         assert m.sigma1_sq == 0.0 and m.sigma2_sq == 0.0
         # with matrix noise only the square overflows, to +inf
-        m = Moments.from_parts(np.eye(1), np.array([1e200]), np.eye(1), 0.5, 0.0)
+        m = Moments(np.eye(1), np.array([1e200]), np.eye(1), 0.5, 0.0)
         assert m.sigma2_sq == pytest.approx(0.5e200)
         assert m.sigma1_sq == np.inf
 
@@ -254,7 +255,7 @@ class TestLowerBoundInstance:
             want_b[..., 0] = sigma_b * np.random.default_rng(5).standard_normal((7, 3))
         assert b.tobytes() == want_b.tobytes()
         assert As.tobytes() == np.broadcast_to(A, (7, 3, 2, 2)).tobytes()
-        m, want = p.exact_moments, Moments.from_parts(A, np.zeros(2), A.T @ A, 0.0, sigma_b**2)
+        m, want = p.exact_moments, Moments(A, np.zeros(2), A.T @ A, 0.0, sigma_b**2)
         for name in ("A_P", "b_P", "C_P", "theta_star"):
             assert getattr(m, name).tobytes() == getattr(want, name).tobytes(), name
         for name in ("sigma_A_sq", "sigma_b_sq", "sigma1_sq", "sigma2_sq"):
@@ -352,5 +353,20 @@ class TestInvariants:
         assert m.sigma2_sq == pytest.approx(m.sigma_A_sq * nrm)
 
     def test_moments_report_no_fixed_point_when_singular(self):
-        m = Moments.from_parts(np.zeros((2, 2)), np.ones(2), np.eye(2), 0.0, 0.0)
+        m = Moments(np.zeros((2, 2)), np.ones(2), np.eye(2), 0.0, 0.0)
         assert m.theta_star is None and m.sigma1_sq is None
+
+    def test_derived_fields_are_not_arguments(self):
+        args = (np.eye(2), np.ones(2), np.eye(2), 0.5, 0.0)
+        for name in ("theta_star", "sigma1_sq", "sigma2_sq"):
+            with pytest.raises(TypeError):
+                Moments(*args, **{name: None})
+        m = Moments(*args)
+        assert m.theta_star.tolist() == [1.0, 1.0] and m.sigma2_sq == 0.5 * math.sqrt(2)
+        # a problem's dimension is that of its moments
+        p = pm_identity(0.1)
+        assert p.dim == 2
+        m3 = Moments(np.eye(3), np.ones(3), np.eye(3), 0.0, 0.0)
+        assert dataclasses.replace(p, exact_moments=m3).dim == 3
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(p, dim=3)

@@ -1,8 +1,16 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lsalab import SyntheticMdp, estimate_moments, gtd_instance, td0_instance
+from lsalab import SyntheticMdp, gtd_instance, td0_instance
+from lsalab.problem_io import td_instance_from_dict
 from lsalab.problems import spectral_norm
+from oracles import estimate_moments
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
 
 
 def random_mdp(seed, n=5, d=2, off_policy=False, reward_noise_std=0.0):
@@ -32,10 +40,11 @@ def random_mdp(seed, n=5, d=2, off_policy=False, reward_noise_std=0.0):
 
 def pair_updates(mdp, algo, eta=1.0):
     """(weight, A, b, reward-noise direction) of each (s, s'), by hand."""
-    phi, gamma, d = mdp.features, mdp.discount, mdp.feature_dim
+    phi, gamma = mdp.features, mdp.discount
+    n, d = phi.shape
     out = []
-    for s in range(mdp.n_states):
-        for sp in range(mdp.n_states):
+    for s in range(n):
+        for sp in range(n):
             w = mdp.sampling[s] * mdp.effective_behavior[s, sp]
             delta = np.outer(phi[s], phi[s] - gamma * phi[sp])
             r = mdp.rewards[s, sp]
@@ -127,7 +136,7 @@ def test_td0_fixed_point_is_lstd(seed):
 @pytest.mark.parametrize("eta", [0.25, 1.0, 4.0])
 def test_gtd_on_policy_matches_td0(variant, eta):
     mdp = random_mdp(6, reward_noise_std=0.3)
-    d = mdp.feature_dim
+    d = mdp.features.shape[1]
     x_star = gtd_instance(mdp, eta, variant=variant).moments.theta_star
     assert np.allclose(x_star[:d], 0.0, atol=1e-10)
     assert np.allclose(x_star[d:], td0_instance(mdp).moments.theta_star, atol=1e-10)
@@ -156,10 +165,13 @@ def test_sampled_pair_frequencies_match_atoms(algo):
     assert np.all(np.abs(counts / n - atoms.probs) <= 5 * se)
 
 
-def test_off_policy_td0_not_hurwitz_is_flagged():
-    # features 1 and 2; the replay over-samples state 0 and its jump into the
-    # larger feature, whose one-step term 1*(1 - 2*gamma) is negative
-    mdp = SyntheticMdp(
+def not_hurwitz_mdp():
+    """Off-policy MDP on which TD(0)'s mean matrix is not Hurwitz.
+
+    Features 1 and 2; the replay over-samples state 0 and its jump into the
+    larger feature, whose one-step term 1*(1 - 2*gamma) is negative.
+    """
+    return SyntheticMdp(
         features=np.array([[1.0], [2.0]]),
         transitions=np.array([[0.0, 1.0], [0.0, 1.0]]),
         rewards=np.zeros(2),
@@ -167,6 +179,10 @@ def test_off_policy_td0_not_hurwitz_is_flagged():
         sampling=np.array([0.9, 0.1]),
         behavior_transitions=np.array([[0.2, 0.8], [0.5, 0.5]]),
     )
+
+
+def test_off_policy_td0_not_hurwitz_is_flagged():
+    mdp = not_hurwitz_mdp()
     inst = td0_instance(mdp)
     A_P = sum(w * A for w, A, _, _ in pair_updates(mdp, "td0"))
     assert inst.hurwitz is False
@@ -174,6 +190,25 @@ def test_off_policy_td0_not_hurwitz_is_flagged():
     assert A_P[0, 0] < 0
     # the importance-corrected variant stays Hurwitz on the same data
     assert gtd_instance(mdp, 1.0, variant="gtd2").hurwitz is True
+
+
+def test_replaced_problem_reports_its_own_spectrum():
+    # the spectrum is derived from the problem, so replace(inst, problem=...)
+    # cannot keep GTD2's six eigenvalues on TD(0)'s four-dimensional problem
+    gtd2, td0 = (
+        td_instance_from_dict(json.loads((PROBLEMS / f"{name}.json").read_text()))
+        for name in ("gtd2_offpolicy", "td0_onpolicy")
+    )
+    assert len(gtd2.mean_spectrum) == 6
+    inst = dataclasses.replace(gtd2, problem=td0.problem)
+    assert inst.algo == "gtd2" and len(inst.mean_spectrum) == 4
+    assert inst.mean_spectrum.tobytes() == td0.mean_spectrum.tobytes()
+    # and the Hurwitz flag follows the problem
+    mdp = not_hurwitz_mdp()
+    gtd2 = gtd_instance(mdp, 1.0, variant="gtd2")
+    assert dataclasses.replace(gtd2, problem=td0_instance(mdp).problem).hurwitz is False
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(td0, hurwitz=True)
 
 
 def mdp_fields():

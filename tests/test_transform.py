@@ -16,7 +16,6 @@ from lsalab import (
     RunConfig,
     SyntheticMdp,
     TransformFailedError,
-    estimate_moments,
     gtd_instance,
     hurwitz_to_pd,
     make_finite_support,
@@ -28,9 +27,10 @@ from lsalab import (
     transform_problem,
     witness_alpha,
 )
-from lsalab.engine import _replication_rngs, _simulate_block
+from lsalab.engine import _replication_rngs, _simulate_runs
 from lsalab.problem_io import load_problem_file
 from lsalab.problems import FiniteAtoms, _finite_problem
+from oracles import estimate_moments
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
 JORDAN_2 = np.array([[0.1, 1.0], [0.0, 0.1]])
@@ -338,9 +338,13 @@ class TestTransformedRun:
         cfg = RunConfig(alpha=alpha, horizon=300, theta_0=theta_0, record_stride=10,
                         n_replications=4, seed=3)
         cfg_U = dataclasses.replace(cfg, theta_0=tr.U_inv @ theta_0)
-        theta, hat, div = _simulate_block(p, cfg, _replication_rngs(cfg.seed, 4))
+        theta, hat, div = _simulate_runs(
+            [p], [cfg], [_replication_rngs(cfg.seed, 4)], keep_theta=True
+        )
         p_U = transform_distribution(p, tr)
-        theta_U, hat_U, div_U = _simulate_block(p_U, cfg_U, _replication_rngs(cfg.seed, 4))
+        theta_U, hat_U, div_U = _simulate_runs(
+            [p_U], [cfg_U], [_replication_rngs(cfg.seed, 4)], keep_theta=True
+        )
         assert (div < 0).all() and (div_U < 0).all()
         for got, run in ((theta_U, theta), (hat_U, hat)):
             want = np.einsum("ij,trj->tri", tr.U_inv, run)
