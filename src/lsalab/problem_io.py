@@ -32,13 +32,18 @@ type "td_mdp"::
 ``seed`` is optional everywhere; command-line tools fall back to it when no
 --seed is given.  It must be a non-negative integer: a float (even 1.0), a
 boolean or a negative number raises ValueError naming ``seed``.  The file,
-``mdp`` and each atom must be JSON objects, ``atoms`` an array and every scalar
-(``sigma_A``, ``p``, ``eta``, ``discount``, ...) a number, else ValueError.
+``mdp`` and each atom must be JSON objects, ``atoms`` an array, every scalar
+(``sigma_A``, ``p``, ``eta``, ``discount``, ...) a number and every matrix or
+vector (``A``, ``b``, an atom's ``b`` and ``A``, the MDP's ``features``,
+``transitions``, ``rewards``, ``sampling`` and ``behavior_transitions``) a
+JSON array of numbers of a regular shape, else ValueError.  A boolean is not
+a number.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -64,15 +69,36 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _numbers(value: list) -> bool:
+    """Whether a list holds only JSON numbers, or only lists that do, at every
+    depth; one nesting level at a time, so the test runs at C speed."""
+    types = set(map(type, value))
+    if list in types:
+        return types == {list} and _numbers(list(itertools.chain.from_iterable(value)))
+    return types <= {int, float}  # a bool's type is bool, not int
+
+
+def _array(value, name: str) -> np.ndarray:
+    """value as a float array; ValueError naming ``name`` unless a JSON array
+    of numbers (not booleans), or of such arrays, of a regular shape."""
+    if not (type(value) is list and _numbers(value)):
+        raise ValueError(f"{name} must be a JSON array of numbers")
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:  # ragged nesting
+        raise ValueError(f"{name} must be a JSON array of numbers of a regular shape") from None
+
+
 def mdp_from_dict(spec: dict) -> SyntheticMdp:
     """The MDP of a ``td_mdp`` file's ``mdp`` object; optional fields may be
-    omitted or null.  ``SyntheticMdp`` converts and checks every field."""
+    omitted or null.  Array fields must be JSON arrays of numbers;
+    ``SyntheticMdp`` checks their shapes and values."""
     spec = _object(spec, "mdp")
-    fields = {k: spec[k] for k in ("features", "transitions", "rewards")}
+    fields = {k: _array(spec[k], k) for k in ("features", "transitions", "rewards")}
     fields["discount"] = _number(spec["discount"], "discount")
     for k in ("sampling", "behavior_transitions"):
         if spec.get(k) is not None:
-            fields[k] = spec[k]
+            fields[k] = _array(spec[k], k)
     if spec.get("reward_noise_std") is not None:
         fields["reward_noise_std"] = _number(spec["reward_noise_std"], "reward_noise_std")
     return SyntheticMdp(**fields)
@@ -87,13 +113,13 @@ def load_problem(spec: dict) -> ProblemDistribution:
         atoms = []
         for i, a in enumerate(spec["atoms"]):
             a = _object(a, f"atoms[{i}]")
-            b, A = (np.asarray(a[k], dtype=float) for k in ("b", "A"))
+            b, A = (_array(a[k], f"atoms[{i}].{k}") for k in ("b", "A"))
             atoms.append(((b, A), _number(a["p"], f"atoms[{i}].p")))
         p = make_finite_support(atoms, label=spec.get("label", "finite"))
     elif kind == "gaussian":
         p = make_gaussian_noise(
-            np.asarray(spec["A"], dtype=float),
-            np.asarray(spec["b"], dtype=float),
+            _array(spec["A"], "A"),
+            _array(spec["b"], "b"),
             _number(spec.get("sigma_A", 0.0), "sigma_A"),
             _number(spec.get("sigma_b", 0.0), "sigma_b"),
             label=spec.get("label"),

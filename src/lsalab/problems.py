@@ -50,6 +50,9 @@ __all__ = [
 #: and no fixed point is reported
 SINGULAR_COND_LIMIT = 1e12
 
+#: a finite problem's guide table has at most 2**_GUIDE_BITS buckets
+_GUIDE_BITS = 16
+
 Sampler = Callable[[np.random.Generator, tuple], tuple[np.ndarray, np.ndarray]]
 Draws = tuple[np.ndarray, ...]
 
@@ -255,10 +258,15 @@ def _finite_problem(atoms: FiniteAtoms, label: str) -> ProblemDistribution:
 
     Each draw picks an atom index with probability p_i (drawing nothing when
     there is one atom), then (only when ``atoms.b_noise`` is set) one
-    standard normal for the intercept scatter.  The index is a search of one
-    uniform in the cumulative weights, computed once here:
-    ``Generator.choice(k, size=n, p=probs)`` draws the same index from the
-    same stream, but checks and sums ``probs`` on every call.
+    standard normal for the intercept scatter.  The index of a uniform u is
+    #{i : cdf[i] <= u} over the cumulative weights, the search
+    ``Generator.choice(k, size=n, p=probs)`` makes on the same stream
+    without re-checking and re-summing ``probs`` on every call.  It is an
+    indexed search (Chen & Asau, AIIE Transactions 6(2), 1974), built here
+    once (``_indexed_search``): a guide table over m equal buckets of [0, 1)
+    gives the index of every uniform whose bucket holds no cdf entry, and
+    only the others are binary searched, so a draw costs little more than
+    its uniforms and indexes exactly as the binary search does.
 
     The problem steps through atom indices: its ``step_form`` draws an
     intercept block and an int64 index block, and ``direction`` gathers the
@@ -270,25 +278,26 @@ def _finite_problem(atoms: FiniteAtoms, label: str) -> ProblemDistribution:
     d = bs.shape[1]
     cdf = probs.cumsum()
     cdf /= cdf[-1]
+    indices = _indexed_search(cdf)
 
     def draw(rng: np.random.Generator, n: int) -> Draws:
         if len(probs) == 1:  # a search would consume the stream for a sure draw
             idx = np.zeros(n, np.int64)
         else:
-            idx = cdf.searchsorted(rng.random(n), side="right")
-        b = bs[idx]
+            idx = indices(rng.random(n))
+        b = bs.take(idx, axis=0)
         if b_noise is not None:
-            b = b + rng.standard_normal(n)[:, None] * b_noise[idx]
+            b += rng.standard_normal(n)[:, None] * b_noise.take(idx, axis=0)
         return b, idx
 
     def direction(draws: Draws, s: int, theta: np.ndarray) -> np.ndarray:
         b, idx = draws
-        return b[s] - np.matmul(As[idx[s]], theta[..., None])[..., 0]
+        return b[s] - np.matmul(As.take(idx[s], axis=0), theta[..., None])[..., 0]
 
     def sample(rng: np.random.Generator, shape=()) -> tuple[np.ndarray, np.ndarray]:
         shape = tuple(np.atleast_1d(shape).astype(int)) if shape != () else ()
         b, idx = draw(rng, math.prod(shape))
-        return b.reshape(shape + (d,)), As[idx.reshape(shape)]
+        return b.reshape(shape + (d,)), As.take(idx.reshape(shape), axis=0)
 
     key = ("atoms", As.shape, As.dtype.str, bs.dtype.str, As.tobytes())
     return ProblemDistribution(
@@ -298,6 +307,36 @@ def _finite_problem(atoms: FiniteAtoms, label: str) -> ProblemDistribution:
         atoms=atoms,
         step_form=StepForm(draw, direction, key),
     )
+
+
+def _indexed_search(cdf: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``u -> cdf.searchsorted(u, side="right")`` for uniforms u in [0, 1),
+    by an indexed search (Chen & Asau, AIIE Transactions 6(2), 1974).
+
+    ``cdf`` is non-decreasing with last entry 1.  A guide table, built here
+    once, holds first[j] = #{i : cdf[i] <= j/m} for m a power of two, about
+    16 per entry and at most 2**_GUIDE_BITS, so that u*m and cdf*m are
+    exact; as j is an integer, cdf[i]*m <= j exactly when ceil(cdf[i]*m) <= j,
+    so the table is a running count of those ceilings.  For j = floor(u*m)
+    the index lies between first[j] and first[j+1].  Where they agree (all
+    but at most len(cdf) of the m buckets) it is first[j]; the uniforms of
+    the other buckets are binary searched.  The result equals the binary
+    search's, bit for bit, as int64.  The table takes 8*(m+1) bytes:
+    128 KiB for 900 entries, at most 512 KiB.
+    """
+    m = 1 << min(_GUIDE_BITS, (16 * len(cdf) - 1).bit_length())
+    first = np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1).cumsum()
+    guide = first[:-1]
+    guide[guide != first[1:]] = -1  # a bucket holding a cdf entry: search it
+
+    def search(u: np.ndarray) -> np.ndarray:
+        idx = guide[(u * m).astype(np.intp)]
+        amb = np.flatnonzero(idx < 0)
+        if amb.size:
+            idx[amb] = cdf.searchsorted(u[amb], side="right")
+        return idx
+
+    return search
 
 
 def _finite_support_moments(atoms: FiniteAtoms) -> Moments:

@@ -19,7 +19,8 @@ Construction routes, in order:
 
 Moments of the transformed pair (U^{-1} b, U^{-1} A U) are computed without
 sampling.  For a finite-support problem (plain finite, every TD instance)
-all of them are exact weighted sums over the transformed atoms.  For a
+all of them are exact weighted sums over the transformed atoms; on the
+identity route they are the problem's own exact moments, reused.  For a
 problem without atoms, A_U = Lambda, b_U = U^{-1} b_P and the second moment
 C_U are exact (see ``transform_moments``); sigma_A^2 and sigma_b^2 become
 the bounds kappa(U)^2 sigma_A^2 and ||U^{-1}||^2 sigma_b^2.
@@ -162,7 +163,9 @@ def transform_moments(p: ProblemDistribution, tr: TransformResult) -> Moments:
     """Moments of the transformed distribution (U^{-1} b, U^{-1} A U), drawing nothing.
 
     A finite-support problem (plain finite, every TD instance) gets weighted
-    sums over its transformed atoms, all exact.  A problem without atoms
+    sums over its transformed atoms, all exact.  On the identity route
+    (U = I exactly) those atoms are its own, so it gets ``p.exact_moments``
+    itself, not a recomputation of them.  A problem without atoms
     gets A_U = Lambda, b_U = U^{-1} b_P and the exact second moment
 
         C_U = Lambda^* Lambda + (||U^{-1}||_F^2 / d) U^* (C_P - A_P^* A_P) U,
@@ -174,6 +177,8 @@ def transform_moments(p: ProblemDistribution, tr: TransformResult) -> Moments:
     sigma_b^2 -> ||U^{-1}||^2 sigma_b^2.
     """
     if p.atoms is not None:
+        if np.array_equal(tr.U, np.eye(p.dim)):
+            return p.exact_moments
         return _finite_support_moments(_transform_atoms(p.atoms, tr))
     m = p.exact_moments
     U, U_inv = tr.U, tr.U_inv

@@ -108,6 +108,14 @@ def test_unknown_algo_exits_2(tmp_path, capsys):
 
 
 GAUSSIAN = {"type": "gaussian", "A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 1.0]}
+ATOM = {"b": [1.0, 0.0], "A": [[1.0, 0.0], [0.0, 1.0]], "p": 1.0}
+MDP = {
+    "features": [[1.0, 0.0], [0.0, 1.0]],
+    "transitions": [[0.5, 0.5], [0.5, 0.5]],
+    "rewards": [1.0, 0.0],
+    "discount": 0.9,
+}
+NOT_NUMBERS = "must be a JSON array of numbers"
 
 
 @pytest.mark.parametrize(
@@ -123,6 +131,31 @@ GAUSSIAN = {"type": "gaussian", "A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 1.0]}
         pytest.param("transform", {"type": "td_mdp", "mdp": [1]}, "mdp must be a JSON object",
                      id="mdp-array"),
         pytest.param("td", [1], "mdp must be a JSON object", id="td-mdp-array"),
+        # matrices and vectors: JSON arrays of numbers (not booleans), regular in shape
+        pytest.param("transform", {**GAUSSIAN, "A": {"a": 1}}, f"A {NOT_NUMBERS}", id="A-object"),
+        pytest.param("transform", {**GAUSSIAN, "A": [[1.0, 0.0], [0.0, True]]}, f"A {NOT_NUMBERS}",
+                     id="A-boolean"),
+        pytest.param("transform", {**GAUSSIAN, "A": 1.0}, f"A {NOT_NUMBERS}", id="A-number"),
+        pytest.param("transform", {**GAUSSIAN, "b": [1.0, "1"]}, f"b {NOT_NUMBERS}", id="b-string"),
+        pytest.param("transform", {**GAUSSIAN, "b": [[1.0], 1.0]}, f"b {NOT_NUMBERS}",
+                     id="b-mixed-depth"),
+        pytest.param("transform", {"type": "finite", "atoms": [{**ATOM, "b": {"x": 1}}]},
+                     f"atoms[0].b {NOT_NUMBERS}", id="atom-b-object"),
+        pytest.param("transform", {"type": "finite", "atoms": [{**ATOM, "A": [[1.0, None], [0.0, 1.0]]}]},
+                     f"atoms[0].A {NOT_NUMBERS}", id="atom-A-null"),
+        pytest.param("transform", {"type": "td_mdp", "mdp": {**MDP, "features": {"a": 1}}},
+                     f"features {NOT_NUMBERS}", id="features-object"),
+        pytest.param("td", {**MDP, "features": {"a": 1}}, f"features {NOT_NUMBERS}",
+                     id="td-features-object"),
+        pytest.param("transform", {"type": "td_mdp", "mdp": {**MDP, "transitions": [[True, False], [0.5, 0.5]]}},
+                     f"transitions {NOT_NUMBERS}", id="transitions-boolean"),
+        pytest.param("transform", {"type": "td_mdp", "mdp": {**MDP, "rewards": ["1", 0.0]}},
+                     f"rewards {NOT_NUMBERS}", id="rewards-string"),
+        pytest.param("transform", {"type": "td_mdp", "mdp": {**MDP, "sampling": {"s": 1}}},
+                     f"sampling {NOT_NUMBERS}", id="sampling-object"),
+        pytest.param("transform",
+                     {"type": "td_mdp", "mdp": {**MDP, "behavior_transitions": [[0.5, 0.5], [1.0]]}},
+                     f"behavior_transitions {NOT_NUMBERS} of a regular shape", id="behavior-ragged"),
     ],
 )
 def test_malformed_file_exits_2(command, spec, message, tmp_path, capsys):

@@ -15,6 +15,7 @@ from lsalab import (
 from lsalab.problems import (
     FiniteAtoms,
     _finite_problem,
+    _indexed_search,
     _mean_specnorm_sq_standard,
     spectral_norm,
     spectral_norms,
@@ -91,7 +92,9 @@ def random_atoms(draw):
     """Atoms of a random finite problem, with or without intercept scatter;
     the weights sum to 1 up to rounding, as Dirichlet draws do."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    k, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    # past 6 atoms the draws run through the guide table's ambiguous buckets
+    k = draw(st.one_of(st.integers(1, 6), st.integers(7, 1000)))
+    d = draw(st.integers(1, 4))
     return FiniteAtoms(
         probs=rng.dirichlet(np.ones(k)),
         bs=rng.standard_normal((k, d)),
@@ -138,6 +141,55 @@ class TestAtomDraws:
         assert p.step_form.key == q.step_form.key == shifted.step_form.key
         other = make_finite_support([((z, 2 * eye), 0.6), ((z, -eye), 0.4)])
         assert other.step_form.key != p.step_form.key
+
+
+@st.composite
+def cumulative_weights(draw):
+    """A cdf as ``_finite_problem`` builds it, from up to 5,000 weights
+    (past 4,096 the guide table's size cap leaves fewer than 16 buckets per
+    weight): some weights zero, and a run of 1e-9 weights, so that one
+    bucket holds many cdf entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 5000))
+    w = rng.exponential(size=k)
+    w[rng.random(k) < draw(st.sampled_from([0.0, 0.2, 0.9]))] = 0.0
+    start = draw(st.integers(0, k - 1))
+    w[start : start + draw(st.integers(0, k))] = 1e-9
+    w[-1] += w.sum() == 0  # at least one positive weight
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def probe_uniforms(cdf, rng):
+    """Uniforms at every j/2**16 (so at every bucket edge j/m of any table
+    size m <= 2**16), at every cdf entry below 1, just below each of those,
+    at 0, at the largest double below 1, and 1,000 random ones."""
+    edges = np.concatenate([np.arange(2**16) / 2**16, cdf[cdf < 1]])
+    return np.concatenate(
+        [edges, np.nextafter(edges, 0), [0.0, np.nextafter(1.0, 0.0)], rng.random(1000)]
+    )
+
+
+class TestIndexedSearch:
+    @settings(max_examples=100, deadline=None)
+    @given(cumulative_weights(), st.integers(0, 2**32 - 1))
+    def test_equals_the_binary_search(self, cdf, seed):
+        u = probe_uniforms(cdf, np.random.default_rng(seed))
+        idx = _indexed_search(cdf)(u)
+        assert idx.dtype == np.int64
+        np.testing.assert_array_equal(idx, cdf.searchsorted(u, side="right"))
+
+    def test_past_the_size_cap_most_uniforms_are_binary_searched(self):
+        # 200,000 near-equal weights over at most 2**16 buckets: almost every
+        # bucket holds a cdf entry, so almost every uniform takes the fallback
+        rng = np.random.default_rng(4)
+        cdf = rng.uniform(0.5, 1.5, 200_000).cumsum()
+        cdf /= cdf[-1]
+        first = cdf.searchsorted(np.arange(2**16 + 1) / 2**16, side="right")
+        u = probe_uniforms(cdf, rng)
+        assert (first[:-1] != first[1:])[(u * 2**16).astype(int)].mean() > 0.9
+        np.testing.assert_array_equal(_indexed_search(cdf)(u), cdf.searchsorted(u, side="right"))
 
 
 class TestGaussianNoise:

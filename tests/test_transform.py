@@ -29,7 +29,8 @@ from lsalab import (
 )
 from lsalab.engine import _replication_rngs, _simulate_runs
 from lsalab.problem_io import load_problem_file
-from lsalab.problems import FiniteAtoms, _finite_problem
+from lsalab.problems import FiniteAtoms, _finite_problem, _finite_support_moments
+from lsalab.transform import _transform_atoms
 from oracles import estimate_moments
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
@@ -322,6 +323,61 @@ JORDAN_ATOMS = (
     ]),
     np.array([1.0, -2.0]),
 )
+
+
+@st.composite
+def pd_mean_atoms(draw):
+    """Atoms of a random finite problem whose mean has a PD symmetric part,
+    with or without intercept scatter: the atoms are shifted by a multiple
+    of I past the mean's smallest symmetric eigenvalue."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, d = draw(st.integers(1, 50)), draw(st.integers(1, 4))
+    probs = rng.dirichlet(np.ones(k))
+    As = rng.standard_normal((k, d, d))
+    A_P = np.einsum("k,kij->ij", probs, As)
+    shift = rng.uniform(0.1, 1.0) - min(0.0, np.linalg.eigvalsh(A_P + A_P.T).min() / 2)
+    return FiniteAtoms(
+        probs=probs,
+        bs=rng.standard_normal((k, d)),
+        As=As + shift * np.eye(d),
+        b_noise=rng.standard_normal((k, d)) if draw(st.booleans()) else None,
+    )
+
+
+class TestIdentityRoute:
+    """On the identity route (U = I) a finite problem's transformed moments
+    are its own exact moments, not recomputed."""
+
+    @staticmethod
+    def check_reused(p):
+        tr = transform_problem(p)
+        assert np.array_equal(tr.U, np.eye(p.dim))
+        m = tr.transformed_moments
+        assert m is p.exact_moments
+        # what the atom route would have computed, field by field
+        again = _finite_support_moments(_transform_atoms(p.atoms, tr))
+        for name in ("A_P", "b_P", "C_P", "theta_star"):
+            assert np.array_equal(getattr(again, name), getattr(m, name))
+        for name in ("sigma_A_sq", "sigma_b_sq", "sigma1_sq", "sigma2_sq"):
+            assert getattr(again, name) == getattr(m, name)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pd_mean_atoms())
+    def test_finite_problem_reuses_its_moments(self, atoms):
+        self.check_reused(_finite_problem(atoms, "pd-mean"))
+
+    def test_td0_file_reuses_its_moments(self):
+        self.check_reused(load_problem_file(PROBLEMS / "td0_onpolicy.json"))
+
+    def test_gaussian_problem_keeps_the_closed_form(self):
+        # no atoms: C_U = Lambda^* Lambda + (||U^-1||_F^2 / d) U^* (C_P - A_P^* A_P) U
+        # is computed, even though U = I
+        p = make_gaussian_noise(np.array([[1.0, -10.0], [10.0, 1.0]]), np.ones(2), 20.0, 0.0)
+        tr = transform_problem(p)
+        assert np.array_equal(tr.U, np.eye(2))
+        m, m_U = p.exact_moments, tr.transformed_moments
+        assert m_U is not m
+        assert np.allclose(m_U.C_P, m.C_P, rtol=1e-12, atol=0)
 
 
 class TestTransformedRun:
