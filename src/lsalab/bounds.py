@@ -1,9 +1,12 @@
 """Closed-form MSE envelopes for the averaged iterate.
 
-Both bounds are driven by the spectral gaps at the chosen step-size (computed
-for the transformed problem when a similarity transform is needed) and by the
-noise constants sigma1^2 = sigma_A^2||theta*||^2 + sigma_b^2 and
-sigma2^2 = sigma_A^2||theta*||.
+Both bounds are functions of four inputs, which a ``BoundInputs`` holds: the
+problem's moments, the step-size alpha, the start theta_0 and optionally the
+PD-certifying similarity U (needed when the mean is not positive definite).
+Everything else is derived from them: the spectral gaps rho_d and rho_s at alpha (of the
+transformed problem when U is given), kappa(U), the fixed point theta* and
+the noise constants sigma1^2 = sigma_A^2||theta*||^2 + sigma_b^2 and
+sigma2^2 = sigma_A^2||theta*|| of the original problem.
 
 Upper bound at time t:
 
@@ -45,11 +48,11 @@ zero coefficient times an infinite constant counts as zero (an empty sum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import Moments
+from .problems import Moments, _check_theta0
 from .spectral import rho_d as _rho_d, rho_s as _rho_s
 from .transform import TransformResult
 
@@ -74,33 +77,48 @@ class CertifiedRegimeError(ValueError):
 class BoundInputs:
     """Everything the bound formulas need at a fixed step-size.
 
-    rho_d and rho_s are the gaps of the (possibly transformed) problem;
-    sigma1_sq and sigma2_sq are the noise constants of the original problem;
-    kappa_U is 1 when no transform was applied.
+    Holds its inputs ``(moments, alpha, theta_0, transform=None)`` and derives
+    the rest, so ``dataclasses.replace`` of an input re-derives it: rho_d and
+    rho_s are the gaps at alpha of ``transform.transformed_moments`` (of
+    ``moments`` without a transform), kappa_U is the transform's kappa(U), 1
+    without one, and theta*, sigma1_sq and sigma2_sq are read from
+    ``moments``, the original problem.  Raises ValueError without a fixed
+    point, for a theta_0 that is not a finite d-vector, a transform without
+    transformed moments or an alpha that is not finite and positive, and
+    CertifiedRegimeError when a gap is nonpositive.
     """
 
+    moments: Moments
     alpha: float
-    rho_d: float
-    rho_s: float
     theta_0: np.ndarray
-    theta_star: np.ndarray
-    sigma1_sq: float
-    sigma2_sq: float
-    kappa_U: float = 1.0
+    transform: TransformResult | None = None
+    rho_d: float = field(init=False)
+    rho_s: float = field(init=False)
 
     def __post_init__(self):
-        if not 0 < self.alpha < np.inf:  # NaN fails too
-            raise ValueError("alpha must be finite and positive")
-        if self.rho_d <= 0 or self.rho_s <= 0:
-            raise CertifiedRegimeError(
-                f"outside certified regime: rho_d={self.rho_d:g}, rho_s={self.rho_s:g}"
-            )
+        m = self.moments
+        if m.theta_star is None:
+            raise ValueError("moments carry no fixed point")
+        object.__setattr__(self, "theta_0", _check_theta0(self.theta_0, len(m.b_P)))
+        if self.transform is not None:
+            m = self.transform.transformed_moments
+            if m is None:
+                raise ValueError("transform carries no transformed moments")
+        rd, rs = _rho_d(m, self.alpha), _rho_s(m, self.alpha)
+        if rd <= 0 or rs <= 0:
+            raise CertifiedRegimeError(f"outside certified regime: rho_d={rd:g}, rho_s={rs:g}")
+        object.__setattr__(self, "rho_d", rd)
+        object.__setattr__(self, "rho_s", rs)
+
+    @property
+    def kappa_U(self) -> float:
+        return 1.0 if self.transform is None else self.transform.kappa_U
 
     @property
     def initial_err(self) -> float:
         """||theta_0 - theta*||, +inf where the difference overflows."""
         with np.errstate(over="ignore"):
-            diff = np.asarray(self.theta_0) - np.asarray(self.theta_star)
+            diff = self.theta_0 - self.moments.theta_star
         if np.abs(diff).max() < 1e150:  # no sum of squares can overflow
             return float(np.linalg.norm(diff))
         return math.hypot(*np.abs(diff))
@@ -115,7 +133,8 @@ class BoundInputs:
 
     @property
     def v_sq(self) -> float:
-        return self.alpha**2 * self.sigma1_sq + self.alpha * self.sigma2_sq * self.initial_err
+        m = self.moments
+        return self.alpha**2 * m.sigma1_sq + self.alpha * m.sigma2_sq * self.initial_err
 
     @property
     def nu(self) -> float:
@@ -127,14 +146,17 @@ class BoundInputs:
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """Upper/lower envelopes on a time grid, with the bias/variance split."""
+    """Lower and upper envelopes on a time grid; the upper one is held as its
+    bias and variance terms, and ``upper`` is their sum."""
 
     times: np.ndarray
     lower: np.ndarray
-    upper: np.ndarray
     upper_bias: np.ndarray
     upper_variance: np.ndarray
-    beta: np.ndarray
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self.upper_bias + self.upper_variance
 
 
 def upper_bound(inputs: BoundInputs, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,52 +205,12 @@ def lower_bound(inputs: BoundInputs, t) -> np.ndarray:
 def bound_curve(inputs: BoundInputs, times) -> BoundCurve:
     """Evaluate both envelopes on a time grid."""
     times = np.asarray(times)
-    total, bias, variance = upper_bound(inputs, times)
-    return BoundCurve(
-        times=times,
-        lower=lower_bound(inputs, times),
-        upper=total,
-        upper_bias=bias,
-        upper_variance=variance,
-        beta=beta_coefficient(inputs, times),
-    )
+    _, bias, variance = upper_bound(inputs, times)
+    return BoundCurve(times, lower_bound(inputs, times), bias, variance)
 
 
 def bound_inputs_for(
-    moments: Moments,
-    alpha: float,
-    theta_0,
-    transform: TransformResult | None = None,
+    moments: Moments, alpha: float, theta_0, transform: TransformResult | None = None
 ) -> BoundInputs:
-    """Assemble BoundInputs from problem moments and an optional transform.
-
-    The gaps are evaluated on the transformed moments when a transform is
-    given (kappa(U) then enters the constant); the noise magnitudes and the
-    fixed point come from the original problem.  Raises ValueError without
-    a fixed point or when theta_0 is not a finite d-vector.
-    """
-    if moments.theta_star is None:
-        raise ValueError("moments carry no fixed point")
-    theta_0 = np.asarray(theta_0)
-    if theta_0.shape != moments.b_P.shape:
-        raise ValueError(f"theta_0 must have shape {moments.b_P.shape}")
-    if not np.isfinite(theta_0).all():
-        raise ValueError("theta_0 must be finite")
-    if transform is not None:
-        if transform.transformed_moments is None:
-            raise ValueError("transform carries no transformed moments")
-        gap_moments = transform.transformed_moments
-        kappa = transform.kappa_U
-    else:
-        gap_moments = moments
-        kappa = 1.0
-    return BoundInputs(
-        alpha=alpha,
-        rho_d=_rho_d(gap_moments, alpha),
-        rho_s=_rho_s(gap_moments, alpha),
-        theta_0=theta_0,
-        theta_star=moments.theta_star,
-        sigma1_sq=moments.sigma1_sq,
-        sigma2_sq=moments.sigma2_sq,
-        kappa_U=kappa,
-    )
+    """``BoundInputs(moments, alpha, theta_0, transform)``."""
+    return BoundInputs(moments, alpha, theta_0, transform)

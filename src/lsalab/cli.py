@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .bounds import bound_curve, bound_inputs_for
 from .engine import RunConfig, run_mse, run_mse_many
-from .problem_io import load_problem_file, td_instance_from_dict
+from .problem_io import _array, load_problem_file, td_instance_from_dict
 from .problems import ProblemDistribution, _check_integer, make_gaussian_noise
 from .spectral import (
     NotPositiveDefiniteError,
@@ -85,7 +85,8 @@ def _invocation(args: argparse.Namespace) -> str:
 
 
 def _parse_grid(spec: str, integer: bool = False) -> np.ndarray:
-    """Parse 'a0:a1:n' (linear) or 'a0:a1:n:log' grids."""
+    """Parse 'a0:a1:n' (linear) or 'a0:a1:n:log' grids; an integer grid keeps
+    its distinct rounded points >= 1, and must keep one."""
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise ValueError(f"grid {spec!r} is not 'start:stop:count[:log]'")
@@ -106,12 +107,15 @@ def _parse_grid(spec: str, integer: bool = False) -> np.ndarray:
         # sorted distinct integers; np.unique would import numpy.ma (~10 ms) here
         vals = np.array(sorted(set(np.round(vals).astype(np.int64).tolist())), dtype=np.int64)
         vals = vals[vals >= 1]
+        if not vals.size:
+            raise ValueError(f"grid {spec!r} has no point >= 1")
     return vals
 
 
 def _theta0_of(args, default=None) -> np.ndarray | None:
-    """--theta0 parsed from its JSON array, or ``default`` when omitted."""
-    return np.asarray(json.loads(args.theta0), dtype=float) if args.theta0 else default
+    """--theta0 read as problem files read an array (ValueError naming
+    ``theta0``), or ``default`` when omitted."""
+    return _array(json.loads(args.theta0), "theta0") if args.theta0 else default
 
 
 def _seed_of(args, p: ProblemDistribution) -> int:
@@ -146,8 +150,7 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    p = load_problem_file(args.problem)
-    tr = transform_problem(p)
+    tr = transform_problem(load_problem_file(args.problem))
     try:
         wit = witness_alpha(tr.transformed_moments)
     except NotPositiveDefiniteError:
@@ -156,7 +159,7 @@ def _cmd_transform(args) -> int:
         "kappa_U": tr.kappa_U,
         "lambda_min_sym": tr.min_eig_sym,
         "witness_alpha_transformed": wit,
-        "identity": bool(np.allclose(tr.U, np.eye(p.dim))),
+        "identity": tr.identity,
     }
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0

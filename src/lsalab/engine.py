@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemDistribution, _check_integer
+from .problems import ProblemDistribution, _check_integer, _check_theta0
 
 __all__ = [
     "RunConfig",
@@ -128,12 +128,7 @@ def _resolve_theta0(p: ProblemDistribution, cfg) -> np.ndarray:
     dtype = np.result_type(np.float64, m.A_P, m.b_P)
     if cfg.theta_0 is None:
         return np.zeros(p.dim, dtype=dtype)
-    th0 = np.asarray(cfg.theta_0, dtype=dtype)
-    if th0.shape != (p.dim,):
-        raise ValueError(f"theta_0 must have shape ({p.dim},)")
-    if not np.isfinite(th0).all():
-        raise ValueError("theta_0 must be finite")
-    return th0
+    return _check_theta0(cfg.theta_0, p.dim, dtype)
 
 
 def divergence_bound(p: ProblemDistribution, theta_0: np.ndarray) -> float:

@@ -207,6 +207,16 @@ def _check_integer(value, name: str, seed: bool = False) -> None:
         raise ValueError(f"{name} must be {kind}, not {value!r}")
 
 
+def _check_theta0(theta_0, dim: int, dtype=None) -> np.ndarray:
+    """theta_0 as an array of ``dtype``; ValueError unless a finite dim-vector."""
+    theta_0 = np.asarray(theta_0, dtype=dtype)
+    if theta_0.shape != (dim,):
+        raise ValueError(f"theta_0 must have shape ({dim},)")
+    if not np.isfinite(theta_0).all():
+        raise ValueError("theta_0 must be finite")
+    return theta_0
+
+
 def make_finite_support(atoms, label: str = "finite") -> ProblemDistribution:
     """Finite-support distribution from ``[((b, A), p), ...]`` atoms.
 

@@ -81,37 +81,30 @@ def witness_alpha(moments: Moments) -> float:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Gap values at one step-size, with the witness when it exists.
+    """Both gaps at one step-size.
 
     contraction_factor_s = 1 - alpha*rho_s bounds the expected squared norm
     contraction per step; contraction_factor_d = 1 - alpha*rho_d equals
-    ||I - alpha A_P||^2.
+    ||I - alpha A_P||^2.  The witness step-size does not depend on alpha:
+    ``witness_alpha`` gives it.
     """
 
     alpha: float
     rho_d: float
     rho_s: float
-    alpha_witness: float | None
-    contraction_factor_s: float
-    contraction_factor_d: float
+
+    @property
+    def contraction_factor_s(self) -> float:
+        return 1.0 - self.alpha * self.rho_s
+
+    @property
+    def contraction_factor_d(self) -> float:
+        return 1.0 - self.alpha * self.rho_d
 
 
 def spectral_report(moments: Moments, alpha: float) -> SpectralReport:
-    """Evaluate both gaps at alpha and attach the witness step-size if defined."""
-    rd = rho_d(moments, alpha)
-    rs = rho_s(moments, alpha)
-    try:
-        wit = witness_alpha(moments)
-    except NotPositiveDefiniteError:
-        wit = None
-    return SpectralReport(
-        alpha=alpha,
-        rho_d=rd,
-        rho_s=rs,
-        alpha_witness=wit,
-        contraction_factor_s=1.0 - alpha * rs,
-        contraction_factor_d=1.0 - alpha * rd,
-    )
+    """Evaluate both gaps at alpha."""
+    return SpectralReport(alpha, rho_d(moments, alpha), rho_s(moments, alpha))
 
 
 def check_weak_admissibility_psd_class(bound_B: float) -> float:
@@ -119,11 +112,12 @@ def check_weak_admissibility_psd_class(bound_B: float) -> float:
 
     For any distribution whose A_t are almost surely PSD with ||A_t|| <= B,
     C_P <= B * A_P, hence the stochastic gap at alpha is at least
-    (2 - alpha*B) * lam_min(A_P + A_P^T) >= 0 for all alpha < 2/B.
+    (2 - alpha*B) * lam_min(A_P + A_P^T) >= 0 for all alpha < 2/B.  Raises
+    ValueError unless B is finite and positive; reads inf where 2/B overflows.
     """
-    if bound_B <= 0:
-        raise ValueError("bound must be positive")
-    return 2.0 / bound_B
+    if not 0 < bound_B < np.inf:  # NaN fails too
+        raise ValueError("bound must be finite and positive")
+    return 2.0 / float(bound_B)  # a Python float overflows to inf without a warning
 
 
 def inadmissibility_witness_pb(alpha: float) -> ProblemDistribution:

@@ -28,7 +28,7 @@ the bounds kappa(U)^2 sigma_A^2 and ||U^{-1}||^2 sigma_b^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,25 +71,30 @@ class TransformFailedError(RuntimeError):
 class TransformResult:
     """An invertible U with Lambda = U^{-1} A U satisfying Lambda^* + Lambda > 0.
 
-    kappa_U = ||U|| * ||U^{-1}|| enters the error-bound constant.
-    transformed_moments is populated by transform_problem only; hurwitz_to_pd
-    leaves it None.
+    kappa_U = ||U|| * ||U^{-1}||, which enters the error-bound constant, is
+    derived from U and U_inv (exactly 1.0 on the identity route).
+    transformed_moments is populated by transform_problem only;
+    hurwitz_to_pd leaves it None.
     """
 
     U: np.ndarray
     U_inv: np.ndarray
     Lambda: np.ndarray
-    kappa_U: float
     transformed_moments: Moments | None = None
+    kappa_U: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "kappa_U", spectral_norm(self.U) * spectral_norm(self.U_inv))
+
+    @property
+    def identity(self) -> bool:
+        """Whether U is exactly I, the route taken when A + A^* is PD."""
+        return np.array_equal(self.U, np.eye(len(self.U)))
 
     @property
     def min_eig_sym(self) -> float:
         """Smallest eigenvalue of Lambda^* + Lambda (positive by construction)."""
         return _min_eig_hermitian(self.Lambda + self.Lambda.conj().T)
-
-
-def _kappa(U: np.ndarray, U_inv: np.ndarray) -> float:
-    return spectral_norm(U) * spectral_norm(U_inv)
 
 
 def hurwitz_to_pd(A_P) -> TransformResult:
@@ -113,7 +118,7 @@ def hurwitz_to_pd(A_P) -> TransformResult:
     # already PD: identity transform, smallest possible condition number
     if _min_eig_hermitian(A + A.conj().T) > 0:
         eye = np.eye(d, dtype=A.dtype)
-        return TransformResult(U=eye, U_inv=eye, Lambda=A.copy(), kappa_U=1.0)
+        return TransformResult(U=eye, U_inv=eye, Lambda=A.copy())
 
     # diagonalizable route
     w, V = np.linalg.eig(A)
@@ -123,7 +128,7 @@ def hurwitz_to_pd(A_P) -> TransformResult:
         Lam = V_inv @ A @ V
         inv_ok = np.linalg.norm(V @ V_inv - np.eye(d), 2) <= 1e-9
         if inv_ok and _min_eig_hermitian(Lam + Lam.conj().T) > 0:
-            return TransformResult(U=V, U_inv=V_inv, Lambda=Lam, kappa_U=_kappa(V, V_inv))
+            return TransformResult(U=V, U_inv=V_inv, Lambda=Lam)
 
     # defective (or borderline) route: Schur + geometric diagonal rescaling.
     # Only this route needs scipy; importing it costs about 0.27 s and 20 MB
@@ -138,7 +143,7 @@ def hurwitz_to_pd(A_P) -> TransformResult:
         if _min_eig_hermitian(Lam + Lam.conj().T) > 0:
             U = Q * D[None, :]  # Q @ diag(D)
             U_inv = Q.conj().T / D[:, None]  # diag(1/D) @ Q^*
-            return TransformResult(U=U, U_inv=U_inv, Lambda=Lam, kappa_U=_kappa(U, U_inv))
+            return TransformResult(U=U, U_inv=U_inv, Lambda=Lam)
         delta *= 0.5
     raise TransformFailedError(
         f"transform failed: no PD rescaling after {_MAX_HALVINGS} halvings"
@@ -164,7 +169,7 @@ def transform_moments(p: ProblemDistribution, tr: TransformResult) -> Moments:
 
     A finite-support problem (plain finite, every TD instance) gets weighted
     sums over its transformed atoms, all exact.  On the identity route
-    (U = I exactly) those atoms are its own, so it gets ``p.exact_moments``
+    (``tr.identity``) those atoms are its own, so it gets ``p.exact_moments``
     itself, not a recomputation of them.  A problem without atoms
     gets A_U = Lambda, b_U = U^{-1} b_P and the exact second moment
 
@@ -177,7 +182,7 @@ def transform_moments(p: ProblemDistribution, tr: TransformResult) -> Moments:
     sigma_b^2 -> ||U^{-1}||^2 sigma_b^2.
     """
     if p.atoms is not None:
-        if np.array_equal(tr.U, np.eye(p.dim)):
+        if tr.identity:
             return p.exact_moments
         return _finite_support_moments(_transform_atoms(p.atoms, tr))
     m = p.exact_moments
@@ -212,4 +217,4 @@ def transform_problem(p: ProblemDistribution) -> TransformResult:
     Build the transformed distribution itself with ``transform_distribution``.
     """
     tr = hurwitz_to_pd(p.exact_moments.A_P)
-    return replace(tr, transformed_moments=transform_moments(p, tr))
+    return TransformResult(tr.U, tr.U_inv, tr.Lambda, transform_moments(p, tr))

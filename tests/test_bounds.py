@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,16 +12,19 @@ from lsalab import (
     beta_partial_sum,
     bound_curve,
     bound_inputs_for,
+    load_problem_file,
     lower_bound,
     make_lower_bound_instance,
     rho_d,
     rho_s,
     run_mse,
+    transform_problem,
     upper_bound,
     witness_alpha,
 )
 
 THETA0 = np.array([1.0, 1.0])
+PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
 
 
 def instance_inputs(alpha=0.1, lam=(1.0, 2.0), sigma_b=1.0, theta_0=THETA0):
@@ -88,6 +94,23 @@ class TestUpperBound:
         m = make_lower_bound_instance(1.0, 2.0, 1.0).exact_moments
         with pytest.raises(ValueError, match="theta_0 must be finite"):
             bound_inputs_for(m, 0.1, np.array([bad, 0.0]))
+
+    @pytest.mark.parametrize(
+        "name, transformed, alphas",
+        [("td0_onpolicy", False, (0.01, 0.02)), ("gtd2_offpolicy", True, (0.005, 0.01))],
+    )
+    def test_replace_rederives_the_gaps(self, name, transformed, alphas):
+        # the gaps, and nu with them, are functions of alpha: a replaced
+        # step-size must not keep the gaps of the old one
+        p = load_problem_file(PROBLEMS / f"{name}.json")
+        tr = transform_problem(p) if transformed else None
+        theta_0 = np.full(p.dim, 0.5)
+        old = bound_inputs_for(p.exact_moments, alphas[0], theta_0, tr)
+        got = dataclasses.replace(old, alpha=alphas[1])
+        want = bound_inputs_for(p.exact_moments, alphas[1], theta_0, tr)
+        assert got.rho_s != old.rho_s
+        for field in ("rho_s", "rho_d", "nu"):
+            assert getattr(got, field) == getattr(want, field), field
 
     def test_dominates_exact_mse(self):
         # the envelope must sit above the exact closed-form MSE everywhere
@@ -178,7 +201,6 @@ class TestCurveShape:
         curve = bound_curve(inputs, np.array([10, 100, 1000]))
         assert np.all(curve.upper == curve.upper_bias + curve.upper_variance)
         assert np.all(curve.lower <= curve.upper)
-        assert np.all(curve.beta > 0)
 
 
 class TestSandwich:

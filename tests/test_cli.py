@@ -204,6 +204,23 @@ def test_theta0_of_wrong_shape_exits_2(command, tmp_path, capsys):
         assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["bound", "simulate", "tune"])
+@pytest.mark.parametrize("theta0", ['{"a": 1}', "[true, false, true, false]", '["1", 0, 0, 0]'])
+def test_theta0_must_be_a_json_array_of_numbers(command, theta0, tmp_path, capsys):
+    # the rule of problem files: an object raised TypeError (exit 1), and
+    # booleans and numeric strings were read as numbers
+    args = {
+        "bound": ["--alpha", "0.01", "--t-grid", "1:100:5", "--out", str(tmp_path / "out.csv")],
+        "simulate": ["--alpha", "0.01", "--horizon", "100", "--reps", "2",
+                     "--out", str(tmp_path / "out.csv")],
+        "tune": ["--alpha-max", "1.0", "--out-json", str(tmp_path / "out.json")],
+    }[command]
+    code = main([command, "--problem", str(PROBLEMS / "td0_onpolicy.json"), "--theta0", theta0, *args])
+    assert code == EXIT_VALIDATION
+    assert "theta0 must be a JSON array of numbers" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def rho_rows(path, capsys, grid="1e-3:1e-1:3:log"):
     assert main(["rho", "--problem", str(path), "--alpha-grid", grid]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
@@ -457,6 +474,16 @@ def test_integer_grid_past_int64_exits_2(spec, tmp_path, capsys):
             f"--t-grid={spec}", "--out", str(tmp_path / "out.csv")]
     assert main(argv) == EXIT_VALIDATION
     assert f"grid {spec!r} has a point past the int64 range" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("spec", ["0:0.4:3", "-5:0:4"])
+def test_integer_grid_without_a_point_from_1_exits_2(spec, tmp_path, capsys):
+    # every point rounds below 1: the CSV had a header and no row
+    argv = ["bound", "--problem", str(PROBLEMS / "td0_onpolicy.json"), "--alpha", "0.01",
+            f"--t-grid={spec}", "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"grid {spec!r} has no point >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsalab import (
+    BoundInputs,
     Moments,
+    TransformResult,
     make_finite_support,
     make_gaussian_noise,
     make_lower_bound_instance,
+    rho_d,
+    rho_s,
 )
 from lsalab.problems import (
     FiniteAtoms,
@@ -422,3 +426,16 @@ class TestInvariants:
         assert dataclasses.replace(p, exact_moments=m3).dim == 3
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(p, dim=3)
+        # the certificate records derive their gaps and kappa(U)
+        m = make_lower_bound_instance(1.0, 2.0, 1.0).exact_moments
+        for name in ("rho_d", "rho_s"):
+            with pytest.raises(TypeError):
+                BoundInputs(m, 0.1, np.zeros(2), **{name: 1.0})
+        inputs = BoundInputs(m, 0.1, np.zeros(2))
+        assert (inputs.rho_d, inputs.rho_s, inputs.kappa_U) == (rho_d(m, 0.1), rho_s(m, 0.1), 1.0)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(inputs, rho_s=1.0)
+        U = np.array([[2.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(TypeError):
+            TransformResult(U, np.linalg.inv(U), np.eye(2), kappa_U=1.0)
+        assert TransformResult(U, np.linalg.inv(U), np.eye(2)).kappa_U == 2.0  # ||U|| ||U^-1||

@@ -110,11 +110,16 @@ class TestReport:
         assert rep.rho_d == pytest.approx(1.6)
         assert rep.contraction_factor_d == pytest.approx(1 - 0.4 * 1.6)
         assert rep.contraction_factor_s == pytest.approx(1 - 0.4 * rep.rho_s)
-        assert rep.alpha_witness == pytest.approx(2.0 / 4.0)
+        assert witness_alpha(m) == pytest.approx(2.0 / 4.0)
 
     def test_witness_none_when_not_pd(self):
-        rep = spectral_report(moments_of(np.array([[0.1, 1.0], [0.0, 0.1]])), 0.1)
-        assert rep.alpha_witness is None
+        # the report holds the gaps alone; the witness is witness_alpha's,
+        # which a mean without a PD symmetric part does not have
+        m = moments_of(np.array([[0.1, 1.0], [0.0, 0.1]]))
+        rep = spectral_report(m, 0.1)
+        assert (rep.rho_d, rep.rho_s) == (rho_d(m, 0.1), rho_s(m, 0.1))
+        with pytest.raises(NotPositiveDefiniteError):
+            witness_alpha(m)
 
     def test_rho_d_dominates_rho_s(self):
         rng = np.random.default_rng(0)
@@ -135,6 +140,16 @@ class TestPsdClass:
     def test_formula(self):
         assert check_weak_admissibility_psd_class(1.0) == pytest.approx(2.0)
         assert check_weak_admissibility_psd_class(4.0) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_bound_must_be_finite_and_positive(self, bad):
+        # NaN read nan and inf read 0.0, a witness no step-size passes
+        with pytest.raises(ValueError, match="bound must be finite and positive"):
+            check_weak_admissibility_psd_class(bad)
+
+    def test_subnormal_bound_reads_inf(self):
+        # numpy's scalar division overflowed with a RuntimeWarning
+        assert check_weak_admissibility_psd_class(np.float64(1e-320)) == np.inf
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_psd_families_certified(self, seed):

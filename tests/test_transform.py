@@ -192,9 +192,7 @@ class TestTransformDistribution:
         for noise in (np.zeros((2, 2)), np.array([[0.5, -1.0], [2.0, 0.3]])):
             atoms = FiniteAtoms(probs=probs, bs=bs, As=As, b_noise=noise if noise.any() else None)
             p = _finite_problem(atoms, "finite")
-            tr = TransformResult(
-                U=U, U_inv=Ui, Lambda=Ui @ p.exact_moments.A_P @ U, kappa_U=np.linalg.cond(U)
-            )
+            tr = TransformResult(U=U, U_inv=Ui, Lambda=Ui @ p.exact_moments.A_P @ U)
             m = transform_distribution(p, tr).exact_moments
             # brute force over transformed atoms
             A_exp = sum(w * (Ui @ A @ U) for A, w in zip(As, probs))
