@@ -84,8 +84,9 @@ class BoundInputs:
     without one, and theta*, sigma1_sq and sigma2_sq are read from
     ``moments``, the original problem.  Raises ValueError without a fixed
     point, for a theta_0 that is not a finite d-vector, a transform without
-    transformed moments or an alpha that is not finite and positive, and
-    CertifiedRegimeError when a gap is nonpositive.
+    transformed moments, an alpha that is not finite and positive or one so
+    small that alpha^2 rho_d rho_s underflows to 0 (below about 1e-162 on
+    the TD problems), and CertifiedRegimeError when a gap is nonpositive.
     """
 
     moments: Moments
@@ -107,6 +108,10 @@ class BoundInputs:
         rd, rs = _rho_d(m, self.alpha), _rho_s(m, self.alpha)
         if rd <= 0 or rs <= 0:
             raise CertifiedRegimeError(f"outside certified regime: rho_d={rd:g}, rho_s={rs:g}")
+        if self.alpha**2 * rd * rs == 0:  # the bounds divide by it
+            raise ValueError(
+                f"alpha={self.alpha!r} is too small: alpha^2 rho_d rho_s underflows to 0"
+            )
         object.__setattr__(self, "rho_d", rd)
         object.__setattr__(self, "rho_s", rs)
 

@@ -424,39 +424,56 @@ def _cmd_repro_fig1(args) -> int:
 # --- argument parsing ---------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+#: the subcommands, in the order the parser lists them
+_SUBCOMMANDS = ("rho", "transform", "simulate", "bound", "tune", "td", "repro-fig1")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``lsalab`` parser: of every subcommand when ``command`` is None,
+    else of ``command`` alone.
+
+    Parsing arguments that start with ``command`` never reads the other
+    subcommands' parsers, and the one message of the top-level parser it
+    can print (unrecognized arguments) names them only in the usage line,
+    which the metavar spells as argparse spells the full choice list.
+    """
     ap = argparse.ArgumentParser(
         prog="lsalab",
         description="constant step-size stochastic approximation lab",
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+
+    def subcommand(name: str, **kwargs) -> argparse.ArgumentParser | None:
+        """``name``'s parser, added when it is to be built."""
+        return sub.add_parser(name, **kwargs) if command in (None, name) else None
 
     def add_common(sp):
         sp.add_argument("--problem", required=True, help="problem JSON file")
         sp.add_argument("--seed", type=int, default=None)
 
-    sp = sub.add_parser("rho", help="spectral gaps of the transformed problem on a step-size grid")
-    add_common(sp)
-    sp.add_argument("--alpha-grid", required=True, help="a0:a1:n[:log]")
-    sp.add_argument("--out", help="CSV output path (stdout when omitted)")
-    sp.set_defaults(func=_cmd_rho)
+    if sp := subcommand("rho", help="spectral gaps of the transformed problem on a step-size grid"):
+        add_common(sp)
+        sp.add_argument("--alpha-grid", required=True, help="a0:a1:n[:log]")
+        sp.add_argument("--out", help="CSV output path (stdout when omitted)")
+        sp.set_defaults(func=_cmd_rho)
 
-    sp = sub.add_parser("transform", help="PD-certifying similarity report")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_transform)
+    if sp := subcommand("transform", help="PD-certifying similarity report"):
+        add_common(sp)
+        sp.set_defaults(func=_cmd_transform)
 
-    sp = sub.add_parser("simulate", help="Monte Carlo MSE of the averaged iterate")
-    add_common(sp)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--horizon", type=int, required=True)
-    sp.add_argument("--reps", type=int, default=100)
-    sp.add_argument("--stride", type=int, default=25)
-    sp.add_argument("--theta0", help="initial iterate as a JSON array")
-    sp.add_argument("--out", required=True, help="CSV output path")
-    sp.set_defaults(func=_cmd_simulate)
+    if sp := subcommand("simulate", help="Monte Carlo MSE of the averaged iterate"):
+        add_common(sp)
+        sp.add_argument("--alpha", type=float, required=True)
+        sp.add_argument("--horizon", type=int, required=True)
+        sp.add_argument("--reps", type=int, default=100)
+        sp.add_argument("--stride", type=int, default=25)
+        sp.add_argument("--theta0", help="initial iterate as a JSON array")
+        sp.add_argument("--out", required=True, help="CSV output path")
+        sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser(
+    if sp := subcommand(
         "bound",
         help="closed-form MSE envelopes",
         description="Closed-form MSE envelopes of the averaged iterate.  'upper' "
@@ -464,42 +481,42 @@ def _build_parser() -> argparse.ArgumentParser:
         "envelope, sharp only on the constant-diagonal family and no lower "
         "bound for this problem (on GTD2, TD(0) and Fig. 1 problems the exact "
         "MSE falls far below it).",
-    )
-    add_common(sp)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--t-grid", required=True, help="t0:t1:n[:log]")
-    sp.add_argument("--theta0", help="initial iterate as a JSON array")
-    sp.add_argument("--out", required=True, help="CSV output path")
-    sp.set_defaults(func=_cmd_bound)
+    ):
+        add_common(sp)
+        sp.add_argument("--alpha", type=float, required=True)
+        sp.add_argument("--t-grid", required=True, help="t0:t1:n[:log]")
+        sp.add_argument("--theta0", help="initial iterate as a JSON array")
+        sp.add_argument("--out", required=True, help="CSV output path")
+        sp.set_defaults(func=_cmd_bound)
 
-    sp = sub.add_parser("tune", help="automatic step-size halving")
-    add_common(sp)
-    sp.add_argument("--alpha-max", type=float, required=True)
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--T", type=int, default=5)
-    sp.add_argument("--c", type=float, default=1.025)
-    sp.add_argument("--horizon", type=int, default=160)
-    sp.add_argument("--theta0", help="initial iterate as a JSON array")
-    sp.add_argument("--out-json", help="trace JSON output path")
-    sp.add_argument("--out-csv", help="halving-events CSV output path")
-    sp.set_defaults(func=_cmd_tune)
+    if sp := subcommand("tune", help="automatic step-size halving"):
+        add_common(sp)
+        sp.add_argument("--alpha-max", type=float, required=True)
+        sp.add_argument("--k", type=int, default=2)
+        sp.add_argument("--T", type=int, default=5)
+        sp.add_argument("--c", type=float, default=1.025)
+        sp.add_argument("--horizon", type=int, default=160)
+        sp.add_argument("--theta0", help="initial iterate as a JSON array")
+        sp.add_argument("--out-json", help="trace JSON output path")
+        sp.add_argument("--out-csv", help="halving-events CSV output path")
+        sp.set_defaults(func=_cmd_tune)
 
-    sp = sub.add_parser("td", help="materialize a TD instance as a problem file")
-    sp.add_argument("--mdp", required=True, help="MDP JSON file")
-    sp.add_argument("--algo", choices=["td0", "gtd", "gtd2"], default="td0")
-    sp.add_argument("--eta", type=float, default=1.0)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", help="problem JSON output path")
-    sp.set_defaults(func=_cmd_td)
+    if sp := subcommand("td", help="materialize a TD instance as a problem file"):
+        sp.add_argument("--mdp", required=True, help="MDP JSON file")
+        sp.add_argument("--algo", choices=["td0", "gtd", "gtd2"], default="td0")
+        sp.add_argument("--eta", type=float, default=1.0)
+        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--out", help="problem JSON output path")
+        sp.set_defaults(func=_cmd_td)
 
-    sp = sub.add_parser("repro-fig1", help="tuning experiment across noise levels")
-    sp.add_argument("--out-dir", required=True)
-    sp.add_argument("--seeds", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--tune-horizon", type=int, default=160)
-    sp.add_argument("--horizon", type=int, default=50_000)
-    sp.add_argument("--reps", type=int, default=100)
-    sp.set_defaults(func=_cmd_repro_fig1)
+    if sp := subcommand("repro-fig1", help="tuning experiment across noise levels"):
+        sp.add_argument("--out-dir", required=True)
+        sp.add_argument("--seeds", type=int, default=10)
+        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--tune-horizon", type=int, default=160)
+        sp.add_argument("--horizon", type=int, default=50_000)
+        sp.add_argument("--reps", type=int, default=100)
+        sp.set_defaults(func=_cmd_repro_fig1)
 
     return ap
 
@@ -507,7 +524,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    ap = _build_parser()
+    # a first argument naming a subcommand is the one parsed: only its
+    # parser is built; anything else (help, version, an error) gets all
+    ap = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = ap.parse_args(argv)
     args._raw_argv = list(argv)
     try:

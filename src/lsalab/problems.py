@@ -22,6 +22,9 @@ Conventions
 - Matrix norms are spectral (operator 2-) norms throughout; vector norms are
   Euclidean.  sigma_A_sq bounds E||A_t - A_P||^2 and sigma_b_sq bounds
   E||b_t - b_P||^2 in those norms.
+- sigma_A_sq enters only the certificates, not the iteration.  A
+  finite-support problem computes its own (an SVD per atom) on the first
+  read, so loading, simulating and tuning one never pays for it.
 """
 
 from __future__ import annotations
@@ -67,6 +70,26 @@ def spectral_norms(As: np.ndarray) -> np.ndarray:
     return np.linalg.svd(As, compute_uv=False)[..., 0]
 
 
+class _ReadOnce:
+    """A float field of a frozen dataclass that may be given as a
+    zero-argument function instead: the function runs on the first read of
+    the field, and its value is kept in its place."""
+
+    def __set_name__(self, owner, name):
+        self.slot = f"_{name}"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # no class-level default: the field stays required
+            raise AttributeError(self.slot[1:])
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = float(value())
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value if callable(value) else float(value)
+
+
 @dataclass(frozen=True)
 class Moments:
     """First and second moments of a (b, A) distribution.
@@ -78,39 +101,50 @@ class Moments:
     ``sigma2_sq = sigma_A_sq*||theta*||`` are the noise constants entering
     the error bounds; all three are None when no fixed point exists
     (singular mean).
+
+    sigma_A_sq enters only the certificates (the witness step-size and the
+    bounds), never the iteration, so it may be given as a zero-argument
+    function of the moments it is built from: it runs on the first read of
+    ``sigma_A_sq`` and its value is kept.  Finite-support problems give it
+    that way, since theirs takes an SVD of every atom.  ``sigma1_sq`` and
+    ``sigma2_sq`` are likewise computed on their first read.
     """
 
     A_P: np.ndarray
     b_P: np.ndarray
     C_P: np.ndarray
-    sigma_A_sq: float
+    sigma_A_sq: float = _ReadOnce()
     sigma_b_sq: float
     theta_star: np.ndarray | None = field(init=False)
-    sigma1_sq: float | None = field(init=False)
-    sigma2_sq: float | None = field(init=False)
 
     def __post_init__(self):
         A_P = np.asarray(self.A_P)
         b_P = np.asarray(self.b_P)
-        sigma_A_sq, sigma_b_sq = self.sigma_A_sq, self.sigma_b_sq
-        theta_star = sigma1_sq = sigma2_sq = None
+        theta_star = None
         if np.linalg.cond(A_P) < SINGULAR_COND_LIMIT:
             theta_star = np.linalg.solve(A_P, b_P)
-            # hypot does not overflow where squaring the entries would, and
-            # a noise-free A contributes 0 even when ||theta*||^2 is inf
-            nrm = math.hypot(*np.abs(theta_star))
-            if sigma_A_sq == 0:
-                sigma1_sq = float(sigma_b_sq)
-                sigma2_sq = 0.0
-            else:
-                sigma1_sq = sigma_A_sq * (nrm * nrm) + sigma_b_sq
-                sigma2_sq = sigma_A_sq * nrm
         for name, value in (
             ("A_P", A_P), ("b_P", b_P), ("C_P", np.asarray(self.C_P)),
-            ("sigma_A_sq", float(sigma_A_sq)), ("sigma_b_sq", float(sigma_b_sq)),
-            ("theta_star", theta_star), ("sigma1_sq", sigma1_sq), ("sigma2_sq", sigma2_sq),
+            ("sigma_b_sq", float(self.sigma_b_sq)), ("theta_star", theta_star),
         ):
             object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def sigma1_sq(self) -> float | None:
+        if self.theta_star is None:
+            return None
+        if self.sigma_A_sq == 0:  # 0, not 0*inf, when ||theta*||^2 is inf
+            return self.sigma_b_sq
+        nrm = math.hypot(*np.abs(self.theta_star))  # squaring the entries may overflow
+        return self.sigma_A_sq * (nrm * nrm) + self.sigma_b_sq
+
+    @functools.cached_property
+    def sigma2_sq(self) -> float | None:
+        if self.theta_star is None:
+            return None
+        if self.sigma_A_sq == 0:
+            return 0.0
+        return self.sigma_A_sq * math.hypot(*np.abs(self.theta_star))
 
 
 @dataclass(frozen=True)
@@ -350,18 +384,25 @@ def _indexed_search(cdf: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _finite_support_moments(atoms: FiniteAtoms) -> Moments:
-    """Exact moments of a finite-support distribution, by weighted sums."""
+    """Exact moments of a finite-support distribution, by weighted sums.
+
+    sigma_A_sq = sum_i p_i ||A_i - A_P||^2 takes one batched SVD of the
+    atoms' deviations, so it is computed on its first read (see ``Moments``).
+    """
     probs, bs, As = atoms.probs, atoms.bs, atoms.As
     w = probs[:, None]
     b_P = (w * bs).sum(axis=0)
     A_P = (w[:, :, None] * As).sum(axis=0)
     AhA = np.einsum("kji,kjl->kil", As.conj(), As)  # A_k^* A_k
     C_P = (w[:, :, None] * AhA).sum(axis=0)
-    sigma_A_sq = float((probs * spectral_norms(As - A_P) ** 2).sum())
     b_dev_sq = (np.abs(bs - b_P) ** 2).sum(axis=1)
     if atoms.b_noise is not None:
         b_dev_sq = b_dev_sq + (np.abs(atoms.b_noise) ** 2).sum(axis=1)
     sigma_b_sq = float((probs * b_dev_sq).sum())
+
+    def sigma_A_sq() -> float:  # an SVD per atom, run on the first read
+        return float((probs * spectral_norms(As - A_P) ** 2).sum())
+
     return Moments(A_P, b_P, C_P, sigma_A_sq, sigma_b_sq)
 
 

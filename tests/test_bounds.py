@@ -89,6 +89,20 @@ class TestUpperBound:
         with pytest.raises(ValueError, match=r"theta_0 must have shape \(2,\)"):
             bound_inputs_for(m, 0.1, np.array([5.0]))
 
+    @pytest.mark.parametrize("alpha", [1e-150, 1e-160, 1e-162, 1e-200, 1e-300, 5e-324])
+    def test_step_size_whose_square_underflows(self, alpha):
+        # the lower envelope divides by alpha^2 rho_d rho_s: where it
+        # underflows to 0, a ValueError naming alpha; above, the envelopes
+        # read a number or +inf, never NaN
+        m = make_lower_bound_instance(1.0, 2.0, 1.0).exact_moments
+        if alpha**2 == 0:  # rho_d, rho_s > 1 here, so the product underflows with alpha^2
+            with pytest.raises(ValueError, match=f"alpha={alpha!r} is too small"):
+                bound_inputs_for(m, alpha, THETA0)
+            return
+        curve = bound_curve(bound_inputs_for(m, alpha, THETA0), np.array([1, 10, 1000]))
+        for column in (curve.lower, curve.upper):
+            assert not np.isnan(column).any() and (column > 0).all()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_theta0_must_be_finite(self, bad):
         m = make_lower_bound_instance(1.0, 2.0, 1.0).exact_moments

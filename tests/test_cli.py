@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from lsalab.cli import (
     EXIT_DIVERGED,
     EXIT_VALIDATION,
     FIG1_SIGMAS,
+    _SUBCOMMANDS,
+    _build_parser,
     _median,
     _parse_grid,
     _percentile,
@@ -588,3 +591,90 @@ def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["lsalab", *argv])
     assert main() == 0
     assert out.read_text().splitlines()[0] == "# lsalab " + " ".join(argv)
+
+
+@pytest.mark.parametrize("name", ["td0_onpolicy", "gtd2_offpolicy"])
+@pytest.mark.parametrize(
+    "command, svds", [("rho", 0), ("tune", 0), ("simulate", 0), ("td", 1), ("transform", 1), ("bound", 1)]
+)
+def test_only_the_commands_that_print_sigma_A_compute_it(name, command, svds, tmp_path, capsys):
+    # sigma_A^2 of a finite problem is one batched SVD, taken on its first
+    # read: by td (which prints it), transform (the witness step-size) and
+    # bound (sigma1^2 and sigma2^2 of the original problem)
+    path = PROBLEMS / f"{name}.json"
+    spec = json.loads(path.read_text())
+    mdp = tmp_path / "mdp.json"
+    mdp.write_text(json.dumps(spec["mdp"]))
+    args = {
+        "rho": ["--problem", str(path), "--alpha-grid", "1e-4:1:5:log"],
+        "tune": ["--problem", str(path), "--alpha-max", "1", "--horizon", "40"],
+        "simulate": ["--problem", str(path), "--alpha", "0.005", "--horizon", "50", "--reps", "2",
+                     "--out", str(tmp_path / "s.csv")],
+        "td": ["--mdp", str(mdp), "--algo", spec["algo"], "--eta", repr(spec["eta"])],
+        "transform": ["--problem", str(path)],
+        "bound": ["--problem", str(path), "--alpha", "0.005", "--t-grid", "1:100:3",
+                  "--out", str(tmp_path / "b.csv")],
+    }[command]
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        assert main([command, *args]) == 0
+    assert svd.call_count == svds
+
+
+def full_parser_output(argv, capsys) -> tuple:
+    """(stdout, stderr, exit code) of the parser with every subcommand's
+    arguments on ``argv``."""
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv)
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+MISSING_ARGUMENT = {
+    "rho": ["--problem", "p.json"],
+    "transform": [],
+    "simulate": ["--problem", "p.json", "--alpha", "0.1", "--out", "x.csv"],
+    "bound": ["--problem", "p.json", "--alpha", "0.1", "--out", "x.csv"],
+    "tune": ["--problem", "p.json"],
+    "td": [],
+    "repro-fig1": ["--seeds", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h"], ["--version"], ["--vers"], [], ["bogus"], ["--", "bogus"], ["--bogus"]]
+    + [[c, "--help"] for c in _SUBCOMMANDS]
+    + [[c, *MISSING_ARGUMENT[c]] for c in _SUBCOMMANDS]
+    # an unknown option and a missing value: the top-level parser and the
+    # subparser report them, each with its own usage line
+    + [["rho", "--problem", "p.json", "--alpha-grid", "1:2:2", "--bogus"], ["rho", "--problem"],
+       ["td", "--mdp", "m.json", "--algo", "sarsa"], ["tune", "--problem", "p.json", "--alpha-max", "x"]],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_help_and_usage_errors_equal_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = full_parser_output(argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (out, err, exc.value.code) == want
+    assert want[2] == (0 if {"--help", "-h", "--version", "--vers"} & set(argv) else 2)
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(_SUBCOMMANDS) + "}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["td0_onpolicy", "gtd2_offpolicy"])
+def test_bound_at_an_underflowing_step_size_exits_2(name, tmp_path, capsys):
+    # alpha^2 rho_d rho_s underflows to 0: a validation error naming alpha,
+    # not a ZeroDivisionError
+    out = tmp_path / "x.csv"
+    argv = ["bound", "--problem", str(PROBLEMS / f"{name}.json"), "--alpha", "1e-300",
+            "--t-grid", "1:10:2", "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: alpha=1e-300 is too small: alpha^2 rho_d rho_s underflows to 0\n"
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -439,3 +440,68 @@ class TestInvariants:
         with pytest.raises(TypeError):
             TransformResult(U, np.linalg.inv(U), np.eye(2), kappa_U=1.0)
         assert TransformResult(U, np.linalg.inv(U), np.eye(2)).kappa_U == 2.0  # ||U|| ||U^-1||
+
+
+def eager_noise_constants(m: Moments, atoms: FiniteAtoms) -> tuple:
+    """sigma_A_sq, sigma1_sq and sigma2_sq as ``_finite_support_moments`` and
+    ``Moments`` computed them when the problem was built."""
+    sigma_A_sq = float((atoms.probs * spectral_norms(atoms.As - m.A_P) ** 2).sum())
+    if m.theta_star is None:
+        return sigma_A_sq, None, None
+    nrm = math.hypot(*np.abs(m.theta_star))
+    if sigma_A_sq == 0:
+        return sigma_A_sq, float(m.sigma_b_sq), 0.0
+    return sigma_A_sq, sigma_A_sq * (nrm * nrm) + m.sigma_b_sq, sigma_A_sq * nrm
+
+
+class TestLazySigmaA:
+    """A finite problem's sigma_A_sq (an SVD per atom) is computed on its
+    first read, once, and equals what building the problem computed."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_atoms(), st.booleans(), st.integers(0, 2), st.integers(0, 2**32 - 1))
+    def test_equals_the_eager_formula(self, atoms, transformed, first, seed):
+        if transformed:  # complex atoms U^-1 A_i U, U^-1 b_i, as a transform makes
+            rng = np.random.default_rng(seed)
+            d = atoms.bs.shape[1]
+            U = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) + 2 * np.eye(d)
+            U_inv = np.linalg.inv(U)
+            atoms = FiniteAtoms(
+                probs=atoms.probs,
+                bs=np.einsum("ij,kj->ki", U_inv, atoms.bs),
+                As=np.einsum("ij,kjl,lm->kim", U_inv, atoms.As, U),
+                b_noise=atoms.b_noise,
+            )
+        names = ("sigma_A_sq", "sigma1_sq", "sigma2_sq")
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            m = _finite_problem(atoms, "random").exact_moments
+            assert svd.call_count == 0
+            getattr(m, names[first])  # any of the three reads it first
+            assert svd.call_count == 1
+            got = [getattr(m, name) for name in names]
+            assert svd.call_count == 1
+        want = eager_noise_constants(m, atoms)
+        assert [type(x) for x in got] == [type(x) for x in want]
+        assert got == list(want)  # bit for bit
+
+    def test_computed_once(self):
+        m = pm_identity(0.1).exact_moments
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            first, second = m.sigma_A_sq, m.sigma_A_sq
+            assert svd.call_count == 1
+        assert first == second == pytest.approx(0.6 * 0.8**2 + 0.4 * 1.2**2)
+        # replace reads it and passes the value on
+        assert dataclasses.replace(m, sigma_b_sq=1.0).sigma_A_sq == first
+
+    def test_floats_still_taken_positionally(self):
+        m = Moments(np.eye(2), np.ones(2), np.eye(2), 0.5, 0.0)
+        assert (m.sigma_A_sq, m.sigma_b_sq) == (0.5, 0.0)
+        assert type(m.sigma_A_sq) is float and type(m.sigma_b_sq) is float
+        assert m.sigma1_sq == 0.5 * (math.sqrt(2) * math.sqrt(2)) and m.sigma2_sq == 0.5 * math.sqrt(2)
+        m = Moments(np.eye(2), np.ones(2), np.eye(2), np.float64(0.25), np.float32(0.5))
+        assert type(m.sigma_A_sq) is float and type(m.sigma_b_sq) is float
+        with pytest.raises(TypeError):
+            Moments(np.eye(2), np.ones(2), np.eye(2), 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.sigma_A_sq = 1.0
+        assert "sigma_A_sq=0.25" in repr(m)
