@@ -21,7 +21,10 @@ GTD2, TD(0) and the Fig. 1 problems the exact MSE falls far below it.
 
 Exit codes: 0 success, 2 validation/regime errors (among them ``simulate``
 on a problem with a singular mean matrix: "problem has no fixed point
-(singular mean matrix)"), 3 divergence without a usable result.
+(singular mean matrix)"), 3 no usable result: the tuner found no stable
+step-size, or ``simulate``'s MSE at the horizon is +inf, because every
+replication diverged or because a surviving one's squared error overflows
+(a far --theta0; the message names which).
 """
 
 from __future__ import annotations
@@ -181,7 +184,13 @@ def _cmd_simulate(args) -> int:
     rows = list(zip(curve.times, curve.mse, curve.stderr, curve.n_diverged))
     _write_csv(args.out, ["t", "mse", "stderr", "n_diverged"], rows, _invocation(args))
     if not np.isfinite(curve.mse[-1]):
-        raise DivergedError("all replications diverged before the horizon")
+        n_diverged = int(curve.n_diverged[-1])
+        if n_diverged == curve.n_replications:
+            raise DivergedError("all replications diverged before the horizon")
+        raise DivergedError(
+            "the MSE overflowed at the horizon: a surviving replication's squared "
+            f"error exceeds the float range ({n_diverged} of {curve.n_replications} diverged)"
+        )
     return 0
 
 

@@ -19,13 +19,15 @@ With delta = phi_s (phi_s - gamma*phi_{s'})^T and b = phi_s * r:
   for the second.  mu is the importance ratio correcting behavior-to-target
   mismatch when successors are sampled from a behavior transition matrix.
 
-Every instance is therefore a finite-support distribution with one atom per
-(s, s') pair of positive weight (``ProblemDistribution.atoms``); Gaussian
-reward noise is the atoms' intercept scatter.  Its exact moments, and those of
-its similarity transforms, are weighted sums over the atoms.  Mean matrices
-are checked for the positive-real-part spectrum the stability theory needs;
-failures are flagged on the instance (the known off-policy fragility of the
-uncorrected one-step method), not raised.
+Every instance is therefore a finite-support distribution whose atoms
+(``ProblemDistribution.atoms``) are the replayed pairs: the (s, s') of
+positive weight, in row-major order, each built from phi_s, phi_{s'}, the
+pair's reward and its own mu; Gaussian reward noise is the atoms' intercept
+scatter.  Its exact moments, and those of its similarity transforms, are
+weighted sums over the atoms.  Mean matrices are checked for the
+positive-real-part spectrum the stability theory needs; failures are flagged
+on the instance (the known off-policy fragility of the uncorrected one-step
+method), not raised.
 """
 
 from __future__ import annotations
@@ -72,9 +74,12 @@ class SyntheticMdp:
 
     ``transitions`` is the target policy's state-to-state matrix.  When
     ``behavior_transitions`` is given, successors are sampled from it and the
-    importance ratio mu(s, s') = P_target / P_behavior corrects the gradient
-    variants.  ``sampling`` is the state distribution of the replay buffer
-    (defaults to the stationary distribution of the behavior chain).
+    importance ratio mu(s, s') = P_target / P_behavior, computed for each
+    replayed pair, corrects the gradient variants.  ``sampling`` is the
+    state distribution of the replay buffer (defaults to the stationary
+    distribution of the behavior chain).  The replayed pairs are the
+    (s, s') of positive sampling x behavior weight, in row-major order; they
+    are the atoms of every instance built from the MDP.
     Rewards may depend on the state (shape (n,)) or the transition (n, n);
     ``reward_noise_std`` adds zero-mean Gaussian noise per draw.
 
@@ -138,14 +143,6 @@ class SyntheticMdp:
             else self.transitions
         )
 
-    @property
-    def importance_ratios(self) -> np.ndarray:
-        """mu(s, s') = P_target / P_behavior on supported transitions, else 0."""
-        Pb = self.effective_behavior
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mu = np.where(Pb > 0, self.transitions / Pb, 0.0)
-        return mu
-
 
 @dataclass(frozen=True)
 class TdInstance:
@@ -173,37 +170,17 @@ class TdInstance:
         return self.problem.exact_moments
 
 
-def _pair_instance(
-    mdp: SyntheticMdp,
-    algo: str,
-    A_of: np.ndarray,  # (n, n, D, D) update matrix per (s, s')
-    b_of: np.ndarray,  # (n, n, D) intercept per (s, s')
-    noise_dir: np.ndarray,  # (n, n, D) intercept direction of the reward noise
-    label: str,
-) -> TdInstance:
-    """Package per-pair update arrays as a finite-support instance.
-
-    Only pairs with positive sampling x behavior weight become atoms.
-    """
-    w = (mdp.sampling[:, None] * mdp.effective_behavior).reshape(-1)
-    keep = w > 0
-    D = A_of.shape[-1]
-    b_noise = None
-    if mdp.reward_noise_std > 0:
-        b_noise = mdp.reward_noise_std * noise_dir.reshape(-1, D)[keep]
-    atoms = FiniteAtoms(
-        probs=w[keep],
-        bs=b_of.reshape(-1, D)[keep],
-        As=A_of.reshape(-1, D, D)[keep],
-        b_noise=b_noise,
-    )
-    return TdInstance(problem=_finite_problem(atoms, label), algo=algo)
+def _pairs(mdp: SyntheticMdp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, s', weight) of the replayed pairs: those of positive sampling x
+    behavior weight, in row-major order."""
+    w = mdp.sampling[:, None] * mdp.effective_behavior
+    s, sp = np.nonzero(w > 0)
+    return s, sp, w[s, sp]
 
 
-def _td_delta(phi: np.ndarray, gamma: float) -> np.ndarray:
-    """(n, n, d, d) array of delta(s, s') = phi_s phi_s^T - gamma phi_s phi_{s'}^T."""
-    outer = np.einsum("si,sj->sij", phi, phi)[:, None, :, :]
-    return outer - gamma * np.einsum("si,tj->stij", phi, phi)
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(k, d, d) stack of the outer products u_k v_k^T."""
+    return u[:, :, None] * v[:, None, :]
 
 
 def td0_instance(mdp: SyntheticMdp) -> TdInstance:
@@ -214,15 +191,15 @@ def td0_instance(mdp: SyntheticMdp) -> TdInstance:
     when behavior differs from target, the mean matrix may fail the
     positive-spectrum check and the instance is flagged accordingly.
     """
-    phi = mdp.features
-    gamma = mdp.discount
+    phi, gamma = mdp.features, mdp.discount
     n, d = phi.shape
-    delta = _td_delta(phi, gamma)
-    b_of = phi[:, None, :] * mdp.rewards[:, :, None]
-    noise_dir = np.broadcast_to(phi[:, None, :], b_of.shape)
-    return _pair_instance(
-        mdp, "td0", delta, b_of, noise_dir, label=f"td0(n={n}, d={d}, gamma={gamma:g})"
-    )
+    s, sp, w = _pairs(mdp)
+    phi_s = phi[s]
+    delta = _outer(phi_s, phi_s) - gamma * _outer(phi_s, phi[sp])
+    b = phi_s * mdp.rewards[s, sp][:, None]
+    noise = mdp.reward_noise_std
+    atoms = FiniteAtoms(w, b, delta, noise * phi_s if noise > 0 else None)
+    return TdInstance(_finite_problem(atoms, f"td0(n={n}, d={d}, gamma={gamma:g})"), "td0")
 
 
 def gtd_instance(mdp: SyntheticMdp, eta: float, variant: str = "gtd") -> TdInstance:
@@ -239,33 +216,23 @@ def gtd_instance(mdp: SyntheticMdp, eta: float, variant: str = "gtd") -> TdInsta
         raise ValueError("eta must be finite and positive")
     if variant not in ("gtd", "gtd2"):
         raise ValueError("variant must be 'gtd' or 'gtd2'")
-    phi = mdp.features
-    gamma = mdp.discount
+    phi, gamma = mdp.features, mdp.discount
     n, d = phi.shape
-    D = 2 * d
-    mu = mdp.importance_ratios
+    s, sp, w = _pairs(mdp)
+    mu = mdp.transitions[s, sp] / mdp.effective_behavior[s, sp]
+    phi_s = phi[s]
+    outer = _outer(phi_s, phi_s)
+    delta = outer - gamma * _outer(phi_s, phi[sp])
 
-    delta = _td_delta(phi, gamma)
-    if variant == "gtd":
-        Q = np.broadcast_to(np.eye(d), (n, n, d, d))
-    else:
-        Q = np.broadcast_to(np.einsum("si,sj->sij", phi, phi)[:, None, :, :], (n, n, d, d))
-
-    A_of = np.zeros((n, n, D, D))
-    A_of[:, :, :d, :d] = eta * Q
-    A_of[:, :, :d, d:] = eta * mu[:, :, None, None] * delta
-    A_of[:, :, d:, :d] = -mu[:, :, None, None] * np.swapaxes(delta, -1, -2)
-
-    b_of = np.zeros((n, n, D))
-    b_of[:, :, :d] = eta * mu[:, :, None] * phi[:, None, :] * mdp.rewards[:, :, None]
-    noise_dir = np.zeros((n, n, D))
-    noise_dir[:, :, :d] = eta * mu[:, :, None] * phi[:, None, :]
-
-    return _pair_instance(
-        mdp,
-        variant,
-        A_of,
-        b_of,
-        noise_dir,
-        label=f"{variant}(n={n}, d={d}, gamma={gamma:g}, eta={eta:g})",
-    )
+    A = np.zeros((len(w), 2 * d, 2 * d))
+    A[:, :d, :d] = eta * (np.eye(d) if variant == "gtd" else outer)
+    A[:, :d, d:] = (eta * mu)[:, None, None] * delta
+    A[:, d:, :d] = -mu[:, None, None] * np.swapaxes(delta, -1, -2)
+    noise_dir = np.zeros((len(w), 2 * d))  # the intercept per unit reward
+    noise_dir[:, :d] = (eta * mu)[:, None] * phi_s
+    b = np.zeros_like(noise_dir)
+    b[:, :d] = noise_dir[:, :d] * mdp.rewards[s, sp][:, None]
+    noise = mdp.reward_noise_std
+    atoms = FiniteAtoms(w, b, A, noise * noise_dir if noise > 0 else None)
+    label = f"{variant}(n={n}, d={d}, gamma={gamma:g}, eta={eta:g})"
+    return TdInstance(_finite_problem(atoms, label), variant)

@@ -5,7 +5,9 @@ running average, on the engine's step kernel.  It steps through the dense
 (b, A) draws of ``sample`` (``_dense_direction``), not the problem's step
 form: on low-dimensional trajectories the per-step calls of that form cost
 more than the draws they save, and a tuning run's stream stays that of
-``sample``.
+``sample``.  Measured at R = 1 on the Fig. 1 problems (2-vCPU x86-64 host):
+a direction through the Gaussian form took 13.0 us against 3.9 us for the
+dense one, and 500 ``tune`` calls 2.00 s against 1.22 s.
 
 ``tune_many`` runs one halving loop per seed, the seeds as rows of one
 (R, d) state advanced together from one epoch boundary to the next.  As in

@@ -1,4 +1,6 @@
 import dataclasses
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from lsalab import (
     bound_inputs_for,
     load_problem_file,
     lower_bound,
+    make_finite_support,
     make_lower_bound_instance,
     rho_d,
     rho_s,
@@ -176,7 +179,7 @@ class TestBeta:
         # t capped where (1 - alpha*rho_s)^t still resolves in float64
         inputs = instance_inputs()
         t = np.arange(1, 120)
-        beta = beta_coefficient(inputs, t)
+        beta = beta_coefficient(inputs.alpha * inputs.rho_s, t)
         assert np.all((beta > 0) & (beta < 1))
         assert np.all(np.diff(beta) > 0)
 
@@ -186,6 +189,79 @@ class TestBeta:
         direct = sum(1 - (1 - x) ** j for j in range(t))  # beta_{t-s}, s=1..t
         closed = beta_partial_sum(x, t)
         assert abs(closed - direct) / direct < 1e-10
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-100, 1e-17, 1e-15, 1e-8, 0.19, 0.5, 1.0])
+    def test_match_exact_sums_at_small_t(self, x):
+        # beta_t = 1 - (1-x)^t and its partial sum, term by term in exact
+        # rationals; as x -> 0 both cancel in floating point unless
+        # evaluated in a stable form
+        X, tol = Fraction(x), Fraction(1, 10**15)
+        t = np.arange(1, 13)
+        beta, partial = beta_coefficient(x, t), beta_partial_sum(x, t)
+        for i, ti in enumerate(t):
+            exact_beta = 1 - (1 - X) ** int(ti)
+            exact_sum = sum(1 - (1 - X) ** j for j in range(int(ti)))  # beta_{t-s}, s=1..t
+            assert abs(Fraction(beta[i]) - exact_beta) <= tol * exact_beta, ti
+            assert abs(Fraction(partial[i]) - exact_sum) <= tol * exact_sum, ti
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-15, 1e-6, 0.01, 0.19])
+    def test_partial_sum_across_the_series_switch(self, x):
+        # the series serves t x <= 1 and t - beta_t/x the rest; against
+        # t - (1 - exp(t log(1-x)))/x in decimals with digits to spare for
+        # its cancellation
+        t = np.unique(np.geomspace(2, min(1e6, 100 / x), 120).round())  # S_1 = 0
+        got = beta_partial_sum(x, t)
+        with localcontext() as ctx:
+            ctx.prec = 60 + 2 * max(0, int(-np.log10(x)))  # ln(1 - x) needs 1 - x to x^2
+            X = Decimal(x)
+            log_1mx = (1 - X).ln()
+            for ti, g in zip(t, got):
+                T = Decimal(int(ti))
+                exact = T - (1 - (T * log_1mx).exp()) / X
+                assert abs(Decimal(g) - exact) <= Decimal("1e-15") * exact, ti
+
+
+def alpha_range_problems():
+    """The committed TD problems and random finite problems with a positive
+    definite mean."""
+    out = []
+    for name in ("td0_onpolicy", "gtd2_offpolicy"):
+        p = load_problem_file(PROBLEMS / f"{name}.json")
+        out.append(pytest.param(p, id=name))
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        d = 3
+        atoms = [
+            ((rng.standard_normal(d), 2.0 * np.eye(d) + 0.5 * rng.standard_normal((d, d))), 0.25)
+            for _ in range(4)
+        ]
+        out.append(pytest.param(make_finite_support(atoms), id=f"finite-{seed}"))
+    return out
+
+
+class TestSmallStepSizes:
+    @pytest.mark.parametrize("p", alpha_range_problems())
+    def test_envelopes_hold_from_the_underflow_limit_to_the_witness(self, p):
+        # alpha log-uniform over the whole certified range: from just above
+        # where alpha^2 or alpha^2 rho_d rho_s underflows (the gaps tend to
+        # lam_min(A + A^*) as alpha -> 0) up to the witness
+        tr = transform_problem(p)
+        m = tr.transformed_moments
+        lam = np.linalg.eigvalsh(m.A_P + m.A_P.conj().T)[0]
+        lo, hi = 2.0 * np.sqrt(5e-324) / min(lam, 1.0), 0.99 * witness_alpha(m)
+        alphas = np.exp(np.random.default_rng(0).uniform(np.log(lo), np.log(hi), 60))
+        t = np.unique(np.geomspace(1, 1e6, 40).round())
+        star = p.exact_moments.theta_star
+        for alpha in np.append(alphas, [lo, 1e-17, 1e-15, hi]):
+            for theta_0 in (np.zeros(p.dim), star):
+                curve = bound_curve(bound_inputs_for(p.exact_moments, alpha, theta_0, tr), t)
+                assert np.all(curve.lower >= 0) and np.all(np.isfinite(curve.lower)), alpha
+                if theta_0 is star:
+                    # only the variance term: it falls as 1/(t+1)
+                    assert np.all(np.isfinite(curve.upper)), alpha
+                    assert np.all(np.diff(curve.upper) <= 0), alpha
+                elif alpha >= 1e-100:  # the bias term stays inside the float range
+                    assert np.all(np.isfinite(curve.upper)), alpha
 
 
 class TestCurveShape:

@@ -176,6 +176,20 @@ def test_all_diverged_simulate_exits_3(td_problem, tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_overflowed_simulate_exits_3_naming_the_overflow(tmp_path, capsys):
+    # no replication diverges: the squared error of a start at 1e200
+    # overflows, which the message must not call divergence
+    out = tmp_path / "sim.csv"
+    code = main(["simulate", "--problem", str(PROBLEMS / "td0_onpolicy.json"), "--alpha", "0.01",
+                 "--horizon", "100", "--reps", "5", "--theta0", "[1e200, 0, 0, 0]",
+                 "--out", str(out)])
+    assert code == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "the MSE overflowed at the horizon" in err and "(0 of 5 diverged)" in err
+    last = out.read_text().splitlines()[-1].split(",")
+    assert last[1] == "inf" and last[3] == "0"
+
+
 def test_simulate_singular_mean_exits_2(tmp_path, capsys):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({"type": "gaussian", "A": [[1.0, 1.0], [1.0, 1.0]], "b": [1.0, 0.0],

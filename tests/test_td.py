@@ -39,19 +39,27 @@ def random_mdp(seed, n=5, d=2, off_policy=False, reward_noise_std=0.0):
 
 
 def pair_updates(mdp, algo, eta=1.0):
-    """(weight, A, b, reward-noise direction) of each (s, s'), by hand."""
+    """(weight, A, b, reward-noise direction) of each (s, s') in row-major
+    order, by hand.
+
+    Each float operation is the instance builders' own, in their order:
+    delta = phi_s phi_s^T - gamma (phi_s phi_{s'}^T), b = ((eta mu) phi_s) r
+    and the blocks eta Q, (eta mu) delta and -mu delta^T, with the importance
+    ratio mu = P / P_behavior (0 where behavior never moves).
+    """
     phi, gamma = mdp.features, mdp.discount
+    Pb = mdp.effective_behavior
     n, d = phi.shape
     out = []
     for s in range(n):
         for sp in range(n):
-            w = mdp.sampling[s] * mdp.effective_behavior[s, sp]
-            delta = np.outer(phi[s], phi[s] - gamma * phi[sp])
+            w = mdp.sampling[s] * Pb[s, sp]
+            delta = np.outer(phi[s], phi[s]) - gamma * np.outer(phi[s], phi[sp])
             r = mdp.rewards[s, sp]
             if algo == "td0":
                 out.append((w, delta, phi[s] * r, phi[s]))
                 continue
-            mu = mdp.importance_ratios[s, sp]
+            mu = mdp.transitions[s, sp] / Pb[s, sp] if Pb[s, sp] > 0 else 0.0
             Q = np.eye(d) if algo == "gtd" else np.outer(phi[s], phi[s])
             A = np.block([[eta * Q, eta * mu * delta], [-mu * delta.T, np.zeros((d, d))]])
             noise_dir = np.concatenate([eta * mu * phi[s], np.zeros(d)])
@@ -124,6 +132,25 @@ def test_exact_moments_match_estimate(algo, kw):
     assert est.sigma_A_sq == pytest.approx(
         exact.sigma_A_sq, abs=5 * dev_A.std(ddof=1) / np.sqrt(n)
     )
+
+
+@pytest.mark.parametrize("algo", ["td0", "gtd", "gtd2"])
+def test_atoms_are_the_replayed_pairs(algo):
+    # a state the buffer never samples and behavior entries that are zero
+    # leave pairs of weight 0, which are not atoms
+    mdp = dataclasses.replace(
+        random_mdp(8, off_policy=True, reward_noise_std=0.6),
+        sampling=[0.1, 0.2, 0.0, 0.3, 0.4],
+    )
+    pairs = [pair for pair in pair_updates(mdp, algo, eta=0.7) if pair[0] > 0]
+    assert len(pairs) == 5 * 5 - 5 - 1
+    atoms = instance(mdp, algo, eta=0.7).problem.atoms
+    assert len(atoms.probs) == len(pairs)
+    for i, (w, A, b, noise_dir) in enumerate(pairs):
+        assert atoms.probs[i] == w
+        assert np.array_equal(atoms.As[i], A)
+        assert np.array_equal(atoms.bs[i], b)
+        assert np.array_equal(atoms.b_noise[i], mdp.reward_noise_std * noise_dir)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5])
