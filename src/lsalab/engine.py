@@ -19,10 +19,14 @@ step forms share a key (and which share horizon, record stride, theta_0 and
 divergence bound) advance as rows of one state, each row with its run's
 step-size and its run's own stream, so each curve is bit-identical to the
 ``run_mse`` of its run alone and a batch of runs costs one Python step loop
-instead of one per run.  ``run_mse`` is its one-run call.  The fixed point
-theta* always comes from the problem's exact moments.  The MSE runs record
-the running average alone; ``_simulate_runs`` can also keep the iterate
-snapshots (``keep_theta``), for tests that read single trajectories.
+instead of one per run.  A run whose step form draws nothing from its
+stream (a noise-free Gaussian problem, one atom without intercept scatter)
+has R equal replications: it is stepped once, as one row that stands for
+all R in the reduction, so its curve keeps the bits of R stepped rows.
+``run_mse`` is its one-run call.  The fixed point theta* always comes from
+the problem's exact moments.  The MSE runs record the running average
+alone; ``_simulate_runs`` can also keep the iterate snapshots
+(``keep_theta``), for tests that read single trajectories.
 
 A replication whose iterate would pass the divergence bound is frozen,
 flagged with its divergence time and dropped from the live set rather than
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemDistribution, _check_integer, _check_theta0
+from .problems import ProblemDistribution, StepForm, _check_integer, _check_theta0
 
 __all__ = [
     "RunConfig",
@@ -340,6 +344,12 @@ def run_mse_many(problems: list[ProblemDistribution], cfgs: list[RunConfig]) -> 
     matrices A_i do not batch.  Each run's theta* is that of its problem's
     exact moments.
 
+    A run whose step form draws nothing (``_draws_nothing``: the noise-free
+    level of Fig. 1, a one-atom problem without intercept scatter) gets one
+    row and one spawned stream; its snapshots and divergence time are
+    broadcast to its n_replications columns before the reduction, which
+    therefore reduces R equal rows as if each had been stepped.
+
     Raises ValueError for an empty list, for runs that do not share what they
     must, or when some problem has no fixed point (a singular mean matrix).
     """
@@ -348,17 +358,36 @@ def run_mse_many(problems: list[ProblemDistribution], cfgs: list[RunConfig]) -> 
         raise ValueError("need at least one run, with one config per problem")
     if any(p.exact_moments.theta_star is None for p in problems):
         raise ValueError("problem has no fixed point (singular mean matrix)")
-    rngs = [_replication_rngs(c.seed, c.n_replications) for c in cfgs]
+    rows = [
+        1 if _draws_nothing(p.step_form) else c.n_replications for p, c in zip(problems, cfgs)
+    ]
+    rngs = [_replication_rngs(c.seed, n) for c, n in zip(cfgs, rows)]
     _, hat_all, div_all = _simulate_runs(problems, cfgs, rngs, keep_theta=False)
     curves = []
     lo = 0
-    for p, cfg in zip(problems, cfgs):
-        hi = lo + cfg.n_replications
-        curves.append(_mse_curve(
-            cfg.record_times(), hat_all[:, lo:hi], div_all[lo:hi], p.exact_moments.theta_star
-        ))
+    for p, cfg, n in zip(problems, cfgs, rows):
+        hi = lo + n
+        # a draw-free run's one row stands for its R equal replications
+        R = cfg.n_replications
+        hat = np.broadcast_to(hat_all[:, lo:hi], (len(hat_all), R) + hat_all.shape[2:])
+        div = np.broadcast_to(div_all[lo:hi], (R,))
+        curves.append(_mse_curve(cfg.record_times(), hat, div, p.exact_moments.theta_star))
         lo = hi
     return curves
+
+
+def _draws_nothing(form: StepForm) -> bool:
+    """Whether ``form`` draws nothing from its stream, by one trial draw.
+
+    A form's ``draw`` consumes its generator on every call or on none (see
+    ``StepForm``), so one step drawn from a fresh generator that leaves the
+    generator's state unchanged shows that every replication draws the same
+    arrays: the run's replications are one trajectory.
+    """
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    form.draw(rng, 1)
+    return rng.bit_generator.state == state
 
 
 def _mse_curve(

@@ -179,6 +179,11 @@ class StepForm:
     replications of several problems as rows of one state, each row drawing
     through its own problem's ``draw``.  A finite problem's form is keyed by
     the matrices A_i it gathers from, with the dtypes of A_i and b_i.
+
+    ``draw`` is a function of (generator, n) alone, and it consumes the
+    generator on every call or on none.  A form that consumes none draws the
+    same arrays from every stream, so its replications are one trajectory,
+    which the engine steps once (see ``engine.run_mse_many``).
     """
 
     draw: Callable[[np.random.Generator, int], Draws]

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lsalab import (
     BoundInputs,
@@ -28,6 +30,9 @@ from lsalab import (
 
 THETA0 = np.array([1.0, 1.0])
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
+# a coordinate of theta_0: zero or of magnitude at least 1e-3, so that no
+# square in ``exact_mse_diag`` is subnormal
+COORDINATE = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
 
 
 def instance_inputs(alpha=0.1, lam=(1.0, 2.0), sigma_b=1.0, theta_0=THETA0):
@@ -136,6 +141,32 @@ class TestUpperBound:
             exact = exact_mse_diag(0.1, (1.0, 2.0), 1.0, THETA0, t)
             total, _, _ = upper_bound(inputs, t)
             assert total >= exact, t
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lam_min=st.floats(0.01, 10.0),
+        ratio=st.floats(1.01, 100.0),
+        sigma_b=st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+        theta_0=st.tuples(COORDINATE, COORDINATE),
+        fraction=st.floats(1e-3, 0.999),
+    )
+    @example(lam_min=1.0, ratio=2.0, sigma_b=0.0, theta_0=(1.0, 0.0), fraction=0.5)
+    def test_dominates_exact_mse_on_the_constant_diagonal_family(
+        self, lam_min, ratio, sigma_b, theta_0, fraction
+    ):
+        # below the witness the envelope sits above the exact MSE at every t.
+        # With sigma_b = 0 and theta_0 on the lam_min axis (the example) the
+        # two meet as t grows, so they are compared up to rounding.  The
+        # lower envelope is not pinned here: it exceeds the exact MSE from
+        # t >= 7 on at many inputs (ROADMAP, "Known limits")
+        lams = (lam_min, lam_min * ratio)
+        m = make_lower_bound_instance(*lams, sigma_b).exact_moments
+        alpha = fraction * witness_alpha(m)
+        t = np.array(list(range(1, 13)) + [20, 50, 100, 300, 1000, 3000])
+        total, _, _ = upper_bound(bound_inputs_for(m, alpha, np.array(theta_0)), t)
+        for ti, upper in zip(t, total):
+            exact = exact_mse_diag(alpha, lams, sigma_b, theta_0, ti)
+            assert exact <= upper * (1 + 1e-12), ti
 
 
 class TestLowerBound:

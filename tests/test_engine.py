@@ -19,7 +19,7 @@ from lsalab import (
     witness_alpha,
 )
 from lsalab import engine
-from lsalab.cli import FIG1_MEAN
+from lsalab.cli import FIG1_MEAN, FIG1_SIGMAS, make_fig1_problem
 from lsalab.engine import (
     _CHECK_EVERY,
     _SAMPLE_CHUNK,
@@ -30,6 +30,7 @@ from lsalab.engine import (
 )
 from lsalab.problem_io import load_problem_file
 from lsalab.problems import FiniteAtoms, StepForm, _finite_problem
+from lsalab.transform import transform_distribution, transform_problem
 from lsalab.tuner import _dense_direction
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
@@ -822,6 +823,118 @@ class TestRunMseMany:
         quiet = make_gaussian_noise(np.eye(2), np.zeros(2), 0.0, 0.0)
         other = dataclasses.replace(cfg, alpha=0.2, seed=3, n_replications=4)
         assert len(run_mse_many([gaussian, quiet], [cfg, other])) == 2
+
+
+def every_row_curve(p, cfg):
+    """``_mse_curve`` over all R rows of ``_simulate_runs``: the curve of a
+    run whose replications are each stepped."""
+    rngs = [_replication_rngs(cfg.seed, cfg.n_replications)]
+    _, hat, div = _simulate_runs([p], [cfg], rngs, keep_theta=False)
+    return engine._mse_curve(cfg.record_times(), hat, div, p.exact_moments.theta_star)
+
+
+def counting_draws(p, calls):
+    """p with a step form that appends the n of every ``draw`` call to calls."""
+    def draw(rng, n):
+        calls.append(n)
+        return p.step_form.draw(rng, n)
+
+    return dataclasses.replace(p, step_form=dataclasses.replace(p.step_form, draw=draw))
+
+
+def equal_atoms():
+    A = np.diag([1.0, 2.0])
+    return make_finite_support([((np.ones(2), A), 0.5), ((np.ones(2), A), 0.5)])
+
+
+def transformed(p):
+    return transform_distribution(p, transform_problem(p))
+
+
+# (factory, whether its step form draws nothing) for every constructor's form
+STEP_FORMS = {
+    "gaussian-0-0": (lambda: make_gaussian_noise(FIG1_MEAN, np.ones(2), 0.0, 0.0), True),
+    "gaussian-0-b": (lambda: make_gaussian_noise(FIG1_MEAN, np.ones(2), 0.0, 0.5), False),
+    "gaussian-A-0": (lambda: make_gaussian_noise(FIG1_MEAN, np.ones(2), 2.0, 0.0), False),
+    "gaussian-A-b": (lambda: make_gaussian_noise(FIG1_MEAN, np.ones(2), 2.0, 0.5), False),
+    "one-atom": (lambda: make_lower_bound_instance(1.0, 2.0, 0.0), True),
+    "one-atom-scatter": (lambda: make_lower_bound_instance(1.0, 2.0, 1.0), False),
+    "two-equal-atoms": (equal_atoms, False),
+    "td0-file": (lambda: load_problem_file(PROBLEMS / "td0_onpolicy.json"), False),
+    "gtd2-file": (lambda: load_problem_file(PROBLEMS / "gtd2_offpolicy.json"), False),
+    # an eigen-route transform of one non-normal atom, and of the GTD2 atoms
+    "transformed-one-atom": (lambda: transformed(make_finite_support(
+        [((np.ones(2), np.array([[1.0, 3.0], [0.0, 2.0]])), 1.0)])), True),
+    "transformed-gtd2": (lambda: transformed(
+        load_problem_file(PROBLEMS / "gtd2_offpolicy.json")), False),
+}
+
+
+class TestDrawFreeRuns:
+    """A run whose step form draws nothing is stepped as one row, which
+    stands for its R replications: its curve keeps the bits of R rows."""
+
+    # one step-size per Fig. 1 level, all stable; sigma_A = 0 draws nothing
+    FIG1_ALPHAS = (2.0**-7, 2.0**-8, 2.0**-9, 2.0**-10, 2.0**-12)
+
+    @pytest.mark.parametrize("case", ["fig1-quiet", "fig1-levels", "lower-bound", "diverging"])
+    def test_curves_equal_those_of_every_row_stepped(self, case):
+        def cfg(alpha, seed=0):
+            return RunConfig(alpha=alpha, horizon=600, record_stride=25, n_replications=30,
+                             seed=seed)
+
+        if case == "fig1-quiet":
+            problems, cfgs = [make_fig1_problem(0.0)], [cfg(self.FIG1_ALPHAS[0])]
+        elif case == "fig1-levels":  # as repro_fig1 batches them
+            problems = [make_fig1_problem(s) for s in FIG1_SIGMAS]
+            cfgs = [cfg(a, seed) for seed, a in enumerate(self.FIG1_ALPHAS)]
+        elif case == "lower-bound":
+            problems, cfgs = [make_lower_bound_instance(1.0, 2.0, 0.0)], [cfg(0.1, 4)]
+        else:  # rho(I - alpha A_P) is about 5.02: every replication diverges at one step
+            problems, cfgs = [make_fig1_problem(0.0)], [cfg(0.5)]
+        calls = []
+        counted = [counting_draws(problems[0], calls)] + problems[1:]
+        curves = run_mse_many(counted, cfgs)
+        # the draw-free run: one trial draw, then one row per chunk of steps
+        assert calls[0] == 1 and len(calls) <= 3
+        for p, c, curve in zip(problems, cfgs, curves):
+            want = every_row_curve(p, c)
+            assert curve.mse.tobytes() == want.mse.tobytes()
+            assert curve.stderr.tobytes() == want.stderr.tobytes()
+            assert np.array_equal(curve.n_diverged, want.n_diverged)
+        if case == "diverging":
+            n_div = curves[0].n_diverged
+            assert n_div[-1] == 30 and set(n_div.tolist()) <= {0, 30}
+
+    @pytest.mark.parametrize("name", list(STEP_FORMS))
+    def test_a_form_consumes_its_stream_on_every_draw_or_on_none(self, name):
+        factory, draws_nothing = STEP_FORMS[name]
+        form = factory().step_form
+        consumed = []
+        for n in (1, 7, 512):
+            rng = np.random.default_rng(n)
+            state = rng.bit_generator.state
+            form.draw(rng, n)
+            consumed.append(rng.bit_generator.state != state)
+        assert consumed == [not draws_nothing] * 3
+        assert engine._draws_nothing(form) == draws_nothing
+        if draws_nothing:  # the same arrays from any stream
+            one, two = (form.draw(np.random.default_rng(seed), 7) for seed in (1, 2))
+            assert all(np.array_equal(x, y) for x, y in zip(one, two, strict=True))
+
+    @pytest.mark.parametrize(
+        "name", ["gaussian-0-0", "one-atom", "gaussian-0-b", "one-atom-scatter", "two-equal-atoms"]
+    )
+    def test_rows_stepped(self, name):
+        # 600 steps are two chunks: a run steps one row per replication in
+        # each, unless its form draws nothing
+        factory, draws_nothing = STEP_FORMS[name]
+        cfg = RunConfig(alpha=2.0**-7, horizon=600, record_stride=25, n_replications=8, seed=1)
+        calls = []
+        curve = run_mse(counting_draws(factory(), calls), cfg)
+        assert curve.n_diverged[-1] == 0
+        rows = 1 if draws_nothing else 8
+        assert calls == [1] + [_SAMPLE_CHUNK] * rows + [600 - _SAMPLE_CHUNK] * rows
 
 
 def reference_mse_curve(times, hat, div, theta_star):
