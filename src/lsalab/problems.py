@@ -15,7 +15,9 @@ Conventions
 - Every problem also carries a ``StepForm``: how the engine draws a step
   and applies it to a batch of states without forming A_t.  The Gaussian
   family's form draws d normals per step for the matrix noise, not d^2;
-  its steps follow the law of ``sample`` but are a different random stream.
+  its steps follow the law of ``sample`` but are a different random stream
+  (the same stream when sigma_A = 0; at d = 2 the step rounds A_P theta by
+  columns).
   Finite-support problems (plain finite, lower-bound, TD(0), GTD, GTD2 and
   transformed atoms) draw atom indices and gather each step's A_i from the
   atoms; they draw the stream of ``sample``, bit for bit.
@@ -171,8 +173,8 @@ class StepForm:
     blocks, each of the dtype its array is drawn with (the run's float or
     complex dtype, or int64 for the atom indices of a finite problem).
     ``direction(draws, s, theta)`` returns b_s - A_s theta for step s of
-    those blocks and an (R, d) state, computed row by row, so a
-    replication's result does not depend on the rest of its batch.
+    those blocks and an (R, d) state, computed row by row or elementwise, so
+    a replication's result does not depend on the rest of its batch.
 
     ``key`` names the direction: forms with equal keys draw arrays of the same
     layout and have interchangeable ``direction``s, so the engine may step the
@@ -536,13 +538,19 @@ def make_gaussian_noise(
     s ||theta|| z with z ~ N(0, I_d).  Its ``step_form`` draws the noise
     array s z first, then b_t when sigma_b > 0 (a fixed b is read from b_P),
     d normals each per step, and applies b_t - A_P theta - ||theta|| s z.
+    At d = 2 it applies it elementwise on the state's two columns,
+    b_t - (theta_1 a_1 + theta_2 a_2) - hypot(theta_1, theta_2) s z with a_k
+    the columns of A_P: faster than a gemv per row, and the norm of a small
+    state squares nothing that could underflow.  At d >= 3, where column
+    sums are slower, A_P theta is one gemv per row.
     When sigma_A = 0 the noise array is zeros and draws nothing, so every
     problem of one mean shares the layout and the key (A_P with its shape,
     plus b_P when b is fixed), and runs at different sigma_A can step as rows
     of one state; a lone sigma_A = 0 run still computes the zero noise term,
     which leaves its bits unchanged.  Runs therefore draw a different stream
     than ``sample`` from the same seed, with the same law (the same stream
-    when sigma_A = 0).
+    when sigma_A = 0; at d = 2 the step rounds A_P theta by columns, so its
+    bits differ from a gemv of ``sample``'s A_t in the last places).
     """
     if not (0 <= sigma_A < math.inf and 0 <= sigma_b < math.inf):
         raise ValueError("noise magnitudes must be finite and nonnegative")
@@ -581,12 +589,25 @@ def make_gaussian_noise(
             noise = np.zeros((n, d))
         return (noise, draw_b(rng, (n,))) if entry_scale_b else (noise,)
 
-    def direction(draws: Draws, s: int, theta: np.ndarray) -> np.ndarray:
-        # A_P theta one row at a time: a single gemm over the batch would
-        # round differently with the batch size
-        v = (draws[1][s] if entry_scale_b else b_P) - np.matmul(A_P, theta[..., None])[..., 0]
-        v -= _row_norms(theta) * draws[0][s]
-        return v
+    if d == 2:
+        a0, a1 = A_P.T[:, :, None].copy()  # the columns of A_P, as (2, 1) arrays
+        b_col = b_P[:, None]
+
+        def direction(draws: Draws, s: int, theta: np.ndarray) -> np.ndarray:
+            # elementwise on the state's columns x and y, so no row depends
+            # on the rest of the batch; on the (2, R) transposes each pass
+            # runs along the batch, not along a row of two
+            x, y = theta.T
+            v = (draws[1][s].T if entry_scale_b else b_col) - (x * a0 + y * a1)
+            v -= np.hypot(x, y) * draws[0][s].T
+            return v.T
+    else:
+        def direction(draws: Draws, s: int, theta: np.ndarray) -> np.ndarray:
+            # A_P theta one gemv per row: a single gemm over the batch would
+            # round differently with the batch size
+            v = (draws[1][s] if entry_scale_b else b_P) - np.matmul(A_P, theta[..., None])[..., 0]
+            v -= _row_norms(theta) * draws[0][s]
+            return v
 
     key = ("gaussian", A_P.shape, A_P.tobytes(), None if entry_scale_b else b_P.tobytes())
     step_form = StepForm(draw, direction, key)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -19,7 +20,7 @@ from lsalab import (
     witness_alpha,
 )
 from lsalab import engine
-from lsalab.cli import FIG1_MEAN, FIG1_SIGMAS, make_fig1_problem
+from lsalab.cli import FIG1_MEAN, FIG1_SIGMAS, FIG1_STRIDE, make_fig1_problem
 from lsalab.engine import (
     _CHECK_EVERY,
     _SAMPLE_CHUNK,
@@ -32,6 +33,7 @@ from lsalab.problem_io import load_problem_file
 from lsalab.problems import FiniteAtoms, StepForm, _finite_problem
 from lsalab.transform import transform_distribution, transform_problem
 from lsalab.tuner import _dense_direction
+from oracles import exact_mse_gaussian
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
 
@@ -494,18 +496,23 @@ class TestGaussianStepForm:
     # pass the bound at scattered times, some before the horizon, some not.
     # A_P is not diagonal, so computing A_P theta with one gemm over the
     # batch would round differently at d = 5 and d = 32.  At sigma_A = 0
-    # the noise array is zeros and the step equals that of ``sample``; alpha
-    # = 2.05 puts the eigenvalue of I - alpha A_P at -1.05, so intercept noise
-    # scatters the divergence times and the noise-free rows diverge at once.
+    # the noise array is zeros and the step follows the stream of
+    # ``sample``; alpha = 2.05 puts the eigenvalue of I - alpha A_P at -1.05,
+    # so intercept noise scatters the divergence times and the noise-free
+    # rows diverge at once.  At d = 2 the step computes A_P theta by columns
+    # and ``sample``'s reference by gemv: on this A_P, whose entries 1, 0 and
+    # 0.25 make every product exact, the two agree bit for bit; on FIG1_MEAN
+    # they agree to rounding (alpha = 0.1: every row diverges at step 23).
     @pytest.mark.parametrize(
-        "d, sigma_A, sigma_b, alpha, horizon",
-        [(2, 2.0, 0.0, 1.0, 40), (5, 2.0, 0.5, 1.0, 40), (32, 2.0, 0.5, 1.0, 70),
-         (2, 0.0, 0.0, 2.05, 80), (2, 0.0, 0.5, 2.05, 40)],
+        "d, sigma_A, sigma_b, alpha, horizon, mean",
+        [(2, 2.0, 0.0, 1.0, 40, None), (5, 2.0, 0.5, 1.0, 40, None),
+         (32, 2.0, 0.5, 1.0, 70, None), (2, 0.0, 0.0, 2.05, 80, None),
+         (2, 0.0, 0.5, 2.05, 40, None), (2, 0.0, 0.0, 0.1, 80, FIG1_MEAN)],
         ids=["2-0.0-40", "5-0.5-40", "32-0.5-70", "no-matrix-noise-2-0.0-80",
-             "no-matrix-noise-2-0.5-40"],
+             "no-matrix-noise-2-0.5-40", "no-matrix-noise-fig1-mean-80"],
     )
-    def test_batching_does_not_change_result(self, d, sigma_A, sigma_b, alpha, horizon):
-        A_P = np.eye(d) + np.triu(np.full((d, d), 0.5 / d), 1)
+    def test_batching_does_not_change_result(self, d, sigma_A, sigma_b, alpha, horizon, mean):
+        A_P = np.eye(d) + np.triu(np.full((d, d), 0.5 / d), 1) if mean is None else mean
         p = make_gaussian_noise(A_P, np.ones(d), sigma_A, sigma_b)
         cfg = RunConfig(alpha=alpha, horizon=horizon, record_stride=5, n_replications=12, seed=5)
         with mock.patch.object(engine, "DIVERGENCE_SENTINEL", 100):
@@ -523,9 +530,13 @@ class TestGaussianStepForm:
                 assert div_r[0] == div[r]
             if not sigma_A:
                 ref_theta, ref_hat, ref_div = reference_block(p, cfg, _replication_rngs(cfg.seed, 12))
-                assert np.array_equal(ref_theta, theta)
-                assert np.array_equal(ref_hat, hat)
                 assert np.array_equal(ref_div, div)
+                if mean is None:
+                    assert np.array_equal(ref_theta, theta)
+                    assert np.array_equal(ref_hat, hat)
+                else:
+                    np.testing.assert_allclose(theta, ref_theta, rtol=1e-12)
+                    np.testing.assert_allclose(hat, ref_hat, rtol=1e-12)
 
     def test_key_names_the_direction(self):
         # the key holds A_P, and b_P only when b is fixed; not the noise levels
@@ -558,6 +569,80 @@ class TestGaussianStepForm:
         assert div == -1
         assert hat[-1] == pytest.approx(np.full(2, 1e155), rel=0.05)
         assert run_mse(p, cfg).n_diverged.sum() == 0
+
+    def test_noise_term_of_small_two_dimensional_states(self):
+        # with A_P = 0 and b_P = 0 the direction at unit noise is -||theta||.
+        # The squares of these states are subnormal or underflow: a norm
+        # taken through them reads 4.99997e-160 for the first and 0 for the
+        # second, which drops the matrix noise; hypot squares nothing
+        p = make_gaussian_noise(np.zeros((2, 2)), np.zeros(2), 1.0, 0.0)
+        theta = np.array([[3e-160, 4e-160], [1e-170, 2e-170]])
+        v = p.step_form.direction((np.ones((1, 2, 2)),), 0, theta)
+        want = -np.array([math.hypot(*row) for row in theta])
+        np.testing.assert_allclose(v, np.column_stack([want, want]), rtol=4e-16, atol=0)
+
+    @pytest.mark.parametrize("exponent", [0.0, 150.0, -300.0, None])
+    def test_two_dimensional_direction_matches_gemv(self, exponent):
+        # the column form of b - A_P theta - ||theta|| z against gemv rows and
+        # a hypot norm: within 4 ulps of |b| + |A_P||theta| + ||theta|| |z|,
+        # the size of the terms it sums (2 measured over 3,000 random problems);
+        # a wrong sign or column of A_P is off by the size of a term
+        rng = np.random.default_rng(19)
+        for trial in range(50):
+            scale = 10.0 ** (rng.uniform(-300, 150) if exponent is None else exponent)
+            A_P = rng.standard_normal((2, 2)) * 10 ** rng.uniform(-2, 2)
+            b_P = rng.standard_normal(2) * scale
+            sigma_b = 0.5 if trial % 2 else 0.0
+            p = make_gaussian_noise(A_P, b_P, 1.0, sigma_b)
+            theta = rng.standard_normal((40, 2)) * scale
+            z = rng.standard_normal((1, 40, 2))
+            b = b_P + scale * rng.standard_normal((1, 40, 2))
+            got = p.step_form.direction((z, b) if sigma_b else (z,), 0, theta)
+            b = b[0] if sigma_b else b_P
+            nrm = np.array([[math.hypot(*row)] for row in theta])
+            want = b - np.matmul(A_P, theta[..., None])[..., 0] - nrm * z[0]
+            size = np.abs(b) + np.abs(theta) @ np.abs(A_P).T + nrm * np.abs(z[0])
+            assert (np.abs(got - want) <= 4 * np.spacing(size)).all()
+
+
+class TestFig1AgainstExactMse:
+    """Fig. 1's Monte Carlo curves against the exact recursion of
+    ``exact_mse_gaussian``: equal to rounding where nothing is drawn, within
+    a z-gate elsewhere."""
+
+    def test_noise_free_level_equals_exact(self):
+        # one deterministic trajectory: the curve is its squared error, which
+        # the recursion gives exactly; they differ by rounding (5.6e-13
+        # relative at 4,000 steps, 6.2e-13 with a gemv per row).  A wrong
+        # sign or column of A_P, or a noise term that does not vanish, moves
+        # the trajectory.
+        p = make_fig1_problem(0.0)
+        cfg = RunConfig(alpha=2.0**-7, horizon=4000, record_stride=FIG1_STRIDE, n_replications=10)
+        exact = exact_mse_gaussian(p, cfg.alpha, cfg.record_times())
+        np.testing.assert_allclose(run_mse(p, cfg).mse, exact, rtol=1e-10)
+
+    #: largest |z| allowed over a curve's records, for the one seed run
+    #: (RunConfig's default, 0: 1.9-3.0).  Over seeds 0-199 at this shape
+    #: (R = 100, 2,000 steps) it reached 4.40, 4.43, 4.99 and 6.25 at
+    #: sigma_A = 2, 5, 10 and 20, with medians of 2.0-2.4: the mean of
+    #: heavy-tailed squared errors mostly sits low, now and then far above.
+    Z_GATE = 8.0
+
+    # the levels' tuned step-sizes in ``repro-fig1`` at its defaults
+    @pytest.mark.parametrize("sigma_A, alpha", [(2.0, 2.0**-7), (5.0, 2.0**-7),
+                                                (10.0, 2.0**-7), (20.0, 2.0**-8)])
+    def test_noisy_levels_within_z_gate(self, sigma_A, alpha):
+        # a step with the noise term dropped steps every replication alike
+        # (stderr 0, z infinite), and a wrong sign or column of A_P moves the
+        # fixed point; a noise scale 10% too large reached a median |z| of
+        # 8.5 at sigma_A = 20 over 20 seeds, but only 2.2 at sigma_A = 2: at
+        # R = 100 the gate is coarse
+        p = make_fig1_problem(sigma_A)
+        cfg = RunConfig(alpha=alpha, horizon=2000, record_stride=FIG1_STRIDE, n_replications=100)
+        curve = run_mse(p, cfg)
+        assert curve.n_diverged[-1] == 0 and (curve.stderr > 0).all()
+        z = (curve.mse - exact_mse_gaussian(p, alpha, cfg.record_times())) / curve.stderr
+        assert np.abs(z).max() <= self.Z_GATE
 
 
 def reference_block(p, cfg, rngs):
