@@ -254,5 +254,9 @@ def bound_curve(inputs: BoundInputs, times) -> BoundCurve:
 def bound_inputs_for(
     moments: Moments, alpha: float, theta_0, transform: TransformResult | None = None
 ) -> BoundInputs:
-    """``BoundInputs(moments, alpha, theta_0, transform)``."""
+    """``BoundInputs(moments, alpha, theta_0, transform)``.
+
+    A second name for the constructor, kept because the benchmark's worker
+    (``perfbench/worker.py``) calls it.
+    """
     return BoundInputs(moments, alpha, theta_0, transform)

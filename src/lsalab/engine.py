@@ -21,8 +21,7 @@ step-size and its run's own stream, so each curve is bit-identical to the
 ``run_mse`` of its run alone and a batch of runs costs one Python step loop
 instead of one per run.  A run whose step form draws nothing from its
 stream (a noise-free Gaussian problem, one atom without intercept scatter)
-has R equal replications: it is stepped once, as one row that stands for
-all R in the reduction, so its curve keeps the bits of R stepped rows.
+has R equal replications, one trajectory: it is stepped and reduced once.
 ``run_mse`` is its one-run call.  The fixed point theta* always comes from
 the problem's exact moments.  The MSE runs record the running average
 alone; ``_simulate_runs`` can also keep the iterate snapshots
@@ -112,6 +111,8 @@ class MseCurve:
     e.g. a far fixed point early in the run), ``mse`` and ``stderr`` are both
     +inf while ``n_diverged`` does not count it: an overflow, not divergence.
     Finite squared errors whose sum overflows still give a finite mean.
+    ``stderr`` is 0 where the replications are one trajectory (a single
+    one, or a run that draws nothing).
     """
 
     times: np.ndarray
@@ -321,11 +322,10 @@ def run_mse(p: ProblemDistribution, cfg: RunConfig) -> MseCurve:
     The one-run call of ``run_mse_many``; theta* is that of the problem's
     exact moments.  Each replication consumes its own spawned stream, so the
     curve does not depend on how replications are batched; aggregation is a
-    deterministic reduction in replication order.  At n_replications=1 the
-    curve is the squared error of the one trajectory (stderr 0).  Where the
-    mean of finite squared errors overflows, it and the standard error are
-    taken on the errors scaled by their largest, so they read the
-    representable mean, not inf.
+    deterministic reduction in replication order.  Where the mean of finite
+    squared errors overflows, it and the standard error are taken on the
+    errors scaled by their largest, so they read the representable mean,
+    not inf.
     """
     return run_mse_many([p], [cfg])[0]
 
@@ -346,9 +346,8 @@ def run_mse_many(problems: list[ProblemDistribution], cfgs: list[RunConfig]) -> 
 
     A run whose step form draws nothing (``_draws_nothing``: the noise-free
     level of Fig. 1, a one-atom problem without intercept scatter) gets one
-    row and one spawned stream; its snapshots and divergence time are
-    broadcast to its n_replications columns before the reduction, which
-    therefore reduces R equal rows as if each had been stepped.
+    row and one spawned stream; its curve is that of n_replications=1 but
+    for ``n_diverged``, which counts that row R times.
 
     Raises ValueError for an empty list, for runs that do not share what they
     must, or when some problem has no fixed point (a singular mean matrix).
@@ -367,11 +366,8 @@ def run_mse_many(problems: list[ProblemDistribution], cfgs: list[RunConfig]) -> 
     lo = 0
     for p, cfg, n in zip(problems, cfgs, rows):
         hi = lo + n
-        # a draw-free run's one row stands for its R equal replications
-        R = cfg.n_replications
-        hat = np.broadcast_to(hat_all[:, lo:hi], (len(hat_all), R) + hat_all.shape[2:])
-        div = np.broadcast_to(div_all[lo:hi], (R,))
-        curves.append(_mse_curve(cfg.record_times(), hat, div, p.exact_moments.theta_star))
+        curves.append(_mse_curve(cfg.record_times(), hat_all[:, lo:hi], div_all[lo:hi],
+                                 p.exact_moments.theta_star, cfg.n_replications))
         lo = hi
     return curves
 
@@ -391,18 +387,20 @@ def _draws_nothing(form: StepForm) -> bool:
 
 
 def _mse_curve(
-    times: np.ndarray, hat: np.ndarray, div: np.ndarray, theta_star: np.ndarray
+    times: np.ndarray, hat: np.ndarray, div: np.ndarray, theta_star: np.ndarray, R: int
 ) -> MseCurve:
-    """Aggregate one run's (n_records, R, d) averages and divergence times.
+    """Aggregate one run's (n_records, rows, d) averages and divergence times.
 
+    ``rows`` is R, one per replication, or 1 for a run whose R replications
+    are one trajectory: that row is reduced alone, so the curve is its squared
+    error with stderr 0, and a diverged row counts as R / rows replications.
     A replication never returns once it diverges, so records with the same
     live count share one live set; each run of such records reduces in one
     ``mean``/``std`` call, row by row, with the bits of a reduction per
     record.  A record whose mean is not finite is redone alone on its
     errors scaled by their largest.
     """
-    R = len(div)
-    sq = _sq_err(hat, theta_star)  # (m, R)
+    sq = _sq_err(hat, theta_star)  # (m, rows)
     valid = (div[None, :] < 0) | (div[None, :] > times[:, None])
     n_valid = valid.sum(axis=1)
     mse = np.full(len(times), np.inf)
@@ -432,6 +430,6 @@ def _mse_curve(
         times=times,
         mse=mse,
         stderr=stderr,
-        n_diverged=(R - n_valid).astype(np.int64),
+        n_diverged=((len(div) - n_valid) * (R // len(div))).astype(np.int64),
         n_replications=R,
     )

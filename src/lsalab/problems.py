@@ -185,7 +185,7 @@ class StepForm:
     ``draw`` is a function of (generator, n) alone, and it consumes the
     generator on every call or on none.  A form that consumes none draws the
     same arrays from every stream, so its replications are one trajectory,
-    which the engine steps once (see ``engine.run_mse_many``).
+    which the engine steps and reduces once (see ``engine.run_mse_many``).
     """
 
     draw: Callable[[np.random.Generator, int], Draws]
@@ -540,9 +540,9 @@ def make_gaussian_noise(
     d normals each per step, and applies b_t - A_P theta - ||theta|| s z.
     At d = 2 it applies it elementwise on the state's two columns,
     b_t - (theta_1 a_1 + theta_2 a_2) - hypot(theta_1, theta_2) s z with a_k
-    the columns of A_P: faster than a gemv per row, and the norm of a small
-    state squares nothing that could underflow.  At d >= 3, where column
-    sums are slower, A_P theta is one gemv per row.
+    the columns of A_P: faster than a gemv per row.  At d >= 3, where column
+    sums are slower, A_P theta is one gemv per row and the norm that of
+    ``_row_norms``.  Neither norm loses a small state to underflow.
     When sigma_A = 0 the noise array is zeros and draws nothing, so every
     problem of one mean shares the layout and the key (A_P with its shape,
     plus b_P when b is fixed), and runs at different sigma_A can step as rows
@@ -623,14 +623,18 @@ def _row_norms(theta: np.ndarray) -> np.ndarray:
 
     Each row is reduced on its own (vecdot), so its norm does not depend on
     the other rows.  A row whose squared norm overflows (norm beyond
-    ~1.3e154) is recomputed by hypot, so a finite state has a finite norm.
+    ~1.3e154) or falls below the smallest normal double (norm below
+    ~1.5e-154, where the squares lose digits or vanish) is recomputed by
+    hypot, which squares nothing: a finite state has a finite norm, and a
+    small nonzero state a nonzero one.
     """
     rows = theta[:, None, :]
     sq = np.vecdot(rows, rows)
     nrm = np.sqrt(sq)
-    if not np.maximum.reduce(sq, axis=None) < np.inf:
-        big = ~(sq < np.inf)
-        nrm[big] = np.hypot.reduce(rows[big], axis=-1)
+    tiny = 2.0**-1022  # the smallest normal double
+    if not tiny <= np.minimum.reduce(sq, axis=None) <= np.maximum.reduce(sq, axis=None) < np.inf:
+        odd = ~((tiny <= sq) & (sq < np.inf))
+        nrm[odd] = np.hypot.reduce(rows[odd], axis=-1)
     return nrm
 
 

@@ -201,6 +201,22 @@ def test_simulate_singular_mean_exits_2(tmp_path, capsys):
     assert not (tmp_path / "sim.csv").exists()
 
 
+def test_noise_free_simulate_is_one_trajectory(tmp_path):
+    # the noise-free Fig. 1 mean draws nothing: its replications are one
+    # trajectory, so the spread is 0 and the rows do not depend on --reps
+    path = tmp_path / "quiet.json"
+    path.write_text(json.dumps({"type": "gaussian", "A": [[1, -10], [10, 1]], "b": [-9, 11]}))
+    rows = {}
+    for reps in ("1", "50"):
+        out = tmp_path / f"quiet_{reps}.csv"
+        assert main(["simulate", "--problem", str(path), "--seed", "1", "--alpha", "0.0078125",
+                     "--horizon", "400", "--reps", reps, "--out", str(out)]) == 0
+        rows[reps] = out.read_text().splitlines()[1:]  # past the provenance line
+    assert rows["1"] == rows["50"]
+    stderr = [line.split(",")[2] for line in rows["50"][1:]]
+    assert len(stderr) == 16 and set(stderr) == {"0.0"}
+
+
 @pytest.mark.parametrize("command", ["bound", "simulate", "tune"])
 def test_theta0_of_wrong_shape_exits_2(command, tmp_path, capsys):
     args = {

@@ -314,8 +314,8 @@ class TestRunMse:
         p = make_lower_bound_instance(1.0, 2.0, 0.0)
         c1 = run_mse(p, RunConfig(alpha=0.1, horizon=50, record_stride=5, n_replications=1, seed=0),)
         c5 = run_mse(p, RunConfig(alpha=0.1, horizon=50, record_stride=5, n_replications=5, seed=9),)
-        assert np.allclose(c1.mse, c5.mse)
-        assert np.allclose(c5.stderr, 0.0)
+        assert np.array_equal(c1.mse, c5.mse)
+        assert np.all(c5.stderr == 0.0)
 
     def test_batching_does_not_change_result(self):
         # each replication draws from its own stream and leaves the live set
@@ -491,6 +491,29 @@ def no_draws(rng, shape=()):
     raise AssertionError("the engine drew dense (b, A) samples")
 
 
+def assert_direction_matches_gemv(rng, d, exponent, ulps):
+    """The Gaussian direction b - A_P theta - ||theta|| z of 50 random
+    problems, 40 states each, against gemv rows and a ``math.hypot`` norm:
+    within ``ulps`` ulps of |b| + |A_P||theta| + ||theta|| |z|, the size of
+    the terms it sums.  States are of size 10**exponent, or of a random size
+    from 1e-300 to 1e150 when exponent is None."""
+    for trial in range(50):
+        scale = 10.0 ** (rng.uniform(-300, 150) if exponent is None else exponent)
+        A_P = rng.standard_normal((d, d)) * 10 ** rng.uniform(-2, 2)
+        b_P = rng.standard_normal(d) * scale
+        sigma_b = 0.5 if trial % 2 else 0.0
+        p = make_gaussian_noise(A_P, b_P, 1.0, sigma_b)
+        theta = rng.standard_normal((40, d)) * scale
+        z = rng.standard_normal((1, 40, d))
+        b = b_P + scale * rng.standard_normal((1, 40, d))
+        got = p.step_form.direction((z, b) if sigma_b else (z,), 0, theta)
+        b = b[0] if sigma_b else b_P
+        nrm = np.array([[math.hypot(*row)] for row in theta])
+        want = b - np.matmul(A_P, theta[..., None])[..., 0] - nrm * z[0]
+        size = np.abs(b) + np.abs(theta) @ np.abs(A_P).T + nrm * np.abs(z[0])
+        assert (np.abs(got - want) <= ulps * np.spacing(size)).all()
+
+
 class TestGaussianStepForm:
     # sigma_A = 2 at alpha = 1 with the sentinel patched to 100: replications
     # pass the bound at scattered times, some before the horizon, some not.
@@ -587,22 +610,24 @@ class TestGaussianStepForm:
         # a hypot norm: within 4 ulps of |b| + |A_P||theta| + ||theta|| |z|,
         # the size of the terms it sums (2 measured over 3,000 random problems);
         # a wrong sign or column of A_P is off by the size of a term
-        rng = np.random.default_rng(19)
-        for trial in range(50):
-            scale = 10.0 ** (rng.uniform(-300, 150) if exponent is None else exponent)
-            A_P = rng.standard_normal((2, 2)) * 10 ** rng.uniform(-2, 2)
-            b_P = rng.standard_normal(2) * scale
-            sigma_b = 0.5 if trial % 2 else 0.0
-            p = make_gaussian_noise(A_P, b_P, 1.0, sigma_b)
-            theta = rng.standard_normal((40, 2)) * scale
-            z = rng.standard_normal((1, 40, 2))
-            b = b_P + scale * rng.standard_normal((1, 40, 2))
-            got = p.step_form.direction((z, b) if sigma_b else (z,), 0, theta)
-            b = b[0] if sigma_b else b_P
-            nrm = np.array([[math.hypot(*row)] for row in theta])
-            want = b - np.matmul(A_P, theta[..., None])[..., 0] - nrm * z[0]
-            size = np.abs(b) + np.abs(theta) @ np.abs(A_P).T + nrm * np.abs(z[0])
-            assert (np.abs(got - want) <= 4 * np.spacing(size)).all()
+        assert_direction_matches_gemv(np.random.default_rng(19), 2, exponent, ulps=4)
+
+    def test_noise_term_of_small_states_at_three_dimensions(self):
+        # the direction at unit noise is -||theta|| again; at d = 3 the norm
+        # is ``_row_norms``, which through the squares read 2.99998e-160 for
+        # the first state and 0 for the second
+        p = make_gaussian_noise(np.zeros((3, 3)), np.zeros(3), 1.0, 0.0)
+        theta = np.array([[1e-160, 2e-160, 2e-160], [1e-170, 2e-170, 2e-170]])
+        v = p.step_form.direction((np.ones((1, 2, 3)),), 0, theta)
+        want = -np.array([math.hypot(*row) for row in theta])
+        np.testing.assert_allclose(v, np.column_stack([want] * 3), rtol=4e-16, atol=0)
+
+    @pytest.mark.parametrize("d", [3, 5, 32])
+    def test_direction_matches_gemv_and_hypot(self, d):
+        # states of random size from 1e-300 to 1e150; 6 ulps measured over
+        # 3,000 random problems at d = 32, 2 at d = 3 and 5.  A norm taken
+        # through subnormal squares is off by up to the whole noise term
+        assert_direction_matches_gemv(np.random.default_rng(d), d, None, ulps=8)
 
 
 class TestFig1AgainstExactMse:
@@ -915,7 +940,20 @@ def every_row_curve(p, cfg):
     run whose replications are each stepped."""
     rngs = [_replication_rngs(cfg.seed, cfg.n_replications)]
     _, hat, div = _simulate_runs([p], [cfg], rngs, keep_theta=False)
-    return engine._mse_curve(cfg.record_times(), hat, div, p.exact_moments.theta_star)
+    return engine._mse_curve(
+        cfg.record_times(), hat, div, p.exact_moments.theta_star, cfg.n_replications
+    )
+
+
+def assert_one_trajectory(curve, p, cfg):
+    """``curve``, a run of ``p`` and ``cfg`` whose form draws nothing, is that
+    of its one replication: the same mse and stderr bytes, n_diverged R
+    times that run's, and stderr 0 wherever mse is finite."""
+    one = run_mse(p, dataclasses.replace(cfg, n_replications=1))
+    assert curve.mse.tobytes() == one.mse.tobytes()
+    assert curve.stderr.tobytes() == one.stderr.tobytes()
+    assert np.array_equal(curve.n_diverged, cfg.n_replications * one.n_diverged)
+    assert (curve.stderr[np.isfinite(curve.mse)] == 0.0).all()
 
 
 def counting_draws(p, calls):
@@ -955,15 +993,44 @@ STEP_FORMS = {
 }
 
 
+@st.composite
+def draw_free_runs(draw):
+    """A problem whose step form draws nothing, with its divergence sentinel
+    and 1-3 runs that may batch: one atom without intercept scatter or a
+    Gaussian problem with sigma_A = sigma_b = 0, d <= 3, random A and b.
+    Step-sizes up to 2 diverge on many of them, and a start near 1e160
+    overflows the squared error."""
+    d = draw(st.integers(1, 3))
+    entries = st.floats(-3.0, 3.0, allow_nan=False)
+    A = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d))).reshape(d, d)
+    b = np.array(draw(st.lists(entries, min_size=d, max_size=d)))
+    if draw(st.booleans()):
+        p = make_finite_support([((b, A), 1.0)])
+    else:
+        p = make_gaussian_noise(A, b, 0.0, 0.0)
+    assume(p.exact_moments.theta_star is not None)
+    theta_0 = np.array(draw(st.lists(entries, min_size=d, max_size=d)))
+    theta_0 *= draw(st.sampled_from([1.0, 1e160]))
+    horizon = draw(st.integers(1, 200))
+    stride = draw(st.integers(1, horizon))
+    cfgs = [
+        RunConfig(alpha=10.0 ** draw(st.floats(-3.0, 0.3)), horizon=horizon, theta_0=theta_0,
+                  record_stride=stride, n_replications=draw(st.integers(1, 12)),
+                  seed=draw(st.integers(0, 2**32)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return p, cfgs, draw(st.sampled_from([1e150, 1e3, 10.0]))
+
+
 class TestDrawFreeRuns:
-    """A run whose step form draws nothing is stepped as one row, which
-    stands for its R replications: its curve keeps the bits of R rows."""
+    """A run whose step form draws nothing is stepped and reduced as one row:
+    its curve is that of its one replication, with n_diverged 0 or R."""
 
     # one step-size per Fig. 1 level, all stable; sigma_A = 0 draws nothing
     FIG1_ALPHAS = (2.0**-7, 2.0**-8, 2.0**-9, 2.0**-10, 2.0**-12)
 
     @pytest.mark.parametrize("case", ["fig1-quiet", "fig1-levels", "lower-bound", "diverging"])
-    def test_curves_equal_those_of_every_row_stepped(self, case):
+    def test_curves_are_those_of_one_replication(self, case):
         def cfg(alpha, seed=0):
             return RunConfig(alpha=alpha, horizon=600, record_stride=25, n_replications=30,
                              seed=seed)
@@ -984,12 +1051,28 @@ class TestDrawFreeRuns:
         assert calls[0] == 1 and len(calls) <= 3
         for p, c, curve in zip(problems, cfgs, curves):
             want = every_row_curve(p, c)
-            assert curve.mse.tobytes() == want.mse.tobytes()
-            assert curve.stderr.tobytes() == want.stderr.tobytes()
+            if engine._draws_nothing(p.step_form):
+                # R stepped rows reduce to the same curve, up to the rounding
+                # of a mean and a spread of R equal numbers
+                assert_one_trajectory(curve, p, c)
+                np.testing.assert_allclose(curve.mse, want.mse, rtol=1e-15, atol=0)
+            else:  # a run that draws keeps the bits of its R rows
+                assert curve.mse.tobytes() == want.mse.tobytes()
+                assert curve.stderr.tobytes() == want.stderr.tobytes()
             assert np.array_equal(curve.n_diverged, want.n_diverged)
         if case == "diverging":
             n_div = curves[0].n_diverged
             assert n_div[-1] == 30 and set(n_div.tolist()) <= {0, 30}
+
+    @given(draw_free_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_each_run_is_its_one_replication(self, runs):
+        p, cfgs, sentinel = runs
+        assert engine._draws_nothing(p.step_form)
+        with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
+            curves = run_mse_many([p] * len(cfgs), cfgs)
+            for cfg, curve in zip(cfgs, curves, strict=True):
+                assert_one_trajectory(curve, p, cfg)
 
     @pytest.mark.parametrize("name", list(STEP_FORMS))
     def test_a_form_consumes_its_stream_on_every_draw_or_on_none(self, name):
@@ -1077,7 +1160,7 @@ class TestMseCurveAggregation:
                 [p], [cfg], [_replication_rngs(cfg.seed, R)], keep_theta=True
             )
         times, theta_star = cfg.record_times(), p.exact_moments.theta_star
-        curve = engine._mse_curve(times, hat, div, theta_star)
+        curve = engine._mse_curve(times, hat, div, theta_star, R)
         mse, stderr, n_div = reference_mse_curve(times, hat, div, theta_star)
         assert curve.mse.tobytes() == mse.tobytes()
         assert curve.stderr.tobytes() == stderr.tobytes()
