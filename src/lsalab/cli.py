@@ -30,6 +30,7 @@ replication diverged or because a surviving one's squared error overflows
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -346,9 +347,20 @@ def repro_fig1(
     ``fig1_summary.json``; per level the summary counts the aborted runs
     (``n_aborted``) and the tuned step-sizes at which the mean iteration is
     not certified stable, rho_d <= 0 (``n_tuned_mean_unstable``).  Raises
-    ValueError unless ``seed`` is a non-negative integer.
+    ValueError, before any tuning, unless ``seed`` is a non-negative integer
+    and both configurations are valid, with ``sim_horizon`` at least the
+    record stride FIG1_STRIDE.
     """
     _check_integer(seed, "seed", seed=True)
+    tune_cfg = TunerConfig(alpha_max=FIG1_ALPHA_MAX, horizon=tune_horizon)
+    _check_integer(sim_horizon, "horizon")
+    if sim_horizon < FIG1_STRIDE:
+        raise ValueError(
+            f"horizon={sim_horizon} is below the record stride {FIG1_STRIDE} of the MSE curves"
+        )
+    # alpha is each level's median tuned step-size, replaced per level
+    run_cfg = RunConfig(alpha=FIG1_ALPHA_MAX, horizon=sim_horizon, record_stride=FIG1_STRIDE,
+                        n_replications=n_replications, seed=seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     master = np.random.SeedSequence(seed)
@@ -359,8 +371,7 @@ def repro_fig1(
     summary = {"sigma_A": {}, "n_seeds": n_seeds, "seed": seed}
     for sigma_A in FIG1_SIGMAS:
         p = make_fig1_problem(sigma_A)
-        cfg = TunerConfig(alpha_max=FIG1_ALPHA_MAX, horizon=tune_horizon)
-        results = tune_many(p, cfg, tuner_seeds)
+        results = tune_many(p, tune_cfg, tuner_seeds)
         finals = [r.final_alpha for r in results if isinstance(r, TunerTrace)]
         unstable = {a for a in set(finals) if rho_d(p.exact_moments, a) <= 0}
         hand = 2.0 / (101.0 + sigma_A**2)
@@ -380,13 +391,7 @@ def repro_fig1(
             "tuned_alphas": finals,
         }
         if np.isfinite(med):
-            runs[sigma_A] = p, RunConfig(
-                alpha=med,
-                horizon=sim_horizon,
-                record_stride=FIG1_STRIDE,
-                n_replications=n_replications,
-                seed=seed,
-            )
+            runs[sigma_A] = p, dataclasses.replace(run_cfg, alpha=med)
 
     curves = {}
     if runs:

@@ -15,6 +15,8 @@ positivity for every smaller alpha whenever A_P + A_P^* is positive definite.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +69,10 @@ def witness_alpha(moments: Moments) -> float:
     sigma_A_sq genuinely bounds E||A_t - A_P||^2).  Callers should stay
     strictly below; the command-line tools apply a 0.99 safety factor.
 
+    Where ||A_P||^2 + sigma_A^2 overflows, underflows to zero or is
+    subnormal, the ratio is taken as (lam / h) / h with h = hypot(||A_P||,
+    sigma_A), so a mean scaled far from 1 still gets its witness.
+
     Raises NotPositiveDefiniteError when A_P + A_P^* is not positive definite;
     apply the similarity transform first in that case.
     """
@@ -76,7 +82,15 @@ def witness_alpha(moments: Moments) -> float:
         raise NotPositiveDefiniteError(
             "mean matrix is not positive definite; apply transform first"
         )
-    return lam / (spectral_norm(A) ** 2 + moments.sigma_A_sq)
+    norm = spectral_norm(A)
+    try:
+        denominator = norm**2 + moments.sigma_A_sq
+    except OverflowError:
+        denominator = math.inf
+    if sys.float_info.min <= denominator < math.inf:
+        return lam / denominator
+    h = math.hypot(norm, math.sqrt(moments.sigma_A_sq))
+    return lam / h / h
 
 
 @dataclass(frozen=True)

@@ -5,24 +5,25 @@ running average, on the engine's step kernel.  It steps through the dense
 (b, A) draws of ``sample`` (``_dense_direction``), not the problem's step
 form: on low-dimensional trajectories the per-step calls of that form cost
 more than the draws they save, and a tuning run's stream stays that of
-``sample``.  Measured at R = 1 on the Fig. 1 problems (2-vCPU x86-64 host):
-a direction through the Gaussian form took 13.0 us against 3.9 us for the
-dense one, and 500 ``tune`` calls 2.00 s against 1.22 s.
+``sample``.  Measured on the Fig. 1 problems at commit 72a0ce5 (2-vCPU
+x86-64 host, unscaled): a d = 2 direction at R = 1 took 10.5 us through
+the Gaussian form against 3.9 us for the dense one, and 500 single-seed
+``tune`` calls (100 seeds on each level) 1.49 s against 1.05 s.
 
 ``tune_many`` runs one halving loop per seed, the seeds as rows of one
-(R, d) state advanced together from one epoch boundary to the next.  As in
-the engine, ``live`` holds the seed of each row; step-sizes, restart
-times, windows, events and checks are kept per seed.  All rows share the
-time t and each draws from its own stream, so a row's trace is
-bit-identical to the single run ``tune`` makes for its seed.  Every halving
-is one restart: from the current iterate after the ratio test, from
-theta_0 for a row the kernel holds at the divergence bound (the others take
-that step).  A row whose halving crosses the step-size floor leaves the
-batch with its NoStableStepSizeError while the others carry on.  Each
-epoch is one kernel call, which tests the divergence bound once for the
-epoch's steps; between calls the loop rebuilds the step-size and
-restart-time columns only after a restart, and takes the norms of all rows
-in one call.
+(R, d) state advanced together from one epoch boundary to the next; the
+rows are a list of ``_Seed`` records (stream, step-size, restart time,
+window of epoch norms, events, checks, result).  All rows share the time t
+and each draws from its own stream, so a row's trace is bit-identical to
+the single run ``tune`` makes for its seed.  Every halving is one restart:
+from the current iterate after the ratio test, from theta_0 for a row the
+kernel holds at the divergence bound (the others take that step).  A row
+whose halving crosses the step-size floor keeps its NoStableStepSizeError
+as its result and leaves the batch with its state and draws, while the
+others carry on.  Each epoch is one kernel call, which tests the divergence
+bound once for the epoch's steps; between calls the loop rebuilds the
+step-size and restart-time columns only after a restart, and takes the
+norms of all rows in one call.
 
 The norm of the average is recorded at every multiple of the epoch length T;
 once k+1 such norms are available, the epoch-over-epoch growth ratios
@@ -45,6 +46,7 @@ is declared final.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -152,6 +154,44 @@ def _ratio_test(norms: list[float], c_threshold: float) -> tuple[tuple[float, ..
     return ratios, max(ratios) > c_threshold
 
 
+class _Seed:
+    """One seed's halving loop in ``tune_many``, with its records and result."""
+
+    def __init__(self, cfg: TunerConfig, seed: int, norm: float):
+        self.cfg = cfg
+        self.rng = np.random.default_rng(seed)
+        self.alpha = float(cfg.alpha_max)
+        self.since = 0  # time of the last restart: the average holds t - since steps
+        self.window = [norm]  # the last k+1 epoch norms since that restart
+        self.events: list[tuple[int, float]] = []
+        self.checks: list[RatioCheck] = []
+        self.result: TunerTrace | NoStableStepSizeError | None = None
+
+    def check(self, t: int, norm: float) -> bool:
+        """Slide the window over the epoch norm at t; once it holds k+1 norms,
+        record the ratio test and return whether it triggered."""
+        k = self.cfg.k
+        self.window = self.window[-k:] + [norm]
+        if len(self.window) <= k:
+            return False
+        ratios, triggered = _ratio_test(self.window, self.cfg.c_threshold)
+        self.checks.append(RatioCheck(t, ratios, triggered))
+        return triggered
+
+    def halve(self, t: int, norm: float) -> bool:
+        """Halve alpha at t and restart there, the window at ``norm``; False,
+        with the NoStableStepSizeError as the result, below the floor."""
+        self.alpha /= 2.0
+        if self.alpha < _ALPHA_FLOOR:
+            msg = f"no stable step-size found: reached alpha={self.alpha:g} at t={t}"
+            self.result = NoStableStepSizeError(msg)
+            return False
+        self.events.append((t, self.alpha))
+        self.since = t
+        self.window = [norm]
+        return True
+
+
 def tune(p: ProblemDistribution, cfg: TunerConfig) -> TunerTrace:
     """Run the halving loop for cfg.horizon steps; deterministic given cfg.seed.
 
@@ -189,66 +229,26 @@ def tune_many(
         raise ValueError("seeds must not be empty")
     for i, seed in enumerate(seeds):
         _check_integer(seed, f"seeds[{i}]", seed=True)
-    T, k, c_threshold, horizon = cfg.T, cfg.k, cfg.c_threshold, cfg.horizon
+    T = cfg.T
     theta0 = _resolve_theta0(p, cfg)
     bound = divergence_bound(p, theta0)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    R = len(seeds)
-    # per-seed state and records; state row j tunes seed live[j]
-    live = np.arange(R)
-    alpha = [float(cfg.alpha_max)] * R
-    since = [0] * R  # time of the last restart: the average holds t - since[r] steps
-    windows = [[_norm(theta0)] for _ in range(R)]
-    events: list[list[tuple[int, float]]] = [[] for _ in range(R)]
-    checks: list[list[RatioCheck]] = [[] for _ in range(R)]
-    results: list[TunerTrace | NoStableStepSizeError | None] = [None] * R
-    theta = np.tile(theta0, (R, 1))
+    records = [_Seed(cfg, seed, _norm(theta0)) for seed in seeds]
+    rows = records.copy()  # the record of each state row
+    theta = np.tile(theta0, (len(rows), 1))
     hat = theta.copy()
-    stale = True  # the live rows, their step-sizes or restart times changed
-
-    def restart(j: int, t: int, start) -> bool:
-        """Halve row j's step-size at t and restart it from ``start``; False at the floor."""
-        nonlocal stale
-        stale = True
-        r = rows[j]
-        alpha[r] /= 2.0
-        if alpha[r] < _ALPHA_FLOOR:
-            results[r] = NoStableStepSizeError(
-                f"no stable step-size found: reached alpha={alpha[r]:g} at t={t}"
-            )
-            return False
-        events[r].append((t, alpha[r]))
-        theta[j] = hat[j] = start
-        since[r] = t
-        windows[r] = [_norm(start)]
-        return True
-
-    def epoch_boundary(j: int, t: int, norm: float) -> bool:
-        """Append ``norm`` to row j's window and test it; False on a floor abort."""
-        r = rows[j]
-        window = windows[r]
-        window.append(norm)
-        if len(window) > k + 1:
-            del window[0]
-        elif len(window) <= k:
-            return True
-        ratios, triggered = _ratio_test(window, c_threshold)
-        checks[r].append(RatioCheck(t, ratios, triggered))
-        # a halving by the ratio test keeps the iterate
-        return not triggered or restart(j, t, theta[j])
+    stale = True  # the rows, their step-sizes or restart times changed
 
     chunk = 1024  # steps drawn per seed at a time; fixes each seed's stream
     t = 0
-    while t < horizon and live.size:
-        steps = min(chunk, horizon - t)
-        b, A = (np.stack(x, axis=1) for x in zip(*(p.sample(rngs[r], (steps,)) for r in live)))
+    while t < cfg.horizon and rows:
+        steps = min(chunk, cfg.horizon - t)
+        b, A = (np.stack(x, axis=1) for x in zip(*(p.sample(r.rng, (steps,)) for r in rows)))
         c = 0
         with np.errstate(over="ignore", invalid="ignore"):  # see engine._advance
-            while c < steps and live.size:
+            while c < steps and rows:
                 if stale:
-                    rows = live.tolist()  # the live seeds as ints, for indexing the per-seed lists
-                    alpha_col = _column([alpha[r] for r in rows])
-                    since_col = _column([since[r] for r in rows])
+                    alpha_col = _column([r.alpha for r in rows])
+                    since_col = _column([r.since for r in rows])
                     stale = False
                 # advance to the next epoch boundary, or to the end of the draws
                 stop = c + min(steps - c, T - t % T)
@@ -260,24 +260,23 @@ def tune_many(
                 c += n_steps
                 if bad is None and t % T:
                     continue
-                # a row held at the bound restarts from theta_0 (emergency halving), skipping this check
                 held = bad.tolist() if bad is not None else [False] * len(rows)
                 norms = np.abs(hat).tolist() if t % T == 0 else None
-                kept = [
-                    restart(j, t, theta0) if held[j]
-                    else norms is None or epoch_boundary(j, t, math.hypot(*norms[j]))
-                    for j in range(len(rows))
-                ]
-                if not all(kept):
-                    keep = np.array(kept)
-                    live, theta, hat = live[keep], theta[keep], hat[keep]
+                for j, r in enumerate(rows):
+                    # a row held at the bound restarts from theta_0 (emergency
+                    # halving), skipping this check; a triggered check keeps the iterate
+                    if held[j] or norms is not None and r.check(t, math.hypot(*norms[j])):
+                        stale = True
+                        start = theta0 if held[j] else theta[j]
+                        if r.halve(t, _norm(start)):
+                            theta[j] = hat[j] = start
+                keep = [r.result is None for r in rows]  # False where a halving crossed the floor
+                if not all(keep):
+                    rows = list(itertools.compress(rows, keep))
+                    theta, hat = theta[keep], hat[keep]
                     b, A = b[:, keep], A[:, keep]
 
-    for j, r in enumerate(live):
-        results[r] = TunerTrace(
-            events=tuple(events[r]),
-            final_alpha=alpha[r],
-            final_theta_hat=hat[j].copy(),
-            checks=tuple(checks[r]),
-        )
-    return results
+    for r, final_hat in zip(rows, hat):
+        r.result = TunerTrace(events=tuple(r.events), final_alpha=r.alpha,
+                              final_theta_hat=final_hat.copy(), checks=tuple(r.checks))
+    return [r.result for r in records]

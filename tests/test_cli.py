@@ -399,6 +399,28 @@ def test_non_integer_problem_seed_exits_2(command, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_transform_of_a_tiny_mean_has_its_witness(tmp_path, capsys):
+    # ||A_P||^2 = 1e-400 underflows to 0; the witness is 2e-200 / 1e-400
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"type": "gaussian", "A": [[1e-200, 0], [0, 1e-200]], "b": [1, 1]}))
+    assert main(["transform", "--problem", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["witness_alpha_transformed"] == 2e200
+    assert err == ""
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"sim_horizon": 20}, "horizon=20 is below the record stride 25"),
+    ({"n_replications": 0}, "need n_replications >= 1"),
+])
+def test_repro_fig1_checks_its_configurations_before_tuning(kwargs, message, tmp_path):
+    with mock.patch("lsalab.cli.tune_many", side_effect=AssertionError("tuned")) as tuned:
+        with pytest.raises(ValueError, match=message):
+            repro_fig1(tmp_path / "out", **kwargs)
+    tuned.assert_not_called()
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("seed", [1.5, -1])
 def test_repro_fig1_seed_must_be_a_non_negative_integer(seed, tmp_path):
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):

@@ -1,5 +1,10 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lsalab import (
     NotPositiveDefiniteError,
@@ -13,7 +18,8 @@ from lsalab import (
     spectral_report,
     witness_alpha,
 )
-from lsalab.problems import Moments
+from lsalab.problems import Moments, spectral_norm
+from lsalab.spectral import _min_eig_hermitian
 
 ROT = np.array([[1.0, -10.0], [10.0, 1.0]])
 
@@ -101,6 +107,26 @@ class TestWitness:
         wit = witness_alpha(m)
         assert rho_s(m, 0.99 * wit) > 0
         assert rho_d(m, 0.99 * wit) > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(-300, 300), st.floats(0.0, 2.0))
+    @example(0, -200, 0.0)  # ||A_P||^2 underflows to 0
+    @example(0, 160, 0.0)  # ||A_P||^2 overflows
+    @example(0, -155, 1.0)  # ||A_P||^2 + sigma_A^2 is subnormal
+    def test_witness_at_every_scale(self, seed, k, noise):
+        # a random PD mean scaled by 10^k, with sigma_A = noise * 10^k where
+        # its square is a double: the witness is lam / (||A_P||^2 + sigma_A^2)
+        # to a few ulps, however far ||A_P||^2 lies outside the normal range
+        rng = np.random.default_rng(seed)
+        B, S = rng.standard_normal((2, 3, 3))
+        A = (B @ B.T + 0.5 * np.eye(3) + (S - S.T)) * 10.0**k
+        sq = (Fraction(noise) * Fraction(10) ** k) ** 2
+        sigma_A_sq = float(sq) if sq <= sys.float_info.max else 0.0
+        m = Moments(A, np.zeros(3), np.zeros((3, 3)), sigma_A_sq, 0.0)
+        lam = Fraction(_min_eig_hermitian(A + A.T))
+        exact = lam / (Fraction(spectral_norm(A)) ** 2 + Fraction(sigma_A_sq))
+        got = witness_alpha(m)
+        assert abs(Fraction(got) - exact) <= exact * Fraction(2, 10**15)
 
 
 class TestReport:
