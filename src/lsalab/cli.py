@@ -347,11 +347,19 @@ def repro_fig1(
     ``fig1_summary.json``; per level the summary counts the aborted runs
     (``n_aborted``) and the tuned step-sizes at which the mean iteration is
     not certified stable, rho_d <= 0 (``n_tuned_mean_unstable``).  Raises
-    ValueError, before any tuning, unless ``seed`` is a non-negative integer
-    and both configurations are valid, with ``sim_horizon`` at least the
-    record stride FIG1_STRIDE.
+    ValueError naming the argument, before ``out_dir`` is made, unless
+    ``seed`` is a non-negative integer, ``n_seeds`` a positive one,
+    ``tune_horizon`` exceeds the tuner's k*T and ``sim_horizon`` is at
+    least the record stride FIG1_STRIDE, and the run configuration is valid.
     """
     _check_integer(seed, "seed", seed=True)
+    _check_integer(n_seeds, "n_seeds")
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds={n_seeds} must be at least 1")
+    _check_integer(tune_horizon, "tune_horizon")
+    k_T = TunerConfig.k * TunerConfig.T
+    if tune_horizon <= k_T:
+        raise ValueError(f"tune_horizon={tune_horizon} must exceed the tuner's k*T = {k_T}")
     tune_cfg = TunerConfig(alpha_max=FIG1_ALPHA_MAX, horizon=tune_horizon)
     _check_integer(sim_horizon, "horizon")
     if sim_horizon < FIG1_STRIDE:

@@ -9,10 +9,11 @@ Replications are vectorized: all replication states advance together in
 while each replication consumes its own spawned random stream, so results are
 bit-identical whether replications run singly or batched.  Steps are drawn
 and applied through the problem's ``StepForm``; the engine never calls
-``sample``.  Neither the Gaussian family's form (d normals per step instead
-of a d x d matrix) nor a finite problem's (an atom index per step, with A_i
-gathered one step at a time) fills an (S, R, d, d) buffer: a finite
-problem's blocks are its (S, R, d) intercepts and (S, R) int64 indices.
+``sample``.  Neither the Gaussian family's form (d normals per step for the
+whole noise when sigma_b > 0, instead of a d x d matrix and a d-vector) nor
+a finite problem's (an atom index per step, with A_i gathered one step at a
+time) fills an (S, R, d, d) buffer: a finite problem's blocks are its
+(S, R, d) intercepts and (S, R) int64 indices.
 
 ``run_mse_many`` goes one level up: the replications of several runs whose
 step forms share a key (and which share horizon, record stride, theta_0 and
@@ -338,8 +339,10 @@ def run_mse_many(problems: list[ProblemDistribution], cfgs: list[RunConfig]) -> 
     draws from its run's own spawned stream and steps with its run's alpha.
     The runs may differ in alpha, seed and n_replications, and in anything
     their step forms' key leaves out (for Gaussian problems of one mean: the
-    noise levels; for finite problems of the same matrices A_i: the weights
-    and intercepts); they must share the step-form key, horizon, record
+    noise levels, and b_P when sigma_b > 0, where a row draws d normals per
+    step for the whole noise and carries b_P and its noise scales as draw
+    arrays; for finite problems of the same matrices A_i: the weights and
+    intercepts); they must share the step-form key, horizon, record
     stride, theta_0 and divergence bound, so finite problems of distinct
     matrices A_i do not batch.  Each run's theta* is that of its problem's
     exact moments.

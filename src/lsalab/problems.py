@@ -14,7 +14,8 @@ Conventions
   concurrently without shared state.
 - Every problem also carries a ``StepForm``: how the engine draws a step
   and applies it to a batch of states without forming A_t.  The Gaussian
-  family's form draws d normals per step for the matrix noise, not d^2;
+  family's form draws d normals per step for the whole noise when
+  sigma_b > 0 (and for the matrix noise when sigma_b = 0), not d^2 + d;
   its steps follow the law of ``sample`` but are a different random stream
   (the same stream when sigma_A = 0; at d = 2 the step rounds A_P theta by
   columns).
@@ -174,7 +175,11 @@ class StepForm:
     complex dtype, or int64 for the atom indices of a finite problem).
     ``direction(draws, s, theta)`` returns b_s - A_s theta for step s of
     those blocks and an (R, d) state, computed row by row or elementwise, so
-    a replication's result does not depend on the rest of its batch.
+    a replication's result does not depend on the rest of its batch.  A
+    form may carry per-row constants as draw arrays (the Gaussian form's b_P
+    and noise scales, when sigma_b > 0): broadcast views with leading axis
+    n, which the engine copies into its blocks like any draw, so rows of
+    problems that differ in them can share a state.
 
     ``key`` names the direction: forms with equal keys draw arrays of the same
     layout and have interchangeable ``direction``s, so the engine may step the
@@ -199,10 +204,11 @@ class ProblemDistribution:
 
     ``sample(rng, shape)`` draws ``shape``-many i.i.d. pairs, ``exact_moments``
     holds the exact moments of that law and ``step_form`` is how the engine
-    steps it (d normals per step for the Gaussian family, (b, atom index)
-    draws for finite-support problems).  Every constructor sets both, and
-    construction raises TypeError when they are not a ``Moments`` and a
-    ``StepForm``.  ``dim`` is not an argument: it is read from the moments'
+    steps it (d normals per step for the Gaussian family, for the whole
+    noise when sigma_b > 0; (b, atom index) draws for finite-support
+    problems).  Every constructor sets both, and construction raises
+    TypeError when they are not a ``Moments`` and a ``StepForm``.  ``dim``
+    is not an argument: it is read from the moments'
     b_P.  The run's dtype is that of A_P and b_P (at least float64),
     which the draws share.  ``atoms`` is set for finite-support families so
     downstream transforms can map moments in closed form.  A problem without
@@ -533,24 +539,31 @@ def make_gaussian_noise(
     or non-finite noise magnitude, on non-finite entries of A_P or b_P, and
     on shapes that do not match.
 
-    The engine steps this family matrix-free: M_t is independent of
-    theta_{t-1}, so given theta, M_t theta has exactly the law of
-    s ||theta|| z with z ~ N(0, I_d).  Its ``step_form`` draws the noise
-    array s z first, then b_t when sigma_b > 0 (a fixed b is read from b_P),
-    d normals each per step, and applies b_t - A_P theta - ||theta|| s z.
-    At d = 2 it applies it elementwise on the state's two columns,
-    b_t - (theta_1 a_1 + theta_2 a_2) - hypot(theta_1, theta_2) s z with a_k
-    the columns of A_P: faster than a gemv per row.  At d >= 3, where column
-    sums are slower, A_P theta is one gemv per row and the norm that of
-    ``_row_norms``.  Neither norm loses a small state to underflow.
-    When sigma_A = 0 the noise array is zeros and draws nothing, so every
-    problem of one mean shares the layout and the key (A_P with its shape,
-    plus b_P when b is fixed), and runs at different sigma_A can step as rows
-    of one state; a lone sigma_A = 0 run still computes the zero noise term,
-    which leaves its bits unchanged.  Runs therefore draw a different stream
-    than ``sample`` from the same seed, with the same law (the same stream
-    when sigma_A = 0; at d = 2 the step rounds A_P theta by columns, so its
-    bits differ from a gemv of ``sample``'s A_t in the last places).
+    The engine steps this family matrix-free: M_t and N_t are independent
+    of theta_{t-1}, so given theta, N_t - M_t theta has exactly the law of
+    hypot(s_b, s ||theta||) z with z ~ N(0, I_d), s_b and s the entry scales
+    of N_t and M_t.  Its ``step_form`` therefore draws d normals per step
+    for the whole noise.  When sigma_b > 0 it draws z and carries b_P and
+    the pair (s_b, s) as per-row constants (broadcast arrays beside z), and
+    applies (b_P + hypot(s_b, s ||theta||) z) - A_P theta: the noise is
+    added to b_P first, so at sigma_A = 0, where hypot(s_b, 0) = s_b, the
+    step is (b_P + s_b z) - A_P theta, the stream of ``sample`` bit for bit.
+    When sigma_b = 0 it draws s z alone and applies b_P - A_P theta -
+    ||theta|| s z.  At d = 2 the direction is computed elementwise on the
+    state's two columns, with A_P theta = theta_1 a_1 + theta_2 a_2 (a_k the
+    columns of A_P) and ||theta|| = hypot(theta_1, theta_2): faster than a
+    gemv per row.  At d >= 3, where column sums are slower, A_P theta is one
+    gemv per row and the norm that of ``_row_norms``.  Neither norm loses a
+    small state to underflow.
+    The key holds A_P with its shape, plus b_P when b is fixed, and not the
+    noise levels: problems of one mean batch across noise levels (and,
+    when sigma_b > 0, across b_P), stepping as rows of one state.  When
+    sigma_A = sigma_b = 0 the noise array is zeros and draws nothing, and
+    the step still computes the zero noise term, which leaves its bits
+    unchanged.  Runs with sigma_A > 0 therefore draw a different stream
+    than ``sample`` from the same seed, with the same law; at d = 2 the step
+    also rounds A_P theta by columns, so its bits differ from a gemv of
+    ``sample``'s A_t in the last places.
     """
     if not (0 <= sigma_A < math.inf and 0 <= sigma_b < math.inf):
         raise ValueError("noise magnitudes must be finite and nonnegative")
@@ -569,45 +582,63 @@ def make_gaussian_noise(
     C_P = A_P.T @ A_P + entry_scale_A**2 * d * np.eye(d)
     moments = Moments(A_P, b_P, C_P, sigma_A**2, sigma_b**2)
 
-    def draw_b(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-        if entry_scale_b:
-            return b_P + entry_scale_b * rng.standard_normal(shape + (d,))
-        return np.broadcast_to(b_P, shape + (d,)).copy()
-
     def sample(rng: np.random.Generator, shape=()) -> tuple[np.ndarray, np.ndarray]:
         shape = tuple(np.atleast_1d(shape).astype(int)) if shape != () else ()
         if entry_scale_A:
             A = A_P + entry_scale_A * rng.standard_normal(shape + (d, d))
         else:
             A = np.broadcast_to(A_P, shape + (d, d)).copy()
-        return draw_b(rng, shape), A
+        if entry_scale_b:
+            return b_P + entry_scale_b * rng.standard_normal(shape + (d,)), A
+        return np.broadcast_to(b_P, shape + (d,)).copy(), A
 
-    def draw(rng: np.random.Generator, n: int) -> Draws:
-        if entry_scale_A:
-            noise = entry_scale_A * rng.standard_normal((n, d))
-        else:
-            noise = np.zeros((n, d))
-        return (noise, draw_b(rng, (n,))) if entry_scale_b else (noise,)
+    if entry_scale_b:
+        scales = np.array([entry_scale_b, entry_scale_A])
+
+        def draw(rng: np.random.Generator, n: int) -> Draws:
+            # broadcast views: the engine copies each row into its buffers
+            z = rng.standard_normal((n, d))
+            return z, np.broadcast_to(b_P, (n, d)), np.broadcast_to(scales, (n, 2))
+    else:
+        def draw(rng: np.random.Generator, n: int) -> Draws:
+            if entry_scale_A:
+                return (entry_scale_A * rng.standard_normal((n, d)),)
+            return (np.zeros((n, d)),)
 
     if d == 2:
         a0, a1 = A_P.T[:, :, None].copy()  # the columns of A_P, as (2, 1) arrays
         b_col = b_P[:, None]
 
-        def direction(draws: Draws, s: int, theta: np.ndarray) -> np.ndarray:
-            # elementwise on the state's columns x and y, so no row depends
-            # on the rest of the batch; on the (2, R) transposes each pass
-            # runs along the batch, not along a row of two
-            x, y = theta.T
-            v = (draws[1][s].T if entry_scale_b else b_col) - (x * a0 + y * a1)
-            v -= np.hypot(x, y) * draws[0][s].T
-            return v.T
+        # elementwise on the state's columns x and y, so no row depends on
+        # the rest of the batch; on the (2, R) transposes each pass runs
+        # along the batch, not along a row of two
+        if entry_scale_b:
+            def direction(draws: Draws, s: int, theta: np.ndarray) -> np.ndarray:
+                x, y = theta.T
+                s_b, s_A = draws[2][s].T
+                v = draws[1][s].T + np.hypot(s_b, s_A * np.hypot(x, y)) * draws[0][s].T
+                v -= x * a0 + y * a1
+                return v.T
+        else:
+            def direction(draws: Draws, s: int, theta: np.ndarray) -> np.ndarray:
+                x, y = theta.T
+                v = b_col - (x * a0 + y * a1)
+                v -= np.hypot(x, y) * draws[0][s].T
+                return v.T
     else:
-        def direction(draws: Draws, s: int, theta: np.ndarray) -> np.ndarray:
-            # A_P theta one gemv per row: a single gemm over the batch would
-            # round differently with the batch size
-            v = (draws[1][s] if entry_scale_b else b_P) - np.matmul(A_P, theta[..., None])[..., 0]
-            v -= _row_norms(theta) * draws[0][s]
-            return v
+        # A_P theta one gemv per row: a single gemm over the batch would
+        # round differently with the batch size
+        if entry_scale_b:
+            def direction(draws: Draws, s: int, theta: np.ndarray) -> np.ndarray:
+                s_b, s_A = draws[2][s].T[:, :, None]  # (R, 1) columns
+                v = draws[1][s] + np.hypot(s_b, s_A * _row_norms(theta)) * draws[0][s]
+                v -= np.matmul(A_P, theta[..., None])[..., 0]
+                return v
+        else:
+            def direction(draws: Draws, s: int, theta: np.ndarray) -> np.ndarray:
+                v = b_P - np.matmul(A_P, theta[..., None])[..., 0]
+                v -= _row_norms(theta) * draws[0][s]
+                return v
 
     key = ("gaussian", A_P.shape, A_P.tobytes(), None if entry_scale_b else b_P.tobytes())
     step_form = StepForm(draw, direction, key)

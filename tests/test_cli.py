@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lsalab
@@ -412,6 +417,9 @@ def test_transform_of_a_tiny_mean_has_its_witness(tmp_path, capsys):
 @pytest.mark.parametrize("kwargs, message", [
     ({"sim_horizon": 20}, "horizon=20 is below the record stride 25"),
     ({"n_replications": 0}, "need n_replications >= 1"),
+    ({"tune_horizon": 5, "sim_horizon": 100}, r"tune_horizon=5 must exceed the tuner's k\*T = 10"),
+    ({"n_seeds": 0}, "n_seeds=0 must be at least 1"),
+    ({"n_seeds": -1}, "n_seeds=-1 must be at least 1"),
 ])
 def test_repro_fig1_checks_its_configurations_before_tuning(kwargs, message, tmp_path):
     with mock.patch("lsalab.cli.tune_many", side_effect=AssertionError("tuned")) as tuned:
@@ -730,3 +738,62 @@ def test_bound_at_an_underflowing_step_size_exits_2(name, tmp_path, capsys):
     assert main(argv) == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: alpha=1e-300 is too small: alpha^2 rho_d rho_s underflows to 0\n"
     assert not out.exists()
+
+
+#: repro-fig1's integer flags: the least value each accepts, and the names
+#: (the flag's or ``repro_fig1``'s argument's) a message about it may use
+REPRO_FIG1_FLAGS = {
+    "--seeds": (1, ("seeds", "n_seeds")),
+    "--seed": (0, ("seed",)),
+    "--tune-horizon": (TunerConfig.k * TunerConfig.T + 1, ("tune_horizon",)),
+    "--horizon": (25, ("horizon",)),
+    "--reps": (1, ("reps", "n_replications")),
+}
+
+#: small valid values of the flags not under test, so that a run exits 0 quickly
+REPRO_FIG1_SMALL = {"--seeds": 1, "--tune-horizon": 20, "--horizon": 25, "--reps": 2}
+
+
+def repro_fig1_flag_values(flag):
+    """(flag, value) pairs: 0, a negative value, just past the flag's least
+    value, and just within it."""
+    least = REPRO_FIG1_FLAGS[flag][0]
+    values = st.one_of(
+        st.just(0), st.integers(max_value=-1), st.just(least - 1), st.integers(least, least + 3)
+    )
+    return st.tuples(st.just(flag), values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(REPRO_FIG1_FLAGS)).flatmap(repro_fig1_flag_values))
+@example(("--tune-horizon", 5))
+@example(("--seeds", 0))
+@example(("--seeds", -1))
+def test_repro_fig1_flags_exit_0_or_2_and_write_nothing_on_2(flag_value):
+    # each flag varied alone, the others small: exit 0, or exit 2 naming the
+    # flag and leaving no file or directory behind; never a traceback or a
+    # RuntimeWarning
+    flag, value = flag_value
+    least, names = REPRO_FIG1_FLAGS[flag]
+    flags = {**REPRO_FIG1_SMALL, flag: value}
+    with tempfile.TemporaryDirectory() as root:
+        out_dir = Path(root) / "x"
+        argv = ["repro-fig1", "--out-dir", str(out_dir)]
+        argv += [str(x) for item in flags.items() for x in item]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = err.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "Traceback" not in err
+        if value >= least:
+            assert code == 0
+            assert sorted(os.listdir(out_dir)) == [
+                "fig1_left.csv", "fig1_right.csv", "fig1_summary.json"
+            ]
+        else:
+            assert code == EXIT_VALIDATION
+            assert re.search(r"\b(%s)\b" % "|".join(names), err), err
+            assert os.listdir(root) == []

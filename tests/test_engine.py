@@ -492,11 +492,16 @@ def no_draws(rng, shape=()):
 
 
 def assert_direction_matches_gemv(rng, d, exponent, ulps):
-    """The Gaussian direction b - A_P theta - ||theta|| z of 50 random
-    problems, 40 states each, against gemv rows and a ``math.hypot`` norm:
-    within ``ulps`` ulps of |b| + |A_P||theta| + ||theta|| |z|, the size of
-    the terms it sums.  States are of size 10**exponent, or of a random size
-    from 1e-300 to 1e150 when exponent is None."""
+    """The Gaussian direction of 50 random problems, 40 states each, against
+    gemv rows and a ``math.hypot`` norm: within ``ulps`` ulps of the size of
+    the terms it sums.  Half the problems have sigma_b = 0, whose direction
+    is b_P - A_P theta - ||theta|| z, of size |b_P| + |A_P||theta| +
+    ||theta|| |z|.  The others have sigma_b > 0, whose direction is
+    (b + hypot(s_b, s ||theta||) z) - A_P theta, of size |b| +
+    hypot(s_b, s ||theta||) |z| + |A_P||theta|; each row gets its own
+    intercept b and pair (s_b, s), and s = 0 in five rows.  States,
+    intercepts and s_b are of size 10**exponent, or of a random size from
+    1e-300 to 1e150 when exponent is None."""
     for trial in range(50):
         scale = 10.0 ** (rng.uniform(-300, 150) if exponent is None else exponent)
         A_P = rng.standard_normal((d, d)) * 10 ** rng.uniform(-2, 2)
@@ -505,12 +510,21 @@ def assert_direction_matches_gemv(rng, d, exponent, ulps):
         p = make_gaussian_noise(A_P, b_P, 1.0, sigma_b)
         theta = rng.standard_normal((40, d)) * scale
         z = rng.standard_normal((1, 40, d))
-        b = b_P + scale * rng.standard_normal((1, 40, d))
-        got = p.step_form.direction((z, b) if sigma_b else (z,), 0, theta)
-        b = b[0] if sigma_b else b_P
         nrm = np.array([[math.hypot(*row)] for row in theta])
-        want = b - np.matmul(A_P, theta[..., None])[..., 0] - nrm * z[0]
-        size = np.abs(b) + np.abs(theta) @ np.abs(A_P).T + nrm * np.abs(z[0])
+        A_theta = np.matmul(A_P, theta[..., None])[..., 0]
+        A_size = np.abs(theta) @ np.abs(A_P).T
+        if sigma_b:
+            b = b_P + scale * rng.standard_normal((1, 40, d))
+            pair = np.column_stack([scale * rng.uniform(0.1, 2, 40), rng.uniform(0, 2, 40)])
+            pair[:5, 1] = 0.0
+            got = p.step_form.direction((z, b, pair[None]), 0, theta)
+            noise = np.array([[math.hypot(s_b, s_A * n)] for (s_b, s_A), n in zip(pair, nrm[:, 0])])
+            want = b[0] + noise * z[0] - A_theta
+            size = np.abs(b[0]) + noise * np.abs(z[0]) + A_size
+        else:
+            got = p.step_form.direction((z,), 0, theta)
+            want = b_P - A_theta - nrm * z[0]
+            size = np.abs(b_P) + A_size + nrm * np.abs(z[0])
         assert (np.abs(got - want) <= ulps * np.spacing(size)).all()
 
 
@@ -572,6 +586,33 @@ class TestGaussianStepForm:
         assert key(A, b, 0.0, 0.5) == key(A, 2 * b, 2.0, 1.0) != key(A, b, 2.0, 0.0)
         assert key(A, b, 2.0, 0.5) != key(2 * A, b, 2.0, 0.5)
 
+    @pytest.mark.parametrize("d, alpha", [(2, 0.7), (5, 0.9), (32, 0.96)])
+    def test_runs_batch_across_intercepts_and_noise_levels(self, d, alpha):
+        # with sigma_b > 0 the key leaves out b_P and both noise levels, so
+        # these runs share one state, each row carrying its run's b_P and
+        # scales; theta* in [-1, 1]^d keeps one divergence bound.  With the
+        # sentinel at 100, rows of the sigma_A = 2 run diverge at scattered
+        # times, so the batch drops rows while others still step
+        rng = np.random.default_rng(d)
+        A_P = np.eye(d) + np.triu(np.full((d, d), 0.5 / d), 1)
+        levels = [(0.0, 0.5, 0.1), (2.0, 0.5, alpha), (0.5, 1.5, 0.2)]
+        problems = [
+            make_gaussian_noise(A_P, A_P @ rng.uniform(-1, 1, d), sigma_A, sigma_b)
+            for sigma_A, sigma_b, _ in levels
+        ]
+        cfgs = [
+            RunConfig(alpha=alpha, horizon=600, record_stride=25, n_replications=6 + i, seed=i)
+            for i, (_, _, alpha) in enumerate(levels)
+        ]
+        with mock.patch.object(engine, "DIVERGENCE_SENTINEL", 100):
+            curves = run_mse_many(problems, cfgs)
+            n_div = curves[1].n_diverged
+            assert ((0 < n_div) & (n_div < cfgs[1].n_replications)).any()
+            for p, cfg, curve in zip(problems, cfgs, curves, strict=True):
+                alone = run_mse(p, cfg)
+                for name in ("mse", "stderr", "n_diverged"):
+                    assert getattr(curve, name).tobytes() == getattr(alone, name).tobytes()
+
     def test_runs_never_call_sample(self):
         for sigma_A in (0.0, 1.0):
             base = make_gaussian_noise(np.diag([1.0, 2.0, 3.0]), np.ones(3), sigma_A, 0.5)
@@ -606,10 +647,10 @@ class TestGaussianStepForm:
 
     @pytest.mark.parametrize("exponent", [0.0, 150.0, -300.0, None])
     def test_two_dimensional_direction_matches_gemv(self, exponent):
-        # the column form of b - A_P theta - ||theta|| z against gemv rows and
-        # a hypot norm: within 4 ulps of |b| + |A_P||theta| + ||theta|| |z|,
-        # the size of the terms it sums (2 measured over 3,000 random problems);
-        # a wrong sign or column of A_P is off by the size of a term
+        # the column forms against gemv rows and a hypot norm: within 4 ulps
+        # of the size of the terms they sum (over 3,000 random problems, 2.5
+        # measured with sigma_b = 0 and 3 with sigma_b > 0); a wrong sign or
+        # column of A_P is off by the size of a term
         assert_direction_matches_gemv(np.random.default_rng(19), 2, exponent, ulps=4)
 
     def test_noise_term_of_small_states_at_three_dimensions(self):
@@ -624,9 +665,10 @@ class TestGaussianStepForm:
 
     @pytest.mark.parametrize("d", [3, 5, 32])
     def test_direction_matches_gemv_and_hypot(self, d):
-        # states of random size from 1e-300 to 1e150; 6 ulps measured over
-        # 3,000 random problems at d = 32, 2 at d = 3 and 5.  A norm taken
-        # through subnormal squares is off by up to the whole noise term
+        # states of random size from 1e-300 to 1e150; over 3,000 random
+        # problems, 6 ulps measured at d = 32 and 2 at d = 3 and 5 with
+        # sigma_b = 0, and 7 and 4 with sigma_b > 0.  A norm taken through
+        # subnormal squares is off by up to the whole noise term
         assert_direction_matches_gemv(np.random.default_rng(d), d, None, ulps=8)
 
 
@@ -664,6 +706,32 @@ class TestFig1AgainstExactMse:
         # R = 100 the gate is coarse
         p = make_fig1_problem(sigma_A)
         cfg = RunConfig(alpha=alpha, horizon=2000, record_stride=FIG1_STRIDE, n_replications=100)
+        curve = run_mse(p, cfg)
+        assert curve.n_diverged[-1] == 0 and (curve.stderr > 0).all()
+        z = (curve.mse - exact_mse_gaussian(p, alpha, cfg.record_times())) / curve.stderr
+        assert np.abs(z).max() <= self.Z_GATE
+
+
+class TestInterceptNoiseAgainstExactMse:
+    """Runs with sigma_A > 0 and sigma_b > 0, whose step draws one normal
+    vector z for the whole noise, hypot(s_b, s ||theta||) z, against the
+    exact recursion of ``exact_mse_gaussian``, within a z-gate on every
+    record."""
+
+    #: largest |z| allowed over a curve's 20 records.  Over seeds 0-199 at
+    #: this shape (R = 1,000, 1,000 steps) the largest was 3.64 at d = 2
+    #: and 3.29 at d = 5, with medians of 1.82 and 1.54.  Over seeds 0-9 the
+    #: smallest reading of each model error, at d = 2 and d = 5, was:
+    #: s_b + s ||theta|| in place of the hypot 13.0 and 20.0, s_b dropped
+    #: 14.0 and 17.1, the matrix term dropped 26.1 and 48.4
+    Z_GATE = 6.0
+
+    @pytest.mark.parametrize("d, sigma, alpha", [(2, 5.0, 2.0**-7), (5, 1.0, 0.05)],
+                             ids=["fig1-mean", "d5"])
+    def test_within_z_gate(self, d, sigma, alpha):
+        A_P = FIG1_MEAN if d == 2 else np.eye(d) + np.triu(np.full((d, d), 0.5 / d), 1)
+        p = make_gaussian_noise(A_P, A_P @ np.ones(d), sigma, sigma)
+        cfg = RunConfig(alpha=alpha, horizon=1000, record_stride=50, n_replications=1000)
         curve = run_mse(p, cfg)
         assert curve.n_diverged[-1] == 0 and (curve.stderr > 0).all()
         z = (curve.mse - exact_mse_gaussian(p, alpha, cfg.record_times())) / curve.stderr
