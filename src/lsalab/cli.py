@@ -12,7 +12,8 @@ Every CSV gets a provenance comment (the exact invocation) and a header row,
 and every subcommand is deterministic given --seed, so reruns are
 byte-identical.  ``rho``, ``transform`` and ``bound`` draw nothing: they
 read the exact moments of the problem and of its transform, so their output
-does not depend on --seed, which they accept like every subcommand.
+does not depend on --seed, which they accept like every subcommand.  A
+negative --seed exits 2 before any subcommand runs.
 
 ``bound``'s ``upper`` column bounds the MSE of the problem given.  Its
 ``lower`` column is the paper's worst-case envelope: it is sharp only on the
@@ -353,9 +354,7 @@ def repro_fig1(
     least the record stride FIG1_STRIDE, and the run configuration is valid.
     """
     _check_integer(seed, "seed", seed=True)
-    _check_integer(n_seeds, "n_seeds")
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds={n_seeds} must be at least 1")
+    _check_integer(n_seeds, "n_seeds", least=1)
     _check_integer(tune_horizon, "tune_horizon")
     k_T = TunerConfig.k * TunerConfig.T
     if tune_horizon <= k_T:
@@ -552,6 +551,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     args._raw_argv = list(argv)
     try:
+        if args.seed is not None:  # every subcommand takes --seed
+            _check_integer(args.seed, "seed", seed=True)
         return args.func(args)
     # ValueError covers NotHurwitzError, NotPositiveDefiniteError and
     # CertifiedRegimeError

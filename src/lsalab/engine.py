@@ -20,9 +20,10 @@ step forms share a key (and which share horizon, record stride, theta_0 and
 divergence bound) advance as rows of one state, each row with its run's
 step-size and its run's own stream, so each curve is bit-identical to the
 ``run_mse`` of its run alone and a batch of runs costs one Python step loop
-instead of one per run.  A run whose step form draws nothing from its
-stream (a noise-free Gaussian problem, one atom without intercept scatter)
-has R equal replications, one trajectory: it is stepped and reduced once.
+instead of one per run (Fig. 1's levels, which differ in sigma_A alone).
+A run whose step form draws nothing from its stream (a noise-free Gaussian
+problem, one atom without intercept scatter) has R equal replications, one
+trajectory: it is stepped and reduced once.
 ``run_mse`` is its one-run call.  The fixed point theta* always comes from
 the problem's exact moments.  The MSE runs record the running average
 alone; ``_simulate_runs`` can also keep the iterate snapshots
@@ -86,16 +87,14 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("horizon", "record_stride", "n_replications"):
-            _check_integer(getattr(self, name), name)
+            _check_integer(getattr(self, name), name, least=1)
         _check_integer(self.seed, "seed", seed=True)
         if not 0 < self.alpha < np.inf:  # NaN fails too
-            raise ValueError("alpha must be finite and positive")
-        if self.horizon < 1:
-            raise ValueError("horizon must be positive")
-        if not (1 <= self.record_stride <= self.horizon):
-            raise ValueError("need 1 <= record_stride <= horizon")
-        if self.n_replications < 1:
-            raise ValueError("need n_replications >= 1")
+            raise ValueError(f"alpha must be finite and positive, not {self.alpha!r}")
+        if self.record_stride > self.horizon:
+            raise ValueError(
+                f"record_stride={self.record_stride} must not exceed horizon={self.horizon}"
+            )
 
     def record_times(self) -> np.ndarray:
         return np.arange(self.record_stride, self.horizon + 1, self.record_stride)
@@ -338,14 +337,13 @@ def run_mse_many(problems: list[ProblemDistribution], cfgs: list[RunConfig]) -> 
     is bit-identical to ``run_mse(problems[i], cfgs[i])``, since each row
     draws from its run's own spawned stream and steps with its run's alpha.
     The runs may differ in alpha, seed and n_replications, and in anything
-    their step forms' key leaves out (for Gaussian problems of one mean: the
-    noise levels, and b_P when sigma_b > 0, where a row draws d normals per
-    step for the whole noise and carries b_P and its noise scales as draw
-    arrays; for finite problems of the same matrices A_i: the weights and
-    intercepts); they must share the step-form key, horizon, record
-    stride, theta_0 and divergence bound, so finite problems of distinct
-    matrices A_i do not batch.  Each run's theta* is that of its problem's
-    exact moments.
+    their step forms' key leaves out (for Gaussian problems of one A_P and
+    b_P with sigma_b = 0: sigma_A; with sigma_b > 0 the key holds both
+    noise scales, so only runs of one problem batch; for finite problems of
+    the same matrices A_i: the weights and intercepts); they must share the
+    step-form key, horizon, record stride, theta_0 and divergence bound, so
+    finite problems of distinct matrices A_i do not batch.  Each run's
+    theta* is that of its problem's exact moments.
 
     A run whose step form draws nothing (``_draws_nothing``: the noise-free
     level of Fig. 1, a one-atom problem without intercept scatter) gets one

@@ -175,17 +175,15 @@ class StepForm:
     complex dtype, or int64 for the atom indices of a finite problem).
     ``direction(draws, s, theta)`` returns b_s - A_s theta for step s of
     those blocks and an (R, d) state, computed row by row or elementwise, so
-    a replication's result does not depend on the rest of its batch.  A
-    form may carry per-row constants as draw arrays (the Gaussian form's b_P
-    and noise scales, when sigma_b > 0): broadcast views with leading axis
-    n, which the engine copies into its blocks like any draw, so rows of
-    problems that differ in them can share a state.
+    a replication's result does not depend on the rest of its batch.
 
     ``key`` names the direction: forms with equal keys draw arrays of the same
     layout and have interchangeable ``direction``s, so the engine may step the
     replications of several problems as rows of one state, each row drawing
     through its own problem's ``draw``.  A finite problem's form is keyed by
-    the matrices A_i it gathers from, with the dtypes of A_i and b_i.
+    the matrices A_i it gathers from, with the dtypes of A_i and b_i; a
+    Gaussian one by every constant its direction reads (see
+    ``make_gaussian_noise``).
 
     ``draw`` is a function of (generator, n) alone, and it consumes the
     generator on every call or on none.  A form that consumes none draws the
@@ -238,9 +236,10 @@ class ProblemDistribution:
         object.__setattr__(self, "dim", len(self.exact_moments.b_P))
 
 
-def _check_integer(value, name: str, seed: bool = False) -> None:
+def _check_integer(value, name: str, seed: bool = False, least: int | None = None) -> None:
     """Raise ValueError naming ``name`` unless value is an integer (a float
-    such as 2.0 is not: slices reject it).
+    such as 2.0 is not: slices reject it), and at least ``least`` when
+    given; the message then gives the value and the bound.
 
     A seed must also be non-negative and not a bool.  Sequences of ints are
     refused too: ``SeedSequence`` takes them, but no caller passes one.
@@ -252,6 +251,8 @@ def _check_integer(value, name: str, seed: bool = False) -> None:
     if not ok or (seed and isinstance(value, (bool, np.bool_))):
         kind = "a non-negative integer" if seed else "an integer"
         raise ValueError(f"{name} must be {kind}, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name}={value} must be at least {least}")
 
 
 def _check_theta0(theta_0, dim: int, dtype=None) -> np.ndarray:
@@ -543,11 +544,11 @@ def make_gaussian_noise(
     of theta_{t-1}, so given theta, N_t - M_t theta has exactly the law of
     hypot(s_b, s ||theta||) z with z ~ N(0, I_d), s_b and s the entry scales
     of N_t and M_t.  Its ``step_form`` therefore draws d normals per step
-    for the whole noise.  When sigma_b > 0 it draws z and carries b_P and
-    the pair (s_b, s) as per-row constants (broadcast arrays beside z), and
-    applies (b_P + hypot(s_b, s ||theta||) z) - A_P theta: the noise is
-    added to b_P first, so at sigma_A = 0, where hypot(s_b, 0) = s_b, the
-    step is (b_P + s_b z) - A_P theta, the stream of ``sample`` bit for bit.
+    for the whole noise.  When sigma_b > 0 it draws z alone and applies
+    (b_P + hypot(s_b, s ||theta||) z) - A_P theta, reading b_P, s_b and s
+    from its closure as it reads A_P.  The noise is added to b_P first, so
+    at sigma_A = 0, where hypot(s_b, 0) = s_b, the step is
+    (b_P + s_b z) - A_P theta, the stream of ``sample`` bit for bit.
     When sigma_b = 0 it draws s z alone and applies b_P - A_P theta -
     ||theta|| s z.  At d = 2 the direction is computed elementwise on the
     state's two columns, with A_P theta = theta_1 a_1 + theta_2 a_2 (a_k the
@@ -555,15 +556,14 @@ def make_gaussian_noise(
     gemv per row.  At d >= 3, where column sums are slower, A_P theta is one
     gemv per row and the norm that of ``_row_norms``.  Neither norm loses a
     small state to underflow.
-    The key holds A_P with its shape, plus b_P when b is fixed, and not the
-    noise levels: problems of one mean batch across noise levels (and,
-    when sigma_b > 0, across b_P), stepping as rows of one state.  When
-    sigma_A = sigma_b = 0 the noise array is zeros and draws nothing, and
-    the step still computes the zero noise term, which leaves its bits
-    unchanged.  Runs with sigma_A > 0 therefore draw a different stream
-    than ``sample`` from the same seed, with the same law; at d = 2 the step
-    also rounds A_P theta by columns, so its bits differ from a gemv of
-    ``sample``'s A_t in the last places.
+    The key holds A_P with its shape and b_P, plus the pair (s_b, s) when
+    sigma_b > 0: problems of one A_P and b_P with sigma_b = 0 batch across
+    sigma_A, stepping as rows of one state.  When sigma_A = sigma_b = 0 the
+    noise array is zeros and draws nothing, and the step still computes the
+    zero noise term, which leaves its bits unchanged.  Runs with sigma_A > 0
+    therefore draw a different stream than ``sample`` from the same seed,
+    with the same law; at d = 2 the step also rounds A_P theta by columns, so
+    its bits differ from a gemv of ``sample``'s A_t in the last places.
     """
     if not (0 <= sigma_A < math.inf and 0 <= sigma_b < math.inf):
         raise ValueError("noise magnitudes must be finite and nonnegative")
@@ -592,18 +592,12 @@ def make_gaussian_noise(
             return b_P + entry_scale_b * rng.standard_normal(shape + (d,)), A
         return np.broadcast_to(b_P, shape + (d,)).copy(), A
 
-    if entry_scale_b:
-        scales = np.array([entry_scale_b, entry_scale_A])
-
-        def draw(rng: np.random.Generator, n: int) -> Draws:
-            # broadcast views: the engine copies each row into its buffers
-            z = rng.standard_normal((n, d))
-            return z, np.broadcast_to(b_P, (n, d)), np.broadcast_to(scales, (n, 2))
-    else:
-        def draw(rng: np.random.Generator, n: int) -> Draws:
-            if entry_scale_A:
-                return (entry_scale_A * rng.standard_normal((n, d)),)
-            return (np.zeros((n, d)),)
+    def draw(rng: np.random.Generator, n: int) -> Draws:
+        if entry_scale_b:  # z, scaled in the direction
+            return (rng.standard_normal((n, d)),)
+        if entry_scale_A:
+            return (entry_scale_A * rng.standard_normal((n, d)),)
+        return (np.zeros((n, d)),)
 
     if d == 2:
         a0, a1 = A_P.T[:, :, None].copy()  # the columns of A_P, as (2, 1) arrays
@@ -615,8 +609,7 @@ def make_gaussian_noise(
         if entry_scale_b:
             def direction(draws: Draws, s: int, theta: np.ndarray) -> np.ndarray:
                 x, y = theta.T
-                s_b, s_A = draws[2][s].T
-                v = draws[1][s].T + np.hypot(s_b, s_A * np.hypot(x, y)) * draws[0][s].T
+                v = b_col + np.hypot(entry_scale_b, entry_scale_A * np.hypot(x, y)) * draws[0][s].T
                 v -= x * a0 + y * a1
                 return v.T
         else:
@@ -630,8 +623,7 @@ def make_gaussian_noise(
         # round differently with the batch size
         if entry_scale_b:
             def direction(draws: Draws, s: int, theta: np.ndarray) -> np.ndarray:
-                s_b, s_A = draws[2][s].T[:, :, None]  # (R, 1) columns
-                v = draws[1][s] + np.hypot(s_b, s_A * _row_norms(theta)) * draws[0][s]
+                v = b_P + np.hypot(entry_scale_b, entry_scale_A * _row_norms(theta)) * draws[0][s]
                 v -= np.matmul(A_P, theta[..., None])[..., 0]
                 return v
         else:
@@ -640,7 +632,8 @@ def make_gaussian_noise(
                 v -= _row_norms(theta) * draws[0][s]
                 return v
 
-    key = ("gaussian", A_P.shape, A_P.tobytes(), None if entry_scale_b else b_P.tobytes())
+    scales = (entry_scale_b, entry_scale_A) if entry_scale_b else None
+    key = ("gaussian", A_P.shape, A_P.tobytes(), b_P.tobytes(), scales)
     step_form = StepForm(draw, direction, key)
     if label is None:
         label = f"gaussian(d={d}, sigma_A={sigma_A:g}, sigma_b={sigma_b:g})"

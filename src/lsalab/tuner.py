@@ -103,16 +103,17 @@ class TunerConfig:
 
     def __post_init__(self):
         for name in ("k", "T", "horizon"):
-            _check_integer(getattr(self, name), name)
+            _check_integer(getattr(self, name), name, least=1)
         _check_integer(self.seed, "seed", seed=True)
         if not 0 < self.alpha_max < math.inf:  # NaN fails too
-            raise ValueError("alpha_max must be finite and positive")
-        if self.k < 1 or self.T < 1:
-            raise ValueError("k and T must be positive")
+            raise ValueError(f"alpha_max must be finite and positive, not {self.alpha_max!r}")
         if not 1 < self.c_threshold < math.inf:  # NaN fails too
-            raise ValueError("c_threshold must be finite and exceed 1")
+            raise ValueError(f"c_threshold must be finite and exceed 1, not {self.c_threshold!r}")
         if self.k * self.T >= self.horizon:
-            raise ValueError("horizon must exceed k*T")
+            raise ValueError(
+                f"horizon={self.horizon} must exceed k*T = {self.k * self.T} "
+                f"(k={self.k}, T={self.T})"
+            )
 
 
 @dataclass(frozen=True)

@@ -416,7 +416,7 @@ def test_transform_of_a_tiny_mean_has_its_witness(tmp_path, capsys):
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"sim_horizon": 20}, "horizon=20 is below the record stride 25"),
-    ({"n_replications": 0}, "need n_replications >= 1"),
+    ({"n_replications": 0}, "n_replications=0 must be at least 1"),
     ({"tune_horizon": 5, "sim_horizon": 100}, r"tune_horizon=5 must exceed the tuner's k\*T = 10"),
     ({"n_seeds": 0}, "n_seeds=0 must be at least 1"),
     ({"n_seeds": -1}, "n_seeds=-1 must be at least 1"),
@@ -436,17 +436,25 @@ def test_repro_fig1_seed_must_be_a_non_negative_integer(seed, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "tune"])
+@pytest.mark.parametrize("command", ["simulate", "tune", "td", "rho", "transform", "bound"])
 def test_negative_seed_exits_2(command, tmp_path, capsys):
-    out = str(tmp_path / "out.csv")
+    # checked once, before any handler runs: no subcommand writes a file
+    # (``td`` would write "seed": -1 into its problem file)
+    out = str(tmp_path / "out")
+    problem = ["--problem", str(PROBLEMS / "td0_onpolicy.json")]
     args = {
-        "simulate": ["--alpha", "0.01", "--horizon", "50", "--reps", "2", "--out", out],
-        "tune": ["--alpha-max", "1", "--out-json", str(tmp_path / "t.json"), "--out-csv", out],
+        "simulate": [*problem, "--alpha", "0.01", "--horizon", "50", "--reps", "2", "--out", out],
+        "tune": [*problem, "--alpha-max", "1", "--out-json", out, "--out-csv", f"{out}.csv"],
+        "td": ["--mdp", str(write_mdp(tmp_path / "mdp.json", False)), "--out", out],
+        "rho": [*problem, "--alpha-grid", "1e-4:1:5:log", "--out", out],
+        "transform": problem,
+        "bound": [*problem, "--alpha", "0.01", "--t-grid", "1:10:2", "--out", out],
     }[command]
-    argv = [command, "--problem", str(PROBLEMS / "td0_onpolicy.json"), "--seed", "-1", *args]
-    assert main(argv) == EXIT_VALIDATION
-    assert "seed must be a non-negative integer, not -1" in capsys.readouterr().err
-    assert not (tmp_path / "out.csv").exists()
+    assert main([command, "--seed", "-1", *args]) == EXIT_VALIDATION
+    stdout, err = capsys.readouterr()
+    assert "seed must be a non-negative integer, not -1" in err
+    assert stdout == ""
+    assert os.listdir(tmp_path) == ["mdp.json"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -764,6 +772,19 @@ def repro_fig1_flag_values(flag):
     return st.tuples(st.just(flag), values)
 
 
+def main_quietly(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr, with stdout discarded; it
+    leaves no traceback on stderr and issues no RuntimeWarning."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(REPRO_FIG1_FLAGS)).flatmap(repro_fig1_flag_values))
 @example(("--tune-horizon", 5))
@@ -780,14 +801,7 @@ def test_repro_fig1_flags_exit_0_or_2_and_write_nothing_on_2(flag_value):
         out_dir = Path(root) / "x"
         argv = ["repro-fig1", "--out-dir", str(out_dir)]
         argv += [str(x) for item in flags.items() for x in item]
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main(argv)
-        err = err.getvalue()
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert "Traceback" not in err
+        code, err = main_quietly(argv)
         if value >= least:
             assert code == 0
             assert sorted(os.listdir(out_dir)) == [
@@ -796,4 +810,74 @@ def test_repro_fig1_flags_exit_0_or_2_and_write_nothing_on_2(flag_value):
         else:
             assert code == EXIT_VALIDATION
             assert re.search(r"\b(%s)\b" % "|".join(names), err), err
+            assert os.listdir(root) == []
+
+
+#: the integer flags of ``simulate`` and ``tune``: the range each accepts
+#: while the others keep their values in COMMAND_SMALL (None: no upper
+#: end), and the names (the flag's or its config field's) a message about
+#: it may use.  A stride must not pass the horizon, and the tuner's horizon
+#: must exceed k*T.
+COMMAND_FLAGS = {
+    "simulate": {
+        "--horizon": (5, None, ("horizon",)),
+        "--reps": (1, None, ("reps", "n_replications")),
+        "--stride": (1, 20, ("stride", "record_stride")),
+    },
+    "tune": {
+        "--k": (1, 7, ("k",)),
+        "--T": (1, 19, ("T",)),
+        "--horizon": (11, None, ("horizon",)),
+    },
+}
+
+#: small valid values, so that a run exits 0 quickly, and the files it writes
+COMMAND_SMALL = {
+    "simulate": ({"--alpha": 0.01, "--horizon": 20, "--reps": 2, "--stride": 5}, ["out.csv"]),
+    "tune": ({"--alpha-max": 0.01, "--k": 2, "--T": 5, "--horizon": 40}, ["t.csv", "t.json"]),
+}
+
+
+def command_flag_values(command_flag):
+    """(command, flag, value) triples: 0, a negative value, just past each
+    end of the flag's range, and within it."""
+    command, flag = command_flag
+    lo, hi, _ = COMMAND_FLAGS[command][flag]
+    past = [0, lo - 1] + ([hi + 1] if hi else [])
+    values = st.one_of(
+        st.sampled_from(past), st.integers(max_value=-1), st.integers(lo, hi or lo + 3)
+    )
+    return st.tuples(st.just(command), st.just(flag), values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(c, f) for c in COMMAND_FLAGS for f in COMMAND_FLAGS[c]])
+       .flatmap(command_flag_values))
+@example(("simulate", "--stride", 0))
+@example(("simulate", "--stride", 21))
+@example(("simulate", "--reps", 0))
+@example(("tune", "--horizon", -3))
+@example(("tune", "--k", 8))
+def test_simulate_and_tune_flags_exit_0_or_2_and_write_nothing_on_2(case):
+    # each flag varied alone: exit 0 writing the outputs, or exit 2 naming
+    # the flag or its field and writing nothing; never a traceback or a
+    # RuntimeWarning
+    command, flag, value = case
+    lo, hi, names = COMMAND_FLAGS[command][flag]
+    small, files = COMMAND_SMALL[command]
+    flags = {**small, flag: value}
+    with tempfile.TemporaryDirectory() as root:
+        outputs = {
+            "simulate": ["--out", f"{root}/out.csv"],
+            "tune": ["--out-json", f"{root}/t.json", "--out-csv", f"{root}/t.csv"],
+        }[command]
+        argv = [command, "--problem", str(PROBLEMS / "td0_onpolicy.json"), *outputs]
+        argv += [str(x) for item in flags.items() for x in item]
+        code, err = main_quietly(argv)
+        if lo <= value <= (hi or value):
+            assert code == 0
+            assert sorted(os.listdir(root)) == files
+        else:
+            assert code == EXIT_VALIDATION
+            assert re.search(r"\b(%s)=" % "|".join(names), err), err
             assert os.listdir(root) == []

@@ -30,7 +30,7 @@ from lsalab.engine import (
     divergence_bound,
 )
 from lsalab.problem_io import load_problem_file
-from lsalab.problems import FiniteAtoms, StepForm, _finite_problem
+from lsalab.problems import FiniteAtoms, StepForm, _finite_problem, _mean_specnorm_sq_standard
 from lsalab.transform import transform_distribution, transform_problem
 from lsalab.tuner import _dense_direction
 from oracles import exact_mse_gaussian
@@ -394,6 +394,16 @@ class TestRunMse:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             RunConfig(alpha=0.1, **{"horizon": 10, "record_stride": 2, name: value})
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"horizon": 0, "record_stride": 1}, "horizon=0 must be at least 1"),
+        ({"record_stride": 0}, "record_stride=0 must be at least 1"),
+        ({"record_stride": 60}, "record_stride=60 must not exceed horizon=50"),
+        ({"n_replications": -2}, "n_replications=-2 must be at least 1"),
+    ])
+    def test_counts_out_of_range_name_their_value_and_bound(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunConfig(alpha=0.1, **{"horizon": 50, **kwargs})
+
     @pytest.mark.parametrize("seed", [1.5, 2.0, -1, True, [1, 2], "3"])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
@@ -497,34 +507,34 @@ def assert_direction_matches_gemv(rng, d, exponent, ulps):
     the terms it sums.  Half the problems have sigma_b = 0, whose direction
     is b_P - A_P theta - ||theta|| z, of size |b_P| + |A_P||theta| +
     ||theta|| |z|.  The others have sigma_b > 0, whose direction is
-    (b + hypot(s_b, s ||theta||) z) - A_P theta, of size |b| +
-    hypot(s_b, s ||theta||) |z| + |A_P||theta|; each row gets its own
-    intercept b and pair (s_b, s), and s = 0 in five rows.  States,
-    intercepts and s_b are of size 10**exponent, or of a random size from
-    1e-300 to 1e150 when exponent is None."""
+    (b_P + hypot(s_b, s ||theta||) z) - A_P theta, of size |b_P| +
+    hypot(s_b, s ||theta||) |z| + |A_P||theta|; each draws its own sigma_A
+    and sigma_b, and five of them have sigma_A = 0.  States, intercepts and
+    s_b are of size 10**exponent, or of a random size from 1e-300 to 1e150
+    when exponent is None."""
+    c_d = _mean_specnorm_sq_standard(d)
     for trial in range(50):
         scale = 10.0 ** (rng.uniform(-300, 150) if exponent is None else exponent)
         A_P = rng.standard_normal((d, d)) * 10 ** rng.uniform(-2, 2)
         b_P = rng.standard_normal(d) * scale
-        sigma_b = 0.5 if trial % 2 else 0.0
-        p = make_gaussian_noise(A_P, b_P, 1.0, sigma_b)
         theta = rng.standard_normal((40, d)) * scale
         z = rng.standard_normal((1, 40, d))
         nrm = np.array([[math.hypot(*row)] for row in theta])
         A_theta = np.matmul(A_P, theta[..., None])[..., 0]
         A_size = np.abs(theta) @ np.abs(A_P).T
-        if sigma_b:
-            b = b_P + scale * rng.standard_normal((1, 40, d))
-            pair = np.column_stack([scale * rng.uniform(0.1, 2, 40), rng.uniform(0, 2, 40)])
-            pair[:5, 1] = 0.0
-            got = p.step_form.direction((z, b, pair[None]), 0, theta)
-            noise = np.array([[math.hypot(s_b, s_A * n)] for (s_b, s_A), n in zip(pair, nrm[:, 0])])
-            want = b[0] + noise * z[0] - A_theta
-            size = np.abs(b[0]) + noise * np.abs(z[0]) + A_size
+        if trial % 2:
+            sigma_A = 0.0 if trial % 10 == 1 else rng.uniform(0.1, 4)
+            sigma_b = scale * rng.uniform(0.1, 2)
+            s_b, s = sigma_b / math.sqrt(d), sigma_A / math.sqrt(c_d)
+            p = make_gaussian_noise(A_P, b_P, sigma_A, sigma_b)
+            noise = np.array([[math.hypot(s_b, s * n)] for n in nrm[:, 0]])
+            want = b_P + noise * z[0] - A_theta
+            size = np.abs(b_P) + noise * np.abs(z[0]) + A_size
         else:
-            got = p.step_form.direction((z,), 0, theta)
+            p = make_gaussian_noise(A_P, b_P, 1.0, 0.0)
             want = b_P - A_theta - nrm * z[0]
             size = np.abs(b_P) + A_size + nrm * np.abs(z[0])
+        got = p.step_form.direction((z,), 0, theta)
         assert (np.abs(got - want) <= ulps * np.spacing(size)).all()
 
 
@@ -576,42 +586,80 @@ class TestGaussianStepForm:
                     np.testing.assert_allclose(hat, ref_hat, rtol=1e-12)
 
     def test_key_names_the_direction(self):
-        # the key holds A_P, and b_P only when b is fixed; not the noise levels
+        # the key holds A_P and b_P, and with sigma_b > 0 the two noise scales
+        # its direction reads; with sigma_b = 0 it leaves out sigma_A
         A, b = FIG1_MEAN, np.ones(2)
 
         def key(*args):
             return make_gaussian_noise(*args).step_form.key
 
         assert key(A, b, 0.0, 0.0) == key(A, b, 2.0, 0.0) != key(A, 2 * b, 2.0, 0.0)
-        assert key(A, b, 0.0, 0.5) == key(A, 2 * b, 2.0, 1.0) != key(A, b, 2.0, 0.0)
-        assert key(A, b, 2.0, 0.5) != key(2 * A, b, 2.0, 0.5)
+        assert key(A, b, 2.0, 0.5) == key(A.copy(), b.copy(), 2.0, 0.5)
+        assert key(A, b, 0.0, 0.5) == key(A, b, 0.0, 0.5)
+        keys = [
+            key(A, b, 2.0, 0.5), key(A, 2 * b, 2.0, 0.5), key(A, b, 0.0, 0.5),
+            key(A, b, 5.0, 0.5), key(A, b, 2.0, 1.0), key(A, b, 2.0, 0.0),
+            key(2 * A, b, 2.0, 0.5),
+        ]
+        assert len(set(keys)) == len(keys)
 
     @pytest.mark.parametrize("d, alpha", [(2, 0.7), (5, 0.9), (32, 0.96)])
-    def test_runs_batch_across_intercepts_and_noise_levels(self, d, alpha):
-        # with sigma_b > 0 the key leaves out b_P and both noise levels, so
-        # these runs share one state, each row carrying its run's b_P and
-        # scales; theta* in [-1, 1]^d keeps one divergence bound.  With the
-        # sentinel at 100, rows of the sigma_A = 2 run diverge at scattered
-        # times, so the batch drops rows while others still step
+    def test_runs_of_one_problem_batch_with_intercept_noise(self, d, alpha):
+        # runs of one sigma_b > 0 problem that differ in alpha, seed and R
+        # share one state.  With the sentinel at 100, rows of the run at
+        # this alpha diverge at scattered times, so the batch drops rows
+        # while others still step
         rng = np.random.default_rng(d)
         A_P = np.eye(d) + np.triu(np.full((d, d), 0.5 / d), 1)
-        levels = [(0.0, 0.5, 0.1), (2.0, 0.5, alpha), (0.5, 1.5, 0.2)]
-        problems = [
-            make_gaussian_noise(A_P, A_P @ rng.uniform(-1, 1, d), sigma_A, sigma_b)
-            for sigma_A, sigma_b, _ in levels
-        ]
+        p = make_gaussian_noise(A_P, A_P @ rng.uniform(-1, 1, d), 2.0, 0.5)
         cfgs = [
-            RunConfig(alpha=alpha, horizon=600, record_stride=25, n_replications=6 + i, seed=i)
-            for i, (_, _, alpha) in enumerate(levels)
+            RunConfig(alpha=a, horizon=600, record_stride=25, n_replications=6 + i, seed=i)
+            for i, a in enumerate([0.1, alpha, 0.2])
         ]
         with mock.patch.object(engine, "DIVERGENCE_SENTINEL", 100):
-            curves = run_mse_many(problems, cfgs)
+            curves = run_mse_many([p] * len(cfgs), cfgs)
             n_div = curves[1].n_diverged
             assert ((0 < n_div) & (n_div < cfgs[1].n_replications)).any()
-            for p, cfg, curve in zip(problems, cfgs, curves, strict=True):
+            for cfg, curve in zip(cfgs, curves, strict=True):
                 alone = run_mse(p, cfg)
                 for name in ("mse", "stderr", "n_diverged"):
                     assert getattr(curve, name).tobytes() == getattr(alone, name).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 5, 32])
+    @pytest.mark.parametrize(
+        "other", [(-1.0, 2.0, 0.5), (1.0, 0.0, 0.5), (1.0, 2.0, 1.5), (1.0, 2.0, 0.0)],
+        ids=["b_P", "sigma_A", "sigma_b", "no-intercept-noise"],
+    )
+    def test_runs_of_different_intercepts_or_noise_levels_do_not_batch(self, d, other):
+        # with sigma_b > 0 the direction reads b_P and both noise scales from
+        # its closure, so runs whose problems differ in any of them would
+        # step with the first one's: the engine refuses them
+        A_P = np.eye(d) + np.triu(np.full((d, d), 0.5 / d), 1)
+        sign, sigma_A, sigma_b = other
+        problems = [
+            make_gaussian_noise(A_P, 0.5 * A_P @ np.ones(d), 2.0, 0.5),
+            make_gaussian_noise(A_P, 0.5 * sign * (A_P @ np.ones(d)), sigma_A, sigma_b),
+        ]
+        cfgs = [RunConfig(alpha=0.1, horizon=50, n_replications=2)] * 2
+        with pytest.raises(ValueError, match="step-form key"):
+            run_mse_many(problems, cfgs)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("sigma_A, sigma_b", [(0.0, 0.0), (2.0, 0.0), (0.0, 0.5), (2.0, 0.5)])
+    def test_draw_returns_one_block_of_normals(self, d, sigma_A, sigma_b):
+        # one float64 (n, d) array per draw: zeros with no noise, s z with
+        # matrix noise alone, and z itself with intercept noise
+        form = make_gaussian_noise(np.eye(d), np.ones(d), sigma_A, sigma_b).step_form
+        for n in (1, 7):
+            (x,) = form.draw(np.random.default_rng(n), n)
+            assert x.dtype == np.float64 and x.shape == (n, d)
+            z = np.random.default_rng(n).standard_normal((n, d))
+            if sigma_b:
+                assert np.array_equal(x, z)
+            elif sigma_A:
+                assert np.array_equal(x, sigma_A / math.sqrt(_mean_specnorm_sq_standard(d)) * z)
+            else:
+                assert not x.any()
 
     def test_runs_never_call_sample(self):
         for sigma_A in (0.0, 1.0):
@@ -649,7 +697,7 @@ class TestGaussianStepForm:
     def test_two_dimensional_direction_matches_gemv(self, exponent):
         # the column forms against gemv rows and a hypot norm: within 4 ulps
         # of the size of the terms they sum (over 3,000 random problems, 2.5
-        # measured with sigma_b = 0 and 3 with sigma_b > 0); a wrong sign or
+        # measured with sigma_b = 0 and 2 with sigma_b > 0); a wrong sign or
         # column of A_P is off by the size of a term
         assert_direction_matches_gemv(np.random.default_rng(19), 2, exponent, ulps=4)
 
@@ -667,7 +715,7 @@ class TestGaussianStepForm:
     def test_direction_matches_gemv_and_hypot(self, d):
         # states of random size from 1e-300 to 1e150; over 3,000 random
         # problems, 6 ulps measured at d = 32 and 2 at d = 3 and 5 with
-        # sigma_b = 0, and 7 and 4 with sigma_b > 0.  A norm taken through
+        # sigma_b = 0, and 5 and 3 with sigma_b > 0.  A norm taken through
         # subnormal squares is off by up to the whole noise term
         assert_direction_matches_gemv(np.random.default_rng(d), d, None, ulps=8)
 

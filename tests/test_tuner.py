@@ -184,6 +184,17 @@ class TestTune:
                 TunerConfig(alpha_max=1.0, **{name: value})
         assert TunerConfig(alpha_max=1.0, k=np.int64(2)).k == 2
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"k": 0}, "k=0 must be at least 1"),
+        ({"T": -1}, "T=-1 must be at least 1"),
+        ({"horizon": -3}, "horizon=-3 must be at least 1"),
+        ({"horizon": 10}, r"horizon=10 must exceed k\*T = 10 \(k=2, T=5\)"),
+        ({"k": 32}, r"horizon=160 must exceed k\*T = 160 \(k=32, T=5\)"),
+    ])
+    def test_counts_out_of_range_name_their_value_and_bound(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TunerConfig(alpha_max=1.0, **kwargs)
+
 
 class TestExperimentFamily:
     def test_final_alpha_within_factor_of_certificate(self):
