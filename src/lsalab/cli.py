@@ -22,16 +22,18 @@ GTD2, TD(0) and the Fig. 1 problems the exact MSE falls far below it.
 
 Exit codes: 0 success, 2 validation/regime errors (among them ``simulate``
 on a problem with a singular mean matrix: "problem has no fixed point
-(singular mean matrix)"), 3 no usable result: the tuner found no stable
-step-size, or ``simulate``'s MSE at the horizon is +inf, because every
-replication diverged or because a surviving one's squared error overflows
-(a far --theta0; the message names which).
+(singular mean matrix)", and a path that cannot be read or written, such as
+a directory given as --problem or an --out under a file), 3 no usable
+result: the tuner found no stable step-size, or ``simulate``'s MSE at the
+horizon is +inf, because every replication diverged or because a surviving
+one's squared error overflows (a far --theta0; the message names which).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -42,7 +44,7 @@ import numpy as np
 from . import __version__
 from .bounds import bound_curve, bound_inputs_for
 from .engine import RunConfig, run_mse, run_mse_many
-from .problem_io import _array, load_problem_file, td_instance_from_dict
+from .problem_io import _array, _parse_json, load_problem_file, td_instance_from_dict
 from .problems import ProblemDistribution, _check_integer, make_gaussian_noise
 from .spectral import (
     NotPositiveDefiniteError,
@@ -75,14 +77,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, header: list[str], rows, invocation: str) -> None:
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``, making its parent directories."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(f"# {invocation}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    path.write_text(text)
+
+
+def _write_csv(path, header: list[str], rows, invocation: str) -> None:
+    """The header and rows as CSV lines: written to ``path`` after a
+    provenance comment naming ``invocation``, or printed when ``path`` is None."""
+    lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
+    if path is None:
+        print("\n".join(lines))
+    else:
+        _write_text(path, "\n".join([f"# {invocation}", *lines]) + "\n")
 
 
 def _invocation(args: argparse.Namespace) -> str:
@@ -120,7 +129,7 @@ def _parse_grid(spec: str, integer: bool = False) -> np.ndarray:
 def _theta0_of(args, default=None) -> np.ndarray | None:
     """--theta0 read as problem files read an array (ValueError naming
     ``theta0``), or ``default`` when omitted."""
-    return _array(json.loads(args.theta0), "theta0") if args.theta0 else default
+    return _array(_parse_json(args.theta0, "theta0"), "theta0") if args.theta0 else default
 
 
 def _seed_of(args, p: ProblemDistribution) -> int:
@@ -145,12 +154,7 @@ def _cmd_rho(args) -> int:
             (rep.alpha, rep.rho_d, rep.rho_s, rep.contraction_factor_s, rep.contraction_factor_d)
         )
     header = ["alpha", "rho_d", "rho_s", "contraction_s", "contraction_d"]
-    if args.out:
-        _write_csv(args.out, header, rows, _invocation(args))
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(x) for x in row))
+    _write_csv(args.out or None, header, rows, _invocation(args))
     return 0
 
 
@@ -240,8 +244,7 @@ def _cmd_tune(args) -> int:
         ],
     }
     if args.out_json:
-        Path(args.out_json).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out_json).write_text(json.dumps(payload, indent=2) + "\n")
+        _write_text(args.out_json, json.dumps(payload, indent=2) + "\n")
     else:
         print(json.dumps({k: payload[k] for k in ("final_alpha", "n_halvings")}, indent=2))
     if args.out_csv:
@@ -251,13 +254,11 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_td(args) -> int:
-    with open(args.mdp) as fh:
-        mdp_spec = json.load(fh)
     spec = {
         "type": "td_mdp",
         "algo": args.algo,
         "eta": args.eta,
-        "mdp": mdp_spec,
+        "mdp": _parse_json(Path(args.mdp).read_bytes(), args.mdp),
     }
     if args.seed is not None:
         spec["seed"] = args.seed
@@ -275,8 +276,7 @@ def _cmd_td(args) -> int:
         "sigma_b_sq": m.sigma_b_sq,
     }
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(json.dumps(spec, indent=2) + "\n")
+        _write_text(args.out, json.dumps(spec, indent=2) + "\n")
     print(json.dumps(summary, indent=2))
     if not instance.hurwitz:
         print("warning: mean update matrix is not Hurwitz", file=sys.stderr)
@@ -421,9 +421,7 @@ def repro_fig1(
         rows.append([int(t)] + [curves[s].mse[i] for s in FIG1_SIGMAS if s in curves])
     _write_csv(out_dir / "fig1_right.csv", header, rows, invocation)
 
-    with open(out_dir / "fig1_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(out_dir / "fig1_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     return summary
 
@@ -445,56 +443,42 @@ def _cmd_repro_fig1(args) -> int:
 # --- argument parsing ---------------------------------------------------------
 
 
-#: the subcommands, in the order the parser lists them
-_SUBCOMMANDS = ("rho", "transform", "simulate", "bound", "tune", "td", "repro-fig1")
-
-
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``lsalab`` parser: of every subcommand when ``command`` is None,
-    else of ``command`` alone.
-
-    Parsing arguments that start with ``command`` never reads the other
-    subcommands' parsers, and the one message of the top-level parser it
-    can print (unrecognized arguments) names them only in the usage line,
-    which the metavar spells as argparse spells the full choice list.
-    """
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The ``lsalab`` parser of every subcommand, built once per process, on
+    the first ``main`` call rather than at import."""
     ap = argparse.ArgumentParser(
         prog="lsalab",
         description="constant step-size stochastic approximation lab",
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def subcommand(name: str, **kwargs) -> argparse.ArgumentParser | None:
-        """``name``'s parser, added when it is to be built."""
-        return sub.add_parser(name, **kwargs) if command in (None, name) else None
+    sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
         sp.add_argument("--problem", required=True, help="problem JSON file")
         sp.add_argument("--seed", type=int, default=None)
 
-    if sp := subcommand("rho", help="spectral gaps of the transformed problem on a step-size grid"):
-        add_common(sp)
-        sp.add_argument("--alpha-grid", required=True, help="a0:a1:n[:log]")
-        sp.add_argument("--out", help="CSV output path (stdout when omitted)")
-        sp.set_defaults(func=_cmd_rho)
+    sp = sub.add_parser("rho", help="spectral gaps of the transformed problem on a step-size grid")
+    add_common(sp)
+    sp.add_argument("--alpha-grid", required=True, help="a0:a1:n[:log]")
+    sp.add_argument("--out", help="CSV output path (stdout when omitted)")
+    sp.set_defaults(func=_cmd_rho)
 
-    if sp := subcommand("transform", help="PD-certifying similarity report"):
-        add_common(sp)
-        sp.set_defaults(func=_cmd_transform)
+    sp = sub.add_parser("transform", help="PD-certifying similarity report")
+    add_common(sp)
+    sp.set_defaults(func=_cmd_transform)
 
-    if sp := subcommand("simulate", help="Monte Carlo MSE of the averaged iterate"):
-        add_common(sp)
-        sp.add_argument("--alpha", type=float, required=True)
-        sp.add_argument("--horizon", type=int, required=True)
-        sp.add_argument("--reps", type=int, default=100)
-        sp.add_argument("--stride", type=int, default=25)
-        sp.add_argument("--theta0", help="initial iterate as a JSON array")
-        sp.add_argument("--out", required=True, help="CSV output path")
-        sp.set_defaults(func=_cmd_simulate)
+    sp = sub.add_parser("simulate", help="Monte Carlo MSE of the averaged iterate")
+    add_common(sp)
+    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--horizon", type=int, required=True)
+    sp.add_argument("--reps", type=int, default=100)
+    sp.add_argument("--stride", type=int, default=25)
+    sp.add_argument("--theta0", help="initial iterate as a JSON array")
+    sp.add_argument("--out", required=True, help="CSV output path")
+    sp.set_defaults(func=_cmd_simulate)
 
-    if sp := subcommand(
+    sp = sub.add_parser(
         "bound",
         help="closed-form MSE envelopes",
         description="Closed-form MSE envelopes of the averaged iterate.  'upper' "
@@ -502,42 +486,42 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "envelope, sharp only on the constant-diagonal family and no lower "
         "bound for this problem (on GTD2, TD(0) and Fig. 1 problems the exact "
         "MSE falls far below it).",
-    ):
-        add_common(sp)
-        sp.add_argument("--alpha", type=float, required=True)
-        sp.add_argument("--t-grid", required=True, help="t0:t1:n[:log]")
-        sp.add_argument("--theta0", help="initial iterate as a JSON array")
-        sp.add_argument("--out", required=True, help="CSV output path")
-        sp.set_defaults(func=_cmd_bound)
+    )
+    add_common(sp)
+    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--t-grid", required=True, help="t0:t1:n[:log]")
+    sp.add_argument("--theta0", help="initial iterate as a JSON array")
+    sp.add_argument("--out", required=True, help="CSV output path")
+    sp.set_defaults(func=_cmd_bound)
 
-    if sp := subcommand("tune", help="automatic step-size halving"):
-        add_common(sp)
-        sp.add_argument("--alpha-max", type=float, required=True)
-        sp.add_argument("--k", type=int, default=2)
-        sp.add_argument("--T", type=int, default=5)
-        sp.add_argument("--c", type=float, default=1.025)
-        sp.add_argument("--horizon", type=int, default=160)
-        sp.add_argument("--theta0", help="initial iterate as a JSON array")
-        sp.add_argument("--out-json", help="trace JSON output path")
-        sp.add_argument("--out-csv", help="halving-events CSV output path")
-        sp.set_defaults(func=_cmd_tune)
+    sp = sub.add_parser("tune", help="automatic step-size halving")
+    add_common(sp)
+    sp.add_argument("--alpha-max", type=float, required=True)
+    sp.add_argument("--k", type=int, default=2)
+    sp.add_argument("--T", type=int, default=5)
+    sp.add_argument("--c", type=float, default=1.025)
+    sp.add_argument("--horizon", type=int, default=160)
+    sp.add_argument("--theta0", help="initial iterate as a JSON array")
+    sp.add_argument("--out-json", help="trace JSON output path")
+    sp.add_argument("--out-csv", help="halving-events CSV output path")
+    sp.set_defaults(func=_cmd_tune)
 
-    if sp := subcommand("td", help="materialize a TD instance as a problem file"):
-        sp.add_argument("--mdp", required=True, help="MDP JSON file")
-        sp.add_argument("--algo", choices=["td0", "gtd", "gtd2"], default="td0")
-        sp.add_argument("--eta", type=float, default=1.0)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", help="problem JSON output path")
-        sp.set_defaults(func=_cmd_td)
+    sp = sub.add_parser("td", help="materialize a TD instance as a problem file")
+    sp.add_argument("--mdp", required=True, help="MDP JSON file")
+    sp.add_argument("--algo", choices=["td0", "gtd", "gtd2"], default="td0")
+    sp.add_argument("--eta", type=float, default=1.0)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--out", help="problem JSON output path")
+    sp.set_defaults(func=_cmd_td)
 
-    if sp := subcommand("repro-fig1", help="tuning experiment across noise levels"):
-        sp.add_argument("--out-dir", required=True)
-        sp.add_argument("--seeds", type=int, default=10)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tune-horizon", type=int, default=160)
-        sp.add_argument("--horizon", type=int, default=50_000)
-        sp.add_argument("--reps", type=int, default=100)
-        sp.set_defaults(func=_cmd_repro_fig1)
+    sp = sub.add_parser("repro-fig1", help="tuning experiment across noise levels")
+    sp.add_argument("--out-dir", required=True)
+    sp.add_argument("--seeds", type=int, default=10)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--tune-horizon", type=int, default=160)
+    sp.add_argument("--horizon", type=int, default=50_000)
+    sp.add_argument("--reps", type=int, default=100)
+    sp.set_defaults(func=_cmd_repro_fig1)
 
     return ap
 
@@ -545,18 +529,15 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a first argument naming a subcommand is the one parsed: only its
-    # parser is built; anything else (help, version, an error) gets all
-    ap = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     args._raw_argv = list(argv)
     try:
         if args.seed is not None:  # every subcommand takes --seed
             _check_integer(args.seed, "seed", seed=True)
         return args.func(args)
     # ValueError covers NotHurwitzError, NotPositiveDefiniteError and
-    # CertifiedRegimeError
-    except (ValueError, TransformFailedError, FileNotFoundError, KeyError) as exc:
+    # CertifiedRegimeError; OSError a path that cannot be read or written
+    except (ValueError, TransformFailedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (DivergedError, NoStableStepSizeError) as exc:

@@ -37,7 +37,10 @@ boolean or a negative number raises ValueError naming ``seed``.  The file,
 vector (``A``, ``b``, an atom's ``b`` and ``A``, the MDP's ``features``,
 ``transitions``, ``rewards``, ``sampling`` and ``behavior_transitions``) a
 JSON array of numbers of a regular shape, else ValueError.  A boolean is not
-a number.
+a number.  A missing required field raises ValueError naming the object and
+the field ("problem has no field 'A'", "atoms[0] has no field 'p'", "mdp
+has no field 'discount'"), a file that is not JSON one naming its path, and
+a mean ``A`` or MDP ``features`` that is not a matrix (2-D) one naming it.
 """
 
 from __future__ import annotations
@@ -60,6 +63,23 @@ def _object(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be a JSON object")
     return value
+
+
+def _field(obj: dict, key: str, name: str):
+    """obj[key]; ValueError naming the object ``name`` and the field when missing."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"{name} has no field {key!r}") from None
+
+
+def _parse_json(text: str | bytes, name: str):
+    """The JSON value of ``text``, or of a file's bytes in UTF-8, -16 or -32;
+    ValueError naming ``name`` when it does not parse."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError of bytes
+        raise ValueError(f"{name} is not valid JSON: {exc}") from None
 
 
 def _number(value, name: str) -> float:
@@ -94,8 +114,8 @@ def mdp_from_dict(spec: dict) -> SyntheticMdp:
     omitted or null.  Array fields must be JSON arrays of numbers;
     ``SyntheticMdp`` checks their shapes and values."""
     spec = _object(spec, "mdp")
-    fields = {k: _array(spec[k], k) for k in ("features", "transitions", "rewards")}
-    fields["discount"] = _number(spec["discount"], "discount")
+    fields = {k: _array(_field(spec, k, "mdp"), k) for k in ("features", "transitions", "rewards")}
+    fields["discount"] = _number(_field(spec, "discount", "mdp"), "discount")
     for k in ("sampling", "behavior_transitions"):
         if spec.get(k) is not None:
             fields[k] = _array(spec[k], k)
@@ -108,26 +128,27 @@ def load_problem(spec: dict) -> ProblemDistribution:
     """Build a ProblemDistribution from a problem-file dictionary."""
     kind = _object(spec, "problem").get("type")
     if kind == "finite":
-        if not isinstance(spec["atoms"], list):
+        if not isinstance(_field(spec, "atoms", "problem"), list):
             raise ValueError("atoms must be a JSON array")
         atoms = []
         for i, a in enumerate(spec["atoms"]):
             a = _object(a, f"atoms[{i}]")
-            b, A = (_array(a[k], f"atoms[{i}].{k}") for k in ("b", "A"))
-            atoms.append(((b, A), _number(a["p"], f"atoms[{i}].p")))
+            b, A, p = (_field(a, k, f"atoms[{i}]") for k in ("b", "A", "p"))
+            b, A = _array(b, f"atoms[{i}].b"), _array(A, f"atoms[{i}].A")
+            atoms.append(((b, A), _number(p, f"atoms[{i}].p")))
         p = make_finite_support(atoms, label=spec.get("label", "finite"))
     elif kind == "gaussian":
         p = make_gaussian_noise(
-            _array(spec["A"], "A"),
-            _array(spec["b"], "b"),
+            _array(_field(spec, "A", "problem"), "A"),
+            _array(_field(spec, "b", "problem"), "b"),
             _number(spec.get("sigma_A", 0.0), "sigma_A"),
             _number(spec.get("sigma_b", 0.0), "sigma_b"),
             label=spec.get("label"),
         )
     elif kind == "lower_bound":
         p = make_lower_bound_instance(
-            _number(spec["lambda_min"], "lambda_min"),
-            _number(spec["lambda_max"], "lambda_max"),
+            _number(_field(spec, "lambda_min", "problem"), "lambda_min"),
+            _number(_field(spec, "lambda_max", "problem"), "lambda_max"),
             _number(spec.get("sigma_b", 0.0), "sigma_b"),
         )
     elif kind == "td_mdp":
@@ -143,7 +164,7 @@ def load_problem(spec: dict) -> ProblemDistribution:
 
 
 def td_instance_from_dict(spec: dict) -> TdInstance:
-    mdp = mdp_from_dict(spec["mdp"])
+    mdp = mdp_from_dict(_field(spec, "mdp", "problem"))
     algo = spec.get("algo", "td0")
     if algo == "td0":
         return td0_instance(mdp)
@@ -153,6 +174,6 @@ def td_instance_from_dict(spec: dict) -> TdInstance:
 
 
 def load_problem_file(path) -> ProblemDistribution:
-    """Load a problem from a JSON file path."""
-    with open(Path(path)) as fh:
-        return load_problem(json.load(fh))
+    """Load a problem from a JSON file path; ValueError naming the path
+    when the file is not JSON."""
+    return load_problem(_parse_json(Path(path).read_bytes(), str(path)))

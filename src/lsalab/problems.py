@@ -289,7 +289,7 @@ def make_finite_support(atoms, label: str = "finite") -> ProblemDistribution:
     if np.any(probs < 0):
         raise ValueError("atom probabilities must be nonnegative")
     if abs(probs.sum() - 1.0) > 1e-12:
-        raise ValueError(f"atom probabilities sum to {probs.sum()!r}, not 1")
+        raise ValueError(f"atom probabilities sum to {float(probs.sum())!r}, not 1")
     d = bs[0].shape[0]
     for b, A in zip(bs, As):
         if b.shape != (d,) or A.shape != (d, d):
@@ -538,7 +538,8 @@ def make_gaussian_noise(
     Exact moments carry C_P = A_P^T A_P + s^2 d I, where s is the entry scale:
     for i.i.d. entries E[M^T M] = s^2 d I.  Raises ValueError on a negative
     or non-finite noise magnitude, on non-finite entries of A_P or b_P, and
-    on shapes that do not match.
+    on shapes that do not match: A_P must be a square matrix (2-D), b_P a
+    vector of its size.
 
     The engine steps this family matrix-free: M_t and N_t are independent
     of theta_{t-1}, so given theta, N_t - M_t theta has exactly the law of
@@ -568,8 +569,8 @@ def make_gaussian_noise(
     if not (0 <= sigma_A < math.inf and 0 <= sigma_b < math.inf):
         raise ValueError("noise magnitudes must be finite and nonnegative")
     A_P = np.atleast_2d(np.asarray(A_P, dtype=float))
-    if A_P.shape[0] != A_P.shape[1]:
-        raise ValueError("A_P must be square")
+    if A_P.ndim != 2 or A_P.shape[0] != A_P.shape[1]:
+        raise ValueError(f"A_P must be a square matrix, not of shape {A_P.shape}")
     d = A_P.shape[0]
     b_P = np.atleast_1d(np.asarray(b_P, dtype=float))
     if b_P.shape != (d,):

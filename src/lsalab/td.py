@@ -84,7 +84,8 @@ class SyntheticMdp:
     ``reward_noise_std`` adds zero-mean Gaussian noise per draw.
 
     Construction converts every input to float (arrays, discount and noise
-    level) and raises ValueError on a non-finite entry, a wrong shape, rows
+    level) and raises ValueError on a non-finite entry, a wrong shape (features
+    that are not a matrix among them), rows
     that are not distributions, a discount outside [0, 1), a negative noise
     level or features without full column rank.
     """
@@ -99,6 +100,8 @@ class SyntheticMdp:
 
     def __post_init__(self):
         feats = np.atleast_2d(np.asarray(self.features, dtype=float))
+        if feats.ndim != 2:
+            raise ValueError(f"features must be a matrix, not of shape {feats.shape}")
         _check_finite(features=feats)
         n = feats.shape[0]
         P = _stochastic("transitions", self.transitions, n)

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -32,7 +33,6 @@ from lsalab.cli import (
     EXIT_DIVERGED,
     EXIT_VALIDATION,
     FIG1_SIGMAS,
-    _SUBCOMMANDS,
     _build_parser,
     _median,
     _parse_grid,
@@ -44,6 +44,9 @@ from lsalab.cli import (
 from lsalab.problem_io import mdp_from_dict
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
+
+#: the subcommands, in the order the parser lists them
+SUBCOMMANDS = ("rho", "transform", "simulate", "bound", "tune", "td", "repro-fig1")
 
 
 def write_mdp(path, off_policy):
@@ -164,6 +167,24 @@ NOT_NUMBERS = "must be a JSON array of numbers"
         pytest.param("transform",
                      {"type": "td_mdp", "mdp": {**MDP, "behavior_transitions": [[0.5, 0.5], [1.0]]}},
                      f"behavior_transitions {NOT_NUMBERS} of a regular shape", id="behavior-ragged"),
+        # a missing required field names the object and the field, not a bare key
+        pytest.param("transform", {"type": "gaussian", "b": [1.0, 1.0]}, "problem has no field 'A'",
+                     id="gaussian-without-A"),
+        pytest.param("transform", {"type": "gaussian", "A": [[1.0]]}, "problem has no field 'b'",
+                     id="gaussian-without-b"),
+        pytest.param("transform", {"type": "finite"}, "problem has no field 'atoms'",
+                     id="finite-without-atoms"),
+        pytest.param("transform", {"type": "finite", "atoms": [{"b": [1.0], "A": [[1.0]]}]},
+                     "atoms[0] has no field 'p'", id="atom-without-p"),
+        pytest.param("transform", {"type": "lower_bound", "lambda_max": 2.0},
+                     "problem has no field 'lambda_min'", id="lower-bound-without-lambda_min"),
+        pytest.param("transform", {"type": "td_mdp"}, "problem has no field 'mdp'", id="td-without-mdp"),
+        pytest.param("transform", {"type": "td_mdp", "mdp": {k: v for k, v in MDP.items() if k != "discount"}},
+                     "mdp has no field 'discount'", id="mdp-without-discount"),
+        pytest.param("td", GAUSSIAN, "mdp has no field 'features'", id="td-of-a-gaussian-file"),
+        # the sum is printed as a plain float, not np.float64(0.9)
+        pytest.param("transform", {"type": "finite", "atoms": [{**ATOM, "p": 0.9}]},
+                     "error: atom probabilities sum to 0.9, not 1\n", id="probabilities-sum"),
     ],
 )
 def test_malformed_file_exits_2(command, spec, message, tmp_path, capsys):
@@ -172,6 +193,51 @@ def test_malformed_file_exits_2(command, spec, message, tmp_path, capsys):
     flag = "--mdp" if command == "td" else "--problem"
     assert main([command, flag, str(path)]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        pytest.param({"type": "gaussian", "A": [[[1.0]]], "b": [1.0]},
+                     "A_P must be a square matrix, not of shape (1, 1, 1)", id="gaussian-A"),
+        pytest.param({"type": "td_mdp", "mdp": {**MDP, "features": [[[1.0]], [[0.5]]]}},
+                     "features must be a matrix, not of shape (2, 1, 1)", id="td-features"),
+    ],
+)
+@pytest.mark.parametrize("command", ["transform", "simulate", "tune"])
+def test_one_extra_level_of_nesting_exits_2(command, spec, message, tmp_path, capsys):
+    # a 3-D mean was read as 1 x 1 (simulate and tune exited 0, transform
+    # raised a TypeError), and 3-D features failed inside matrix_rank
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    args = {
+        "transform": [],
+        "simulate": ["--alpha", "0.01", "--horizon", "30", "--stride", "10",
+                     "--out", str(tmp_path / "out.csv")],
+        "tune": ["--alpha-max", "1", "--out-json", str(tmp_path / "out.json")],
+    }[command]
+    assert main([command, "--problem", str(path), *args]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.json"]
+
+
+@pytest.mark.parametrize("source", ["theta0", "problem", "mdp", "problem-not-utf-8"])
+def test_json_that_does_not_parse_names_its_source(source, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_bytes(b"\xff{}" if source == "problem-not-utf-8" else b"nope")
+    argv = {
+        "theta0": ["simulate", "--problem", str(PROBLEMS / "td0_onpolicy.json"), "--theta0", "nope",
+                   "--alpha", "0.01", "--horizon", "30", "--out", str(tmp_path / "out.csv")],
+        "problem": ["transform", "--problem", str(path)],
+        "mdp": ["td", "--mdp", str(path)],
+        "problem-not-utf-8": ["transform", "--problem", str(path)],
+    }[source]
+    assert main(argv) == EXIT_VALIDATION
+    name = "theta0" if source == "theta0" else str(path)
+    reason = ("'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+              if source == "problem-not-utf-8" else "Expecting value: line 1 column 1 (char 0)")
+    assert capsys.readouterr().err == f"error: {name} is not valid JSON: {reason}\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.json"]
 
 
 def test_all_diverged_simulate_exits_3(td_problem, tmp_path, capsys):
@@ -711,8 +777,8 @@ MISSING_ARGUMENT = {
 @pytest.mark.parametrize(
     "argv",
     [["--help"], ["-h"], ["--version"], ["--vers"], [], ["bogus"], ["--", "bogus"], ["--bogus"]]
-    + [[c, "--help"] for c in _SUBCOMMANDS]
-    + [[c, *MISSING_ARGUMENT[c]] for c in _SUBCOMMANDS]
+    + [[c, "--help"] for c in SUBCOMMANDS]
+    + [[c, *MISSING_ARGUMENT[c]] for c in SUBCOMMANDS]
     # an unknown option and a missing value: the top-level parser and the
     # subparser report them, each with its own usage line
     + [["rho", "--problem", "p.json", "--alpha-grid", "1:2:2", "--bogus"], ["rho", "--problem"],
@@ -733,7 +799,7 @@ def test_top_level_help_lists_every_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "{" + ",".join(_SUBCOMMANDS) + "}" in capsys.readouterr().out
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", ["td0_onpolicy", "gtd2_offpolicy"])
@@ -881,3 +947,127 @@ def test_simulate_and_tune_flags_exit_0_or_2_and_write_nothing_on_2(case):
             assert code == EXIT_VALIDATION
             assert re.search(r"\b(%s)=" % "|".join(names), err), err
             assert os.listdir(root) == []
+
+
+def test_one_parser_per_process():
+    # every call parses with the one parser of every subcommand
+    assert not inspect.signature(_build_parser).parameters
+    assert _build_parser() is _build_parser()
+
+
+@pytest.mark.parametrize("case", ["tune-problem-dir", "td-mdp-dir", "simulate-out-under-file",
+                                  "repro-fig1-out-dir-file"])
+def test_unreadable_or_unwritable_path_exits_2(case, tmp_path):
+    # a directory read as a file, or a file's path used as a directory: exit
+    # 2 with one error line, leaving the path as it was
+    tmp_path.joinpath("dir").mkdir()
+    file = tmp_path / "file"
+    file.write_text("kept\n")
+    argv = {
+        "tune-problem-dir": ["tune", "--problem", str(tmp_path / "dir"), "--alpha-max", "1"],
+        "td-mdp-dir": ["td", "--mdp", str(tmp_path / "dir")],
+        "simulate-out-under-file": ["simulate", "--problem", str(PROBLEMS / "td0_onpolicy.json"),
+                                    "--alpha", "0.01", "--horizon", "30", "--reps", "2",
+                                    "--stride", "10", "--out", str(file / "x.csv")],
+        "repro-fig1-out-dir-file": ["repro-fig1", "--out-dir", str(file), "--seeds", "1",
+                                    "--horizon", "25", "--reps", "2"],
+    }[case]
+    code, err = main_quietly(argv)
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert sorted(os.listdir(tmp_path)) == ["dir", "file"]
+    assert os.listdir(tmp_path / "dir") == []
+    assert file.read_text() == "kept\n"
+
+
+#: one valid file of each problem type, of small size
+VALID_FILES = {
+    "gaussian": {"type": "gaussian", "A": [[1.0, -2.0], [2.0, 1.0]], "b": [1.0, 0.5],
+                 "sigma_A": 0.5, "sigma_b": 0.5, "seed": 1},
+    "finite": {"type": "finite", "atoms": [{**ATOM, "p": 0.5}, {"b": [0.0, 1.0], "A": [[2.0, 0.0], [0.0, 1.0]],
+                                                                 "p": 0.5}],
+               "label": "two atoms", "seed": 1},
+    "lower_bound": {"type": "lower_bound", "lambda_min": 1.0, "lambda_max": 2.0, "sigma_b": 1.0, "seed": 1},
+    "td_mdp": {"type": "td_mdp", "algo": "gtd2", "eta": 1.0, "seed": 1,
+               "mdp": {**MDP, "sampling": [0.5, 0.5], "behavior_transitions": [[0.5, 0.5], [0.5, 0.5]],
+                       "reward_noise_std": 0.1}},
+}
+
+
+def nest(value):
+    """value with one more level of nesting at the bottom: each number (or
+    other non-array) x becomes [x], so a regular array of shape s gets
+    shape s + (1,)."""
+    return [nest(v) for v in value] if isinstance(value, list) else [value]
+
+
+#: a field's replacements: a value of each other JSON kind, and more nesting
+REPLACEMENTS = {
+    "string": lambda v: "x", "bool": lambda v: True, "null": lambda v: None,
+    "object": lambda v: {"a": 1}, "number": lambda v: 0.5, "empty-list": lambda v: [],
+    "nested": nest, "wrapped": lambda v: [v],
+}
+
+
+def mutations(node, path=()):
+    """(path, mutation) pairs of a JSON tree: a field is dropped or replaced,
+    an array entry replaced, and a number also replaced by NaN or Infinity."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,), "drop"
+            yield from mutations(value, path + (key,))
+        return
+    if path:
+        yield from ((path, name) for name in REPLACEMENTS)
+    if isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from mutations(value, path + (i,))
+    elif isinstance(node, float):
+        yield from ((path, name) for name in ("nan", "inf"))
+
+
+def mutated(spec, path, mutation):
+    """A deep copy of spec with ``mutation`` applied at ``path``."""
+    spec = json.loads(json.dumps(spec))
+    *parents, last = path
+    node = spec
+    for key in parents:
+        node = node[key]
+    if mutation == "drop":
+        del node[last]
+    elif mutation in REPLACEMENTS:
+        node[last] = REPLACEMENTS[mutation](node[last])
+    else:
+        node[last] = float(mutation)  # NaN or Infinity
+    return spec
+
+
+MUTATIONS = [(kind, path, m) for kind, spec in VALID_FILES.items() for path, m in mutations(spec)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MUTATIONS))
+@example(("gaussian", ("A",), "drop"))
+@example(("gaussian", ("A",), "nested"))
+@example(("finite", ("atoms", 0, "p"), "drop"))
+@example(("finite", ("atoms", 0, "p"), "number"))
+@example(("td_mdp", ("mdp", "discount"), "drop"))
+@example(("td_mdp", ("mdp", "features"), "nested"))
+def test_mutated_problem_files_exit_0_or_2_and_write_nothing_on_2(case):
+    # one valid file per type, one field dropped or replaced or one entry made
+    # NaN or Infinity: transform and a 30-step simulate exit 0, or 2 with a
+    # message that names what is wrong (not a bare key) and no CSV written;
+    # never a traceback or a RuntimeWarning.  Structure only: magnitudes
+    # such as 1e300 are not generated.
+    kind, path, mutation = case
+    with tempfile.TemporaryDirectory() as root:
+        problem = Path(root) / "p.json"
+        problem.write_text(json.dumps(mutated(VALID_FILES[kind], path, mutation)))
+        out = Path(root) / "out.csv"
+        for argv in (["transform"], ["simulate", "--alpha", "0.01", "--horizon", "30", "--reps", "2",
+                                     "--stride", "10", "--out", str(out)]):
+            code, err = main_quietly([argv[0], "--problem", str(problem), *argv[1:]])
+            assert code in (0, EXIT_VALIDATION), err
+            if code == EXIT_VALIDATION:
+                assert re.fullmatch(r"error: .+\n", err) and not re.fullmatch(r"error: '\w*'\n", err), err
+                assert not out.exists()
