@@ -5,7 +5,7 @@ the reported output is the running average hat_theta_t = mean(theta_0..theta_t),
 maintained incrementally as hat += (theta - hat)/(t+1).
 
 Replications are vectorized: all replication states advance together in
-(R, d) arrays through one step kernel (``_advance``, which the tuner shares),
+(R, d) arrays through one step kernel (``_advance``, which tuner rows share),
 while each replication consumes its own spawned random stream, so results are
 bit-identical whether replications run singly or batched.  Steps are drawn
 and applied through the problem's ``StepForm``; the engine never calls

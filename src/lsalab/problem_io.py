@@ -36,11 +36,13 @@ boolean or a negative number raises ValueError naming ``seed``.  The file,
 (``sigma_A``, ``p``, ``eta``, ``discount``, ...) a number and every matrix or
 vector (``A``, ``b``, an atom's ``b`` and ``A``, the MDP's ``features``,
 ``transitions``, ``rewards``, ``sampling`` and ``behavior_transitions``) a
-JSON array of numbers of a regular shape, else ValueError.  A boolean is not
-a number.  A missing required field raises ValueError naming the object and
-the field ("problem has no field 'A'", "atoms[0] has no field 'p'", "mdp
+JSON array of numbers of a regular shape, and ``label`` a string, else
+ValueError; an empty or null ``label`` keeps the family's own.  A boolean is
+not a number.  A missing required field raises ValueError naming the object
+and the field ("problem has no field 'A'", "atoms[0] has no field 'p'", "mdp
 has no field 'discount'"), a file that is not JSON one naming its path, and
-a mean ``A`` or MDP ``features`` that is not a matrix (2-D) one naming it.
+a mean ``A`` or MDP ``features`` that is not a matrix (2-D) one naming it,
+with the shape the file gives.
 """
 
 from __future__ import annotations
@@ -127,6 +129,9 @@ def mdp_from_dict(spec: dict) -> SyntheticMdp:
 def load_problem(spec: dict) -> ProblemDistribution:
     """Build a ProblemDistribution from a problem-file dictionary."""
     kind = _object(spec, "problem").get("type")
+    label = spec.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ValueError(f"label must be a string, not {label!r}")
     if kind == "finite":
         if not isinstance(_field(spec, "atoms", "problem"), list):
             raise ValueError("atoms must be a JSON array")
@@ -136,14 +141,13 @@ def load_problem(spec: dict) -> ProblemDistribution:
             b, A, p = (_field(a, k, f"atoms[{i}]") for k in ("b", "A", "p"))
             b, A = _array(b, f"atoms[{i}].b"), _array(A, f"atoms[{i}].A")
             atoms.append(((b, A), _number(p, f"atoms[{i}].p")))
-        p = make_finite_support(atoms, label=spec.get("label", "finite"))
+        p = make_finite_support(atoms)
     elif kind == "gaussian":
         p = make_gaussian_noise(
             _array(_field(spec, "A", "problem"), "A"),
             _array(_field(spec, "b", "problem"), "b"),
             _number(spec.get("sigma_A", 0.0), "sigma_A"),
             _number(spec.get("sigma_b", 0.0), "sigma_b"),
-            label=spec.get("label"),
         )
     elif kind == "lower_bound":
         p = make_lower_bound_instance(
@@ -158,8 +162,8 @@ def load_problem(spec: dict) -> ProblemDistribution:
         raise ValueError(f"unknown problem type {kind!r}")
     if spec.get("seed") is not None:
         p = dataclasses.replace(p, seed=spec["seed"])
-    if spec.get("label"):
-        p = dataclasses.replace(p, label=spec["label"])
+    if label:
+        p = dataclasses.replace(p, label=label)
     return p
 
 

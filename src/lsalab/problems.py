@@ -283,7 +283,7 @@ def make_finite_support(atoms, label: str = "finite") -> ProblemDistribution:
     probs = []
     for (b, A), p in atoms:
         bs.append(np.atleast_1d(np.asarray(b)))
-        As.append(np.atleast_2d(np.asarray(A)))
+        As.append(np.asarray(A))
         probs.append(float(p))
     probs = np.asarray(probs, dtype=float)
     if np.any(probs < 0):
@@ -568,7 +568,7 @@ def make_gaussian_noise(
     """
     if not (0 <= sigma_A < math.inf and 0 <= sigma_b < math.inf):
         raise ValueError("noise magnitudes must be finite and nonnegative")
-    A_P = np.atleast_2d(np.asarray(A_P, dtype=float))
+    A_P = np.asarray(A_P, dtype=float)
     if A_P.ndim != 2 or A_P.shape[0] != A_P.shape[1]:
         raise ValueError(f"A_P must be a square matrix, not of shape {A_P.shape}")
     d = A_P.shape[0]

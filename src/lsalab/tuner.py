@@ -1,19 +1,39 @@
 """Automatic constant step-size tuning by instability detection and halving.
 
 The tuner runs the iteration at the current step-size while maintaining the
-running average, on the engine's step kernel.  It steps through the dense
-(b, A) draws of ``sample`` (``_dense_direction``), not the problem's step
-form: on low-dimensional trajectories the per-step calls of that form cost
-more than the draws they save, and a tuning run's stream stays that of
-``sample``.  Measured on the Fig. 1 problems at commit 72a0ce5 (2-vCPU
-x86-64 host, unscaled): a d = 2 direction at R = 1 took 10.5 us through
-the Gaussian form against 3.9 us for the dense one, and 500 single-seed
-``tune`` calls (100 seeds on each level) 1.49 s against 1.05 s.
+running average, stepping through the dense (b, A) draws of ``sample``.  Its
+step is defined as separately rounded IEEE arithmetic, with no fused
+multiply-add and no BLAS kernel:
 
-``tune_many`` runs one halving loop per seed, the seeds as rows of one
-(R, d) state advanced together from one epoch boundary to the next; the
-rows are a list of ``_Seed`` records (stream, step-size, restart time,
-window of epoch norms, events, checks, result).  All rows share the time t
+    v_i = b_i - (((a_i0 theta_0) + a_i1 theta_1) + ...),
+    theta <- theta + alpha v,    hat <- hat + (theta - hat) / k,
+
+k - 1 being the number of steps averaged into hat.  A gemv would leave the
+rounding of A theta to the kernel OpenBLAS picks at run time (its Haswell
+kernel fuses multiply-adds), so a tuning run's bits would depend on the
+host.  The step is implemented twice, with equal bits:
+
+- a run of one seed on real (float64) data is a scalar loop on Python
+  floats over each draw chunk's ``tolist()`` (``_run_floats``): at R = 1 and
+  small d it costs less than the numpy calls of an array step (about eleven
+  at d = 2);
+- every other run advances its seeds as rows of one (R, d) state on the
+  engine's step kernel (``_run_rows``), whose direction
+  (``_dense_direction``) accumulates A theta column by column in the order
+  above.  A complex run takes this path even for one seed: CPython's
+  complex product may round differently from numpy's, which would make
+  ``tune`` disagree with the rows of ``tune_many``.
+
+Both loops take their decisions through one ``_Seed`` record per seed
+(stream, step-size, restart time, window of epoch norms, events, checks,
+result), so every decision rule is in one place.  The scalar loop does d^2
+Python multiply-adds per step, which lose to one gemv at large d: on a
+Gaussian problem at horizon 160 (2-vCPU x86-64 host, unscaled) a ``tune``
+call took 0.58 ms against 1.24 ms through a gemv at d = 2, as long at
+d = 6, 1.95 ms against 1.41 ms at d = 8 and 18.3 ms against 5.3 ms at
+d = 32.  No caller tunes above d = 6.
+
+``tune_many`` runs one halving loop per seed.  All rows share the time t
 and each draws from its own stream, so a row's trace is bit-identical to
 the single run ``tune`` makes for its seed.  Every halving is one restart:
 from the current iterate after the ratio test, from theta_0 for a row the
@@ -67,6 +87,8 @@ __all__ = [
 
 _ALPHA_FLOOR = 1e-12
 
+_CHUNK = 1024  # steps drawn per seed at a time; fixes each seed's stream
+
 
 class NoStableStepSizeError(RuntimeError):
     """Halving reached the floor without finding a stable step-size."""
@@ -78,9 +100,12 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _dense_direction(draws, s: int, theta):
-    """b_s - A_s theta for dense draws b (S, R, d) and A (S, R, d, d)."""
+    """b_s - A_s theta for dense draws b (S, R, d) and A (S, R, d, d), with
+    A_s theta summed over its columns in order, every product and sum
+    rounded on its own: the bits of ``_run_floats``.  The running sums of
+    ``np.add.accumulate`` fix that order, and its last one is the sum."""
     b, A = draws
-    return b[s] - np.matmul(A[s], theta[..., None])[..., 0]
+    return b[s] - np.add.accumulate(A[s] * theta[:, None, :], axis=-1)[..., -1]
 
 
 @dataclass(frozen=True)
@@ -156,7 +181,7 @@ def _ratio_test(norms: list[float], c_threshold: float) -> tuple[tuple[float, ..
 
 
 class _Seed:
-    """One seed's halving loop in ``tune_many``, with its records and result."""
+    """One seed's halving loop, with its records and result."""
 
     def __init__(self, cfg: TunerConfig, seed: int, norm: float):
         self.cfg = cfg
@@ -192,6 +217,11 @@ class _Seed:
         self.window = [norm]
         return True
 
+    def finish(self, hat) -> None:
+        """Set the trace as the result, with a copy of the final average."""
+        self.result = TunerTrace(events=tuple(self.events), final_alpha=self.alpha,
+                                 final_theta_hat=np.array(hat), checks=tuple(self.checks))
+
 
 def tune(p: ProblemDistribution, cfg: TunerConfig) -> TunerTrace:
     """Run the halving loop for cfg.horizon steps; deterministic given cfg.seed.
@@ -215,12 +245,12 @@ def tune(p: ProblemDistribution, cfg: TunerConfig) -> TunerTrace:
 def tune_many(
     p: ProblemDistribution, cfg: TunerConfig, seeds
 ) -> list[TunerTrace | NoStableStepSizeError]:
-    """Run the halving loop once per seed, the seeds as rows of one state.
+    """Run the halving loop once per seed.
 
-    ``seeds`` replaces cfg.seed; each row draws from its own
+    ``seeds`` replaces cfg.seed; each seed draws from its own
     ``default_rng(seed)`` exactly as ``tune(p, replace(cfg, seed=seed))``
     would, so its result is bit-identical to that single run.  Returns, in
-    seed order, each row's TunerTrace, or the NoStableStepSizeError that
+    seed order, each seed's TunerTrace, or the NoStableStepSizeError that
     ``tune`` would raise for it (that row leaves the batch at its floor
     crossing; the others carry on).  Raises ValueError when ``seeds`` is
     empty or one of them is not a non-negative integer.
@@ -230,19 +260,61 @@ def tune_many(
         raise ValueError("seeds must not be empty")
     for i, seed in enumerate(seeds):
         _check_integer(seed, f"seeds[{i}]", seed=True)
-    T = cfg.T
     theta0 = _resolve_theta0(p, cfg)
     bound = divergence_bound(p, theta0)
     records = [_Seed(cfg, seed, _norm(theta0)) for seed in seeds]
+    if len(records) == 1 and theta0.dtype == np.float64:
+        _run_floats(p, records[0], theta0.tolist(), bound)
+    else:
+        _run_rows(p, records, theta0, bound)
+    return [r.result for r in records]
+
+
+def _run_floats(p: ProblemDistribution, r: _Seed, theta0: list[float], bound: float) -> None:
+    """Run one seed's halving loop on Python floats, one step at a time; its
+    result is that of its row in ``_run_rows``, bit for bit."""
+    cfg = r.cfg
+    theta = hat = theta0
+    alpha = r.alpha
+    t = 0
+    while t < cfg.horizon:
+        b, A = p.sample(r.rng, (min(_CHUNK, cfg.horizon - t),))
+        for b_s, A_s in zip(b.tolist(), A.tolist()):
+            t += 1
+            step = []
+            for b_i, row, x in zip(b_s, A_s, theta):
+                acc = -0.0  # -0.0 + y is y, bit for bit, so acc is a_i0 theta_0 + ...
+                for a, y in zip(row, theta):
+                    acc += a * y
+                step.append(x + alpha * (b_i - acc))
+            if all(map(bound.__ge__, map(abs, step))):  # a NaN fails too
+                k = t - r.since + 1
+                theta, hat = step, [h + (x - h) / k for h, x in zip(hat, step)]
+                # math.hypot takes the absolute values itself
+                if t % cfg.T or not r.check(t, math.hypot(*hat)):
+                    continue
+                start = theta  # a triggered check keeps the iterate
+            else:
+                start = theta0  # held at the bound: restart from theta_0
+            if not r.halve(t, math.hypot(*start)):
+                return
+            theta = hat = start
+            alpha = r.alpha
+    r.finish(hat)
+
+
+def _run_rows(p: ProblemDistribution, records: list[_Seed], theta0: np.ndarray, bound: float) -> None:
+    """Run the seeds' halving loops as the rows of one (R, d) state on the
+    engine's step kernel, setting each record's result."""
+    T, horizon = records[0].cfg.T, records[0].cfg.horizon
     rows = records.copy()  # the record of each state row
     theta = np.tile(theta0, (len(rows), 1))
     hat = theta.copy()
     stale = True  # the rows, their step-sizes or restart times changed
 
-    chunk = 1024  # steps drawn per seed at a time; fixes each seed's stream
     t = 0
-    while t < cfg.horizon and rows:
-        steps = min(chunk, cfg.horizon - t)
+    while t < horizon and rows:
+        steps = min(_CHUNK, horizon - t)
         b, A = (np.stack(x, axis=1) for x in zip(*(p.sample(r.rng, (steps,)) for r in rows)))
         c = 0
         with np.errstate(over="ignore", invalid="ignore"):  # see engine._advance
@@ -278,6 +350,4 @@ def tune_many(
                     b, A = b[:, keep], A[:, keep]
 
     for r, final_hat in zip(rows, hat):
-        r.result = TunerTrace(events=tuple(r.events), final_alpha=r.alpha,
-                              final_theta_hat=final_hat.copy(), checks=tuple(r.checks))
-    return [r.result for r in records]
+        r.finish(final_hat)

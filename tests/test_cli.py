@@ -182,6 +182,13 @@ NOT_NUMBERS = "must be a JSON array of numbers"
         pytest.param("transform", {"type": "td_mdp", "mdp": {k: v for k, v in MDP.items() if k != "discount"}},
                      "mdp has no field 'discount'", id="mdp-without-discount"),
         pytest.param("td", GAUSSIAN, "mdp has no field 'features'", id="td-of-a-gaussian-file"),
+        # a label is a string, and a shape is named as the file gives it
+        pytest.param("transform", {**GAUSSIAN, "label": {"a": 1}}, "label must be a string, not {'a': 1}",
+                     id="label-object"),
+        pytest.param("transform", {**GAUSSIAN, "A": []}, "A_P must be a square matrix, not of shape (0,)",
+                     id="A-empty"),
+        pytest.param("transform", {"type": "finite", "atoms": [{**ATOM, "A": []}]},
+                     "atom shapes (2,), (0,) do not match dimension 2", id="atom-A-empty"),
         # the sum is printed as a plain float, not np.float64(0.9)
         pytest.param("transform", {"type": "finite", "atoms": [{**ATOM, "p": 0.9}]},
                      "error: atom probabilities sum to 0.9, not 1\n", id="probabilities-sum"),
@@ -690,6 +697,25 @@ def test_tune_reports_its_trace(tmp_path, capsys):
     first = out_json.read_bytes(), out_csv.read_bytes()
     assert main(argv) == 0
     assert (out_json.read_bytes(), out_csv.read_bytes()) == first
+
+
+def test_tune_does_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its gemv kernel at run time, and Haswell's fuses
+    # multiply-adds where Prescott's does not; the tuner's step calls no BLAS,
+    # so its trace is the same under both
+    problem = PROBLEMS / "td0_onpolicy.json"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(lsalab.__file__).resolve().parents[1])
+    outs = []
+    for coretype in (None, "Prescott"):
+        out = tmp_path / f"tune_{coretype}.json"
+        argv = [sys.executable, "-m", "lsalab.cli", "tune", "--problem", str(problem),
+                "--alpha-max", "1", "--seed", "3", "--out-json", str(out)]
+        kernel = {"OPENBLAS_CORETYPE": coretype} if coretype else {}
+        done = subprocess.run(argv, env={**env, **kernel}, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_rho_out_writes_the_stdout_rows(tmp_path, capsys):

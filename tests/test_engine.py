@@ -32,7 +32,6 @@ from lsalab.engine import (
 from lsalab.problem_io import load_problem_file
 from lsalab.problems import FiniteAtoms, StepForm, _finite_problem, _mean_specnorm_sq_standard
 from lsalab.transform import transform_distribution, transform_problem
-from lsalab.tuner import _dense_direction
 from oracles import exact_mse_gaussian
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
@@ -47,11 +46,18 @@ def pm_identity(eps):
     return make_finite_support([((z, eye), 0.5 + eps), ((z, -eye), 0.5 - eps)])
 
 
+def gemv_direction(draws, s, theta):
+    """b_s - A_s theta for dense draws b (S, R, d) and A (S, R, d, d), by one
+    gemv per row, as the finite step form applies its atoms."""
+    b, A = draws
+    return b[s] - np.matmul(A[s], theta[..., None])[..., 0]
+
+
 def dense_form(p):
-    """p stepping through the dense (b, A) draws of ``p.sample``: the
-    reference its own step form must match in law (Gaussian) or in bits
-    (finite support)."""
-    form = StepForm(lambda rng, n: p.sample(rng, (n,)), _dense_direction, "dense")
+    """p stepping through the dense (b, A) draws of ``p.sample``, applied by
+    ``gemv_direction``: the reference its own step form must match in law
+    (Gaussian) or in bits (finite support)."""
+    form = StepForm(lambda rng, n: p.sample(rng, (n,)), gemv_direction, "dense")
     return dataclasses.replace(p, step_form=form)
 
 
@@ -162,7 +168,7 @@ class TestAdvance:
     @pytest.mark.parametrize("columns", [False, True], ids=["numbers", "columns"])
     def test_crossing_row_holds_and_the_other_steps(self, columns):
         draws = self.draws()
-        direction = _dense_direction
+        direction = gemv_direction
         theta = np.array([[1.0, -1.0], [0.5, 2.0]])
         hat = np.array([[0.8, -0.6], [0.4, 1.5]])
         alpha, n = (np.array([[0.1], [0.2]]), np.array([[3], [7]])) if columns else (0.1, 3)
@@ -193,7 +199,7 @@ class TestAdvance:
         """``_advance`` one step per call: the per-step divergence rule."""
         for s in range(len(draws[0])):
             one = tuple(x[s : s + 1] for x in draws)
-            theta, hat, k, bad = _advance(theta, hat, n + s, one, _dense_direction, alpha, self.BOUND)
+            theta, hat, k, bad = _advance(theta, hat, n + s, one, gemv_direction, alpha, self.BOUND)
             if bad is not None:
                 return theta, hat, s + 1, bad
         return theta, hat, len(draws[0]), None
@@ -238,7 +244,7 @@ class TestAdvance:
         alpha, n = (np.array([[0.1], [0.1], [0.1]]), np.array([[3], [7], [0]])) if columns else (0.1, 3)
         before = theta.tobytes(), hat.tobytes()
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _advance(theta, hat, n, (b, A), _dense_direction, alpha, self.BOUND)
+            got = _advance(theta, hat, n, (b, A), gemv_direction, alpha, self.BOUND)
             want = self.stepwise(theta, hat, n, (b, A), alpha)
         assert (theta.tobytes(), hat.tobytes()) == before
         assert got[2] == want[2]
@@ -250,7 +256,7 @@ class TestAdvance:
         if case == "a row turns NaN":
             assert (want[2], want[3].tolist()) == (4, [True, False, False])
             with np.errstate(invalid="ignore"):
-                step = _dense_direction((b, A), 3, want[0])
+                step = gemv_direction((b, A), 3, want[0])
             assert np.isnan(step[0, 0])
         if case == "a row passes the bound and comes back":
             assert (want[2], want[3].tolist()) == (3, [False, False, True])

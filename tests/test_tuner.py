@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,8 +21,12 @@ from lsalab import (
 from lsalab import engine
 from lsalab.cli import FIG1_SIGMAS, make_fig1_problem
 from lsalab.engine import divergence_bound
+from lsalab.problem_io import load_problem_file
 from lsalab.problems import FiniteAtoms, _finite_problem
+from lsalab.transform import transform_distribution, transform_problem
 from lsalab.tuner import RatioCheck, _norm, _ratio_test
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
 
 
 def scalar_problem(a=1.0, b=1.0):
@@ -218,8 +223,9 @@ def reference_tune(p, cfg, seed):
     """One trajectory, one step at a time: the oracle of ``tune_many``.
 
     Draws (b, A) from ``default_rng(seed)`` in chunks of 1024 steps and applies
-    theta + alpha*(b - A @ theta); returns the trace, or the error ``tune``
-    raises for this seed.
+    theta + alpha*(b - A theta), with A theta summed over the columns of A in
+    order by numpy, every product and sum rounded on its own (no BLAS);
+    returns the trace, or the error ``tune`` raises for this seed.
     """
     rng = np.random.default_rng(seed)
     theta0 = np.zeros(p.dim) if cfg.theta_0 is None else np.asarray(cfg.theta_0, float)
@@ -232,7 +238,10 @@ def reference_tune(p, cfg, seed):
         bs, As = p.sample(rng, (min(1024, cfg.horizon - t),))
         for b, A in zip(bs, As):
             t += 1
-            nxt = theta + alpha * (b - A @ theta)
+            A_theta = A[:, 0] * theta[0]
+            for j in range(1, len(theta)):
+                A_theta = A_theta + A[:, j] * theta[j]
+            nxt = theta + alpha * (b - A_theta)
             if np.abs(nxt).max() <= bound:
                 theta, n = nxt, n + 1
                 hat = hat + (theta - hat) / (n + 1)
@@ -365,6 +374,22 @@ class TestTuneMany:
         p = make_fig1_problem(sigma)
         cfg = TunerConfig(alpha_max=1.0, horizon=160)
         for seed, got in zip(range(50), tune_many(p, cfg, range(50))):
+            assert_same_result(got, tune(p, dataclasses.replace(cfg, seed=seed)))
+
+    @pytest.mark.parametrize("name", ["td0_onpolicy", "gtd2_offpolicy", "gtd2_offpolicy@transformed"])
+    def test_td_rows_equal_single_runs(self, name):
+        # a one-seed real run steps on Python floats (d = 4 and 6 here), the
+        # rows on numpy; a complex run (the transform of GTD2) takes the
+        # rows' path either way
+        file, _, transformed = name.partition("@")
+        p = load_problem_file(PROBLEMS / f"{file}.json")
+        if transformed:
+            p = transform_distribution(p, transform_problem(p))
+            assert p.exact_moments.A_P.dtype == np.complex128
+        cfg = TunerConfig(alpha_max=1.0, horizon=160)
+        rows = tune_many(p, cfg, range(8))
+        assert any(r.events for r in rows)
+        for seed, got in enumerate(rows):
             assert_same_result(got, tune(p, dataclasses.replace(cfg, seed=seed)))
 
     def test_results_in_seed_order(self):
