@@ -10,10 +10,14 @@ noise levels, plus MSE curves at the tuned step-sizes).
 
 Every CSV gets a provenance comment (the exact invocation) and a header row,
 and every subcommand is deterministic given --seed, so reruns are
-byte-identical.  ``rho``, ``transform`` and ``bound`` draw nothing: they
-read the exact moments of the problem and of its transform, so their output
-does not depend on --seed, which they accept like every subcommand.  A
-negative --seed exits 2 before any subcommand runs.
+byte-identical on one host, with one BLAS kernel and one SIMD dispatch.
+Across hosts the last bits may differ wherever a Gaussian problem has
+sigma_A > 0 (its noise scale takes BLAS, LAPACK and numpy's SIMD ``exp``),
+and in ``simulate`` on a finite problem (a gemv per row); ``tune`` on a
+finite problem calls no BLAS.  ``rho``, ``transform`` and ``bound`` draw
+nothing: they read the exact moments of the problem and of its transform,
+so their output does not depend on --seed, which they accept like every
+subcommand.  A negative --seed exits 2 before any subcommand runs.
 
 ``bound``'s ``upper`` column bounds the MSE of the problem given.  Its
 ``lower`` column is the paper's worst-case envelope: it is sharp only on the
@@ -35,7 +39,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -237,7 +240,7 @@ def _cmd_tune(args) -> int:
         "final_alpha": trace.final_alpha,
         "n_halvings": len(trace.events),
         "events": [{"t": t, "alpha": a} for t, a in trace.events],
-        "final_theta_hat": [float(x) for x in np.asarray(trace.final_theta_hat).real],
+        "final_theta_hat": trace.final_theta_hat.tolist(),
         "checks": [
             {"t": c.t, "ratios": list(c.ratios), "triggered": c.triggered}
             for c in trace.checks
@@ -292,38 +295,6 @@ def make_fig1_problem(sigma_A: float) -> ProblemDistribution:
     return make_gaussian_noise(FIG1_MEAN, b, sigma_A, 0.0, label=f"fig1(sigma_A={sigma_A:g})")
 
 
-def _median(xs: list[float]) -> float:
-    """``np.median`` of sorted values, bit for bit: the middle one, or the
-    mean (a + b) / 2 of the middle two.
-
-    Unlike numpy's median and percentile, this and ``_percentile`` import
-    no ``numpy.ma``.  The values hold no -0.0: numpy orders and sums signed
-    zeros its own way.
-    """
-    m = len(xs) // 2
-    return xs[m] if len(xs) % 2 else (xs[m - 1] + xs[m]) / 2
-
-
-def _percentile(xs: list[float], q: float) -> float:
-    """``np.percentile(xs, 100 q)`` of sorted values, bit for bit.
-
-    numpy's linear method reads the virtual index v = (n - 1) q and
-    interpolates its neighbours a, b by its ``_lerp``: a + (b - a) t for
-    t < 1/2, else b - (b - a)(1 - t).  From v >= n - 1 on, both neighbours
-    are the last value and t = v + 1.
-    """
-    v = (len(xs) - 1) * q
-    if v >= len(xs) - 1:
-        a = b = xs[-1]
-        t = v + 1
-    else:
-        i = math.floor(v)
-        a, b = xs[i], xs[i + 1]
-        t = v - i
-    diff = b - a
-    return a + diff * t if t < 0.5 else b - diff * (1 - t)
-
-
 def repro_fig1(
     out_dir,
     n_seeds: int = 10,
@@ -353,6 +324,8 @@ def repro_fig1(
     ``tune_horizon`` exceeds the tuner's k*T and ``sim_horizon`` is at
     least the record stride FIG1_STRIDE, and the run configuration is valid.
     """
+    import statistics  # only here: ~2 ms, which the other subcommands need not pay
+
     _check_integer(seed, "seed", seed=True)
     _check_integer(n_seeds, "n_seeds", least=1)
     _check_integer(tune_horizon, "tune_horizon")
@@ -383,9 +356,14 @@ def repro_fig1(
         unstable = {a for a in set(finals) if rho_d(p.exact_moments, a) <= 0}
         hand = 2.0 / (101.0 + sigma_A**2)
         if finals:
-            xs = sorted(finals)
-            med = _median(xs)
-            iqr = _percentile(xs, 0.75) - _percentile(xs, 0.25)
+            # the tuned step-sizes are powers of two, on which this median and
+            # these quartiles equal np.median and np.percentile bit for bit; on
+            # arbitrary floats the quartiles may differ in the last bits
+            med = statistics.median(finals)
+            iqr = 0.0  # quantiles needs two points
+            if len(finals) > 1:
+                q1, _, q3 = statistics.quantiles(finals, n=4, method="inclusive")
+                iqr = q3 - q1
         else:
             med, iqr = np.nan, np.nan
         left_rows.append((sigma_A, med, iqr, hand))

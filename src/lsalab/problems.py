@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
@@ -111,6 +112,11 @@ class Moments:
     ``sigma_A_sq`` and its value is kept.  Finite-support problems give it
     that way, since theirs takes an SVD of every atom.  ``sigma1_sq`` and
     ``sigma2_sq`` are likewise computed on their first read.
+
+    Raises ValueError naming the field when C_P, sigma_b_sq or a
+    sigma_A_sq given as a number is not finite: the constructors form them
+    without raising or warning, so a problem whose second moments exceed
+    the float range is refused here, when it is built.
     """
 
     A_P: np.ndarray
@@ -121,6 +127,15 @@ class Moments:
     theta_star: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
+        for name, value, what in (
+            # the sigma_A_sq given: a number, or the function that computes it
+            ("sigma_A_sq", self.__dict__["_sigma_A_sq"], "E||A - A_P||^2"),
+            ("sigma_b_sq", self.sigma_b_sq, "E||b - b_P||^2"),
+            ("C_P", self.C_P, "E[A^* A]"),
+        ):
+            if not (callable(value) or np.isfinite(value).all()):
+                raise ValueError(f"{name} = {what} exceeds the float range "
+                                 f"(largest double {sys.float_info.max:.4g})")
         A_P = np.asarray(self.A_P)
         b_P = np.asarray(self.b_P)
         theta_star = None
@@ -405,14 +420,15 @@ def _finite_support_moments(atoms: FiniteAtoms) -> Moments:
     """
     probs, bs, As = atoms.probs, atoms.bs, atoms.As
     w = probs[:, None]
-    b_P = (w * bs).sum(axis=0)
-    A_P = (w[:, :, None] * As).sum(axis=0)
-    AhA = np.einsum("kji,kjl->kil", As.conj(), As)  # A_k^* A_k
-    C_P = (w[:, :, None] * AhA).sum(axis=0)
-    b_dev_sq = (np.abs(bs - b_P) ** 2).sum(axis=1)
-    if atoms.b_noise is not None:
-        b_dev_sq = b_dev_sq + (np.abs(atoms.b_noise) ** 2).sum(axis=1)
-    sigma_b_sq = float((probs * b_dev_sq).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # Moments refuses an overflow
+        b_P = (w * bs).sum(axis=0)
+        A_P = (w[:, :, None] * As).sum(axis=0)
+        AhA = np.einsum("kji,kjl->kil", As.conj(), As)  # A_k^* A_k
+        C_P = (w[:, :, None] * AhA).sum(axis=0)
+        b_dev_sq = (np.abs(bs - b_P) ** 2).sum(axis=1)
+        if atoms.b_noise is not None:
+            b_dev_sq = b_dev_sq + (np.abs(atoms.b_noise) ** 2).sum(axis=1)
+        sigma_b_sq = float((probs * b_dev_sq).sum())
 
     def sigma_A_sq() -> float:  # an SVD per atom, run on the first read
         return float((probs * spectral_norms(As - A_P) ** 2).sum())
@@ -580,8 +596,11 @@ def make_gaussian_noise(
     entry_scale_A = sigma_A / np.sqrt(_mean_specnorm_sq_standard(d)) if sigma_A else 0.0
     entry_scale_b = sigma_b / np.sqrt(d)
 
-    C_P = A_P.T @ A_P + entry_scale_A**2 * d * np.eye(d)
-    moments = Moments(A_P, b_P, C_P, sigma_A**2, sigma_b**2)
+    # numpy's scalar power rounds as Python's **, which raises on overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # Moments refuses an overflow
+        squares = np.float64(sigma_A) ** 2, np.float64(sigma_b) ** 2
+        C_P = A_P.T @ A_P + entry_scale_A**2 * d * np.eye(d)
+    moments = Moments(A_P, b_P, C_P, *squares)
 
     def sample(rng: np.random.Generator, shape=()) -> tuple[np.ndarray, np.ndarray]:
         shape = tuple(np.atleast_1d(shape).astype(int)) if shape != () else ()

@@ -13,16 +13,18 @@ rounding of A theta to the kernel OpenBLAS picks at run time (its Haswell
 kernel fuses multiply-adds), so a tuning run's bits would depend on the
 host.  The step is implemented twice, with equal bits:
 
-- a run of one seed on real (float64) data is a scalar loop on Python
-  floats over each draw chunk's ``tolist()`` (``_run_floats``): at R = 1 and
-  small d it costs less than the numpy calls of an array step (about eleven
-  at d = 2);
-- every other run advances its seeds as rows of one (R, d) state on the
+- a run of one seed is a scalar loop on Python floats over each draw
+  chunk's ``tolist()`` (``_run_floats``): at R = 1 and small d it costs
+  less than the numpy calls of an array step (about eleven at d = 2);
+- a run of more seeds advances them as rows of one (R, d) state on the
   engine's step kernel (``_run_rows``), whose direction
   (``_dense_direction``) accumulates A theta column by column in the order
-  above.  A complex run takes this path even for one seed: CPython's
-  complex product may round differently from numpy's, which would make
-  ``tune`` disagree with the rows of ``tune_many``.
+  above.
+
+Only float64 problems are tuned: numpy's SIMD complex product does not
+round as separately rounded arithmetic.  So a trace depends on the host
+only through its draws, whose last bits do for a Gaussian problem with
+sigma_A > 0 (see ``cli``).
 
 Both loops take their decisions through one ``_Seed`` record per seed
 (stream, step-size, restart time, window of epoch norms, events, checks,
@@ -96,7 +98,7 @@ class NoStableStepSizeError(RuntimeError):
 
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm without the overflow of squaring large entries."""
-    return math.hypot(*np.abs(x).tolist())
+    return math.hypot(*x.tolist())
 
 
 def _dense_direction(draws, s: int, theta):
@@ -252,8 +254,9 @@ def tune_many(
     would, so its result is bit-identical to that single run.  Returns, in
     seed order, each seed's TunerTrace, or the NoStableStepSizeError that
     ``tune`` would raise for it (that row leaves the batch at its floor
-    crossing; the others carry on).  Raises ValueError when ``seeds`` is
-    empty or one of them is not a non-negative integer.
+    crossing; the others carry on).  Raises ValueError, before any seed is
+    drawn, when ``seeds`` is empty or one of them is not a non-negative
+    integer, or when the run's dtype is not float64.
     """
     seeds = list(seeds)
     if not seeds:
@@ -261,9 +264,14 @@ def tune_many(
     for i, seed in enumerate(seeds):
         _check_integer(seed, f"seeds[{i}]", seed=True)
     theta0 = _resolve_theta0(p, cfg)
+    if theta0.dtype != np.float64:
+        raise ValueError(
+            f"the tuner tunes float64 problems only, not {theta0.dtype}: "
+            "tune the untransformed problem"
+        )
     bound = divergence_bound(p, theta0)
     records = [_Seed(cfg, seed, _norm(theta0)) for seed in seeds]
-    if len(records) == 1 and theta0.dtype == np.float64:
+    if len(records) == 1:
         _run_floats(p, records[0], theta0.tolist(), bound)
     else:
         _run_rows(p, records, theta0, bound)
@@ -334,7 +342,7 @@ def _run_rows(p: ProblemDistribution, records: list[_Seed], theta0: np.ndarray, 
                 if bad is None and t % T:
                     continue
                 held = bad.tolist() if bad is not None else [False] * len(rows)
-                norms = np.abs(hat).tolist() if t % T == 0 else None
+                norms = hat.tolist() if t % T == 0 else None
                 for j, r in enumerate(rows):
                     # a row held at the bound restarts from theta_0 (emergency
                     # halving), skipping this check; a triggered check keeps the iterate

@@ -34,9 +34,7 @@ from lsalab.cli import (
     EXIT_VALIDATION,
     FIG1_SIGMAS,
     _build_parser,
-    _median,
     _parse_grid,
-    _percentile,
     main,
     make_fig1_problem,
     repro_fig1,
@@ -108,6 +106,19 @@ def test_subcommands_exit_zero_and_rerun_identically(td_problem, tmp_path, capsy
     first = out.read_bytes()
     assert main(sim) == 0
     assert out.read_bytes() == first
+
+
+def test_td_on_a_non_hurwitz_mdp_warns_and_exits_0(tmp_path, capsys):
+    # TD(0) replaying 0 -> 1 only, with phi = (1, 2): A = 1 - 0.9 * 2 = -0.8
+    mdp = tmp_path / "mdp.json"
+    mdp.write_text(json.dumps({"features": [[1], [2]], "transitions": [[0, 1], [1, 0]],
+                               "rewards": [1, 0], "discount": 0.9, "sampling": [1, 0]}))
+    assert main(["td", "--mdp", str(mdp)]) == 0
+    out, err = capsys.readouterr()
+    summary = json.loads(out)
+    assert summary["hurwitz"] is False
+    assert summary["mean_spectrum_real"] == [pytest.approx(-0.8)]
+    assert err == "warning: mean update matrix is not Hurwitz\n"
 
 
 def test_unknown_algo_exits_2(tmp_path, capsys):
@@ -192,6 +203,16 @@ NOT_NUMBERS = "must be a JSON array of numbers"
         # the sum is printed as a plain float, not np.float64(0.9)
         pytest.param("transform", {"type": "finite", "atoms": [{**ATOM, "p": 0.9}]},
                      "error: atom probabilities sum to 0.9, not 1\n", id="probabilities-sum"),
+        pytest.param("transform", {"type": "finite", "atoms": []}, "need at least one atom",
+                     id="atoms-empty"),
+        # the MDP's values: distributions, coverage and feature rank
+        pytest.param("transform", {"type": "td_mdp", "mdp": {**MDP, "transitions": [[0.5, 0.6], [0.5, 0.5]]}},
+                     "transitions rows must be nonnegative and sum to 1", id="transitions-row-sum"),
+        pytest.param("transform",
+                     {"type": "td_mdp", "mdp": {**MDP, "behavior_transitions": [[1.0, 0.0], [0.5, 0.5]]}},
+                     "behavior must cover every target transition", id="behavior-not-covering"),
+        pytest.param("td", {**MDP, "features": [[1.0, 2.0], [2.0, 4.0]]},
+                     "features do not have full column rank", id="features-rank-deficient"),
     ],
 )
 def test_malformed_file_exits_2(command, spec, message, tmp_path, capsys):
@@ -461,6 +482,47 @@ def test_non_finite_problem_exits_2(command, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+EYE = [[1.0, 0.0], [0.0, 1.0]]
+HUGE_MEAN = [[1e200, 0.0], [0.0, 1e200]]
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        pytest.param({"type": "gaussian", "A": EYE, "b": [1, 1], "sigma_A": 1e200}, "sigma_A_sq",
+                     id="gaussian-sigma_A"),
+        pytest.param({"type": "gaussian", "A": EYE, "b": [1, 1], "sigma_b": 1e200}, "sigma_b_sq",
+                     id="gaussian-sigma_b"),
+        pytest.param({"type": "finite", "atoms": [{"b": [1e200, 0], "A": EYE, "p": 0.5},
+                                                  {"b": [-1e200, 0], "A": EYE, "p": 0.5}]},
+                     "sigma_b_sq", id="finite-intercepts"),
+        pytest.param({"type": "lower_bound", "lambda_min": 1, "lambda_max": 2, "sigma_b": 1e200},
+                     "sigma_b_sq", id="lower_bound-sigma_b"),
+        pytest.param({"type": "gaussian", "A": HUGE_MEAN, "b": [1, 1]}, "C_P", id="gaussian-mean"),
+        pytest.param({"type": "finite", "atoms": [{"b": [1, 1], "A": HUGE_MEAN, "p": 1}]}, "C_P",
+                     id="finite-mean"),
+    ],
+)
+@pytest.mark.parametrize("command", ["transform", "rho", "simulate", "tune"])
+def test_second_moments_past_the_float_range_exit_2(command, spec, field, tmp_path, capsys):
+    # sigma_A**2 raised an OverflowError (exit 1); the finite squares warned
+    # and carried inf; a 1e200 mean wrote NaN rows from rho and exited 0
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec))
+    args = {
+        "transform": [],
+        "rho": ["--alpha-grid", "1e-4:1:3:log", "--out", str(tmp_path / "out.csv")],
+        "simulate": ["--alpha", "0.01", "--horizon", "30", "--stride", "10",
+                     "--out", str(tmp_path / "out.csv")],
+        "tune": ["--alpha-max", "1", "--out-json", str(tmp_path / "out.json")],
+    }[command]
+    assert main([command, "--problem", str(path), *args]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"error: {field} = .+ exceeds the float range \(largest double 1\.798e\+308\)\n", err)
+    assert sorted(os.listdir(tmp_path)) == ["in.json"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "tune", "rho"])
 def test_non_integer_problem_seed_exits_2(command, tmp_path, capsys):
     path = tmp_path / "problem.json"
@@ -601,6 +663,18 @@ def test_non_finite_grid_end_exits_2(bad, capsys):
     assert f"grid '0.1:{bad}:2' has a non-finite end" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("0.1:1", "grid '0.1:1' is not 'start:stop:count[:log]'"),
+    ("0.1:1:0", "grid count must be positive"),
+    ("0.1:1:3:ln", "unknown grid scale 'ln'"),
+])
+def test_malformed_grid_exits_2(spec, message, capsys):
+    argv = ["rho", "--problem", str(PROBLEMS / "td0_onpolicy.json"), f"--alpha-grid={spec}"]
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("spec", ["1:2000:20:log", "1:1e6:200:log", "100:1:7", "0:5:30", "0.2:3.7:11"])
 def test_integer_grid_is_sorted_distinct_and_positive(spec):
     start, stop, count, *log = spec.split(":")
@@ -631,19 +705,21 @@ def test_integer_grid_without_a_point_from_1_exits_2(spec, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
-# finite values without -0.0, whose order numpy's partition picks its own way
-order_stat_values = st.lists(
-    st.floats(-1e300, 1e300, allow_nan=False).map(lambda x: x + 0.0), min_size=1, max_size=40
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(order_stat_values)
-def test_order_statistics_equal_numpy(values):
-    xs = sorted(values)
-    assert _median(xs).hex() == float(np.median(values)).hex()
-    for q in (25, 75):
-        assert _percentile(xs, q / 100).hex() == float(np.percentile(values, q)).hex()
+@pytest.mark.parametrize("n_seeds", [1, 2, 5, 10])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_fig1_left_order_statistics_equal_numpy(tmp_path, seed, n_seeds):
+    # statistics' median and inclusive quartiles of the tuned step-sizes,
+    # powers of two, are numpy's bit for bit; one step-size has IQR 0.0
+    summary = repro_fig1(tmp_path, n_seeds=n_seeds, seed=seed, sim_horizon=25, n_replications=1)
+    lines = (tmp_path / "fig1_left.csv").read_text().splitlines()[2:]
+    assert len(lines) == len(FIG1_SIGMAS)
+    for sigma, line in zip(FIG1_SIGMAS, lines):
+        _, med, iqr, _ = map(float, line.split(","))
+        alphas = summary["sigma_A"][str(sigma)]["tuned_alphas"]
+        assert len(alphas) == n_seeds
+        assert med.hex() == float(np.median(alphas)).hex()
+        q1, q3 = np.percentile(alphas, [25, 75])
+        assert iqr.hex() == float(q3 - q1).hex()
 
 
 def test_repro_fig1_loads_no_numpy_ma(tmp_path):

@@ -175,6 +175,11 @@ def test_gtd_eta_must_be_finite_and_positive(eta):
         gtd_instance(random_mdp(6), eta, variant="gtd2")
 
 
+def test_gtd_unknown_variant_raises():
+    with pytest.raises(ValueError, match="variant must be 'gtd' or 'gtd2'"):
+        gtd_instance(random_mdp(6), 1.0, variant="td0")
+
+
 @pytest.mark.parametrize("algo", ["td0", "gtd2"])
 def test_sampled_pair_frequencies_match_atoms(algo):
     mdp = random_mdp(7, off_policy=True, reward_noise_std=0.4)

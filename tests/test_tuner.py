@@ -376,21 +376,28 @@ class TestTuneMany:
         for seed, got in zip(range(50), tune_many(p, cfg, range(50))):
             assert_same_result(got, tune(p, dataclasses.replace(cfg, seed=seed)))
 
-    @pytest.mark.parametrize("name", ["td0_onpolicy", "gtd2_offpolicy", "gtd2_offpolicy@transformed"])
+    @pytest.mark.parametrize("name", ["td0_onpolicy", "gtd2_offpolicy"])
     def test_td_rows_equal_single_runs(self, name):
-        # a one-seed real run steps on Python floats (d = 4 and 6 here), the
-        # rows on numpy; a complex run (the transform of GTD2) takes the
-        # rows' path either way
-        file, _, transformed = name.partition("@")
-        p = load_problem_file(PROBLEMS / f"{file}.json")
-        if transformed:
-            p = transform_distribution(p, transform_problem(p))
-            assert p.exact_moments.A_P.dtype == np.complex128
+        # a one-seed run steps on Python floats (d = 4 and 6 here), the rows on numpy
+        p = load_problem_file(PROBLEMS / f"{name}.json")
         cfg = TunerConfig(alpha_max=1.0, horizon=160)
         rows = tune_many(p, cfg, range(8))
         assert any(r.events for r in rows)
         for seed, got in enumerate(rows):
             assert_same_result(got, tune(p, dataclasses.replace(cfg, seed=seed)))
+
+    def test_complex_problem_refused_before_drawing(self):
+        # the transform of GTD2 is complex; the tuner tunes float64 problems only
+        p = load_problem_file(PROBLEMS / "gtd2_offpolicy.json")
+        p = transform_distribution(p, transform_problem(p))
+        assert p.exact_moments.A_P.dtype == np.complex128
+        cfg = TunerConfig(alpha_max=1.0, horizon=160)
+        message = "tunes float64 problems only, not complex128: tune the untransformed problem"
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drawn")):
+            with pytest.raises(ValueError, match=message):
+                tune(p, cfg)
+            with pytest.raises(ValueError, match=message):
+                tune_many(p, cfg, range(8))
 
     def test_results_in_seed_order(self):
         p, cfg, _, sentinel = EXAMPLES["floor aborts among survivors"]
