@@ -5,9 +5,9 @@ the reported output is the running average hat_theta_t = mean(theta_0..theta_t),
 maintained incrementally as hat += (theta - hat)/(t+1).
 
 Replications are vectorized: all replication states advance together in
-(R, d) arrays through one step kernel (``_advance``, which tuner rows share),
-while each replication consumes its own spawned random stream, so results are
-bit-identical whether replications run singly or batched.  Steps are drawn
+(R, d) arrays through one step kernel (``_advance``), while each replication
+consumes its own spawned random stream, so results are bit-identical whether
+replications run singly or batched.  Steps are drawn
 and applied through the problem's ``StepForm``; the engine never calls
 ``sample``.  Neither the Gaussian family's form (d normals per step for the
 whole noise when sigma_b > 0, instead of a d x d matrix and a d-vector) nor
@@ -162,8 +162,8 @@ def _advance(theta, hat, n: int, draws, direction, alpha: float, bound: float):
 
     ``draws`` is a tuple of (S, R, ...) blocks and ``direction(draws, s,
     theta)`` gives b_s - A_s theta from them; ``n`` is the number of steps
-    already averaged into ``hat``.  ``alpha`` and ``n`` are numbers shared by
-    all replications, or (R, 1) columns with one value per replication (see
+    already averaged into ``hat``.  ``alpha`` is a number shared by all
+    replications, or an (R, 1) column with one value per replication (see
     ``_column``).  Equal values give equal bits either way: each entry is the
     same float operation on the same operands, whether its factor comes from
     a number or from a column, so a replication's bits do not depend on the

@@ -417,6 +417,9 @@ def _finite_support_moments(atoms: FiniteAtoms) -> Moments:
 
     sigma_A_sq = sum_i p_i ||A_i - A_P||^2 takes one batched SVD of the
     atoms' deviations, so it is computed on its first read (see ``Moments``).
+    Where a squared norm overflows, the sum is taken again as
+    sum_i p_i (n_i/m)^2 * m * m, m the largest norm; that read raises
+    ValueError naming sigma_A_sq when the sum itself exceeds the float range.
     """
     probs, bs, As = atoms.probs, atoms.bs, atoms.As
     w = probs[:, None]
@@ -431,7 +434,16 @@ def _finite_support_moments(atoms: FiniteAtoms) -> Moments:
         sigma_b_sq = float((probs * b_dev_sq).sum())
 
     def sigma_A_sq() -> float:  # an SVD per atom, run on the first read
-        return float((probs * spectral_norms(As - A_P) ** 2).sum())
+        norms = spectral_norms(As - A_P)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float((probs * norms**2).sum())
+        if not value < math.inf:  # a square overflowed; the weighted sum may not
+            m = float(norms.max())
+            value = float((probs * (norms / m) ** 2).sum()) * m * m
+        if not value < math.inf:
+            raise ValueError("sigma_A_sq = E||A - A_P||^2 exceeds the float range "
+                             f"(largest double {sys.float_info.max:.4g})")
+        return value
 
     return Moments(A_P, b_P, C_P, sigma_A_sq, sigma_b_sq)
 

@@ -40,8 +40,11 @@ class NotPositiveDefiniteError(ValueError):
 
 
 def _min_eig_hermitian(H: np.ndarray) -> float:
-    """Smallest eigenvalue of (H + H^*)/2; the infimum of x^* H x over unit x."""
-    Hh = 0.5 * (H + H.conj().T)
+    """Smallest eigenvalue of (H + H^*)/2; the infimum of x^* H x over unit x.
+
+    Formed as H/2 + H^*/2, which does not overflow where H + H^* would and,
+    halving being exact above the subnormals, has the same bits elsewhere."""
+    Hh = 0.5 * H + 0.5 * H.conj().T
     return float(np.linalg.eigvalsh(Hh)[0])
 
 

@@ -11,41 +11,42 @@ multiply-add and no BLAS kernel:
 k - 1 being the number of steps averaged into hat.  A gemv would leave the
 rounding of A theta to the kernel OpenBLAS picks at run time (its Haswell
 kernel fuses multiply-adds), so a tuning run's bits would depend on the
-host.  The step is implemented twice, with equal bits:
-
-- a run of one seed is a scalar loop on Python floats over each draw
-  chunk's ``tolist()`` (``_run_floats``): at R = 1 and small d it costs
-  less than the numpy calls of an array step (about eleven at d = 2);
-- a run of more seeds advances them as rows of one (R, d) state on the
-  engine's step kernel (``_run_rows``), whose direction
-  (``_dense_direction``) accumulates A theta column by column in the order
-  above.
-
-Only float64 problems are tuned: numpy's SIMD complex product does not
-round as separately rounded arithmetic.  So a trace depends on the host
+host.  Only float64 problems are tuned: numpy's SIMD complex product does
+not round as separately rounded arithmetic.  So a trace depends on the host
 only through its draws, whose last bits do for a Gaussian problem with
 sigma_A > 0 (see ``cli``).
 
-Both loops take their decisions through one ``_Seed`` record per seed
-(stream, step-size, restart time, window of epoch norms, events, checks,
-result), so every decision rule is in one place.  The scalar loop does d^2
-Python multiply-adds per step, which lose to one gemv at large d: on a
-Gaussian problem at horizon 160 (2-vCPU x86-64 host, unscaled) a ``tune``
-call took 0.58 ms against 1.24 ms through a gemv at d = 2, as long at
-d = 6, 1.95 ms against 1.41 ms at d = 8 and 18.3 ms against 5.3 ms at
-d = 32.  No caller tunes above d = 6.
+Each seed steps on Python floats over each draw chunk's ``tolist()``: at
+R = 1 and small d that costs less than the numpy calls of an array step.
+The step is one function per dimension d (``_step_function``), generated
+once per process from source text made from d alone, as ``dataclasses``
+makes ``__init__``, so no input reaches ``exec``.  It unpacks b, A, theta
+and hat into locals and writes each theta_i + alpha * (b_i - (a_i0 * x0 +
+a_i1 * x1 + ...)) as one expression.  Python evaluates it left to right,
+every product and sum a float operation of its own (CPython fuses no
+multiply-add), so the step has the bits of the definition above.
 
-``tune_many`` runs one halving loop per seed.  All rows share the time t
-and each draws from its own stream, so a row's trace is bit-identical to
-the single run ``tune`` makes for its seed.  Every halving is one restart:
-from the current iterate after the ratio test, from theta_0 for a row the
-kernel holds at the divergence bound (the others take that step).  A row
-whose halving crosses the step-size floor keeps its NoStableStepSizeError
-as its result and leaves the batch with its state and draws, while the
-others carry on.  Each epoch is one kernel call, which tests the divergence
-bound once for the epoch's steps; between calls the loop rebuilds the
-step-size and restart-time columns only after a restart, and takes the
-norms of all rows in one call.
+The step does d^2 Python multiply-adds.  Per ``tune`` call (Gaussian
+problem, sigma_A = 1, sigma_b = 0.5, horizon 160, best of 7 x 20 calls,
+2-vCPU x86-64 host, unscaled) it took 0.22 ms at d = 2, 0.40 at d = 4, 0.61
+at d = 6, 0.93 at d = 8, 3.4 at d = 16 and 13.0 ms at d = 32; a loop over
+nested ``zip``s took 0.50, 0.82, 1.17, 1.72, 5.6 and 18.9 ms, and a gemv
+step 1.24 ms at d = 2 and 5.3 ms at d = 32.  Generating the step costs 0.2
+ms at d = 2 and 7.6 ms at d = 32, then 30 ms and 11 MB of peak memory at
+d = 64, 120 ms and 42 MB at d = 128, and 2.7 s and 605 MB at d = 512, where
+drawing and listing the 160 dense draws already takes 4 s.  No caller tunes
+above d = 6, so there is no size switch.  Tried and not kept, on the
+tune-sweep shape against the ``zip`` loop: a sum by
+``functools.reduce(operator.add, map(operator.mul, ...))`` (263 -> 300 ms
+per sweep), a generated step of O(d) source (-3%), one that leaves the
+bound test and the average to the loop (-25%), and a hand-written d = 2
+step (-51%, as fast as the generated one, but a second implementation).
+
+``tune_many`` runs the halving loop once per seed, each seed drawing from
+its own stream, so its result for a seed is that of ``tune``.  Every
+halving is one restart: from the current iterate after the ratio test,
+from theta_0 after a step past the divergence bound.  A seed whose halving
+crosses the step-size floor has its NoStableStepSizeError as its result.
 
 The norm of the average is recorded at every multiple of the epoch length T;
 once k+1 such norms are available, the epoch-over-epoch growth ratios
@@ -68,14 +69,14 @@ is declared final.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _advance, _column, _resolve_theta0, divergence_bound
+from .engine import _resolve_theta0, divergence_bound
 from .problems import ProblemDistribution, _check_integer
 
 __all__ = [
@@ -94,20 +95,6 @@ _CHUNK = 1024  # steps drawn per seed at a time; fixes each seed's stream
 
 class NoStableStepSizeError(RuntimeError):
     """Halving reached the floor without finding a stable step-size."""
-
-
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm without the overflow of squaring large entries."""
-    return math.hypot(*x.tolist())
-
-
-def _dense_direction(draws, s: int, theta):
-    """b_s - A_s theta for dense draws b (S, R, d) and A (S, R, d, d), with
-    A_s theta summed over its columns in order, every product and sum
-    rounded on its own: the bits of ``_run_floats``.  The running sums of
-    ``np.add.accumulate`` fix that order, and its last one is the sum."""
-    b, A = draws
-    return b[s] - np.add.accumulate(A[s] * theta[:, None, :], axis=-1)[..., -1]
 
 
 @dataclass(frozen=True)
@@ -182,49 +169,6 @@ def _ratio_test(norms: list[float], c_threshold: float) -> tuple[tuple[float, ..
     return ratios, max(ratios) > c_threshold
 
 
-class _Seed:
-    """One seed's halving loop, with its records and result."""
-
-    def __init__(self, cfg: TunerConfig, seed: int, norm: float):
-        self.cfg = cfg
-        self.rng = np.random.default_rng(seed)
-        self.alpha = float(cfg.alpha_max)
-        self.since = 0  # time of the last restart: the average holds t - since steps
-        self.window = [norm]  # the last k+1 epoch norms since that restart
-        self.events: list[tuple[int, float]] = []
-        self.checks: list[RatioCheck] = []
-        self.result: TunerTrace | NoStableStepSizeError | None = None
-
-    def check(self, t: int, norm: float) -> bool:
-        """Slide the window over the epoch norm at t; once it holds k+1 norms,
-        record the ratio test and return whether it triggered."""
-        k = self.cfg.k
-        self.window = self.window[-k:] + [norm]
-        if len(self.window) <= k:
-            return False
-        ratios, triggered = _ratio_test(self.window, self.cfg.c_threshold)
-        self.checks.append(RatioCheck(t, ratios, triggered))
-        return triggered
-
-    def halve(self, t: int, norm: float) -> bool:
-        """Halve alpha at t and restart there, the window at ``norm``; False,
-        with the NoStableStepSizeError as the result, below the floor."""
-        self.alpha /= 2.0
-        if self.alpha < _ALPHA_FLOOR:
-            msg = f"no stable step-size found: reached alpha={self.alpha:g} at t={t}"
-            self.result = NoStableStepSizeError(msg)
-            return False
-        self.events.append((t, self.alpha))
-        self.since = t
-        self.window = [norm]
-        return True
-
-    def finish(self, hat) -> None:
-        """Set the trace as the result, with a copy of the final average."""
-        self.result = TunerTrace(events=tuple(self.events), final_alpha=self.alpha,
-                                 final_theta_hat=np.array(hat), checks=tuple(self.checks))
-
-
 def tune(p: ProblemDistribution, cfg: TunerConfig) -> TunerTrace:
     """Run the halving loop for cfg.horizon steps; deterministic given cfg.seed.
 
@@ -253,8 +197,7 @@ def tune_many(
     ``default_rng(seed)`` exactly as ``tune(p, replace(cfg, seed=seed))``
     would, so its result is bit-identical to that single run.  Returns, in
     seed order, each seed's TunerTrace, or the NoStableStepSizeError that
-    ``tune`` would raise for it (that row leaves the batch at its floor
-    crossing; the others carry on).  Raises ValueError, before any seed is
+    ``tune`` would raise for it.  Raises ValueError, before any seed is
     drawn, when ``seeds`` is empty or one of them is not a non-negative
     integer, or when the run's dtype is not float64.
     """
@@ -270,92 +213,78 @@ def tune_many(
             "tune the untransformed problem"
         )
     bound = divergence_bound(p, theta0)
-    records = [_Seed(cfg, seed, _norm(theta0)) for seed in seeds]
-    if len(records) == 1:
-        _run_floats(p, records[0], theta0.tolist(), bound)
-    else:
-        _run_rows(p, records, theta0, bound)
-    return [r.result for r in records]
+    return [_run(p, cfg, seed, theta0.tolist(), bound) for seed in seeds]
 
 
-def _run_floats(p: ProblemDistribution, r: _Seed, theta0: list[float], bound: float) -> None:
-    """Run one seed's halving loop on Python floats, one step at a time; its
-    result is that of its row in ``_run_rows``, bit for bit."""
-    cfg = r.cfg
+@functools.cache
+def _step_function(d: int):
+    """``step(b, A, x, h, alpha, k, bound)``, the tuner's step at dimension
+    d: from one draw (b, A) as nested lists, the iterate x and the average h
+    of k - 1 steps, the next iterate and average as tuples, or (None, None)
+    when the next iterate would pass ``bound`` (a NaN does).  Its source is
+    made from d alone: A x unrolled into one left-to-right sum per row."""
+    ix = range(d)
+
+    def names(v):  # each with a trailing comma, so that d = 1 unpacks too
+        return "".join(f"{v}{i}, " for i in ix)
+
+    rows = "".join(f"({''.join(f'a{i}_{j}, ' for j in ix)}), " for i in ix)
+    lines = [
+        "def step(b, A, x, h, alpha, k, bound):",
+        f"    {names('b')}= b",
+        f"    {rows}= A",
+        f"    {names('x')}= x",
+        *(f"    s{i} = x{i} + alpha * (b{i} - ({' + '.join(f'a{i}_{j} * x{j}' for j in ix)}))"
+          for i in ix),
+        f"    if not ({' and '.join(f'bound >= abs(s{i})' for i in ix)}):",
+        "        return None, None",
+        f"    {names('h')}= h",
+        f"    return ({names('s')}), ({''.join(f'h{i} + (s{i} - h{i}) / k, ' for i in ix)})",
+    ]
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["step"]
+
+
+def _run(p: ProblemDistribution, cfg: TunerConfig, seed: int, theta0: list[float],
+         bound: float) -> TunerTrace | NoStableStepSizeError:
+    """One seed's halving loop, stepping on Python floats: its trace, or the
+    NoStableStepSizeError of a halving below the floor."""
+    rng = np.random.default_rng(seed)
+    step = _step_function(len(theta0))
+    T, k, c_threshold = cfg.T, cfg.k, cfg.c_threshold
+    alpha = float(cfg.alpha_max)
+    since = 0  # time of the last restart: the average holds t - since steps
+    window = [math.hypot(*theta0)]  # the last k+1 epoch norms since that restart
+    events, checks = [], []
     theta = hat = theta0
-    alpha = r.alpha
     t = 0
     while t < cfg.horizon:
-        b, A = p.sample(r.rng, (min(_CHUNK, cfg.horizon - t),))
+        b, A = p.sample(rng, (min(_CHUNK, cfg.horizon - t),))
         for b_s, A_s in zip(b.tolist(), A.tolist()):
             t += 1
-            step = []
-            for b_i, row, x in zip(b_s, A_s, theta):
-                acc = -0.0  # -0.0 + y is y, bit for bit, so acc is a_i0 theta_0 + ...
-                for a, y in zip(row, theta):
-                    acc += a * y
-                step.append(x + alpha * (b_i - acc))
-            if all(map(bound.__ge__, map(abs, step))):  # a NaN fails too
-                k = t - r.since + 1
-                theta, hat = step, [h + (x - h) / k for h, x in zip(hat, step)]
+            nxt, nxt_hat = step(b_s, A_s, theta, hat, alpha, t - since + 1, bound)
+            if nxt is not None:
+                theta, hat = nxt, nxt_hat
+                if t % T:
+                    continue
                 # math.hypot takes the absolute values itself
-                if t % cfg.T or not r.check(t, math.hypot(*hat)):
+                window = window[-k:] + [math.hypot(*hat)]
+                if len(window) <= k:
+                    continue
+                ratios, triggered = _ratio_test(window, c_threshold)
+                checks.append(RatioCheck(t, ratios, triggered))
+                if not triggered:
                     continue
                 start = theta  # a triggered check keeps the iterate
             else:
                 start = theta0  # held at the bound: restart from theta_0
-            if not r.halve(t, math.hypot(*start)):
-                return
+            alpha /= 2.0
+            if alpha < _ALPHA_FLOOR:
+                return NoStableStepSizeError(
+                    f"no stable step-size found: reached alpha={alpha:g} at t={t}")
+            events.append((t, alpha))
+            since, window = t, [math.hypot(*start)]
             theta = hat = start
-            alpha = r.alpha
-    r.finish(hat)
-
-
-def _run_rows(p: ProblemDistribution, records: list[_Seed], theta0: np.ndarray, bound: float) -> None:
-    """Run the seeds' halving loops as the rows of one (R, d) state on the
-    engine's step kernel, setting each record's result."""
-    T, horizon = records[0].cfg.T, records[0].cfg.horizon
-    rows = records.copy()  # the record of each state row
-    theta = np.tile(theta0, (len(rows), 1))
-    hat = theta.copy()
-    stale = True  # the rows, their step-sizes or restart times changed
-
-    t = 0
-    while t < horizon and rows:
-        steps = min(_CHUNK, horizon - t)
-        b, A = (np.stack(x, axis=1) for x in zip(*(p.sample(r.rng, (steps,)) for r in rows)))
-        c = 0
-        with np.errstate(over="ignore", invalid="ignore"):  # see engine._advance
-            while c < steps and rows:
-                if stale:
-                    alpha_col = _column([r.alpha for r in rows])
-                    since_col = _column([r.since for r in rows])
-                    stale = False
-                # advance to the next epoch boundary, or to the end of the draws
-                stop = c + min(steps - c, T - t % T)
-                theta, hat, n_steps, bad = _advance(
-                    theta, hat, t - since_col, (b[c:stop], A[c:stop]),
-                    _dense_direction, alpha_col, bound,
-                )
-                t += n_steps
-                c += n_steps
-                if bad is None and t % T:
-                    continue
-                held = bad.tolist() if bad is not None else [False] * len(rows)
-                norms = hat.tolist() if t % T == 0 else None
-                for j, r in enumerate(rows):
-                    # a row held at the bound restarts from theta_0 (emergency
-                    # halving), skipping this check; a triggered check keeps the iterate
-                    if held[j] or norms is not None and r.check(t, math.hypot(*norms[j])):
-                        stale = True
-                        start = theta0 if held[j] else theta[j]
-                        if r.halve(t, _norm(start)):
-                            theta[j] = hat[j] = start
-                keep = [r.result is None for r in rows]  # False where a halving crossed the floor
-                if not all(keep):
-                    rows = list(itertools.compress(rows, keep))
-                    theta, hat = theta[keep], hat[keep]
-                    b, A = b[:, keep], A[:, keep]
-
-    for r, final_hat in zip(rows, hat):
-        r.finish(final_hat)
+    return TunerTrace(events=tuple(events), final_alpha=alpha,
+                      final_theta_hat=np.array(hat), checks=tuple(checks))

@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -521,6 +522,47 @@ def test_second_moments_past_the_float_range_exit_2(command, spec, field, tmp_pa
     assert out == ""
     assert re.fullmatch(rf"error: {field} = .+ exceeds the float range \(largest double 1\.798e\+308\)\n", err)
     assert sorted(os.listdir(tmp_path)) == ["in.json"]
+
+
+#: A_P near 1.3e154 * I: C_P is within the float range, the far atom's
+#: squared deviation norm and H + H^* of the gap at alpha = 1 are not
+NEAR_RANGE = {"type": "finite", "atoms": [
+    {"b": [1, 1], "A": [[1.3e154, 0], [0, 1.3e154]], "p": 0.999},
+    {"b": [1, 1], "A": [[-1.3e154, 0], [0, -1.3e154]], "p": 0.001},
+]}
+
+
+def test_moments_near_the_float_range_transform_and_rho(tmp_path, capsys):
+    # transform warned "overflow encountered in square" (exit 1 under
+    # error::RuntimeWarning) and rho wrote a row of NaN at alpha = 1
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(NEAR_RANGE))
+    assert main(["transform", "--problem", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert 0 < out["witness_alpha_transformed"] < math.inf
+    assert main(["rho", "--problem", str(path), "--alpha-grid", "1e-4:1:3:log",
+                 "--out", str(tmp_path / "rho.csv")]) == 0
+    rows = [line.split(",") for line in (tmp_path / "rho.csv").read_text().splitlines()
+            if not line.startswith(("#", "alpha"))]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(x)) for row in rows for x in row)
+
+
+def test_sigma_A_past_the_float_range_exits_2(tmp_path, capsys):
+    # reflections around a mean of a/2 * I: E||A - A_P||^2 = 1.25 a^2 exceeds
+    # the largest double, C_P = a^2 I does not; it is read by the witness
+    a = 1.3e154
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"type": "finite", "atoms": [
+        {"b": [1, 1], "A": [[a, 0], [0, a]], "p": 0.5},
+        {"b": [1, 1], "A": [[a, 0], [0, -a]], "p": 0.25},
+        {"b": [1, 1], "A": [[-a, 0], [0, a]], "p": 0.25},
+    ]}))
+    assert main(["transform", "--problem", str(path)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: sigma_A_sq = E\|\|A - A_P\|\|\^2 exceeds the float range "
+                        r"\(largest double 1\.798e\+308\)\n", err)
 
 
 @pytest.mark.parametrize("command", ["simulate", "tune", "rho"])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -492,6 +493,31 @@ class TestLazySigmaA:
         assert first == second == pytest.approx(0.6 * 0.8**2 + 0.4 * 1.2**2)
         # replace reads it and passes the value on
         assert dataclasses.replace(m, sigma_b_sq=1.0).sigma_A_sq == first
+
+    @pytest.mark.parametrize("p_far", [0.001, 0.0])
+    def test_squared_norms_past_the_float_range(self, p_far):
+        # A_P is near a*I, so the far atom's deviation norm squared (about
+        # 2a^2) overflows while the weighted sum does not; it warned
+        # "overflow encountered in square" (and read NaN at p_far = 0)
+        a = 1.3e154
+        atoms = [((np.ones(2), a * np.eye(2)), 1 - p_far), ((np.ones(2), -a * np.eye(2)), p_far)]
+        m = make_finite_support(atoms).exact_moments
+        a_P = Fraction(m.A_P[0, 0])
+        want = sum(Fraction(w) * (Fraction(A[0, 0]) - a_P) ** 2 for (_, A), w in atoms)
+        assert math.isfinite(m.C_P[0, 0])
+        assert m.sigma_A_sq == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+    def test_sum_past_the_float_range_names_sigma_A(self):
+        # reflections around a mean of a/2 * I: E||A - A_P||^2 = 1.25 a^2
+        # exceeds the largest double while C_P = a^2 I does not
+        a = 1.3e154
+        p = make_finite_support([
+            ((np.ones(2), a * np.eye(2)), 0.5),
+            ((np.ones(2), a * np.diag([1.0, -1.0])), 0.25),
+            ((np.ones(2), a * np.diag([-1.0, 1.0])), 0.25),
+        ])
+        with pytest.raises(ValueError, match=r"^sigma_A_sq = E\|\|A - A_P\|\|\^2 exceeds the float range"):
+            p.exact_moments.sigma_A_sq
 
     def test_floats_still_taken_positionally(self):
         m = Moments(np.eye(2), np.ones(2), np.eye(2), 0.5, 0.0)

@@ -53,6 +53,25 @@ class TestRhoD:
             gap(moments_of(np.eye(2)), alpha)
 
 
+class TestMinEigHermitian:
+    def test_same_bits_as_the_halved_sum(self):
+        rng = np.random.default_rng(0)
+        for d in (1, 2, 3, 6):
+            H = rng.standard_normal((d, d)) * 10.0 ** rng.integers(-100, 100)
+            assert _min_eig_hermitian(H) == np.linalg.eigvalsh(0.5 * (H + H.T))[0]
+
+    def test_gaps_within_a_factor_2_of_the_float_range(self):
+        # at alpha = 1, A + A^* - alpha A^* A is about -1.68e308 * I, and
+        # H + H^* overflowed: rho_d and rho_s read NaN
+        a = 1.3e154
+        m = make_finite_support([((np.ones(2), a * np.eye(2)), 0.999),
+                                 ((np.ones(2), -a * np.eye(2)), 0.001)]).exact_moments
+        a_P = float(m.A_P[0, 0])
+        assert rho_d(m, 1.0) == pytest.approx(2 * a_P - a_P * a_P, rel=1e-15)
+        assert rho_s(m, 1.0) == pytest.approx(2 * a_P - float(m.C_P[0, 0]), rel=1e-15)
+        assert _min_eig_hermitian(np.diag([-1.5e308, 1.0])) == -1.5e308
+
+
 class TestRhoS:
     def test_pm_identity_formula(self):
         # 4*eps - alpha for the +-identity family

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import re
 from pathlib import Path
 from unittest import mock
@@ -24,9 +26,14 @@ from lsalab.engine import divergence_bound
 from lsalab.problem_io import load_problem_file
 from lsalab.problems import FiniteAtoms, _finite_problem
 from lsalab.transform import transform_distribution, transform_problem
-from lsalab.tuner import RatioCheck, _norm, _ratio_test
+from lsalab.tuner import RatioCheck, _ratio_test, _step_function
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
+
+
+def _norm(x):
+    """Euclidean norm of an array, as the tuner takes it: math.hypot of its entries."""
+    return math.hypot(*x.tolist())
 
 
 def scalar_problem(a=1.0, b=1.0):
@@ -371,6 +378,8 @@ class TestTuneMany:
 
     @pytest.mark.parametrize("sigma", FIG1_SIGMAS)
     def test_fig1_rows_equal_single_runs(self, sigma):
+        # tune_many runs each seed on its own: the results of one call over
+        # many seeds are those of one call per seed, in seed order
         p = make_fig1_problem(sigma)
         cfg = TunerConfig(alpha_max=1.0, horizon=160)
         for seed, got in zip(range(50), tune_many(p, cfg, range(50))):
@@ -378,13 +387,72 @@ class TestTuneMany:
 
     @pytest.mark.parametrize("name", ["td0_onpolicy", "gtd2_offpolicy"])
     def test_td_rows_equal_single_runs(self, name):
-        # a one-seed run steps on Python floats (d = 4 and 6 here), the rows on numpy
+        # as for Fig. 1, at d = 4 and 6 (test_matches_reference_beyond_d3
+        # checks these runs against the reference loop)
         p = load_problem_file(PROBLEMS / f"{name}.json")
         cfg = TunerConfig(alpha_max=1.0, horizon=160)
         rows = tune_many(p, cfg, range(8))
         assert any(r.events for r in rows)
         for seed, got in enumerate(rows):
             assert_same_result(got, tune(p, dataclasses.replace(cfg, seed=seed)))
+
+    @pytest.mark.parametrize("name", ["td0_onpolicy", "gtd2_offpolicy", "gaussian-d8"])
+    def test_matches_reference_beyond_d3(self, name):
+        # the property test's problems stop at d = 3, and the step is
+        # generated per d: check d = 4 and 6 (the committed TD files) and 8
+        if name == "gaussian-d8":
+            rng = np.random.default_rng(8)
+            A = np.eye(8) + 0.3 * rng.standard_normal((8, 8)) / np.sqrt(8)
+            p = make_gaussian_noise(A, rng.standard_normal(8), sigma_A=1.0, sigma_b=0.5)
+        else:
+            p = load_problem_file(PROBLEMS / f"{name}.json")
+        cfg = TunerConfig(alpha_max=1.0, horizon=160)
+        traces = [tune(p, dataclasses.replace(cfg, seed=seed)) for seed in range(8)]
+        assert any(t.events for t in traces)
+        for seed, got in enumerate(traces):
+            assert_same_result(got, reference_tune(p, cfg, seed))
+
+    def test_signed_zeros_match_reference(self):
+        # b = 0 and theta_0 = 0 with negative entries in A: every product
+        # a_ij theta_j is a signed zero, summed as the reference sums it
+        p = make_finite_support([
+            ((np.zeros(2), np.array([[-1.0, -2.0], [0.5, -3.0]])), 0.5),
+            ((np.zeros(2), np.array([[2.0, -0.5], [-1.0, -1.0]])), 0.5),
+        ])
+        cfg = TunerConfig(alpha_max=0.1, horizon=200, theta_0=np.zeros(2))
+        for seed in range(8):
+            got, want = tune(p, dataclasses.replace(cfg, seed=seed)), reference_tune(p, cfg, seed)
+            assert got.final_theta_hat.tobytes() == want.final_theta_hat.tobytes()
+            assert_same_result(got, want)
+
+    def test_step_rounds_signed_zeros_as_the_reference(self):
+        # one step from every signed-zero b and theta: -0.0 + y is y, so the
+        # step's sum a_i0 x_0 + a_i1 x_1 + ... has the reference's bits
+        step = _step_function(3)
+        A = np.array([[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0], [1.0, -2.0, 3.0]])
+        for b in itertools.product((0.0, -0.0), repeat=3):
+            for x in itertools.product((0.0, -0.0), repeat=3):
+                b_, x_ = np.array(b), np.array(x)
+                A_x = A[:, 0] * x_[0] + A[:, 1] * x_[1] + A[:, 2] * x_[2]
+                nxt = x_ + 0.5 * (b_ - A_x)
+                theta, hat = step(list(b), A.tolist(), x, x, 0.5, 2, 1.0)
+                assert np.array(theta).tobytes() == nxt.tobytes(), (b, x)
+                assert np.array(hat).tobytes() == (x_ + (nxt - x_) / 2).tobytes(), (b, x)
+        assert step([0.0] * 3, A.tolist(), (4.0, 0.0, 0.0), (0.0,) * 3, 0.5, 2, 1.0) == (None, None)
+        assert step([0.0] * 3, A.tolist(), (np.nan, 0.0, 0.0), (0.0,) * 3, 0.5, 2, 1.0) == (None, None)
+
+    def test_step_function_compiled_once_per_dimension(self):
+        _step_function.cache_clear()
+        cfg = TunerConfig(alpha_max=1.0, horizon=160)
+        td0 = load_problem_file(PROBLEMS / "td0_onpolicy.json")
+        with mock.patch("builtins.exec", side_effect=exec) as compiled:
+            tune_many(make_fig1_problem(5.0), cfg, range(10))
+            tune_many(make_fig1_problem(0.0), cfg, range(10))
+            tune(scalar_problem(), cfg)
+            tune(td0, cfg)
+            tune(td0, dataclasses.replace(cfg, seed=1))
+        assert compiled.call_count == 3  # d = 2, 1 and 4
+        assert _step_function(2) is _step_function(2)
 
     def test_complex_problem_refused_before_drawing(self):
         # the transform of GTD2 is complex; the tuner tunes float64 problems only
