@@ -212,79 +212,74 @@ def tune_many(
             f"the tuner tunes float64 problems only, not {theta0.dtype}: "
             "tune the untransformed problem"
         )
-    bound = divergence_bound(p, theta0)
-    return [_run(p, cfg, seed, theta0.tolist(), bound) for seed in seeds]
+    run = _run_function(p.dim)
+    args = (cfg.horizon, theta0.tolist(), float(cfg.alpha_max), cfg.T, cfg.k, cfg.c_threshold,
+            divergence_bound(p, theta0))
+    return [run(p.sample, np.random.default_rng(seed), *args) for seed in seeds]
 
 
 @functools.cache
-def _step_function(d: int):
-    """``step(b, A, x, h, alpha, k, bound)``, the tuner's step at dimension
-    d: from one draw (b, A) as nested lists, the iterate x and the average h
-    of k - 1 steps, the next iterate and average as tuples, or (None, None)
-    when the next iterate would pass ``bound`` (a NaN does).  Its source is
-    made from d alone: A x unrolled into one left-to-right sum per row."""
+def _run_function(d: int):
+    """``run(sample, rng, horizon, theta0, alpha, T, k, c, bound)``, one
+    seed's halving loop at dimension d, stepping on Python floats: its
+    TunerTrace, or the NoStableStepSizeError of a halving below the floor.
+    Its source is made from d alone: theta and hat are 2d locals, each draw
+    one flat row (b, A row by row) that the ``for`` target unpacks, and A x
+    one left-to-right sum per row."""
     ix = range(d)
 
     def names(v):  # each with a trailing comma, so that d = 1 unpacks too
         return "".join(f"{v}{i}, " for i in ix)
 
-    rows = "".join(f"({''.join(f'a{i}_{j}, ' for j in ix)}), " for i in ix)
-    lines = [
-        "def step(b, A, x, h, alpha, k, bound):",
-        f"    {names('b')}= b",
-        f"    {rows}= A",
-        f"    {names('x')}= x",
-        *(f"    s{i} = x{i} + alpha * (b{i} - ({' + '.join(f'a{i}_{j} * x{j}' for j in ix)}))"
-          for i in ix),
-        f"    if not ({' and '.join(f'bound >= abs(s{i})' for i in ix)}):",
-        "        return None, None",
-        f"    {names('h')}= h",
-        f"    return ({names('s')}), ({''.join(f'h{i} + (s{i} - h{i}) / k, ' for i in ix)})",
-    ]
-    namespace = {}
-    exec("\n".join(lines), namespace)
-    return namespace["step"]
+    def each(form):  # one statement per coordinate, on one line
+        return "; ".join(form.format(i=i) for i in ix)
 
-
-def _run(p: ProblemDistribution, cfg: TunerConfig, seed: int, theta0: list[float],
-         bound: float) -> TunerTrace | NoStableStepSizeError:
-    """One seed's halving loop, stepping on Python floats: its trace, or the
-    NoStableStepSizeError of a halving below the floor."""
-    rng = np.random.default_rng(seed)
-    step = _step_function(len(theta0))
-    T, k, c_threshold = cfg.T, cfg.k, cfg.c_threshold
-    alpha = float(cfg.alpha_max)
+    row = names("b") + "".join(f"a{i}_{j}, " for i in ix for j in ix)
+    steps = "; ".join(
+        f"s{i} = x{i} + alpha * (b{i} - ({' + '.join(f'a{i}_{j} * x{j}' for j in ix)}))"
+        for i in ix)
+    in_bound = " and ".join(f"bound >= abs(s{i})" for i in ix)
+    x, h = names("x"), names("h")
+    source = f"""
+def run(sample, rng, horizon, theta0, alpha, T, k, c, bound):
+    {x}= theta0
+    {h}= theta0
     since = 0  # time of the last restart: the average holds t - since steps
-    window = [math.hypot(*theta0)]  # the last k+1 epoch norms since that restart
+    window = [math.hypot({x})]  # the last k+1 epoch norms since that restart
     events, checks = [], []
-    theta = hat = theta0
     t = 0
-    while t < cfg.horizon:
-        b, A = p.sample(rng, (min(_CHUNK, cfg.horizon - t),))
-        for b_s, A_s in zip(b.tolist(), A.tolist()):
+    while t < horizon:
+        n = min(_CHUNK, horizon - t)
+        b, A = sample(rng, (n,))
+        for {row}in np.concatenate((b, A.reshape(n, -1)), axis=1).tolist():
             t += 1
-            nxt, nxt_hat = step(b_s, A_s, theta, hat, alpha, t - since + 1, bound)
-            if nxt is not None:
-                theta, hat = nxt, nxt_hat
+            {steps}
+            if {in_bound}:
+                m = t - since + 1
+                {each("x{i} = s{i}")}
+                {each("h{i} = h{i} + (s{i} - h{i}) / m")}
                 if t % T:
                     continue
-                # math.hypot takes the absolute values itself
-                window = window[-k:] + [math.hypot(*hat)]
+                window = window[-k:] + [math.hypot({h})]
                 if len(window) <= k:
                     continue
-                ratios, triggered = _ratio_test(window, c_threshold)
+                ratios, triggered = _ratio_test(window, c)
                 checks.append(RatioCheck(t, ratios, triggered))
                 if not triggered:
                     continue
-                start = theta  # a triggered check keeps the iterate
+                # a triggered check keeps the iterate
             else:
-                start = theta0  # held at the bound: restart from theta_0
+                {x}= theta0  # held at the bound: restart from theta_0
             alpha /= 2.0
             if alpha < _ALPHA_FLOOR:
                 return NoStableStepSizeError(
-                    f"no stable step-size found: reached alpha={alpha:g} at t={t}")
+                    f"no stable step-size found: reached alpha={{alpha:g}} at t={{t}}")
             events.append((t, alpha))
-            since, window = t, [math.hypot(*start)]
-            theta = hat = start
+            since, window = t, [math.hypot({x})]
+            {h}= {x}
     return TunerTrace(events=tuple(events), final_alpha=alpha,
-                      final_theta_hat=np.array(hat), checks=tuple(checks))
+                      final_theta_hat=np.array(({h})), checks=tuple(checks))
+"""
+    namespace = {}
+    exec(source, globals(), namespace)
+    return namespace["run"]

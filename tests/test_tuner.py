@@ -20,13 +20,13 @@ from lsalab import (
     tune,
     tune_many,
 )
-from lsalab import engine
+from lsalab import engine, tuner
 from lsalab.cli import FIG1_SIGMAS, make_fig1_problem
 from lsalab.engine import divergence_bound
 from lsalab.problem_io import load_problem_file
 from lsalab.problems import FiniteAtoms, _finite_problem
 from lsalab.transform import transform_distribution, transform_problem
-from lsalab.tuner import RatioCheck, _ratio_test, _step_function
+from lsalab.tuner import RatioCheck, _ratio_test, _run_function
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
 
@@ -91,7 +91,7 @@ class TestTune:
         assert all(c.t % cfg.T == 0 for c in trace.checks)
         triggered_times = {c.t for c in trace.checks if c.triggered}
         event_times = {t for t, _ in trace.events}
-        assert event_times <= triggered_times | event_times  # events come from checks
+        assert event_times <= triggered_times  # events come from checks
         # no trigger fires after the final halving
         last_halving = max(t for t, _ in trace.events)
         assert not any(c.triggered and c.t > last_halving for c in trace.checks)
@@ -427,22 +427,35 @@ class TestTuneMany:
 
     def test_step_rounds_signed_zeros_as_the_reference(self):
         # one step from every signed-zero b and theta: -0.0 + y is y, so the
-        # step's sum a_i0 x_0 + a_i1 x_1 + ... has the reference's bits
-        step = _step_function(3)
+        # step's sum a_i0 x_0 + a_i1 x_1 + ... has the reference's bits.  A
+        # triggered check keeps the iterate as the average, so a one-step run
+        # whose check always triggers ends with the step's theta as its hat
+        run = _run_function(3)
         A = np.array([[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0], [1.0, -2.0, 3.0]])
+
+        def draws(*bs):  # sample() drawing the given b's, each with A
+            return lambda rng, shape: (np.array(bs[:shape[0]]), np.array([A] * shape[0]))
+
         for b in itertools.product((0.0, -0.0), repeat=3):
             for x in itertools.product((0.0, -0.0), repeat=3):
                 b_, x_ = np.array(b), np.array(x)
                 A_x = A[:, 0] * x_[0] + A[:, 1] * x_[1] + A[:, 2] * x_[2]
                 nxt = x_ + 0.5 * (b_ - A_x)
-                theta, hat = step(list(b), A.tolist(), x, x, 0.5, 2, 1.0)
-                assert np.array(theta).tobytes() == nxt.tobytes(), (b, x)
-                assert np.array(hat).tobytes() == (x_ + (nxt - x_) / 2).tobytes(), (b, x)
-        assert step([0.0] * 3, A.tolist(), (4.0, 0.0, 0.0), (0.0,) * 3, 0.5, 2, 1.0) == (None, None)
-        assert step([0.0] * 3, A.tolist(), (np.nan, 0.0, 0.0), (0.0,) * 3, 0.5, 2, 1.0) == (None, None)
+                hat = run(draws(b), None, 1, list(x), 0.5, 1, 1, 1.025, 1.0).final_theta_hat
+                assert hat.tobytes() == (x_ + (nxt - x_) / 2).tobytes(), (b, x)
+                with mock.patch.object(tuner, "_ratio_test", return_value=((), True)):
+                    theta = run(draws(b), None, 1, list(x), 0.5, 1, 1, 1.025, 1.0).final_theta_hat
+                assert theta.tobytes() == nxt.tobytes(), (b, x)
+        # a step past the bound, and a NaN, restart from theta_0, not from
+        # the current iterate (0.45, 0.45, -0.45)
+        theta0 = [0.9, 0.0, 0.0]
+        for bad in (10.0, np.nan):
+            trace = run(draws([0.0] * 3, [bad, 0.0, 0.0]), None, 2, theta0, 0.5, 5, 1, 1.025, 1.0)
+            assert trace.events == ((2, 0.25),)
+            assert trace.final_theta_hat.tolist() == theta0
 
-    def test_step_function_compiled_once_per_dimension(self):
-        _step_function.cache_clear()
+    def test_run_function_compiled_once_per_dimension(self):
+        _run_function.cache_clear()
         cfg = TunerConfig(alpha_max=1.0, horizon=160)
         td0 = load_problem_file(PROBLEMS / "td0_onpolicy.json")
         with mock.patch("builtins.exec", side_effect=exec) as compiled:
@@ -452,7 +465,7 @@ class TestTuneMany:
             tune(td0, cfg)
             tune(td0, dataclasses.replace(cfg, seed=1))
         assert compiled.call_count == 3  # d = 2, 1 and 4
-        assert _step_function(2) is _step_function(2)
+        assert _run_function(2) is _run_function(2)
 
     def test_complex_problem_refused_before_drawing(self):
         # the transform of GTD2 is complex; the tuner tunes float64 problems only
