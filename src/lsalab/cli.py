@@ -11,10 +11,11 @@ noise levels, plus MSE curves at the tuned step-sizes).
 Every CSV gets a provenance comment (the exact invocation) and a header row,
 and every subcommand is deterministic given --seed, so reruns are
 byte-identical on one host, with one BLAS kernel and one SIMD dispatch.
-Across hosts the last bits may differ wherever a Gaussian problem has
-sigma_A > 0 (its noise scale takes BLAS, LAPACK and numpy's SIMD ``exp``),
-and in ``simulate`` on a finite problem (a gemv per row); ``tune`` on a
-finite problem calls no BLAS.  ``rho``, ``transform`` and ``bound`` draw
+Across hosts the last bits may differ wherever a Gaussian problem of d >= 3
+has sigma_A > 0 (its noise scale takes BLAS, LAPACK and numpy's SIMD
+``exp``; d <= 2 takes a closed form, so ``repro-fig1`` is the same on every
+host), and in ``simulate`` on a finite problem or a Gaussian one of d >= 3
+(a gemv per row); ``tune`` calls no BLAS.  ``rho``, ``transform`` and ``bound`` draw
 nothing: they read the exact moments of the problem and of its transform,
 so their output does not depend on --seed, which they accept like every
 subcommand.  A negative --seed exits 2 before any subcommand runs.

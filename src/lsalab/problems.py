@@ -455,6 +455,24 @@ def _finite_support_moments(atoms: FiniteAtoms) -> Moments:
 def _mean_specnorm_sq_standard(d: int, nodes: int = 24) -> float:
     """c_d = E||G||^2 for a d x d matrix G of i.i.d. standard normals, exact.
 
+    c_1 = E z^2 = 1 and c_2 = 2 + pi/2 (from the joint eigenvalue density of
+    W_2(2, I)) are returned in closed form; d >= 3 takes
+    ``_specnorm_sq_quadrature`` with ``nodes``, cached per (d, nodes).  The
+    quadrature runs on BLAS, LAPACK and numpy's SIMD ``exp``, whose last
+    bits vary with the host (3.570796326794894 at d = 2 by default on an
+    x86-64 host, against 3.5707963267948966), so the closed forms keep every
+    d <= 2 Gaussian problem, Fig. 1 among them, the same on every host.
+    """
+    if d == 1:
+        return 1.0
+    if d == 2:
+        return 2 + math.pi / 2
+    return _specnorm_sq_quadrature(d, nodes)
+
+
+def _specnorm_sq_quadrature(d: int, nodes: int) -> float:
+    """c_d = E||G||^2 (see ``_mean_specnorm_sq_standard``) by quadrature.
+
     ||G||^2 is the largest eigenvalue of the real Wishart matrix G^T G ~
     W_d(d, I), whose eigenvalue density has the weight lambda^(-1/2)
     e^(-lambda/2) on [0, inf).  By de Bruijn's (1955) integration formula,
@@ -476,8 +494,7 @@ def _mean_specnorm_sq_standard(d: int, nodes: int = 24) -> float:
     The result is c_1 = 1 and c_2 = 2 + pi/2 to rounding; it agrees with
     Monte Carlo (|z| < 3) from d = 3 to d = 128 and moves by less than
     1e-13 (relative) when the nodes double, up to d = 384.  It takes 0.02 s
-    at d = 32, 0.3 s at d = 128 and 12 s at d = 384 on a 2-vCPU host, and is
-    cached per (d, nodes).
+    at d = 32, 0.3 s at d = 128 and 12 s at d = 384 on a 2-vCPU host.
     """
     t, w = legendre.leggauss(nodes)
     # S[k, m] = int_{-1}^{t_k} of the m-th Lagrange polynomial on the nodes

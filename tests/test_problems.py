@@ -23,6 +23,7 @@ from lsalab.problems import (
     _finite_problem,
     _indexed_search,
     _mean_specnorm_sq_standard,
+    _specnorm_sq_quadrature,
     spectral_norm,
     spectral_norms,
 )
@@ -248,6 +249,13 @@ class TestGinibreConstant:
         # c_1 = E z^2; c_2 = 2 + pi/2 from the joint eigenvalue density of W_2(2, I)
         assert _mean_specnorm_sq_standard(1) == pytest.approx(1.0, rel=1e-12, abs=0)
         assert _mean_specnorm_sq_standard(2) == pytest.approx(2 + np.pi / 2, rel=1e-12, abs=0)
+
+    def test_quadrature_matches_the_closed_forms(self):
+        # d <= 2 returns the closed forms; the quadrature behind d >= 3 agrees
+        assert _mean_specnorm_sq_standard(1) == 1.0
+        assert _mean_specnorm_sq_standard(2) == 2 + math.pi / 2
+        assert _specnorm_sq_quadrature(1, 24) == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert _specnorm_sq_quadrature(2, 24) == pytest.approx(2 + np.pi / 2, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("d, n", [(3, 200_000), (4, 200_000), (16, 40_000), (32, 10_000)])
     def test_agrees_with_monte_carlo(self, d, n):
