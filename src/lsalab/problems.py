@@ -33,6 +33,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import operator
 import sys
@@ -198,7 +199,14 @@ class StepForm:
     through its own problem's ``draw``.  A finite problem's form is keyed by
     the matrices A_i it gathers from, with the dtypes of A_i and b_i; a
     Gaussian one by every constant its direction reads (see
-    ``make_gaussian_noise``).
+    ``make_gaussian_noise``).  The A_i enter a finite key as the 64-byte
+    BLAKE2b digest of their bytes, beside their shape and dtype, not as the
+    bytes themselves, which would keep a second copy of every atom for the
+    problem's life.  Two keys are compared only when their shapes and dtypes
+    are equal, so distinct atoms share a key only if their digests collide:
+    for n forms in a process that has probability about n^2 / 2^513, and
+    BLAKE2b is collision resistant, so no known method finds a collision
+    faster than about 2^256 trials.
 
     ``draw`` is a function of (generator, n) alone, and it consumes the
     generator on every call or on none.  A form that consumes none draws the
@@ -372,7 +380,10 @@ def _finite_problem(atoms: FiniteAtoms, label: str) -> ProblemDistribution:
         b, idx = draw(rng, math.prod(shape))
         return b.reshape(shape + (d,)), As.take(idx.reshape(shape), axis=0)
 
-    key = ("atoms", As.shape, As.dtype.str, bs.dtype.str, As.tobytes())
+    # a digest of the atoms, hashed through the buffer protocol: the key holds
+    # no second copy of them (see StepForm for why a digest is safe)
+    digest = hashlib.blake2b(np.ascontiguousarray(As)).digest()
+    key = ("atoms", As.shape, As.dtype.str, bs.dtype.str, digest)
     return ProblemDistribution(
         sample=sample,
         exact_moments=_finite_support_moments(atoms),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -148,6 +149,32 @@ class TestAtomDraws:
         assert p.step_form.key == q.step_form.key == shifted.step_form.key
         other = make_finite_support([((z, 2 * eye), 0.6), ((z, -eye), 0.4)])
         assert other.step_form.key != p.step_form.key
+
+    def test_key_is_a_digest_of_the_matrices(self):
+        # equal atoms built apart share a key; one entry moved by one ulp does not
+        As = np.random.default_rng(4).standard_normal((50, 3, 3))
+        probs = np.full(50, 1 / 50)
+        key = _finite_problem(FiniteAtoms(probs, np.zeros((50, 3)), As), "a").step_form.key
+        assert key == _finite_problem(FiniteAtoms(probs, np.ones((50, 3)), As.copy()), "b").step_form.key
+        moved = As.copy()
+        moved[17, 2, 1] = np.nextafter(moved[17, 2, 1], np.inf)
+        assert key != _finite_problem(FiniteAtoms(probs, np.zeros((50, 3)), moved), "c").step_form.key
+        assert max(len(part) for part in key if isinstance(part, bytes)) == 64
+
+    def test_problem_holds_no_second_copy_of_the_matrices(self):
+        k, d = 400, 16
+        rng = np.random.default_rng(5)
+        atoms = FiniteAtoms(np.full(k, 1 / k), rng.standard_normal((k, d)),
+                            rng.standard_normal((k, d, d)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            p = _finite_problem(atoms, "wide")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert p.atoms.As is atoms.As
+        assert held < atoms.As.nbytes / 4, (held, atoms.As.nbytes)
 
 
 @st.composite
