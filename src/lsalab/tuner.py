@@ -13,34 +13,54 @@ rounding of A theta to the kernel OpenBLAS picks at run time (its Haswell
 kernel fuses multiply-adds), so a tuning run's bits would depend on the
 host.  Only float64 problems are tuned: numpy's SIMD complex product does
 not round as separately rounded arithmetic.  So a trace depends on the host
-only through its draws, whose last bits do for a Gaussian problem with
-sigma_A > 0 (see ``cli``).
+only through its draws, whose last bits do for a Gaussian problem of d >= 3
+with sigma_A > 0 (its noise scale c_d, see ``cli``).
 
-Each seed steps on Python floats over each draw chunk's ``tolist()``: at
-R = 1 and small d that costs less than the numpy calls of an array step.
-The step is one function per dimension d (``_step_function``), generated
-once per process from source text made from d alone, as ``dataclasses``
-makes ``__init__``, so no input reaches ``exec``.  It unpacks b, A, theta
-and hat into locals and writes each theta_i + alpha * (b_i - (a_i0 * x0 +
-a_i1 * x1 + ...)) as one expression.  Python evaluates it left to right,
-every product and sum a float operation of its own (CPython fuses no
-multiply-add), so the step has the bits of the definition above.
+Each seed's whole halving loop is one function per dimension d
+(``_run_function``), generated once per process from source text made from
+d alone, as ``dataclasses`` makes ``__init__``, so no input reaches
+``exec``.  It steps on Python floats, which at R = 1 and small d costs less
+than the numpy calls of an array step, and keeps theta and hat in 2 d local
+floats across steps.  Each draw chunk becomes one list of flat rows,
+``concatenate((b, A.reshape(n, -1)), axis=1).tolist()``, and the ``for``
+target unpacks a row into b_0, ..., b_(d-1), a_00, a_01, ...: copying and
+listing float64 values does no arithmetic, so these are the draws' values.
+Each theta_i + alpha * (b_i - (a_i0 * x0 + a_i1 * x1 + ...)) is one
+expression, which Python evaluates left to right, every product and sum a
+float operation of its own (CPython fuses no multiply-add), so the step has
+the bits of the definition above.  The bound test, the average, the epoch
+test, the ratio test, halving, the restarts and the floor abort keep the
+expressions and order of the hand-written loop around a generated step that
+this loop replaced, so every trace and error is that loop's, bit for bit.
 
 The step does d^2 Python multiply-adds.  Per ``tune`` call (Gaussian
-problem, sigma_A = 1, sigma_b = 0.5, horizon 160, best of 7 x 20 calls,
-2-vCPU x86-64 host, unscaled) it took 0.22 ms at d = 2, 0.40 at d = 4, 0.61
-at d = 6, 0.93 at d = 8, 3.4 at d = 16 and 13.0 ms at d = 32; a loop over
-nested ``zip``s took 0.50, 0.82, 1.17, 1.72, 5.6 and 18.9 ms, and a gemv
-step 1.24 ms at d = 2 and 5.3 ms at d = 32.  Generating the step costs 0.2
-ms at d = 2 and 7.6 ms at d = 32, then 30 ms and 11 MB of peak memory at
-d = 64, 120 ms and 42 MB at d = 128, and 2.7 s and 605 MB at d = 512, where
-drawing and listing the 160 dense draws already takes 4 s.  No caller tunes
-above d = 6, so there is no size switch.  Tried and not kept, on the
-tune-sweep shape against the ``zip`` loop: a sum by
-``functools.reduce(operator.add, map(operator.mul, ...))`` (263 -> 300 ms
-per sweep), a generated step of O(d) source (-3%), one that leaves the
-bound test and the average to the loop (-25%), and a hand-written d = 2
-step (-51%, as fast as the generated one, but a second implementation).
+problem, sigma_A = 1, sigma_b = 0.5, seed 3, horizon 160, 7 x 20 calls
+alternating in one process with the loop around a generated step, best of 3
+runs, 2-vCPU x86-64 host, unscaled) it took 0.155 ms at d = 1, 0.226 at
+d = 2, 0.384 at d = 4, 0.97 at d = 8, 2.9 at d = 16 and 12.7 ms at d = 32,
+against 0.202, 0.289, 0.500, 1.31, 3.7 and 15.0 ms; TD(0) at d = 4 took
+0.32 against 0.43 ms and GTD2 at d = 6 0.50 against 0.63 ms.  The host's
+speed drifted by up to 1.8x between runs, while the ratios held.  A gemv
+step took 1.24 ms at d = 2 and 5.3 ms at d = 32.  Generating the loop costs
+1.0 ms and 0.1 MB of peak RSS at d = 2, 14 ms and 3.1 MB at d = 32, 47 ms
+and 9 MB at d = 64, 160 ms and 33 MB at d = 128, and 2.9 s and 440 MB at
+d = 512 (a generated step alone: 0.3 ms and 0.0 MB, 13 ms and 3.0 MB, 53 ms
+and 11 MB, 150 ms and 42 MB, 4.0 s and 605 MB).  No caller tunes above
+d = 6, so there is no size switch.
+
+Tried and not kept, on the tune-sweep benchmark: against a loop over nested
+``zip``s, a sum by ``functools.reduce(operator.add, map(operator.mul,
+...))`` (263 -> 300 ms per sweep), a generated step of O(d) source (-3%),
+one that leaves the bound test and the average to the loop (-25%), and a
+hand-written d = 2 step (-51%, as fast as a generated one, but a second
+implementation); against the loop around a generated step (-19% for this
+loop), one generated call per epoch of at most T steps, with the halving
+left in Python (-14%), and ``-bound <= s_i <= bound`` in place of ``abs``
+(0.100 against 0.096 s per sweep).  Stepping through a Gaussian problem's
+step form, d normals per step in place of the dense draws, measured -29%
+against -21% for this loop; it changes every Gaussian trace, and the
+benchmark's tracer counts draws through ``sample``, so it waits for that
+tracer (ROADMAP Directions 1 and 16).
 
 ``tune_many`` runs the halving loop once per seed, each seed drawing from
 its own stream, so its result for a seed is that of ``tune``.  Every
@@ -145,6 +165,12 @@ class TunerTrace:
 
     ``events`` lists (t, alpha_after_halving) pairs; the alpha sequence halves
     at every event, so final_alpha = alpha_max / 2**len(events).
+
+    ``final_theta_hat`` is the running average at the horizon, not an
+    estimate of theta*: after a halving the average restarts from the
+    iterate that was kept, which an unstable phase may have carried far out.
+    On the Fig. 1 problems (alpha_max = 1, horizon 160) all 1,000 runs of
+    seeds 0-199 ended with ||final_theta_hat|| > 1e20.
     """
 
     events: tuple[tuple[int, float], ...]
@@ -223,7 +249,7 @@ def _run_function(d: int):
     """``run(sample, rng, horizon, theta0, alpha, T, k, c, bound)``, one
     seed's halving loop at dimension d, stepping on Python floats: its
     TunerTrace, or the NoStableStepSizeError of a halving below the floor.
-    Its source is made from d alone: theta and hat are 2d locals, each draw
+    Its source is made from d alone: theta and hat are 2 d locals, each draw
     one flat row (b, A row by row) that the ``for`` target unpacks, and A x
     one left-to-right sum per row."""
     ix = range(d)
