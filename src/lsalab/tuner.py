@@ -59,8 +59,8 @@ left in Python (-14%), and ``-bound <= s_i <= bound`` in place of ``abs``
 (0.100 against 0.096 s per sweep).  Stepping through a Gaussian problem's
 step form, d normals per step in place of the dense draws, measured -29%
 against -21% for this loop; it changes every Gaussian trace, and the
-benchmark's tracer counts draws through ``sample``, so it waits for that
-tracer (ROADMAP Directions 1 and 16).
+benchmark's tracer counts draws through ``sample``, so it waits until that
+tracer counts step-form draws.
 
 ``tune_many`` runs the halving loop once per seed, each seed drawing from
 its own stream, so its result for a seed is that of ``tune``.  Every
@@ -286,6 +286,7 @@ def run(sample, rng, horizon, theta0, alpha, T, k, c, bound):
                 {each("h{i} = h{i} + (s{i} - h{i}) / m")}
                 if t % T:
                     continue
+                # math.hypot takes the absolute values itself
                 window = window[-k:] + [math.hypot({h})]
                 if len(window) <= k:
                     continue
@@ -307,5 +308,6 @@ def run(sample, rng, horizon, theta0, alpha, T, k, c, bound):
                       final_theta_hat=np.array(({h})), checks=tuple(checks))
 """
     namespace = {}
+    # run reads _CHUNK, _ratio_test, RatioCheck, ... as this module's globals
     exec(source, globals(), namespace)
     return namespace["run"]
