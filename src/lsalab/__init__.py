@@ -56,7 +56,7 @@ from .transform import (
     transform_moments,
     transform_problem,
 )
-from .tuner import NoStableStepSizeError, TunerConfig, TunerTrace, tune, tune_many
+from .tuner import NoStableStepSizeError, TunerConfig, TunerTrace, tune
 
 __all__ = [
     "__version__",
@@ -97,7 +97,6 @@ __all__ = [
     "TunerConfig",
     "TunerTrace",
     "tune",
-    "tune_many",
     "NoStableStepSizeError",
     "SyntheticMdp",
     "TdInstance",

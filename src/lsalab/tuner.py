@@ -28,45 +28,24 @@ listing float64 values does no arithmetic, so these are the draws' values.
 Each theta_i + alpha * (b_i - (a_i0 * x0 + a_i1 * x1 + ...)) is one
 expression, which Python evaluates left to right, every product and sum a
 float operation of its own (CPython fuses no multiply-add), so the step has
-the bits of the definition above.  The bound test, the average, the epoch
-test, the ratio test, halving, the restarts and the floor abort keep the
-expressions and order of the hand-written loop around a generated step that
-this loop replaced, so every trace and error is that loop's, bit for bit.
+the bits of the definition above.
 
 The step does d^2 Python multiply-adds.  Per ``tune`` call (Gaussian
-problem, sigma_A = 1, sigma_b = 0.5, seed 3, horizon 160, 7 x 20 calls
-alternating in one process with the loop around a generated step, best of 3
-runs, 2-vCPU x86-64 host, unscaled) it took 0.155 ms at d = 1, 0.226 at
-d = 2, 0.384 at d = 4, 0.97 at d = 8, 2.9 at d = 16 and 12.7 ms at d = 32,
-against 0.202, 0.289, 0.500, 1.31, 3.7 and 15.0 ms; TD(0) at d = 4 took
-0.32 against 0.43 ms and GTD2 at d = 6 0.50 against 0.63 ms.  The host's
-speed drifted by up to 1.8x between runs, while the ratios held.  A gemv
-step took 1.24 ms at d = 2 and 5.3 ms at d = 32.  Generating the loop costs
-1.0 ms and 0.1 MB of peak RSS at d = 2, 14 ms and 3.1 MB at d = 32, 47 ms
-and 9 MB at d = 64, 160 ms and 33 MB at d = 128, and 2.9 s and 440 MB at
-d = 512 (a generated step alone: 0.3 ms and 0.0 MB, 13 ms and 3.0 MB, 53 ms
-and 11 MB, 150 ms and 42 MB, 4.0 s and 605 MB).  No caller tunes above
-d = 6, so there is no size switch.
+problem, sigma_A = 1, sigma_b = 0.5, seed 3, horizon 160, 7 x 20 calls, best
+of 3 runs, 2-vCPU x86-64 host, unscaled) it took 0.155 ms at d = 1, 0.226 at
+d = 2, 0.384 at d = 4, 0.97 at d = 8, 2.9 at d = 16 and 12.7 ms at d = 32;
+TD(0) at d = 4 took 0.32 ms and GTD2 at d = 6 0.50 ms.  The host's speed
+drifted by up to 1.8x between runs.  An array step with one gemv took
+1.24 ms at d = 2 and 5.3 ms at d = 32.  Generating the loop costs 1.0 ms
+and 0.1 MB of peak RSS at d = 2, 14 ms and 3.1 MB at d = 32, 47 ms and
+9 MB at d = 64, 160 ms and 33 MB at d = 128, and 2.9 s and 440 MB at
+d = 512.  No caller tunes above d = 6, so there is no size switch.
 
-Tried and not kept, on the tune-sweep benchmark: against a loop over nested
-``zip``s, a sum by ``functools.reduce(operator.add, map(operator.mul,
-...))`` (263 -> 300 ms per sweep), a generated step of O(d) source (-3%),
-one that leaves the bound test and the average to the loop (-25%), and a
-hand-written d = 2 step (-51%, as fast as a generated one, but a second
-implementation); against the loop around a generated step (-19% for this
-loop), one generated call per epoch of at most T steps, with the halving
-left in Python (-14%), and ``-bound <= s_i <= bound`` in place of ``abs``
-(0.100 against 0.096 s per sweep).  Stepping through a Gaussian problem's
-step form, d normals per step in place of the dense draws, measured -29%
-against -21% for this loop; it changes every Gaussian trace, and the
-benchmark's tracer counts draws through ``sample``, so it waits until that
-tracer counts step-form draws.
-
-``tune_many`` runs the halving loop once per seed, each seed drawing from
-its own stream, so its result for a seed is that of ``tune``.  Every
-halving is one restart: from the current iterate after the ratio test,
-from theta_0 after a step past the divergence bound.  A seed whose halving
-crosses the step-size floor has its NoStableStepSizeError as its result.
+One ``tune`` call tunes one seed, drawing from ``default_rng(cfg.seed)``;
+several seeds, as behind Fig. 1, are one call each (``replace(cfg,
+seed=s)``).  Every halving is one restart: from the current iterate after
+the ratio test, from theta_0 after a step past the divergence bound.  A
+halving that crosses the step-size floor raises NoStableStepSizeError.
 
 The norm of the average is recorded at every multiple of the epoch length T;
 once k+1 such norms are available, the epoch-over-epoch growth ratios
@@ -104,7 +83,6 @@ __all__ = [
     "TunerTrace",
     "RatioCheck",
     "tune",
-    "tune_many",
     "NoStableStepSizeError",
 ]
 
@@ -198,8 +176,7 @@ def _ratio_test(norms: list[float], c_threshold: float) -> tuple[tuple[float, ..
 def tune(p: ProblemDistribution, cfg: TunerConfig) -> TunerTrace:
     """Run the halving loop for cfg.horizon steps; deterministic given cfg.seed.
 
-    The single-seed case of ``tune_many``: returns its trace, or raises its
-    NoStableStepSizeError when halving crosses the absolute floor 1e-12.  If
+    Draws from ``default_rng(cfg.seed)`` and returns the run's trace.  If
     the iterate itself passes the divergence bound between checks (possible
     when alpha_max is grossly large), the step-size is halved immediately and
     the state restarts from theta_0; this emergency restart is recorded as a
@@ -207,51 +184,30 @@ def tune(p: ProblemDistribution, cfg: TunerConfig) -> TunerTrace:
     DIVERGENCE_SENTINEL times the problem's scale max(1, ||theta_0||_inf,
     ||theta*||_inf), so a fixed point far from the origin is not mistaken for
     divergence.
+
+    Raises ValueError, before anything is drawn, when cfg.theta_0 is not a
+    finite d-vector or the run's dtype is not float64, and
+    NoStableStepSizeError when a halving crosses the absolute floor 1e-12.
     """
-    (result,) = tune_many(p, cfg, [cfg.seed])
-    if isinstance(result, NoStableStepSizeError):
-        raise result
-    return result
-
-
-def tune_many(
-    p: ProblemDistribution, cfg: TunerConfig, seeds
-) -> list[TunerTrace | NoStableStepSizeError]:
-    """Run the halving loop once per seed.
-
-    ``seeds`` replaces cfg.seed; each seed draws from its own
-    ``default_rng(seed)`` exactly as ``tune(p, replace(cfg, seed=seed))``
-    would, so its result is bit-identical to that single run.  Returns, in
-    seed order, each seed's TunerTrace, or the NoStableStepSizeError that
-    ``tune`` would raise for it.  Raises ValueError, before any seed is
-    drawn, when ``seeds`` is empty or one of them is not a non-negative
-    integer, or when the run's dtype is not float64.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("seeds must not be empty")
-    for i, seed in enumerate(seeds):
-        _check_integer(seed, f"seeds[{i}]", seed=True)
     theta0 = _resolve_theta0(p, cfg)
     if theta0.dtype != np.float64:
         raise ValueError(
             f"the tuner tunes float64 problems only, not {theta0.dtype}: "
             "tune the untransformed problem"
         )
-    run = _run_function(p.dim)
-    args = (cfg.horizon, theta0.tolist(), float(cfg.alpha_max), cfg.T, cfg.k, cfg.c_threshold,
-            divergence_bound(p, theta0))
-    return [run(p.sample, np.random.default_rng(seed), *args) for seed in seeds]
+    return _run_function(p.dim)(
+        p.sample, np.random.default_rng(cfg.seed), cfg.horizon, theta0.tolist(),
+        float(cfg.alpha_max), cfg.T, cfg.k, cfg.c_threshold, divergence_bound(p, theta0))
 
 
 @functools.cache
 def _run_function(d: int):
     """``run(sample, rng, horizon, theta0, alpha, T, k, c, bound)``, one
-    seed's halving loop at dimension d, stepping on Python floats: its
-    TunerTrace, or the NoStableStepSizeError of a halving below the floor.
-    Its source is made from d alone: theta and hat are 2 d locals, each draw
-    one flat row (b, A row by row) that the ``for`` target unpacks, and A x
-    one left-to-right sum per row."""
+    seed's halving loop at dimension d, stepping on Python floats: returns
+    its TunerTrace, or raises NoStableStepSizeError at a halving below the
+    floor.  Its source is made from d alone: theta and hat are 2 d locals,
+    each draw one flat row (b, A row by row) that the ``for`` target unpacks,
+    and A x one left-to-right sum per row."""
     ix = range(d)
 
     def names(v):  # each with a trailing comma, so that d = 1 unpacks too
@@ -299,7 +255,7 @@ def run(sample, rng, horizon, theta0, alpha, T, k, c, bound):
                 {x}= theta0  # held at the bound: restart from theta_0
             alpha /= 2.0
             if alpha < _ALPHA_FLOOR:
-                return NoStableStepSizeError(
+                raise NoStableStepSizeError(
                     f"no stable step-size found: reached alpha={{alpha:g}} at t={{t}}")
             events.append((t, alpha))
             since, window = t, [math.hypot({x})]

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import lsalab
 from lsalab import (
+    NoStableStepSizeError,
     RunConfig,
     TunerConfig,
     gtd_instance,
@@ -599,11 +600,67 @@ def test_transform_of_a_tiny_mean_has_its_witness(tmp_path, capsys):
     ({"n_seeds": -1}, "n_seeds=-1 must be at least 1"),
 ])
 def test_repro_fig1_checks_its_configurations_before_tuning(kwargs, message, tmp_path):
-    with mock.patch("lsalab.cli.tune_many", side_effect=AssertionError("tuned")) as tuned:
+    with mock.patch("lsalab.cli.tune", side_effect=AssertionError("tuned")) as tuned:
         with pytest.raises(ValueError, match=message):
             repro_fig1(tmp_path / "out", **kwargs)
     tuned.assert_not_called()
     assert not (tmp_path / "out").exists()
+
+
+def aborting_tune(aborted):
+    """``tune`` for ``repro_fig1`` that raises NoStableStepSizeError for the
+    seeds ``aborted`` names: a noise level mapped to the positions of its
+    aborted seeds, in the order the level tunes them."""
+    levels = {make_fig1_problem(s).label: s for s in FIG1_SIGMAS}
+    calls = dict.fromkeys(FIG1_SIGMAS, 0)
+
+    def fake(p, cfg):
+        sigma = levels[p.label]
+        i, calls[sigma] = calls[sigma], calls[sigma] + 1
+        if i in aborted.get(sigma, ()):
+            raise NoStableStepSizeError(f"seed {cfg.seed} aborted")
+        return tune(p, cfg)
+
+    return fake
+
+
+def test_repro_fig1_counts_an_aborted_seed(tmp_path):
+    kwargs = {"n_seeds": 5, "seed": 2, "sim_horizon": 100, "n_replications": 3}
+    full = repro_fig1(tmp_path / "full", **kwargs)
+    with mock.patch("lsalab.cli.tune", side_effect=aborting_tune({20.0: {0}})) as tuned:
+        summary = repro_fig1(tmp_path / "one", **kwargs)
+    assert tuned.call_count == 5 * len(FIG1_SIGMAS)
+    for sigma in FIG1_SIGMAS[:-1]:
+        assert summary["sigma_A"][str(sigma)] == full["sigma_A"][str(sigma)]
+    got, want = summary["sigma_A"]["20.0"], full["sigma_A"]["20.0"]
+    assert want["n_aborted"] == 0
+    assert got["n_aborted"] == 1
+    assert got["tuned_alphas"] == want["tuned_alphas"][1:]
+    # the four others have another median than the five: 2^-9 and 2^-8 in the middle
+    assert got["tuned_alpha_median"] == float(np.median(want["tuned_alphas"][1:])) == 0.0029296875
+    assert want["tuned_alpha_median"] == 2.0**-9
+    left = (tmp_path / "one" / "fig1_left.csv").read_text().splitlines()
+    assert left[-1].startswith("20.0,0.0029296875,")
+
+
+def test_repro_fig1_level_whose_every_seed_aborts(tmp_path):
+    # the other levels still tune and simulate; the aborted one has no
+    # median, so no MSE curve
+    with mock.patch("lsalab.cli.tune", side_effect=aborting_tune({20.0: range(3)})):
+        summary = repro_fig1(tmp_path, n_seeds=3, seed=2, sim_horizon=100, n_replications=3)
+    level = summary["sigma_A"]["20.0"]
+    assert level["n_aborted"] == 3
+    assert level["tuned_alphas"] == []
+    assert math.isnan(level["tuned_alpha_median"]) and math.isnan(level["tuned_alpha_iqr"])
+    assert "n_diverged_final" not in level
+    assert all("n_diverged_final" in summary["sigma_A"][str(s)] for s in FIG1_SIGMAS[:-1])
+    left = (tmp_path / "fig1_left.csv").read_text().splitlines()
+    assert left[-1] == f"20.0,nan,nan,{2.0 / (101.0 + 20.0**2)!r}"
+    right = (tmp_path / "fig1_right.csv").read_text().splitlines()
+    assert right[1] == "t," + ",".join(f"mse_sigma_{s:g}" for s in FIG1_SIGMAS[:-1])
+    assert all(len(line.split(",")) == len(FIG1_SIGMAS) for line in right[2:])
+    assert math.isnan(json.loads((tmp_path / "fig1_summary.json").read_text())
+                      ["sigma_A"]["20.0"]["tuned_alpha_median"])
 
 
 @pytest.mark.parametrize("seed", [1.5, -1])

@@ -18,7 +18,6 @@ from lsalab import (
     make_finite_support,
     make_gaussian_noise,
     tune,
-    tune_many,
 )
 from lsalab import engine, tuner
 from lsalab.cli import FIG1_SIGMAS, make_fig1_problem
@@ -227,7 +226,7 @@ class TestExperimentFamily:
 
 
 def reference_tune(p, cfg, seed):
-    """One trajectory, one step at a time: the oracle of ``tune_many``.
+    """One trajectory, one step at a time: the oracle of ``tune``.
 
     Draws (b, A) from ``default_rng(seed)`` in chunks of 1024 steps and applies
     theta + alpha*(b - A theta), with A theta summed over the columns of A in
@@ -344,15 +343,22 @@ EXAMPLES = {
 
 def tune_with_sentinel(run):
     p, cfg, seeds, sentinel = run
+
+    def tune_seed(seed):  # the trace, or the error tune raises
+        try:
+            return tune(p, dataclasses.replace(cfg, seed=seed))
+        except NoStableStepSizeError as exc:
+            return exc
+
     with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
-        return tune_many(p, cfg, seeds), [reference_tune(p, cfg, s) for s in seeds]
+        return [tune_seed(s) for s in seeds], [reference_tune(p, cfg, s) for s in seeds]
 
 
 class TestTuneMany:
     def test_examples_cover_restarts_aborts_and_chunks(self):
         results = {name: tune_with_sentinel(run)[0] for name, run in EXAMPLES.items()}
 
-        # a row restarts at an epoch boundary while another row checks there
+        # a seed restarts at an epoch boundary at which another seed checks
         T = EXAMPLES["restart on an epoch boundary"][1].T
         traces = results["restart on an epoch boundary"]
         restarts = {t for r in traces for t, _ in r.events
@@ -378,23 +384,23 @@ class TestTuneMany:
 
     @pytest.mark.parametrize("sigma", FIG1_SIGMAS)
     def test_fig1_rows_equal_single_runs(self, sigma):
-        # tune_many runs each seed on its own: the results of one call over
-        # many seeds are those of one call per seed, in seed order
+        # the seeds repro_fig1 tunes at its defaults, one tune call each
         p = make_fig1_problem(sigma)
         cfg = TunerConfig(alpha_max=1.0, horizon=160)
-        for seed, got in zip(range(50), tune_many(p, cfg, range(50))):
-            assert_same_result(got, tune(p, dataclasses.replace(cfg, seed=seed)))
+        for seed in range(50):
+            got = tune(p, dataclasses.replace(cfg, seed=seed))
+            assert_same_result(got, reference_tune(p, cfg, seed))
 
     @pytest.mark.parametrize("name", ["td0_onpolicy", "gtd2_offpolicy"])
     def test_td_rows_equal_single_runs(self, name):
-        # as for Fig. 1, at d = 4 and 6 (test_matches_reference_beyond_d3
-        # checks these runs against the reference loop)
+        # as for Fig. 1, at d = 4 and 6, over a second draw chunk
         p = load_problem_file(PROBLEMS / f"{name}.json")
-        cfg = TunerConfig(alpha_max=1.0, horizon=160)
-        rows = tune_many(p, cfg, range(8))
-        assert any(r.events for r in rows)
-        for seed, got in enumerate(rows):
-            assert_same_result(got, tune(p, dataclasses.replace(cfg, seed=seed)))
+        cfg = TunerConfig(alpha_max=1.0, horizon=1500)
+        assert cfg.horizon > tuner._CHUNK
+        traces = [tune(p, dataclasses.replace(cfg, seed=seed)) for seed in range(8)]
+        assert any(t.events for t in traces)
+        for seed, got in enumerate(traces):
+            assert_same_result(got, reference_tune(p, cfg, seed))
 
     @pytest.mark.parametrize("name", ["td0_onpolicy", "gtd2_offpolicy", "gaussian-d8"])
     def test_matches_reference_beyond_d3(self, name):
@@ -459,8 +465,8 @@ class TestTuneMany:
         cfg = TunerConfig(alpha_max=1.0, horizon=160)
         td0 = load_problem_file(PROBLEMS / "td0_onpolicy.json")
         with mock.patch("builtins.exec", side_effect=exec) as compiled:
-            tune_many(make_fig1_problem(5.0), cfg, range(10))
-            tune_many(make_fig1_problem(0.0), cfg, range(10))
+            for sigma, seed in itertools.product((5.0, 0.0), range(10)):
+                tune(make_fig1_problem(sigma), dataclasses.replace(cfg, seed=seed))
             tune(scalar_problem(), cfg)
             tune(td0, cfg)
             tune(td0, dataclasses.replace(cfg, seed=1))
@@ -477,27 +483,8 @@ class TestTuneMany:
         with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drawn")):
             with pytest.raises(ValueError, match=message):
                 tune(p, cfg)
-            with pytest.raises(ValueError, match=message):
-                tune_many(p, cfg, range(8))
-
-    def test_results_in_seed_order(self):
-        p, cfg, _, sentinel = EXAMPLES["floor aborts among survivors"]
-        seeds = [5, 0, 4, 4, 2]
-        with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
-            got = tune_many(p, cfg, seeds)
-            for seed, r in zip(seeds, got):
-                assert_same_result(r, tune_many(p, cfg, [seed])[0])
-        assert isinstance(got[2], NoStableStepSizeError)
-        assert isinstance(got[1], TunerTrace)
-
-    def test_empty_seeds_raise(self):
-        with pytest.raises(ValueError):
-            tune_many(scalar_problem(), TunerConfig(alpha_max=1.0), [])
 
     @pytest.mark.parametrize("seed", [1.5, -1, True, [1, 2]])
     def test_seeds_must_be_non_negative_integers(self, seed):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             TunerConfig(alpha_max=1.0, seed=seed)
-        # checked before any row is tuned, naming the position
-        with pytest.raises(ValueError, match=r"seeds\[1\] must be a non-negative integer"):
-            tune_many(scalar_problem(), TunerConfig(alpha_max=1.0), [0, seed])
