@@ -463,22 +463,22 @@ def _finite_support_moments(atoms: FiniteAtoms) -> Moments:
 
 
 @functools.cache
-def _mean_specnorm_sq_standard(d: int, nodes: int = 24) -> float:
+def _mean_specnorm_sq_standard(d: int) -> float:
     """c_d = E||G||^2 for a d x d matrix G of i.i.d. standard normals, exact.
 
     c_1 = E z^2 = 1 and c_2 = 2 + pi/2 (from the joint eigenvalue density of
     W_2(2, I)) are returned in closed form; d >= 3 takes
-    ``_specnorm_sq_quadrature`` with ``nodes``, cached per (d, nodes).  The
+    ``_specnorm_sq_quadrature`` with 24 nodes, cached per d.  The
     quadrature runs on BLAS, LAPACK and numpy's SIMD ``exp``, whose last
-    bits vary with the host (3.570796326794894 at d = 2 by default on an
-    x86-64 host, against 3.5707963267948966), so the closed forms keep every
+    bits vary with the host (3.570796326794894 at d = 2 on an x86-64 host,
+    against 3.5707963267948966), so the closed forms keep every
     d <= 2 Gaussian problem, Fig. 1 among them, the same on every host.
     """
     if d == 1:
         return 1.0
     if d == 2:
         return 2 + math.pi / 2
-    return _specnorm_sq_quadrature(d, nodes)
+    return _specnorm_sq_quadrature(d, 24)
 
 
 def _specnorm_sq_quadrature(d: int, nodes: int) -> float:

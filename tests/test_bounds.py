@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from lsalab import (
     BoundInputs,
     CertifiedRegimeError,
+    Moments,
     RunConfig,
     beta_coefficient,
     beta_partial_sum,
     bound_curve,
     bound_inputs_for,
+    hurwitz_to_pd,
     load_problem_file,
     lower_bound,
     make_finite_support,
@@ -91,6 +93,19 @@ class TestUpperBound:
         m = make_lower_bound_instance(1.0, 2.0, 1.0).exact_moments
         with pytest.raises(CertifiedRegimeError, match="outside certified regime"):
             bound_inputs_for(m, 1.5, THETA0)  # rho_s(1.5) < 0
+
+    def test_moments_without_a_fixed_point_refused(self):
+        m = Moments(np.zeros((2, 2)), np.ones(2), np.eye(2), 0.0, 0.0)
+        with pytest.raises(ValueError, match="^moments carry no fixed point$"):
+            BoundInputs(m, 0.1, THETA0)
+
+    def test_transform_without_transformed_moments_refused(self):
+        # hurwitz_to_pd finds U alone; transform_problem adds the moments
+        m = make_lower_bound_instance(1.0, 2.0, 1.0).exact_moments
+        tr = hurwitz_to_pd(m.A_P)
+        assert tr.transformed_moments is None
+        with pytest.raises(ValueError, match="^transform carries no transformed moments$"):
+            BoundInputs(m, 0.1, THETA0, transform=tr)
 
     def test_theta0_shape_checked(self):
         m = make_lower_bound_instance(1.0, 2.0, 1.0).exact_moments

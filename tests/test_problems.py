@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -21,6 +22,7 @@ from lsalab import (
 )
 from lsalab.problems import (
     FiniteAtoms,
+    _even_hermite_functions,
     _finite_problem,
     _indexed_search,
     _mean_specnorm_sq_standard,
@@ -262,6 +264,11 @@ class TestGaussianNoise:
         sq = spectral_norms(As - np.eye(2)) ** 2
         assert abs(sq.mean() - 16.0) < 3 * sq.std(ddof=1) / np.sqrt(len(sq))
 
+    def test_intercept_of_another_dimension_rejected(self):
+        for b in (np.zeros(3), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match=r"^b_P must have shape \(2,\)$"):
+                make_gaussian_noise(np.eye(2), b, 1.0, 0.0)
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             make_gaussian_noise(np.eye(2), np.zeros(2), -1.0, 0.0)
@@ -295,9 +302,32 @@ class TestGinibreConstant:
         z = (sq.mean() - _mean_specnorm_sq_standard(d)) / (sq.std(ddof=1) / np.sqrt(n))
         assert abs(z) < 3
 
+    def test_hermite_functions_past_the_rescale(self):
+        # from d = 96 the recurrence passes 1e100 at the largest nodes, and
+        # the values are rescaled; they equal the recurrence in 50 digits
+        d = 96
+        u = np.linspace(0.0, math.sqrt(8 * d + 120), 61)
+        got = _even_hermite_functions(u, d)
+        want = np.empty_like(got)
+        peak = Decimal(0)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            pi = Decimal("3.14159265358979323846264338327950288419716939937510")
+            for n, x in enumerate(map(Decimal, u.tolist())):
+                weight = (-x * x / 2).exp()
+                prev, cur = Decimal(0), pi ** Decimal("-0.25")
+                for k in range(2 * d - 1):
+                    if k % 2 == 0:
+                        want[n, k // 2] = cur * weight
+                    prev, cur = cur, ((Decimal(2) / (k + 1)).sqrt() * x * cur
+                                      - (Decimal(k) / (k + 1)).sqrt() * prev)
+                    peak = max(peak, abs(cur))
+        assert peak > Decimal("1e100")
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15)
+
     def test_converged_in_the_nodes(self):
         c = _mean_specnorm_sq_standard(64)
-        assert abs(_mean_specnorm_sq_standard(64, nodes=48) / c - 1) < 1e-12
+        assert abs(_specnorm_sq_quadrature(64, 48) / c - 1) < 1e-12
 
 
 class TestNonFiniteInputs:
@@ -447,7 +477,7 @@ class TestInvariants:
 
     def test_moments_report_no_fixed_point_when_singular(self):
         m = Moments(np.zeros((2, 2)), np.ones(2), np.eye(2), 0.0, 0.0)
-        assert m.theta_star is None and m.sigma1_sq is None
+        assert m.theta_star is None and m.sigma1_sq is None and m.sigma2_sq is None
 
     def test_derived_fields_are_not_arguments(self):
         args = (np.eye(2), np.ones(2), np.eye(2), 0.5, 0.0)

@@ -235,6 +235,18 @@ class TestInadmissibilityWitness:
         p2 = inadmissibility_witness_pb(0.08)
         assert rho_s(p2.exact_moments, 0.08) == pytest.approx(-0.04, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+    def test_step_size_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must be finite and positive$"):
+            inadmissibility_witness_pb(alpha)
+
+    @pytest.mark.parametrize("alpha", [4.0, 10.0])
+    def test_step_size_below_four(self, alpha):
+        # eps = alpha/8 must leave P(-I) = 1/2 - eps positive
+        with pytest.raises(ValueError, match=r"^alpha too large: need alpha/8 < 1/2$"):
+            inadmissibility_witness_pb(alpha)
+        assert rho_s(inadmissibility_witness_pb(3.9).exact_moments, 3.9) == pytest.approx(-1.95)
+
     def test_mean_is_pd_and_bounded(self):
         p = inadmissibility_witness_pb(0.4)
         m = p.exact_moments

@@ -266,6 +266,18 @@ def test_inputs_are_converted_to_float():
     assert type(mdp.discount) is float and type(mdp.reward_noise_std) is float
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("rewards", [0.0] * 3, r"rewards must have shape \(4,\) or \(4,4\)"),
+    ("rewards", np.zeros((4, 3)), r"rewards must have shape \(4,\) or \(4,4\)"),
+    ("sampling", [0.5, 0.5, 0.5, -0.5], "sampling must be a distribution over states"),
+    ("sampling", [0.25] * 3, "sampling must be a distribution over states"),
+    ("sampling", [0.3] * 4, "sampling must be a distribution over states"),
+])
+def test_malformed_input_raises(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SyntheticMdp(**{**mdp_fields(), field: value})
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize(
     "field, message",

@@ -86,6 +86,10 @@ class TestHurwitzToPd:
         with pytest.raises(NotHurwitzError):
             hurwitz_to_pd(np.array([[0.0, 1.0], [0.0, 1.0]]))
 
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            hurwitz_to_pd(np.ones((2, 3)))
+
     def test_defective_jordan_block(self):
         tr = hurwitz_to_pd(JORDAN_2)
         assert tr.min_eig_sym > 0
@@ -278,6 +282,11 @@ class TestTransformDistribution:
         assert transform_problem(p).transformed_moments is not None
         with pytest.raises(ValueError, match="has no atoms: only finite-support problems"):
             transform_distribution(p, hurwitz_to_pd(JORDAN_2))
+
+    def test_transform_of_another_dimension_is_refused(self):
+        p = make_finite_support([((np.ones(2), JORDAN_2), 1.0)])
+        with pytest.raises(ValueError, match="^transform dimension does not match distribution$"):
+            transform_distribution(p, hurwitz_to_pd(np.diag([1.0, 2.0, 3.0])))
 
     def test_sampler_matches_transformed_atoms(self):
         p = make_finite_support(
