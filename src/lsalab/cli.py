@@ -27,11 +27,12 @@ GTD2, TD(0) and the Fig. 1 problems the exact MSE falls far below it.
 
 Exit codes: 0 success, 2 validation/regime errors (among them ``simulate``
 on a problem with a singular mean matrix: "problem has no fixed point
-(singular mean matrix)", and a path that cannot be read or written, such as
-a directory given as --problem or an --out under a file), 3 no usable
-result: the tuner found no stable step-size, or ``simulate``'s MSE at the
-horizon is +inf, because every replication diverged or because a surviving
-one's squared error overflows (a far --theta0; the message names which).
+(singular mean matrix)", a path that cannot be read or written, such as a
+directory given as --problem or an --out under a file, and an array the host
+cannot allocate), 3 no usable result: the tuner found no stable step-size,
+or ``simulate``'s MSE at the horizon is +inf, because every replication
+diverged or because a surviving one's squared error overflows (a far
+--theta0; the message names which).
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ def _invocation(args: argparse.Namespace) -> str:
 
 
 def _parse_grid(spec: str, integer: bool = False) -> np.ndarray:
-    """Parse 'a0:a1:n' (linear) or 'a0:a1:n:log' grids; an integer grid keeps
-    its distinct rounded points >= 1, and must keep one."""
+    """Parse 'a0:a1:n' (linear) or 'a0:a1:n:log' grids (positive ends); an
+    integer grid keeps its distinct rounded points >= 1, and must keep one."""
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise ValueError(f"grid {spec!r} is not 'start:stop:count[:log]'")
@@ -116,6 +117,8 @@ def _parse_grid(spec: str, integer: bool = False) -> np.ndarray:
     if len(parts) == 4:
         if parts[3] != "log":
             raise ValueError(f"unknown grid scale {parts[3]!r}")
+        if not (start > 0 and stop > 0):  # geomspace warns on ends of both signs
+            raise ValueError(f"log grid {spec!r} needs positive ends")
         vals = np.geomspace(start, stop, count)
     else:
         vals = np.linspace(start, stop, count)
@@ -527,8 +530,8 @@ def main(argv=None) -> int:
             _check_integer(args.seed, "seed", seed=True)
         return args.func(args)
     # ValueError covers NotHurwitzError, NotPositiveDefiniteError and
-    # CertifiedRegimeError; OSError a path that cannot be read or written
-    except (ValueError, TransformFailedError, OSError) as exc:
+    # CertifiedRegimeError; OSError a bad path; MemoryError a huge array
+    except (ValueError, TransformFailedError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (DivergedError, NoStableStepSizeError) as exc:

@@ -235,9 +235,9 @@ def _simulate_runs(
     draw: an atom index buffer is int64.
 
     Raises ValueError when the runs do not share the step-form key, horizon,
-    record stride, theta_0 and divergence bound.  A shared key implies a
-    shared dtype: a finite form's key holds the dtypes of its A_i and b_i,
-    and a Gaussian problem is always float64.
+    record stride, theta_0 and divergence bound.  Any key but a sigma_b = 0
+    Gaussian form's equals only itself, and a Gaussian problem is always
+    float64, so a shared key implies one dtype.
     """
     forms = [p.step_form for p in problems]
     theta0s = [_resolve_theta0(p, c) for p, c in zip(problems, cfgs)]
@@ -336,14 +336,12 @@ def run_mse_many(problems: list[ProblemDistribution], cfgs: list[RunConfig]) -> 
     Every replication of every run advances through one step loop; curve i
     is bit-identical to ``run_mse(problems[i], cfgs[i])``, since each row
     draws from its run's own spawned stream and steps with its run's alpha.
-    The runs may differ in alpha, seed and n_replications, and in anything
-    their step forms' key leaves out (for Gaussian problems of one A_P and
-    b_P with sigma_b = 0: sigma_A; with sigma_b > 0 the key holds both
-    noise scales, so only runs of one problem batch; for finite problems of
-    the same matrices A_i: the weights and intercepts); they must share the
-    step-form key, horizon, record stride, theta_0 and divergence bound, so
-    finite problems of distinct matrices A_i do not batch.  Each run's
-    theta* is that of its problem's exact moments.
+    The runs may differ in alpha, seed and n_replications; they must share the
+    step-form key, horizon, record stride, theta_0 and divergence bound.
+    Only Gaussian problems with sigma_b = 0 are keyed by content (A_P and
+    b_P), so those that differ in sigma_A alone batch, as Fig. 1's levels
+    do; any other problem batches only with itself.  Each run's theta* is
+    that of its problem's exact moments.
 
     A run whose step form draws nothing (``_draws_nothing``: the noise-free
     level of Fig. 1, a one-atom problem without intercept scatter) gets one

@@ -33,7 +33,6 @@ Conventions
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import operator
 import sys
@@ -196,17 +195,9 @@ class StepForm:
     ``key`` names the direction: forms with equal keys draw arrays of the same
     layout and have interchangeable ``direction``s, so the engine may step the
     replications of several problems as rows of one state, each row drawing
-    through its own problem's ``draw``.  A finite problem's form is keyed by
-    the matrices A_i it gathers from, with the dtypes of A_i and b_i; a
-    Gaussian one by every constant its direction reads (see
-    ``make_gaussian_noise``).  The A_i enter a finite key as the 64-byte
-    BLAKE2b digest of their bytes, beside their shape and dtype, not as the
-    bytes themselves, which would keep a second copy of every atom for the
-    problem's life.  Two keys are compared only when their shapes and dtypes
-    are equal, so distinct atoms share a key only if their digests collide:
-    for n forms in a process that has probability about n^2 / 2^513, and
-    BLAKE2b is collision resistant, so no known method finds a collision
-    faster than about 2^256 trials.
+    through its own problem's ``draw``.  Only a sigma_b = 0 Gaussian form is
+    keyed by content (A_P and b_P, which its direction reads); any other
+    form's key is a fresh ``object()``, equal only to itself.
 
     ``draw`` is a function of (generator, n) alone, and it consumes the
     generator on every call or on none.  A form that consumes none draws the
@@ -352,8 +343,8 @@ def _finite_problem(atoms: FiniteAtoms, label: str) -> ProblemDistribution:
     The problem steps through atom indices: its ``step_form`` draws an
     intercept block and an int64 index block, and ``direction`` gathers the
     matrices A_i of each step's indices.  ``sample`` is built on the same
-    ``draw``, so a run's steps are ``sample``'s draws, bit for bit, and the
-    form is keyed by the matrices it gathers from.
+    ``draw``, so a run's steps are ``sample``'s draws, bit for bit.  The
+    form's key is a fresh ``object()``: only runs of this one problem batch.
     """
     probs, bs, As, b_noise = atoms.probs, atoms.bs, atoms.As, atoms.b_noise
     d = bs.shape[1]
@@ -380,16 +371,12 @@ def _finite_problem(atoms: FiniteAtoms, label: str) -> ProblemDistribution:
         b, idx = draw(rng, math.prod(shape))
         return b.reshape(shape + (d,)), As.take(idx.reshape(shape), axis=0)
 
-    # a digest of the atoms, hashed through the buffer protocol: the key holds
-    # no second copy of them (see StepForm for why a digest is safe)
-    digest = hashlib.blake2b(np.ascontiguousarray(As)).digest()
-    key = ("atoms", As.shape, As.dtype.str, bs.dtype.str, digest)
     return ProblemDistribution(
         sample=sample,
         exact_moments=_finite_support_moments(atoms),
         label=label,
         atoms=atoms,
-        step_form=StepForm(draw, direction, key),
+        step_form=StepForm(draw, direction, object()),
     )
 
 
@@ -613,14 +600,15 @@ def make_gaussian_noise(
     gemv per row.  At d >= 3, where column sums are slower, A_P theta is one
     gemv per row and the norm that of ``_row_norms``.  Neither norm loses a
     small state to underflow.
-    The key holds A_P with its shape and b_P, plus the pair (s_b, s) when
-    sigma_b > 0: problems of one A_P and b_P with sigma_b = 0 batch across
-    sigma_A, stepping as rows of one state.  When sigma_A = sigma_b = 0 the
-    noise array is zeros and draws nothing, and the step still computes the
-    zero noise term, which leaves its bits unchanged.  Runs with sigma_A > 0
-    therefore draw a different stream than ``sample`` from the same seed,
-    with the same law; at d = 2 the step also rounds A_P theta by columns, so
-    its bits differ from a gemv of ``sample``'s A_t in the last places.
+    With sigma_b = 0 the key is A_P and b_P, so problems that differ in
+    sigma_A alone step as rows of one state; with sigma_b > 0 it is a fresh
+    ``object()``, so only runs of one problem batch.  When sigma_A =
+    sigma_b = 0 the noise array is zeros and draws nothing, and the step
+    still computes the zero noise term, which leaves its bits unchanged.
+    Runs with sigma_A > 0 therefore draw a different stream than ``sample``
+    from the same seed, with the same law; at d = 2 the step also rounds
+    A_P theta by columns, so its bits differ from a gemv of ``sample``'s
+    A_t in the last places.
     """
     if not (0 <= sigma_A < math.inf and 0 <= sigma_b < math.inf):
         raise ValueError("noise magnitudes must be finite and nonnegative")
@@ -692,8 +680,7 @@ def make_gaussian_noise(
                 v -= _row_norms(theta) * draws[0][s]
                 return v
 
-    scales = (entry_scale_b, entry_scale_A) if entry_scale_b else None
-    key = ("gaussian", A_P.shape, A_P.tobytes(), b_P.tobytes(), scales)
+    key = object() if entry_scale_b else ("gaussian", A_P.shape, A_P.tobytes(), b_P.tobytes())
     step_form = StepForm(draw, direction, key)
     if label is None:
         label = f"gaussian(d={d}, sigma_A={sigma_A:g}, sigma_b={sigma_b:g})"

@@ -48,20 +48,30 @@ def _min_eig_hermitian(H: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(Hh)[0])
 
 
-def rho_d(moments: Moments, alpha: float) -> float:
-    """Deterministic spectral gap at step-size alpha."""
+def _gap(moments: Moments, alpha: float, M: np.ndarray) -> float:
+    """lam_min of the Hermitian part of H - alpha*M, H = A_P + A_P^* and M
+    PSD; -inf where alpha*M has an entry past the float range.  The gap then
+    lies below minus the largest double, to within rounding: such an entry
+    puts alpha*lam_max(M) past the range (M is PSD); lam_min(H - alpha*M) <=
+    lam_max(H) - alpha*lam_max(M); and lam_max(H) <= 2||A_P|| <= 2 sqrt(d *
+    1.8e308) for any ``Moments``, as ||A_P||^2 <= trace(C_P).  Finite gaps
+    keep their bits."""
     if not 0 < alpha < np.inf:  # NaN fails too
         raise ValueError("alpha must be finite and positive")
     A = moments.A_P
-    return _min_eig_hermitian(A + A.conj().T - alpha * (A.conj().T @ A))
+    with np.errstate(over="ignore"):
+        H = A + A.conj().T - alpha * M
+    return _min_eig_hermitian(H) if np.isfinite(H).all() else -math.inf
+
+
+def rho_d(moments: Moments, alpha: float) -> float:
+    """Deterministic spectral gap at step-size alpha (M = A_P^* A_P in ``_gap``)."""
+    return _gap(moments, alpha, moments.A_P.conj().T @ moments.A_P)
 
 
 def rho_s(moments: Moments, alpha: float) -> float:
-    """Stochastic spectral gap at step-size alpha; needs the second moment C_P."""
-    if not 0 < alpha < np.inf:  # NaN fails too
-        raise ValueError("alpha must be finite and positive")
-    A = moments.A_P
-    return _min_eig_hermitian(A + A.conj().T - alpha * moments.C_P)
+    """Stochastic spectral gap at step-size alpha (M = C_P in ``_gap``)."""
+    return _gap(moments, alpha, moments.C_P)
 
 
 def witness_alpha(moments: Moments) -> float:

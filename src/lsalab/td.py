@@ -198,10 +198,11 @@ def td0_instance(mdp: SyntheticMdp) -> TdInstance:
     n, d = phi.shape
     s, sp, w = _pairs(mdp)
     phi_s = phi[s]
-    delta = _outer(phi_s, phi_s) - gamma * _outer(phi_s, phi[sp])
-    b = phi_s * mdp.rewards[s, sp][:, None]
     noise = mdp.reward_noise_std
-    atoms = FiniteAtoms(w, b, delta, noise * phi_s if noise > 0 else None)
+    with np.errstate(over="ignore", invalid="ignore"):  # Moments refuses an overflow
+        delta = _outer(phi_s, phi_s) - gamma * _outer(phi_s, phi[sp])
+        b = phi_s * mdp.rewards[s, sp][:, None]
+        atoms = FiniteAtoms(w, b, delta, noise * phi_s if noise > 0 else None)
     return TdInstance(_finite_problem(atoms, f"td0(n={n}, d={d}, gamma={gamma:g})"), "td0")
 
 
@@ -224,18 +225,18 @@ def gtd_instance(mdp: SyntheticMdp, eta: float, variant: str = "gtd") -> TdInsta
     s, sp, w = _pairs(mdp)
     mu = mdp.transitions[s, sp] / mdp.effective_behavior[s, sp]
     phi_s = phi[s]
-    outer = _outer(phi_s, phi_s)
-    delta = outer - gamma * _outer(phi_s, phi[sp])
-
-    A = np.zeros((len(w), 2 * d, 2 * d))
-    A[:, :d, :d] = eta * (np.eye(d) if variant == "gtd" else outer)
-    A[:, :d, d:] = (eta * mu)[:, None, None] * delta
-    A[:, d:, :d] = -mu[:, None, None] * np.swapaxes(delta, -1, -2)
-    noise_dir = np.zeros((len(w), 2 * d))  # the intercept per unit reward
-    noise_dir[:, :d] = (eta * mu)[:, None] * phi_s
-    b = np.zeros_like(noise_dir)
-    b[:, :d] = noise_dir[:, :d] * mdp.rewards[s, sp][:, None]
     noise = mdp.reward_noise_std
-    atoms = FiniteAtoms(w, b, A, noise * noise_dir if noise > 0 else None)
+    A = np.zeros((len(w), 2 * d, 2 * d))
+    noise_dir = np.zeros((len(w), 2 * d))  # the intercept per unit reward
+    b = np.zeros_like(noise_dir)
+    with np.errstate(over="ignore", invalid="ignore"):  # Moments refuses an overflow
+        outer = _outer(phi_s, phi_s)
+        delta = outer - gamma * _outer(phi_s, phi[sp])
+        A[:, :d, :d] = eta * (np.eye(d) if variant == "gtd" else outer)
+        A[:, :d, d:] = (eta * mu)[:, None, None] * delta
+        A[:, d:, :d] = -mu[:, None, None] * np.swapaxes(delta, -1, -2)
+        noise_dir[:, :d] = (eta * mu)[:, None] * phi_s
+        b[:, :d] = noise_dir[:, :d] * mdp.rewards[s, sp][:, None]
+        atoms = FiniteAtoms(w, b, A, noise * noise_dir if noise > 0 else None)
     label = f"{variant}(n={n}, d={d}, gamma={gamma:g}, eta={eta:g})"
     return TdInstance(_finite_problem(atoms, label), variant)

@@ -1272,3 +1272,129 @@ def test_mutated_problem_files_exit_0_or_2_and_write_nothing_on_2(case):
             if code == EXIT_VALIDATION:
                 assert re.fullmatch(r"error: .+\n", err) and not re.fullmatch(r"error: '\w*'\n", err), err
                 assert not out.exists()
+
+
+#: a Fig. 1-style problem file: the Fig. 1 mean, intercept (-9, 11), sigma_A = 2
+FIG1_STYLE = {"type": "gaussian", "A": [[1, -10], [10, 1]], "b": [-9, 11], "sigma_A": 2}
+
+
+@pytest.mark.parametrize("name", ["fig1-style", "gtd2"])
+def test_rho_past_the_float_range_reads_minus_inf(name, tmp_path):
+    # alpha*M leaves the float range at 1e308: the gaps read -inf, not NaN
+    if name == "gtd2":
+        problem = PROBLEMS / "gtd2_offpolicy.json"
+    else:
+        problem = tmp_path / "f.json"
+        problem.write_text(json.dumps(FIG1_STYLE))
+    out = tmp_path / "rho.csv"
+    code, err = main_quietly(["rho", "--problem", str(problem), "--alpha-grid", "1e300:1e308:3:log",
+                              "--out", str(out)])
+    assert (code, err) == (0, "")
+    assert out.read_text().splitlines()[-1] == "1e+308,-inf,-inf,inf,inf"
+    assert "nan" not in out.read_text()
+
+
+def test_bound_past_the_float_range_exits_2(tmp_path):
+    # NaN gaps passed the regime check and bound_curve raised OverflowError
+    problem = tmp_path / "f.json"
+    problem.write_text(json.dumps(FIG1_STYLE))
+    out = tmp_path / "b.csv"
+    code, err = main_quietly(["bound", "--problem", str(problem), "--alpha", "1e307",
+                              "--t-grid", "1:10:3", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert re.fullmatch(r"error: outside certified regime: rho_d=-inf, rho_s=-inf\n", err), err
+    assert not out.exists()
+
+
+def scaled_mdp(features=1.0):
+    """The MDP object of the committed GTD2 file, its features scaled."""
+    mdp = json.loads((PROBLEMS / "gtd2_offpolicy.json").read_text())["mdp"]
+    mdp["features"] = (features * np.array(mdp["features"])).tolist()
+    return mdp
+
+
+@pytest.mark.parametrize("algo, eta, features", [("gtd2", 1e308, 1.0), ("td0", 1.0, 1e200)],
+                         ids=["gtd2-huge-eta", "td0-huge-features"])
+@pytest.mark.parametrize("command", ["td", "rho"])
+def test_td_instance_past_the_float_range_exits_2(command, algo, eta, features, tmp_path):
+    # the atoms overflow as they are formed; Moments refuses them, with no
+    # RuntimeWarning on the way
+    mdp = scaled_mdp(features)
+    out = tmp_path / "out"
+    if command == "td":
+        (tmp_path / "mdp.json").write_text(json.dumps(mdp))
+        argv = ["td", "--mdp", str(tmp_path / "mdp.json"), "--algo", algo, f"--eta={eta!r}",
+                "--out", str(out)]
+    else:
+        spec = {"type": "td_mdp", "algo": algo, "eta": eta, "mdp": mdp}
+        (tmp_path / "p.json").write_text(json.dumps(spec))
+        argv = ["rho", "--problem", str(tmp_path / "p.json"), "--alpha-grid", "1e-4:1:3:log",
+                "--out", str(out)]
+    code, err = main_quietly(argv)
+    assert code == EXIT_VALIDATION
+    assert re.fullmatch(r"error: \w+ = .* exceeds the float range .*\n", err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rho", "bound", "simulate"])
+def test_allocation_the_host_cannot_make_exits_2(command, tmp_path):
+    # each command's first array of 1e11 entries asked for 745 GiB; the
+    # patch raises numpy's error for it, so the test allocates nothing
+    from numpy._core._exceptions import _ArrayMemoryError
+
+    out = tmp_path / "out.csv"
+    problem = ["--problem", str(PROBLEMS / "td0_onpolicy.json")]
+    argv, target = {
+        "rho": (["rho", *problem, "--alpha-grid", "1e-4:1:100000000000:log"], (np, "geomspace")),
+        "bound": (["bound", *problem, "--alpha", "0.01", "--t-grid", "1:10:100000000000"],
+                  (np, "linspace")),
+        "simulate": (["simulate", *problem, "--alpha", "0.01", "--horizon", "100000000000",
+                      "--stride", "1", "--reps", "1"], (RunConfig, "record_times")),
+    }[command]
+    error = _ArrayMemoryError((10**11,), np.dtype(float))
+    with mock.patch.object(*target, side_effect=error) as allocate:
+        code, err = main_quietly([*argv, "--out", str(out)])
+    assert allocate.called
+    assert code == EXIT_VALIDATION
+    assert err == f"error: {error}\n" and "745. GiB" in err
+    assert os.listdir(tmp_path) == []
+
+
+#: the float flags and grid ends, each as a function of the value under test
+FLOAT_FLAGS = {
+    "simulate --alpha": lambda v: ["simulate", f"--alpha={v}", "--horizon", "20", "--reps", "2",
+                                   "--stride", "5", "--out", "{root}/out.csv"],
+    "bound --alpha": lambda v: ["bound", f"--alpha={v}", "--t-grid", "1:10:3",
+                                "--out", "{root}/out.csv"],
+    "bound --t-grid start": lambda v: ["bound", "--alpha", "0.001", f"--t-grid={v}:10:3",
+                                       "--out", "{root}/out.csv"],
+    "bound --t-grid stop": lambda v: ["bound", "--alpha", "0.001", f"--t-grid=1:{v}:3:log",
+                                      "--out", "{root}/out.csv"],
+    "tune --alpha-max": lambda v: ["tune", f"--alpha-max={v}", "--horizon", "40",
+                                   "--out-json", "{root}/t.json"],
+    "tune --c": lambda v: ["tune", "--alpha-max", "0.01", f"--c={v}", "--horizon", "40",
+                           "--out-json", "{root}/t.json"],
+    "rho --alpha-grid start": lambda v: ["rho", f"--alpha-grid={v}:1:3:log", "--out", "{root}/out.csv"],
+    "rho --alpha-grid stop": lambda v: ["rho", f"--alpha-grid=1e-4:{v}:3", "--out", "{root}/out.csv"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf", "5e-324", "1e300", "1e308"])
+@pytest.mark.parametrize("flag", sorted(FLOAT_FLAGS))
+def test_float_flags_exit_0_2_or_3_and_write_nothing_on_2(flag, value):
+    # each float flag at a hostile value, on a TD file and a Fig. 1-style
+    # one: exit 0, 2 or 3, never a traceback or a RuntimeWarning, and no
+    # file written on exit 2
+    with tempfile.TemporaryDirectory() as root:
+        f = Path(root) / "f.json"
+        f.write_text(json.dumps(FIG1_STYLE))
+        for problem in (PROBLEMS / "td0_onpolicy.json", f):
+            argv = [arg.format(root=root) for arg in FLOAT_FLAGS[flag](value)]
+            code, err = main_quietly([argv[0], "--problem", str(problem), *argv[1:]])
+            assert code in (0, EXIT_VALIDATION, EXIT_DIVERGED), err
+            written = sorted(set(os.listdir(root)) - {"f.json"})
+            if code == EXIT_VALIDATION:
+                assert re.fullmatch(r"error: .+\n", err) and written == [], (err, written)
+            for name in written:
+                assert "nan" not in Path(root, name).read_text().lower()
+                os.remove(Path(root, name))

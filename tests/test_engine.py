@@ -592,22 +592,22 @@ class TestGaussianStepForm:
                     np.testing.assert_allclose(hat, ref_hat, rtol=1e-12)
 
     def test_key_names_the_direction(self):
-        # the key holds A_P and b_P, and with sigma_b > 0 the two noise scales
-        # its direction reads; with sigma_b = 0 it leaves out sigma_A
+        # with sigma_b = 0 the key holds A_P and b_P, the constants its
+        # direction reads, and leaves out sigma_A; with sigma_b > 0 it
+        # equals only itself
         A, b = FIG1_MEAN, np.ones(2)
 
         def key(*args):
             return make_gaussian_noise(*args).step_form.key
 
-        assert key(A, b, 0.0, 0.0) == key(A, b, 2.0, 0.0) != key(A, 2 * b, 2.0, 0.0)
-        assert key(A, b, 2.0, 0.5) == key(A.copy(), b.copy(), 2.0, 0.5)
-        assert key(A, b, 0.0, 0.5) == key(A, b, 0.0, 0.5)
-        keys = [
-            key(A, b, 2.0, 0.5), key(A, 2 * b, 2.0, 0.5), key(A, b, 0.0, 0.5),
-            key(A, b, 5.0, 0.5), key(A, b, 2.0, 1.0), key(A, b, 2.0, 0.0),
-            key(2 * A, b, 2.0, 0.5),
-        ]
-        assert len(set(keys)) == len(keys)
+        assert key(A, b, 0.0, 0.0) == key(A, b, 2.0, 0.0) == key(A.copy(), b.copy(), 5.0, 0.0)
+        assert key(A, b, 2.0, 0.0) != key(A, 2 * b, 2.0, 0.0)
+        assert key(A, b, 2.0, 0.0) != key(2 * A, b, 2.0, 0.0)
+        for sigma_A in (0.0, 2.0):
+            assert key(A, b, sigma_A, 0.5) != key(A, b, sigma_A, 0.5)
+            assert key(A, b, sigma_A, 0.5) != key(A, b, sigma_A, 0.0)
+        p = make_gaussian_noise(A, b, 2.0, 0.5)
+        assert dataclasses.replace(p, label="q").step_form.key == p.step_form.key
 
     @pytest.mark.parametrize("d, alpha", [(2, 0.7), (5, 0.9), (32, 0.96)])
     def test_runs_of_one_problem_batch_with_intercept_noise(self, d, alpha):
@@ -938,16 +938,15 @@ class TestAtomStepForm:
             assert x.tobytes() == y.tobytes()
 
     def test_runs_never_call_sample(self):
-        # runs of one problem, and of problems of the same matrices, step
-        # through atom indices; the curves are those of the dense form
+        # runs of one problem batched, and a problem run alone, step through
+        # atom indices; the curves are those of the dense form
         p, q = pm_identity(0.05), pm_identity(0.2)
         cfg = RunConfig(alpha=0.3, horizon=700, record_stride=50, n_replications=4, seed=2)
         other = dataclasses.replace(cfg, alpha=0.2, seed=5, n_replications=3)
-        want = [run_mse(p, cfg), run_mse(q, other)]
-        got = run_mse_many(
-            [dataclasses.replace(x, sample=no_draws) for x in (p, q)], [cfg, other]
-        )
-        for g, w in zip(got, want):
+        want = [run_mse(p, cfg), run_mse(p, other), run_mse(q, other)]
+        quiet_p, quiet_q = (dataclasses.replace(x, sample=no_draws) for x in (p, q))
+        got = run_mse_many([quiet_p, quiet_p], [cfg, other]) + [run_mse(quiet_q, other)]
+        for g, w in zip(got, want, strict=True):
             np.testing.assert_array_equal(g.mse, w.mse)
             np.testing.assert_array_equal(g.stderr, w.stderr)
         td = dataclasses.replace(load_problem_file(PROBLEMS / "td0_onpolicy.json"), sample=no_draws)
@@ -968,55 +967,77 @@ class TestAtomStepForm:
         assert peak < 6e6
 
 
-@st.composite
-def finite_batches(draw):
-    """Random finite-support runs that may share one batch, and a sentinel.
-
-    The runs share d, horizon, record stride, theta_0 and the matrices A_i,
-    as the step-form key of a batch requires; their intercepts are scaled
-    so that ||theta*||_inf <= 1/2, which gives every run the divergence
-    bound of theta_0.  Each run has its own weights, intercepts, intercept
-    scatter, alpha (all equal in some batches), replication count and
-    seed.  Atoms A_i = I + 1.2 G_i spread the rows' growth rates (twice the
-    spread of ``finite_runs``), so that with a sentinel drawn down to 10
-    rows leave the batch at different steps in about two batches of five.
-    """
-    d = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def batch_configs(draw, rng, d, n_runs):
+    """Configs of ``n_runs`` runs that may share one batch: one horizon,
+    record stride and theta_0 (random or zeros), with alpha (all equal in
+    some batches), replication count and seed drawn per run."""
     horizon = draw(st.integers(1, 600))
     stride = draw(st.integers(1, horizon))
     theta_0 = rng.standard_normal(d) if draw(st.booleans()) else None
-    n_runs = draw(st.integers(1, 4))
     shared_alpha = 10 ** draw(st.floats(-1.5, 0.5)) if draw(st.booleans()) else None
-    k = draw(st.integers(1, 4))
-    As = np.eye(d) + 1.2 * rng.standard_normal((k, d, d))
-    problems, cfgs = [], []
-    for _ in range(n_runs):
-        probs = rng.dirichlet(np.ones(k))
-        atoms = FiniteAtoms(
-            probs=probs / probs.sum(),
-            bs=rng.standard_normal((k, d)),
-            As=As,
-            b_noise=rng.standard_normal((k, d)) if draw(st.booleans()) else None,
-        )
-        theta_star = _finite_problem(atoms, "random").exact_moments.theta_star
-        assume(theta_star is not None)
-        scale = max(1.0, 2 * np.abs(theta_star).max())
-        problems.append(_finite_problem(dataclasses.replace(atoms, bs=atoms.bs / scale), "random"))
-        cfgs.append(RunConfig(
+    return [
+        RunConfig(
             alpha=shared_alpha or 10 ** draw(st.floats(-1.5, 0.5)),
             horizon=horizon,
             theta_0=theta_0,
             record_stride=stride,
             n_replications=draw(st.integers(1, 5)),
             seed=draw(st.integers(0, 2**32 - 1)),
-        ))
-    return problems, cfgs, 10.0 ** draw(st.integers(1, 30))
+        )
+        for _ in range(n_runs)
+    ]
+
+
+@st.composite
+def finite_batches(draw):
+    """Random runs of one finite-support problem, and a sentinel.
+
+    A finite form's key equals only itself, so the runs share their problem,
+    with random weights, intercepts and intercept scatter.  Each run has its
+    own alpha, replication count and seed (see ``batch_configs``).  Atoms
+    A_i = I + 1.2 G_i spread the rows' growth rates (twice the spread of
+    ``finite_runs``), so that with a sentinel drawn down to 10 rows leave
+    the batch at different steps.
+    """
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 4))
+    probs = rng.dirichlet(np.ones(k))
+    p = _finite_problem(FiniteAtoms(
+        probs=probs / probs.sum(),
+        bs=rng.standard_normal((k, d)),
+        As=np.eye(d) + 1.2 * rng.standard_normal((k, d, d)),
+        b_noise=rng.standard_normal((k, d)) if draw(st.booleans()) else None,
+    ), "random")
+    assume(p.exact_moments.theta_star is not None)
+    n_runs = draw(st.integers(1, 4))
+    return [p] * n_runs, batch_configs(draw, rng, d, n_runs), 10.0 ** draw(st.integers(1, 30))
+
+
+@st.composite
+def gaussian_batches(draw):
+    """Random runs of sigma_b = 0 Gaussian problems that share a random A_P
+    and b_P, each run with its own sigma_A in [0, 3], and a sentinel.
+
+    Their keys are equal, so rows of different laws share one state.  A_P
+    = I + 0.5 G and the matrix noise, which grows with ||theta||, spread the
+    rows' growth rates: under a sentinel drawn down to 10 rows diverge at
+    scattered times.
+    """
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A_P = np.eye(d) + 0.5 * rng.standard_normal((d, d))
+    b_P = rng.standard_normal(d)
+    n_runs = draw(st.integers(1, 4))
+    problems = [make_gaussian_noise(A_P, b_P, draw(st.floats(0.0, 3.0)), 0.0)
+                for _ in range(n_runs)]
+    assume(problems[0].exact_moments.theta_star is not None)
+    return problems, batch_configs(draw, rng, d, n_runs), 10.0 ** draw(st.integers(1, 30))
 
 
 class TestRunMseMany:
     @settings(max_examples=100, deadline=None)
-    @given(finite_batches())
+    @given(st.one_of(finite_batches(), gaussian_batches()))
     def test_matches_one_run_mse_per_run(self, batch):
         problems, cfgs, sentinel = batch
         with mock.patch.object(engine, "DIVERGENCE_SENTINEL", sentinel):
@@ -1032,16 +1053,19 @@ class TestRunMseMany:
         p = pm_identity(0.05)  # atoms +-I, A_P = 0.1 I, theta* = 0
         cfg = RunConfig(alpha=0.1, horizon=50, record_stride=5)
         gaussian = make_gaussian_noise(np.eye(2), np.zeros(2), 0.5, 0.0)
-        # p's matrices with intercepts (0.5, 0): the same key, theta* = (5, 0)
-        far = make_finite_support(
-            [((np.array([0.5, 0.0]), A), w) for A, w in zip(p.atoms.As, p.atoms.probs)]
-        )
+        # p's step form with the moments of intercepts (0.5, 0): theta* =
+        # (5, 0), so the divergence bound moves while the key does not
+        moved = [((np.array([0.5, 0.0]), A), w) for A, w in zip(p.atoms.As, p.atoms.probs)]
+        far = dataclasses.replace(p, exact_moments=make_finite_support(moved).exact_moments)
         other_atoms = make_finite_support([((np.zeros(2), 2 * np.eye(2)), 1.0)])
         complex_p = make_finite_support([((np.zeros(2, complex), np.eye(2, dtype=complex)), 1.0)])
+        noisy = [make_gaussian_noise(np.eye(2), np.zeros(2), 0.5, 0.5) for _ in range(2)]
         cases = [
             ([p, gaussian], [cfg, cfg], "step-form key"),
             ([p, other_atoms], [cfg, cfg], "step-form key"),
             ([p, complex_p], [cfg, cfg], "step-form key"),
+            ([p, pm_identity(0.05)], [cfg, cfg], "step-form key"),
+            (noisy, [cfg, cfg], "step-form key"),
             ([p, p], [cfg, dataclasses.replace(cfg, horizon=60)], "horizon"),
             ([p, p], [cfg, dataclasses.replace(cfg, record_stride=10)], "record stride"),
             ([p, p], [cfg, dataclasses.replace(cfg, theta_0=np.ones(2))], "theta_0"),
@@ -1055,6 +1079,7 @@ class TestRunMseMany:
         quiet = make_gaussian_noise(np.eye(2), np.zeros(2), 0.0, 0.0)
         other = dataclasses.replace(cfg, alpha=0.2, seed=3, n_replications=4)
         assert len(run_mse_many([gaussian, quiet], [cfg, other])) == 2
+        assert len(run_mse_many([p, p], [cfg, other])) == 2
 
 
 def every_row_curve(p, cfg):

@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +19,14 @@ from lsalab import (
     spectral_report,
     witness_alpha,
 )
+from lsalab.problem_io import load_problem_file
 from lsalab.problems import Moments, spectral_norm
 from lsalab.spectral import _min_eig_hermitian
+from lsalab.transform import transform_problem
 
 ROT = np.array([[1.0, -10.0], [10.0, 1.0]])
+PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
+EPS = np.finfo(float).eps
 
 
 def moments_of(A, sigma_A=0.0, b=None):
@@ -70,6 +75,131 @@ class TestMinEigHermitian:
         assert rho_d(m, 1.0) == pytest.approx(2 * a_P - a_P * a_P, rel=1e-15)
         assert rho_s(m, 1.0) == pytest.approx(2 * a_P - float(m.C_P[0, 0]), rel=1e-15)
         assert _min_eig_hermitian(np.diag([-1.5e308, 1.0])) == -1.5e308
+
+
+def fig1_style_moments():
+    """The Fig. 1 mean with intercept (-9, 11) and sigma_A = 2."""
+    return make_gaussian_noise(ROT, np.array([-9.0, 11.0]), 2.0, 0.0).exact_moments
+
+
+#: moments whose gaps leave the float range between 1.7e306 and 1e308
+RANGE_MOMENTS = {
+    "fig1": fig1_style_moments,
+    "td0": lambda: load_problem_file(PROBLEMS / "td0_onpolicy.json").exact_moments,
+    "gtd2": lambda: transform_problem(
+        load_problem_file(PROBLEMS / "gtd2_offpolicy.json")).transformed_moments,
+}
+
+
+class TestGapsPastTheFloatRange:
+    """Where alpha*M has an entry past the float range, the gap reads -inf,
+    not NaN, and no RuntimeWarning leaks; every finite gap keeps its bits."""
+
+    @pytest.mark.parametrize("alpha", [1e307, 1e308])
+    def test_fig1_style_gaps_read_minus_inf(self, alpha):
+        m = fig1_style_moments()
+        assert rho_d(m, alpha) == rho_s(m, alpha) == -np.inf
+        rep = spectral_report(m, alpha)
+        assert rep.contraction_factor_d == rep.contraction_factor_s == np.inf
+
+    def test_transformed_gtd2_gaps_read_minus_inf(self):
+        m = RANGE_MOMENTS["gtd2"]()
+        assert rho_d(m, 1e308) == rho_s(m, 1e308) == -np.inf
+
+    def test_only_the_second_moment_leaves_the_range_on_td0(self):
+        # alpha C_P leaves the float range at 1e308, alpha A_P^* A_P does not
+        m = RANGE_MOMENTS["td0"]()
+        assert rho_s(m, 1e308) == -np.inf
+        assert -np.inf < rho_d(m, 1e308) < 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(RANGE_MOMENTS)), st.floats(1e-300, 1.7e306))
+    @example("fig1", 1.7e306)
+    @example("td0", 1.7e306)
+    @example("gtd2", 1.7e306)
+    def test_finite_gaps_keep_their_bits(self, name, alpha):
+        m = RANGE_MOMENTS[name]()
+        A = m.A_P
+        for gap, M in [(rho_d, A.conj().T @ A), (rho_s, m.C_P)]:
+            assert gap(m, alpha) == _min_eig_hermitian(A + A.conj().T - alpha * M)
+
+
+def random_matrix(rng, d):
+    """A d x d standard normal matrix scaled by 10^u, u uniform in [-3, 3]."""
+    return rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-3, 3)
+
+
+def pd_mean_problem(rng):
+    """A random finite problem (d <= 4, up to 5 atoms) whose A_P + A_P^* is
+    PD: the atoms are shifted by a multiple of I past the mean's smallest
+    symmetric eigenvalue, then scaled by 10^u, u uniform in [-3, 3]."""
+    d, k = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    probs = rng.dirichlet(np.ones(k))
+    As = rng.standard_normal((k, d, d))
+    A_P = np.einsum("k,kij->ij", probs, As)
+    shift = rng.uniform(0.01, 1.0) - min(0.0, np.linalg.eigvalsh(A_P + A_P.T).min() / 2)
+    As = (As + shift * np.eye(d)) * 10.0 ** rng.uniform(-3, 3)
+    return make_finite_support([((rng.standard_normal(d), A), w) for A, w in zip(As, probs)])
+
+
+class TestSpectralProperties:
+    """Identities of the gaps that hold exactly up to rounding.  Each
+    tolerance is a multiple of the largest error a sweep of 3,000 seeds
+    found: 7.6 eps (1 + alpha||A_P||)^2 for the contraction identity, 0.9
+    eps (||2 A_P|| + alpha||C_P||) for PSD atoms and 1 eps for the -alpha/2
+    gap; no ordering of rho_s and no positive gap below the witness failed."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.floats(-3.0, 1.0))
+    def test_contraction_identity(self, seed, d, log_c):
+        # ||I - alpha A_P||^2 = 1 - alpha rho_d(alpha), alpha = c / ||A_P||
+        A = random_matrix(np.random.default_rng(seed), d)
+        c = 10.0**log_c
+        alpha = c / spectral_norm(A)
+        m = moments_of(A)
+        lhs = spectral_norm(np.eye(d) - alpha * A) ** 2
+        assert abs(lhs - (1 - alpha * rho_d(m, alpha))) <= 32 * EPS * (1 + c) ** 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.001, 0.99))
+    def test_stochastic_gap_positive_below_the_witness(self, seed, frac):
+        m = pd_mean_problem(np.random.default_rng(seed)).exact_moments
+        assert rho_s(m, frac * witness_alpha(m)) > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 1.0), st.floats(-3.0, 1.0))
+    def test_stochastic_gap_non_increasing(self, seed, u, v):
+        m = pd_mean_problem(np.random.default_rng(seed)).exact_moments
+        wit = witness_alpha(m)
+        lo, hi = sorted((10.0**u * wit, 10.0**v * wit))
+        scale = spectral_norm(m.A_P + m.A_P.T) + hi * spectral_norm(m.C_P)
+        assert rho_s(m, hi) <= rho_s(m, lo) + 4 * EPS * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.001, 1.0, exclude_max=True))
+    def test_psd_atoms_below_two_over_b(self, seed, frac):
+        # symmetric PSD atoms with ||A_i|| <= B: C_P <= B A_P, so the gap at
+        # alpha < 2/B is at least (2 - alpha B) lam_min(A_P) >= 0
+        rng = np.random.default_rng(seed)
+        d, k = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        B = 10.0 ** rng.uniform(-3, 3)
+        atoms = []
+        for w in rng.dirichlet(np.ones(k)):
+            R = rng.standard_normal((d, int(rng.integers(1, d + 1))))
+            S = R @ R.T
+            atoms.append(((np.zeros(d), S * (rng.uniform(0.01, 1.0) * B / spectral_norm(S))), w))
+        m = make_finite_support(atoms).exact_moments
+        alpha = frac * check_weak_admissibility_psd_class(B)
+        scale = spectral_norm(2 * m.A_P) + alpha * spectral_norm(m.C_P)
+        assert rho_s(m, alpha) >= -4 * EPS * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 4.0, exclude_min=True, exclude_max=True))
+    @example(5e-324)
+    @example(np.nextafter(4.0, 0.0))
+    def test_inadmissibility_witness_gap(self, alpha):
+        m = inadmissibility_witness_pb(alpha).exact_moments
+        assert abs(rho_s(m, alpha) + alpha / 2) <= 4 * EPS
 
 
 class TestRhoS:

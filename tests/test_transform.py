@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from lsalab import (
     RunConfig,
     SyntheticMdp,
     TransformFailedError,
+    TransformResult,
     gtd_instance,
     hurwitz_to_pd,
     make_finite_support,
@@ -29,13 +31,14 @@ from lsalab import (
 )
 from lsalab.engine import _replication_rngs, _simulate_runs
 from lsalab.problem_io import load_problem_file
-from lsalab.problems import FiniteAtoms, _finite_problem, _finite_support_moments
+from lsalab.problems import FiniteAtoms, _finite_problem, _finite_support_moments, spectral_norm
 from lsalab.transform import _transform_atoms
 from oracles import estimate_moments
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
 JORDAN_2 = np.array([[0.1, 1.0], [0.0, 0.1]])
 CHAIN_3 = 0.2 * np.eye(3) + np.diag([1.0, 1.0], k=1)  # 3-chain at 0.2, kappa(U) = 16
+EPS = np.finfo(float).eps
 
 
 def spectrum_distance(got, want) -> float:
@@ -477,3 +480,76 @@ class TestClosedFormSecondMoment:
             noisy = se > 1e-12 * np.abs(C_U).max()
             assert np.all(np.abs(diff[noisy]) <= 5 * se[noisy])
             assert np.all(np.abs(diff[~noisy]) <= 1e-10 * np.abs(C_U).max())
+
+
+def hurwitz_matrix(kind, seed):
+    """A random Hurwitz matrix, d = 2 to 4, scaled by 10^u (u uniform in
+    [-3, 3]), of one of four kinds: "pd" (PD symmetric part: the identity
+    route), "random" (an indefinite symmetric part: the eigenvector route),
+    "jordan" (a Jordan block at 0.05-0.4, conjugated by a well-conditioned
+    S: mostly the Schur route) and "near-defective" (that block with 1e-14
+    to 1e-6 in its corner: either route)."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    if kind == "pd":
+        B, S = rng.standard_normal((2, d, d))
+        return (B @ B.T + 0.1 * np.eye(d) + (S - S.T)) * scale
+    if kind == "random":
+        return random_hurwitz_non_pd(int(rng.integers(2**31)), d) * scale
+    J = rng.uniform(0.05, 0.4) * np.eye(d) + np.diag(np.ones(d - 1), 1)
+    if kind == "near-defective":
+        J[-1, 0] = 10.0 ** rng.uniform(-14, -6)
+    S = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    return np.linalg.solve(S, J @ S) * scale
+
+
+def route_of(A):
+    """hurwitz_to_pd(A) and the route it took: "identity", "eigen" or "schur"."""
+    import scipy.linalg
+
+    with mock.patch.object(scipy.linalg, "schur", wraps=scipy.linalg.schur) as schur:
+        tr = hurwitz_to_pd(A)
+    return tr, "identity" if tr.identity else "schur" if schur.called else "eigen"
+
+
+class TestTransformProperties:
+    """Identities of the transform that hold exactly up to rounding.  Each
+    tolerance is a multiple of the largest error a sweep of 1,600 matrices
+    (similarity: 1.6 eps kappa(U) ||A||; kappa(U) never below 1) and 3,000
+    problems (second moment: 5.5 eps ||C_P||) found."""
+
+    KINDS = ("pd", "random", "jordan", "near-defective")
+
+    def test_every_route_is_drawn(self):
+        routes = {kind: {route_of(hurwitz_matrix(kind, seed))[1] for seed in range(8)}
+                  for kind in self.KINDS}
+        assert routes["pd"] == {"identity"} and routes["random"] == {"eigen"}
+        assert "schur" in routes["jordan"] and "schur" in routes["near-defective"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
+    def test_similarity_holds(self, kind, seed):
+        A = hurwitz_matrix(kind, seed)
+        tr, _ = route_of(A)
+        err = spectral_norm(tr.U_inv @ A @ tr.U - tr.Lambda)
+        assert err <= 16 * EPS * tr.kappa_U * spectral_norm(A)
+        assert tr.min_eig_sym > 0
+        assert tr.kappa_U >= 1 - 4 * EPS
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_unitary_transform_maps_the_second_moment(self, seed):
+        # for unitary U both the weighted sums over the atoms and the closed
+        # form of a problem without atoms give C_U = U^* C_P U
+        rng = np.random.default_rng(seed)
+        d, k = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        As = rng.standard_normal((k, d, d)) * 10.0 ** rng.uniform(-3, 3)
+        p = _finite_problem(FiniteAtoms(rng.dirichlet(np.ones(k)), rng.standard_normal((k, d)), As), "r")
+        U, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        m = p.exact_moments
+        tr = TransformResult(U, U.conj().T, U.conj().T @ m.A_P @ U)
+        want = U.conj().T @ m.C_P @ U
+        for q in (p, dataclasses.replace(p, atoms=None)):
+            got = transform_moments(q, tr).C_P
+            assert spectral_norm(got - want) <= 32 * EPS * spectral_norm(m.C_P)
