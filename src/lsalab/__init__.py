@@ -52,7 +52,6 @@ from .transform import (
     TransformFailedError,
     TransformResult,
     hurwitz_to_pd,
-    transform_distribution,
     transform_moments,
     transform_problem,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "TransformResult",
     "hurwitz_to_pd",
-    "transform_distribution",
     "transform_moments",
     "transform_problem",
     "NotHurwitzError",

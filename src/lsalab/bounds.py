@@ -144,9 +144,9 @@ class BoundInputs:
 
     @property
     def v_sq_per_alpha(self) -> float:
-        """v^2 / alpha = alpha sigma1^2 + sigma2^2 ||theta_0 - theta*||."""
+        """v^2 / alpha = alpha sigma1^2 + sigma2^2 ||theta_0 - theta*||, 0 * inf as 0."""
         m = self.moments
-        return self.alpha * m.sigma1_sq + m.sigma2_sq * self.initial_err
+        return self.alpha * m.sigma1_sq + (m.sigma2_sq * self.initial_err if m.sigma2_sq else 0.0)
 
     @property
     def v_sq(self) -> float:

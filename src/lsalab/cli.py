@@ -284,9 +284,7 @@ def _cmd_td(args) -> int:
         "dim": instance.problem.dim,
         "hurwitz": instance.hurwitz,
         "mean_spectrum_real": [float(x) for x in np.sort(instance.mean_spectrum.real)],
-        "theta_star": None
-        if m.theta_star is None
-        else [float(x) for x in np.asarray(m.theta_star).real],
+        "theta_star": None if m.theta_star is None else m.theta_star.tolist(),
         "sigma_A_sq": m.sigma_A_sq,
         "sigma_b_sq": m.sigma_b_sq,
     }

@@ -124,16 +124,10 @@ class MseCurve:
 
 def _resolve_theta0(p: ProblemDistribution, cfg) -> np.ndarray:
     """cfg.theta_0 (a RunConfig's or a TunerConfig's) checked to be a finite
-    d-vector, or zeros.
-
-    Its dtype is the run's: that of the problem's A_P and b_P, at least
-    float64, which the problem's draws share.
-    """
-    m = p.exact_moments
-    dtype = np.result_type(np.float64, m.A_P, m.b_P)
+    real d-vector, or zeros; float64 either way."""
     if cfg.theta_0 is None:
-        return np.zeros(p.dim, dtype=dtype)
-    return _check_theta0(cfg.theta_0, p.dim, dtype)
+        return np.zeros(p.dim)
+    return _check_theta0(cfg.theta_0, p.dim)
 
 
 def divergence_bound(p: ProblemDistribution, theta_0: np.ndarray) -> float:
@@ -154,7 +148,7 @@ def divergence_bound(p: ProblemDistribution, theta_0: np.ndarray) -> float:
 def _sq_err(hat: np.ndarray, theta_star: np.ndarray) -> np.ndarray:
     """||hat - theta*||^2 over the last axis, +inf where the square overflows."""
     with np.errstate(over="ignore"):
-        return (np.abs(hat - theta_star) ** 2).sum(axis=-1).astype(float)
+        return ((hat - theta_star) ** 2).sum(axis=-1)
 
 
 def _advance(theta, hat, n: int, draws, direction, alpha: float, bound: float):
@@ -229,15 +223,14 @@ def _simulate_runs(
     snapshot shapes (n_records, R, d); theta_snaps is None unless
     ``keep_theta``; diverged_at is -1 for rows that never diverge.  A diverged
     row leaves the live set: its state before the diverging step fills its
-    remaining snapshots and its stream is no longer drawn.  The dtype is the
-    run's (see ``_resolve_theta0``).  Each array the step forms draw gets one
+    remaining snapshots and its stream is no longer drawn.  The state is
+    float64, as problems are real.  Each array the step forms draw gets one
     (chunk, R, ...) buffer of that array's dtype, allocated at the first
     draw: an atom index buffer is int64.
 
     Raises ValueError when the runs do not share the step-form key, horizon,
     record stride, theta_0 and divergence bound.  Any key but a sigma_b = 0
-    Gaussian form's equals only itself, and a Gaussian problem is always
-    float64, so a shared key implies one dtype.
+    Gaussian form's equals only itself.
     """
     forms = [p.step_form for p in problems]
     theta0s = [_resolve_theta0(p, c) for p, c in zip(problems, cfgs)]

@@ -19,9 +19,9 @@ Conventions
   its steps follow the law of ``sample`` but are a different random stream
   (the same stream when sigma_A = 0; at d = 2 the step rounds A_P theta by
   columns).
-  Finite-support problems (plain finite, lower-bound, TD(0), GTD, GTD2 and
-  transformed atoms) draw atom indices and gather each step's A_i from the
-  atoms; they draw the stream of ``sample``, bit for bit.
+  Finite-support problems (plain finite, lower-bound, TD(0), GTD and GTD2)
+  draw atom indices and gather each step's A_i from the atoms; they draw
+  the stream of ``sample``, bit for bit.
 - Matrix norms are spectral (operator 2-) norms throughout; vector norms are
   Euclidean.  sigma_A_sq bounds E||A_t - A_P||^2 and sigma_b_sq bounds
   E||b_t - b_P||^2 in those norms.
@@ -186,8 +186,8 @@ class StepForm:
 
     ``draw(rng, n)`` returns a tuple of arrays with leading axis n, one row
     per step; the engine stacks the rows of R replications into (n, R, ...)
-    blocks, each of the dtype its array is drawn with (the run's float or
-    complex dtype, or int64 for the atom indices of a finite problem).
+    blocks, each of the dtype its array is drawn with: float64 (problems are
+    real), or int64 for the atom indices of a finite problem.
     ``direction(draws, s, theta)`` returns b_s - A_s theta for step s of
     those blocks and an (R, d) state, computed row by row or elementwise, so
     a replication's result does not depend on the rest of its batch.
@@ -220,16 +220,18 @@ class ProblemDistribution:
     noise when sigma_b > 0; (b, atom index) draws for finite-support
     problems).  Every constructor sets both, and construction raises
     TypeError when they are not a ``Moments`` and a ``StepForm``.  ``dim``
-    is not an argument: it is read from the moments'
-    b_P.  The run's dtype is that of A_P and b_P (at least float64),
-    which the draws share.  ``atoms`` is set for finite-support families so
-    downstream transforms can map moments in closed form.  A problem without
-    atoms must have matrix noise N = A_t - A_P whose law is invariant under
-    left rotation, N -> QN for orthogonal Q (true of the Gaussian family and
-    of every sigma_A = 0 problem): the transform's closed-form second moment
-    rests on it.  ``seed`` is an optional default stream carried over from a
-    problem file (None or a non-negative integer, else ValueError); runs
-    always take their own seeds.
+    is not an argument: it is read from the moments' b_P.  A problem is
+    real: construction raises ValueError when A_P or b_P is complex, so runs
+    and draws are float64 (a similarity transform's complex moments only
+    certify, see ``transform.transform_moments``).  ``atoms`` is set for
+    finite-support families so downstream transforms can map moments in
+    closed form.  A problem without atoms must have matrix noise
+    N = A_t - A_P whose law is invariant under left rotation, N -> QN for
+    orthogonal Q (true of the Gaussian family and of every sigma_A = 0
+    problem): the transform's closed-form second moment rests on it.
+    ``seed`` is an optional default stream carried over from a problem file
+    (None or a non-negative integer, else ValueError); runs always take
+    their own seeds.
     """
 
     dim: int = field(init=False)
@@ -245,6 +247,9 @@ class ProblemDistribution:
             raise TypeError("exact_moments must be a Moments")
         if not isinstance(self.step_form, StepForm):
             raise TypeError("step_form must be a StepForm")
+        for name in ("A_P", "b_P"):
+            if np.iscomplexobj(getattr(self.exact_moments, name)):
+                raise ValueError(f"exact_moments.{name} must be real, not complex")
         if self.seed is not None:
             _check_integer(self.seed, "seed", seed=True)
         object.__setattr__(self, "dim", len(self.exact_moments.b_P))
@@ -269,9 +274,16 @@ def _check_integer(value, name: str, seed: bool = False, least: int | None = Non
         raise ValueError(f"{name}={value} must be at least {least}")
 
 
-def _check_theta0(theta_0, dim: int, dtype=None) -> np.ndarray:
-    """theta_0 as an array of ``dtype``; ValueError unless a finite dim-vector."""
-    theta_0 = np.asarray(theta_0, dtype=dtype)
+def _real(value, name: str) -> np.ndarray:
+    """value as a float64 array; ValueError naming ``name`` if it is complex."""
+    if np.iscomplexobj(value):
+        raise ValueError(f"{name} must be real, not complex")
+    return np.asarray(value, dtype=float)
+
+
+def _check_theta0(theta_0, dim: int) -> np.ndarray:
+    """theta_0 as a float64 array; ValueError unless a finite real dim-vector."""
+    theta_0 = _real(theta_0, "theta_0")
     if theta_0.shape != (dim,):
         raise ValueError(f"theta_0 must have shape ({dim},)")
     if not np.isfinite(theta_0).all():
@@ -286,20 +298,16 @@ def make_finite_support(atoms, label: str = "finite") -> ProblemDistribution:
     second moment C_P = sum_i p_i A_i^* A_i and the exact noise magnitudes
     sigma_A_sq = E||A - A_P||^2, sigma_b_sq = E||b - b_P||^2.
 
-    Raises ValueError on dimension mismatch, on non-finite entries of an atom
-    or a probability, or if the probabilities are not a distribution
-    (negative entries, or not summing to 1 within 1e-12).
+    Raises ValueError on dimension mismatch, on complex probabilities or
+    non-finite entries of an atom or a probability, or if the probabilities
+    are not a distribution (negative entries, or not summing to 1 within
+    1e-12).
     """
     if len(atoms) == 0:
         raise ValueError("need at least one atom")
-    bs = []
-    As = []
-    probs = []
-    for (b, A), p in atoms:
-        bs.append(np.atleast_1d(np.asarray(b)))
-        As.append(np.asarray(A))
-        probs.append(float(p))
-    probs = np.asarray(probs, dtype=float)
+    bs = [np.atleast_1d(np.asarray(b)) for (b, _), _ in atoms]
+    As = [np.asarray(A) for (_, A), _ in atoms]
+    probs = _real([p for _, p in atoms], "p")
     if np.any(probs < 0):
         raise ValueError("atom probabilities must be nonnegative")
     if abs(probs.sum() - 1.0) > 1e-12:
@@ -312,10 +320,9 @@ def make_finite_support(atoms, label: str = "finite") -> ProblemDistribution:
             )
     bs, As = np.stack(bs), np.stack(As)
     _check_finite(b=bs, A=As, p=probs)
-    dtype = np.result_type(float, As.dtype, bs.dtype)
-    return _finite_problem(
-        FiniteAtoms(probs=probs, bs=bs.astype(dtype), As=As.astype(dtype)), label
-    )
+    # complex atoms stay complex, for ProblemDistribution to refuse by name
+    bs, As = (x.astype(np.result_type(float, x)) for x in (bs, As))
+    return _finite_problem(FiniteAtoms(probs=probs, bs=bs, As=As), label)
 
 
 def _check_finite(**arrays) -> None:
@@ -579,10 +586,10 @@ def make_gaussian_noise(
     E[M_t N_t] = 0.
 
     Exact moments carry C_P = A_P^T A_P + s^2 d I, where s is the entry scale:
-    for i.i.d. entries E[M^T M] = s^2 d I.  Raises ValueError on a negative
-    or non-finite noise magnitude, on non-finite entries of A_P or b_P, and
-    on shapes that do not match: A_P must be a square matrix (2-D), b_P a
-    vector of its size.
+    for i.i.d. entries E[M^T M] = s^2 d I.  Raises ValueError on a complex
+    input, a negative or non-finite noise magnitude, non-finite entries of
+    A_P or b_P, and on shapes that do not match: A_P must be a square matrix
+    (2-D), b_P a vector of its size.
 
     The engine steps this family matrix-free: M_t and N_t are independent
     of theta_{t-1}, so given theta, N_t - M_t theta has exactly the law of
@@ -610,13 +617,14 @@ def make_gaussian_noise(
     A_P theta by columns, so its bits differ from a gemv of ``sample``'s
     A_t in the last places.
     """
+    sigma_A, sigma_b = float(_real(sigma_A, "sigma_A")), float(_real(sigma_b, "sigma_b"))
     if not (0 <= sigma_A < math.inf and 0 <= sigma_b < math.inf):
         raise ValueError("noise magnitudes must be finite and nonnegative")
-    A_P = np.asarray(A_P, dtype=float)
+    A_P = _real(A_P, "A_P")
     if A_P.ndim != 2 or A_P.shape[0] != A_P.shape[1]:
         raise ValueError(f"A_P must be a square matrix, not of shape {A_P.shape}")
     d = A_P.shape[0]
-    b_P = np.atleast_1d(np.asarray(b_P, dtype=float))
+    b_P = np.atleast_1d(_real(b_P, "b_P"))
     if b_P.shape != (d,):
         raise ValueError(f"b_P must have shape ({d},)")
     _check_finite(A_P=A_P, b_P=b_P)
@@ -720,8 +728,11 @@ def make_lower_bound_instance(
     error computable in closed form and the error bounds tight.  It is the
     finite distribution of one atom (b = 0, A) whose intercept scatter is
     (sigma_b, 0).  Raises ValueError unless 0 < lambda_min < lambda_max and
-    sigma_b >= 0, all finite.
+    sigma_b >= 0, all finite and real.
     """
+    lambda_min, lambda_max, sigma_b = (
+        float(_real(x, name)) for x, name in
+        ((lambda_min, "lambda_min"), (lambda_max, "lambda_max"), (sigma_b, "sigma_b")))
     if not (0 < lambda_min < lambda_max < math.inf):
         raise ValueError("need 0 < lambda_min < lambda_max, finite")
     if not 0 <= sigma_b < math.inf:
@@ -729,8 +740,8 @@ def make_lower_bound_instance(
     atoms = FiniteAtoms(
         probs=np.ones(1),
         bs=np.zeros((1, 2)),
-        As=np.diag([float(lambda_min), float(lambda_max)])[None],
-        b_noise=np.array([[float(sigma_b), 0.0]]) if sigma_b else None,
+        As=np.diag([lambda_min, lambda_max])[None],
+        b_noise=np.array([[sigma_b, 0.0]]) if sigma_b else None,
     )
     label = f"lower_bound({lambda_min:g},{lambda_max:g},sigma_b={sigma_b:g})"
     return _finite_problem(atoms, label)

@@ -96,10 +96,8 @@ def witness_alpha(moments: Moments) -> float:
             "mean matrix is not positive definite; apply transform first"
         )
     norm = spectral_norm(A)
-    try:
-        denominator = norm**2 + moments.sigma_A_sq
-    except OverflowError:
-        denominator = math.inf
+    # correctly rounded and inf past the float range, where norm**2 is neither
+    denominator = norm * norm + moments.sigma_A_sq
     if sys.float_info.min <= denominator < math.inf:
         return lam / denominator
     h = math.hypot(norm, math.sqrt(moments.sigma_A_sq))

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import FiniteAtoms, Moments, ProblemDistribution, _check_finite, _finite_problem
+from .problems import FiniteAtoms, Moments, ProblemDistribution, _check_finite, _finite_problem, _real
 
 __all__ = [
     "SyntheticMdp",
@@ -49,7 +49,7 @@ __all__ = [
 
 def _stochastic(name: str, P, n: int) -> np.ndarray:
     """P as a float (n, n) row-stochastic matrix; ValueError naming it otherwise."""
-    P = np.asarray(P, dtype=float)
+    P = _real(P, name)
     if P.shape != (n, n):
         raise ValueError(f"{name} must be ({n},{n})")
     _check_finite(**{name: P})
@@ -59,8 +59,8 @@ def _stochastic(name: str, P, n: int) -> np.ndarray:
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix (left eigenvector)."""
-    P = np.asarray(P, dtype=float)
+    """Stationary distribution of a real row-stochastic matrix (left eigenvector)."""
+    P = _real(P, "P")
     w, V = np.linalg.eig(P.T)
     i = int(np.argmin(np.abs(w - 1.0)))
     pi = np.real(V[:, i])
@@ -84,10 +84,10 @@ class SyntheticMdp:
     ``reward_noise_std`` adds zero-mean Gaussian noise per draw.
 
     Construction converts every input to float (arrays, discount and noise
-    level) and raises ValueError on a non-finite entry, a wrong shape (features
-    that are not a matrix among them), rows
-    that are not distributions, a discount outside [0, 1), a negative noise
-    level or features without full column rank.
+    level) and raises ValueError on a complex input or a non-finite entry, a
+    wrong shape (features that are not a matrix or have no column among
+    them), rows that are not distributions, a discount outside [0, 1), a
+    negative noise level or features without full column rank.
     """
 
     features: np.ndarray  # (n, d)
@@ -99,19 +99,21 @@ class SyntheticMdp:
     reward_noise_std: float = 0.0
 
     def __post_init__(self):
-        feats = np.atleast_2d(np.asarray(self.features, dtype=float))
+        feats = np.atleast_2d(_real(self.features, "features"))
         if feats.ndim != 2:
             raise ValueError(f"features must be a matrix, not of shape {feats.shape}")
+        if feats.shape[1] == 0:
+            raise ValueError("features must have at least one column")
         _check_finite(features=feats)
         n = feats.shape[0]
         P = _stochastic("transitions", self.transitions, n)
-        r = np.asarray(self.rewards, dtype=float)
+        r = _real(self.rewards, "rewards")
         _check_finite(rewards=r)
         if r.shape == (n,):
             r = np.repeat(r[:, None], n, axis=1)
         if r.shape != (n, n):
             raise ValueError(f"rewards must have shape ({n},) or ({n},{n})")
-        discount = float(self.discount)
+        discount = float(_real(self.discount, "discount"))
         if not (0.0 <= discount < 1.0):
             raise ValueError("discount must lie in [0, 1)")
         Pb = self.behavior_transitions
@@ -122,12 +124,12 @@ class SyntheticMdp:
         if self.sampling is None:
             mu = stationary_distribution(P if Pb is None else Pb)
         else:
-            mu = np.asarray(self.sampling, dtype=float)
+            mu = _real(self.sampling, "sampling")
             _check_finite(sampling=mu)
             if mu.shape != (n,) or np.any(mu < 0) or abs(mu.sum() - 1.0) > 1e-10:
                 raise ValueError("sampling must be a distribution over states")
             mu = mu / mu.sum()
-        noise = float(self.reward_noise_std)
+        noise = float(_real(self.reward_noise_std, "reward_noise_std"))
         if not 0.0 <= noise < np.inf:
             raise ValueError("reward_noise_std must be finite and nonnegative")
         if np.linalg.matrix_rank(feats) < feats.shape[1]:

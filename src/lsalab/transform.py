@@ -36,7 +36,6 @@ from .problems import (
     FiniteAtoms,
     Moments,
     ProblemDistribution,
-    _finite_problem,
     _finite_support_moments,
     spectral_norm,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "TransformResult",
     "hurwitz_to_pd",
     "transform_moments",
-    "transform_distribution",
     "transform_problem",
     "NotHurwitzError",
     "TransformFailedError",
@@ -196,25 +194,11 @@ def transform_moments(p: ProblemDistribution, tr: TransformResult) -> Moments:
     return Moments(A_U, U_inv @ m.b_P, C_U, sigma_A_sq, sigma_b_sq)
 
 
-def transform_distribution(p: ProblemDistribution, tr: TransformResult) -> ProblemDistribution:
-    """Distribution of (U^{-1} b_t, U^{-1} A_t U): the finite problem over the
-    transformed atoms, which draws p's atom indices from the same stream.
-
-    Raises ValueError for a problem without atoms (the Gaussian family), whose
-    transformed moments ``transform_moments`` gives in closed form.
-    """
-    if tr.U.shape[0] != p.dim:
-        raise ValueError("transform dimension does not match distribution")
-    if p.atoms is None:
-        raise ValueError(f"{p.label!r} has no atoms: only finite-support problems transform")
-    return _finite_problem(_transform_atoms(p.atoms, tr), f"{p.label}@transformed")
-
-
 def transform_problem(p: ProblemDistribution) -> TransformResult:
     """The PD-certifying transform of p's mean matrix, carrying the moments
-    of the transformed problem (``transform_moments``).
-
-    Build the transformed distribution itself with ``transform_distribution``.
+    of the transformed problem (``transform_moments``): complex on the eigen
+    and Schur routes, they certify step-sizes and make no problem, as
+    problems are real.
     """
     tr = hurwitz_to_pd(p.exact_moments.A_P)
     return TransformResult(tr.U, tr.U_inv, tr.Lambda, transform_moments(p, tr))

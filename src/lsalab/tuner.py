@@ -11,9 +11,9 @@ multiply-add and no BLAS kernel:
 k - 1 being the number of steps averaged into hat.  A gemv would leave the
 rounding of A theta to the kernel OpenBLAS picks at run time (its Haswell
 kernel fuses multiply-adds), so a tuning run's bits would depend on the
-host.  Only float64 problems are tuned: numpy's SIMD complex product does
-not round as separately rounded arithmetic.  So a trace depends on the host
-only through its draws, whose last bits do for a Gaussian problem of d >= 3
+host.  Problems are real (see ``problems.ProblemDistribution``), so the
+step is float arithmetic alone, and a trace depends on the host only
+through its draws, whose last bits do for a Gaussian problem of d >= 3
 with sigma_A > 0 (its noise scale c_d, see ``cli``).
 
 Each seed's whole halving loop is one function per dimension d
@@ -186,15 +186,10 @@ def tune(p: ProblemDistribution, cfg: TunerConfig) -> TunerTrace:
     divergence.
 
     Raises ValueError, before anything is drawn, when cfg.theta_0 is not a
-    finite d-vector or the run's dtype is not float64, and
+    finite real d-vector (the problem is real, as every problem is), and
     NoStableStepSizeError when a halving crosses the absolute floor 1e-12.
     """
     theta0 = _resolve_theta0(p, cfg)
-    if theta0.dtype != np.float64:
-        raise ValueError(
-            f"the tuner tunes float64 problems only, not {theta0.dtype}: "
-            "tune the untransformed problem"
-        )
     return _run_function(p.dim)(
         p.sample, np.random.default_rng(cfg.seed), cfg.horizon, theta0.tolist(),
         float(cfg.alpha_max), cfg.T, cfg.k, cfg.c_threshold, divergence_bound(p, theta0))

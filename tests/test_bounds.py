@@ -132,6 +132,12 @@ class TestUpperBound:
         with pytest.raises(ValueError, match="theta_0 must be finite"):
             bound_inputs_for(m, 0.1, np.array([bad, 0.0]))
 
+    @pytest.mark.parametrize("theta_0", [[0.5, 1j], np.zeros(2, dtype=complex)])
+    def test_theta0_must_be_real(self, theta_0):
+        m = make_lower_bound_instance(1.0, 2.0, 1.0).exact_moments
+        with pytest.raises(ValueError, match="^theta_0 must be real, not complex$"):
+            bound_inputs_for(m, 0.1, theta_0)
+
     @pytest.mark.parametrize(
         "name, transformed, alphas",
         [("td0_onpolicy", False, (0.01, 0.02)), ("gtd2_offpolicy", True, (0.005, 0.01))],

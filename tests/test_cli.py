@@ -691,14 +691,28 @@ def test_negative_seed_exits_2(command, tmp_path, capsys):
     assert os.listdir(tmp_path) == ["mdp.json"]
 
 
+#: theta* = (1e300, 1e300), sigma_A = 1
+HUGE_THETA_STAR = {"type": "gaussian", "A": [[1.0, 0.0], [0.0, 1.0]], "b": [1e300, 1e300],
+                   "sigma_A": 1.0}
+#: the Fig. 1 mean and intercept without noise
+QUIET_FIG1 = {"type": "gaussian", "A": [[1, -10], [10, 1]], "b": [-9, 11]}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("theta0", [None, "[1e300, 1e300]", "[-1e308, 0]"])
-def test_bound_on_a_huge_fixed_point_reads_inf_not_nan(theta0, tmp_path):
+@pytest.mark.parametrize("problem, theta0", [
+    pytest.param(HUGE_THETA_STAR, None, id="None"),
+    pytest.param(HUGE_THETA_STAR, "[1e300, 1e300]", id="[1e300, 1e300]"),
+    pytest.param({**HUGE_THETA_STAR, "b": [1e308, 0.0], "sigma_A": 0.5}, "[-1e308, 0]",
+                 id="[-1e308, 0]"),
+    pytest.param(QUIET_FIG1, "[1.7e308, 1.7e308]", id="sigma_A=0-sigma_b=0"),
+    pytest.param({**QUIET_FIG1, "sigma_b": 1}, "[1.7e308, 1.7e308]", id="sigma_A=0-sigma_b=1"),
+    pytest.param({"type": "lower_bound", "lambda_min": 1, "lambda_max": 2, "sigma_b": 1},
+                 "[1.7e308, 1.7e308]", id="lower_bound"),
+])
+def test_bound_on_a_huge_fixed_point_reads_inf_not_nan(problem, theta0, tmp_path):
     # theta* = (1e300, 1e300): ||theta_0 - theta*||^2 and sigma_1^2 overflow;
-    # theta* = (1e308, 0) from theta_0 = (-1e308, 0): theta_0 - theta* itself does
-    problem = {"type": "gaussian", "A": [[1.0, 0.0], [0.0, 1.0]], "b": [1e300, 1e300], "sigma_A": 1.0}
-    if theta0 == "[-1e308, 0]":
-        problem.update(b=[1e308, 0.0], sigma_A=0.5)
+    # theta* = (1e308, 0) from theta_0 = (-1e308, 0): theta_0 - theta* itself
+    # does; and without matrix noise ||theta_0 - theta*|| overflows alone
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem))
     out = tmp_path / "bound.csv"
@@ -708,12 +722,37 @@ def test_bound_on_a_huge_fixed_point_reads_inf_not_nan(theta0, tmp_path):
     rows = np.array([[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[2:]])
     assert rows.shape == (5, 5) and not np.isnan(rows).any()
     t, lower, upper, bias, variance = rows.T
+    if not problem.get("sigma_A"):
+        # sigma_2^2 = 0: the noise term sigma_2^2 ||theta_0 - theta*|| is 0,
+        # not 0 * inf, so the variance term is that of sigma_b alone
+        assert (lower == np.inf).all() and (upper == np.inf).all() and (bias == np.inf).all()
+        assert np.isfinite(variance).all()
+        assert ((variance > 0) == bool(problem.get("sigma_b"))).all()
+        return
     assert (upper == np.inf).all() and (variance == np.inf).all()
     if theta0 == "[1e300, 1e300]":
         # theta_0 = theta*: no bias, and at t = 1 no noise term either
         assert (bias == 0).all() and lower[0] == 0 and (lower[1:] == np.inf).all()
     else:
         assert (lower == np.inf).all() and (bias == np.inf).all()
+
+
+@pytest.mark.parametrize("command", ["td", "rho"])
+def test_mdp_without_feature_columns_exits_2(command, tmp_path):
+    # d = 0 passed the rank check, as 0 < 0 is false, and Moments then
+    # raised numpy's "cond is not defined on empty arrays"
+    mdp = {"features": [[]], "transitions": [[1]], "rewards": [1], "discount": 0.5}
+    out = tmp_path / "out"
+    if command == "td":
+        (tmp_path / "mdp.json").write_text(json.dumps(mdp))
+        argv = ["td", "--mdp", str(tmp_path / "mdp.json"), "--out", str(out)]
+    else:
+        (tmp_path / "p.json").write_text(json.dumps({"type": "td_mdp", "algo": "td0", "mdp": mdp}))
+        argv = ["rho", "--problem", str(tmp_path / "p.json"), "--alpha-grid", "1e-4:1:3:log",
+                "--out", str(out)]
+    code, err = main_quietly(argv)
+    assert (code, err) == (EXIT_VALIDATION, "error: features must have at least one column\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["rho", "bound"])
@@ -1397,4 +1436,44 @@ def test_float_flags_exit_0_2_or_3_and_write_nothing_on_2(flag, value):
                 assert re.fullmatch(r"error: .+\n", err) and written == [], (err, written)
             for name in written:
                 assert "nan" not in Path(root, name).read_text().lower()
+                os.remove(Path(root, name))
+
+
+#: Gaussian files with the Fig. 1 mean, sigma_A and sigma_b each 0 or 1 and
+#: the intercept (-9, 11) scaled by 1, 1e-300 and 1e300, and a lower_bound file
+MAGNITUDE_FILES = [
+    pytest.param({**QUIET_FIG1, "b": [-9 * scale, 11 * scale], "sigma_A": s_A, "sigma_b": s_b},
+                 id=f"gaussian-{s_A}-{s_b}-{scale:g}")
+    for s_A in (0, 1) for s_b in (0, 1) for scale in (1.0, 1e-300, 1e300)
+] + [pytest.param({"type": "lower_bound", "lambda_min": 1, "lambda_max": 2, "sigma_b": 1},
+                  id="lower_bound")]
+
+
+@pytest.mark.parametrize("spec", MAGNITUDE_FILES)
+def test_magnitudes_exit_0_2_or_3_and_write_no_nan(spec):
+    # bound, simulate and tune from no theta_0, one past the float range from
+    # theta* and a subnormal one, rho and transform once: exit 0, 2 or 3,
+    # never a traceback or a RuntimeWarning, nothing written on exit 2 and
+    # no nan in a CSV written on exit 0
+    with tempfile.TemporaryDirectory() as root:
+        problem = Path(root) / "p.json"
+        problem.write_text(json.dumps(spec))
+        runs = [["rho", "--alpha-grid", "1e-4:1:3:log", "--out", f"{root}/rho.csv"], ["transform"]]
+        for theta0 in ([], ["--theta0", "[1.7e308, 1.7e308]"], ["--theta0", "[1e-320, 0]"]):
+            runs += [argv + theta0 for argv in (
+                ["bound", "--alpha", "0.001", "--t-grid", "1:100:3", "--out", f"{root}/b.csv"],
+                ["simulate", "--alpha", "0.001", "--horizon", "20", "--stride", "5", "--reps", "2",
+                 "--out", f"{root}/s.csv"],
+                ["tune", "--alpha-max", "1", "--horizon", "40", "--out-json", f"{root}/t.json",
+                 "--out-csv", f"{root}/t.csv"],
+            )]
+        for argv in runs:
+            code, err = main_quietly([argv[0], "--problem", str(problem), *argv[1:]])
+            assert code in (0, EXIT_VALIDATION, EXIT_DIVERGED), (argv, err)
+            written = sorted(set(os.listdir(root)) - {"p.json"})
+            if code == EXIT_VALIDATION:
+                assert written == [], (argv, err)
+            for name in written:
+                if code == 0 and name.endswith(".csv"):
+                    assert "nan" not in Path(root, name).read_text().lower(), (argv, name)
                 os.remove(Path(root, name))

@@ -31,7 +31,6 @@ from lsalab.engine import (
 )
 from lsalab.problem_io import load_problem_file
 from lsalab.problems import FiniteAtoms, StepForm, _finite_problem, _mean_specnorm_sq_standard
-from lsalab.transform import transform_distribution, transform_problem
 from oracles import exact_mse_gaussian
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
@@ -135,21 +134,6 @@ class TestRunSingle:
         assert theta[-1, 0] == pytest.approx(1e155)
         assert np.isfinite(curve.mse).all()
         assert run_mse(p, cfg).n_diverged.sum() == 0
-
-    def test_complex_data_supported(self):
-        from lsalab import hurwitz_to_pd, transform_distribution
-
-        # a Jordan-block mean takes the complex Schur route; the intercepts
-        # scatter by +-0.3 around (1, 0.2)
-        J = np.array([[0.1, 1.0], [0.0, 0.1]])
-        base = make_finite_support(
-            [((np.array([1.3, 0.2]), J), 0.5), ((np.array([0.7, 0.2]), J), 0.5)]
-        )
-        p = transform_distribution(base, hurwitz_to_pd(J))
-        cfg = RunConfig(alpha=0.05, horizon=50, record_stride=10, seed=0)
-        _, hat, div, curve = one_replication(p, cfg)
-        assert np.iscomplexobj(hat) and div == -1
-        assert np.isfinite(curve.mse).all()
 
 
 class TestAdvance:
@@ -420,6 +404,13 @@ class TestRunMse:
     def test_theta_0_must_be_finite(self, bad):
         cfg = RunConfig(alpha=0.1, horizon=10, theta_0=np.array([bad, 0.0]), record_stride=5)
         with pytest.raises(ValueError, match="theta_0 must be finite"):
+            run_mse(pm_identity(0.05), cfg)
+
+    @pytest.mark.parametrize("theta_0", [[0.5, 1j], np.zeros(2, dtype=complex)])
+    def test_theta_0_must_be_real(self, theta_0):
+        # refused, not run from its real part
+        cfg = RunConfig(alpha=0.1, horizon=10, theta_0=theta_0, record_stride=5)
+        with pytest.raises(ValueError, match="^theta_0 must be real, not complex$"):
             run_mse(pm_identity(0.05), cfg)
 
 
@@ -1058,12 +1049,10 @@ class TestRunMseMany:
         moved = [((np.array([0.5, 0.0]), A), w) for A, w in zip(p.atoms.As, p.atoms.probs)]
         far = dataclasses.replace(p, exact_moments=make_finite_support(moved).exact_moments)
         other_atoms = make_finite_support([((np.zeros(2), 2 * np.eye(2)), 1.0)])
-        complex_p = make_finite_support([((np.zeros(2, complex), np.eye(2, dtype=complex)), 1.0)])
         noisy = [make_gaussian_noise(np.eye(2), np.zeros(2), 0.5, 0.5) for _ in range(2)]
         cases = [
             ([p, gaussian], [cfg, cfg], "step-form key"),
             ([p, other_atoms], [cfg, cfg], "step-form key"),
-            ([p, complex_p], [cfg, cfg], "step-form key"),
             ([p, pm_identity(0.05)], [cfg, cfg], "step-form key"),
             (noisy, [cfg, cfg], "step-form key"),
             ([p, p], [cfg, dataclasses.replace(cfg, horizon=60)], "horizon"),
@@ -1117,10 +1106,6 @@ def equal_atoms():
     return make_finite_support([((np.ones(2), A), 0.5), ((np.ones(2), A), 0.5)])
 
 
-def transformed(p):
-    return transform_distribution(p, transform_problem(p))
-
-
 # (factory, whether its step form draws nothing) for every constructor's form
 STEP_FORMS = {
     "gaussian-0-0": (lambda: make_gaussian_noise(FIG1_MEAN, np.ones(2), 0.0, 0.0), True),
@@ -1132,11 +1117,6 @@ STEP_FORMS = {
     "two-equal-atoms": (equal_atoms, False),
     "td0-file": (lambda: load_problem_file(PROBLEMS / "td0_onpolicy.json"), False),
     "gtd2-file": (lambda: load_problem_file(PROBLEMS / "gtd2_offpolicy.json"), False),
-    # an eigen-route transform of one non-normal atom, and of the GTD2 atoms
-    "transformed-one-atom": (lambda: transformed(make_finite_support(
-        [((np.ones(2), np.array([[1.0, 3.0], [0.0, 2.0]])), 1.0)])), True),
-    "transformed-gtd2": (lambda: transformed(
-        load_problem_file(PROBLEMS / "gtd2_offpolicy.json")), False),
 }
 
 

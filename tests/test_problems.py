@@ -24,6 +24,7 @@ from lsalab.problems import (
     FiniteAtoms,
     _even_hermite_functions,
     _finite_problem,
+    _finite_support_moments,
     _indexed_search,
     _mean_specnorm_sq_standard,
     _specnorm_sq_quadrature,
@@ -346,6 +347,53 @@ class TestNonFiniteInputs:
             make()
 
 
+class TestProblemsAreReal:
+    """A problem is real: building one whose mean is complex raises, and no
+    constructor drops an imaginary part."""
+
+    @pytest.mark.parametrize("b, A, name", [
+        (np.zeros(2), np.eye(2, dtype=complex), "A_P"),  # a zero imaginary part too
+        (np.array([1j, 0.0]), np.eye(2), "b_P"),
+    ])
+    def test_complex_atoms_are_refused(self, b, A, name):
+        with pytest.raises(ValueError, match=f"^exact_moments.{name} must be real, not complex$"):
+            make_finite_support([((b, A), 0.5), ((np.ones(2), 2 * np.eye(2)), 0.5)])
+
+    @pytest.mark.parametrize("name", ["A_P", "b_P"])
+    def test_complex_moments_are_refused_on_replace(self, name):
+        p = make_finite_support([((np.ones(2), np.eye(2)), 0.5), ((np.zeros(2), 3 * np.eye(2)), 0.5)])
+        m = p.exact_moments
+        means = {"A_P": m.A_P, "b_P": m.b_P}
+        means[name] = means[name] + 1j
+        moments = Moments(means["A_P"], means["b_P"], m.C_P, m.sigma_A_sq, m.sigma_b_sq)
+        with pytest.raises(ValueError, match=f"^exact_moments.{name} must be real, not complex$"):
+            dataclasses.replace(p, exact_moments=moments)
+
+    @pytest.mark.parametrize("A_P, b_P, name", [
+        (np.array([[1 + 1j, 0], [0, 1]]), [1, 1], "A_P"),
+        (np.eye(2, dtype=complex), [1, 1], "A_P"),
+        ([[1, 0], [0, 1j]], [1, 1], "A_P"),  # a list that holds a complex number
+        (np.eye(2), [1, 1j], "b_P"),
+        (np.eye(2), np.ones(2, dtype=complex), "b_P"),
+    ])
+    def test_gaussian_means_must_be_real(self, A_P, b_P, name):
+        with pytest.raises(ValueError, match=f"^{name} must be real, not complex$"):
+            make_gaussian_noise(A_P, b_P, 0.5, 0.0)
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda z: make_finite_support([((np.ones(2), np.eye(2)), z)]), "p"),
+        (lambda z: make_gaussian_noise(np.eye(2), np.ones(2), z, 0.0), "sigma_A"),
+        (lambda z: make_gaussian_noise(np.eye(2), np.ones(2), 0.5, z), "sigma_b"),
+        (lambda z: make_lower_bound_instance(z, 2.0, 1.0), "lambda_min"),
+        (lambda z: make_lower_bound_instance(1.0, 2 * z, 1.0), "lambda_max"),
+        (lambda z: make_lower_bound_instance(1.0, 2.0, z), "sigma_b"),
+    ])
+    def test_complex_scalars_are_refused(self, make, name):
+        # numpy compares complex scalars, and float() of one drops its imaginary part
+        with pytest.raises(ValueError, match=f"^{name} must be real, not complex$"):
+            make(np.complex128(1.0))
+
+
 class TestLowerBoundInstance:
     def test_moments(self):
         p = make_lower_bound_instance(1.0, 2.0, 1.0)
@@ -533,7 +581,7 @@ class TestLazySigmaA:
             )
         names = ("sigma_A_sq", "sigma1_sq", "sigma2_sq")
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-            m = _finite_problem(atoms, "random").exact_moments
+            m = _finite_support_moments(atoms)
             assert svd.call_count == 0
             getattr(m, names[first])  # any of the three reads it first
             assert svd.call_count == 1

@@ -17,10 +17,11 @@ from lsalab import (
     rho_d,
     rho_s,
     spectral_report,
+    transform_moments,
     witness_alpha,
 )
 from lsalab.problem_io import load_problem_file
-from lsalab.problems import Moments, spectral_norm
+from lsalab.problems import FiniteAtoms, Moments, _finite_problem, spectral_norm
 from lsalab.spectral import _min_eig_hermitian
 from lsalab.transform import transform_problem
 
@@ -200,6 +201,58 @@ class TestSpectralProperties:
     def test_inadmissibility_witness_gap(self, alpha):
         m = inadmissibility_witness_pb(alpha).exact_moments
         assert abs(rho_s(m, alpha) + alpha / 2) <= 4 * EPS
+
+
+def hurwitz_problem(rng):
+    """A random finite problem (d = 2-8, up to 6 atoms) whose mean is
+    Hurwitz, its symmetric part often indefinite: the atoms are shifted by a
+    multiple of I past the mean's leftmost eigenvalue.  Half the problems
+    scatter their intercepts."""
+    d, k = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+    probs = rng.dirichlet(np.ones(k))
+    As = rng.standard_normal((k, d, d))
+    A_P = np.einsum("k,kij->ij", probs, As)
+    shift = rng.uniform(0.1, 1.0) - min(0.0, np.linalg.eigvals(A_P).real.min())
+    b_noise = rng.standard_normal((k, d)) if rng.random() < 0.5 else None
+    atoms = FiniteAtoms(probs, rng.standard_normal((k, d)), As + shift * np.eye(d), b_noise)
+    return _finite_problem(atoms, "hurwitz")
+
+
+class TestPowerOfTwoScaling:
+    """Atoms (c b_i, c A_i), intercept scatter c n_i, for c = 2^k: their
+    moments m_c are A_P and b_P times c and C_P, sigma_A^2 and sigma_b^2
+    times c^2, exactly, and the certificates scale with them bit for bit:
+    rho(m_c, alpha/c) = c rho(m, alpha) for both gaps, and witness_alpha(m_c)
+    = witness_alpha(m)/c.  So do the transformed moments, with U held fixed.
+    A transform of the scaled problem is not compared: eig and Schur round
+    a scaled matrix differently (40 of 5,696 such checks differed in the
+    last bits)."""
+
+    @staticmethod
+    def check(p):
+        tr = transform_problem(p)
+        for k in (-40, -7, 3, 60):
+            c = 2.0**k
+            b_noise = None if p.atoms.b_noise is None else c * p.atoms.b_noise
+            p_c = _finite_problem(FiniteAtoms(p.atoms.probs, c * p.atoms.bs, c * p.atoms.As,
+                                              b_noise), "scaled")
+            for m, m_c in ((p.exact_moments, p_c.exact_moments),
+                           (tr.transformed_moments, transform_moments(p_c, tr))):
+                for alpha in (1e-3, 0.01, 0.3, 2.0):
+                    assert rho_d(m_c, alpha / c) == c * rho_d(m, alpha)
+                    assert rho_s(m_c, alpha / c) == c * rho_s(m, alpha)
+                if _min_eig_hermitian(m.A_P + m.A_P.conj().T) > 0:
+                    assert witness_alpha(m_c) == witness_alpha(m) / c
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(402)  # ||A_P||**2 (libm's pow) rounded a last bit off here, norm * norm does not
+    def test_random_finite_problems(self, seed):
+        self.check(hurwitz_problem(np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("name", ["td0_onpolicy", "gtd2_offpolicy"])
+    def test_committed_td_files(self, name):
+        self.check(load_problem_file(PROBLEMS / f"{name}.json"))
 
 
 class TestRhoS:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lsalab import SyntheticMdp, gtd_instance, td0_instance
+from lsalab import SyntheticMdp, gtd_instance, stationary_distribution, td0_instance
 from lsalab.problem_io import td_instance_from_dict
 from lsalab.problems import spectral_norm
 from oracles import estimate_moments
@@ -301,3 +301,30 @@ def test_non_finite_input_raises(field, message, bad):
     fields[field] = value
     with pytest.raises(ValueError, match=message):
         SyntheticMdp(**fields)
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+@pytest.mark.parametrize("field", list(mdp_fields()))
+def test_complex_input_raises(field, as_list):
+    # refused by name, not cast to its real part; a zero imaginary part too
+    fields = mdp_fields()
+    value = np.array(fields[field], dtype=complex)
+    if as_list:  # a list of Python complex numbers
+        value.flat[0] += 1j
+        value = value.tolist()
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be real, not complex$"):
+        SyntheticMdp(**fields)
+
+
+def test_complex_chain_has_no_stationary_distribution():
+    with pytest.raises(ValueError, match="^P must be real, not complex$"):
+        stationary_distribution(np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("features", [[[]], np.zeros((4, 0))])
+def test_features_without_a_column_raise(features):
+    # d = 0 passes the rank check, as 0 < 0 is false
+    n = len(features)
+    with pytest.raises(ValueError, match="^features must have at least one column$"):
+        SyntheticMdp(features=features, transitions=np.eye(n), rewards=np.ones(n), discount=0.5)

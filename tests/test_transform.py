@@ -8,13 +8,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lsalab
 from lsalab import (
     NotHurwitzError,
-    RunConfig,
     SyntheticMdp,
     TransformFailedError,
     TransformResult,
@@ -24,12 +23,10 @@ from lsalab import (
     make_gaussian_noise,
     rho_d,
     rho_s,
-    transform_distribution,
     transform_moments,
     transform_problem,
     witness_alpha,
 )
-from lsalab.engine import _replication_rngs, _simulate_runs
 from lsalab.problem_io import load_problem_file
 from lsalab.problems import FiniteAtoms, _finite_problem, _finite_support_moments, spectral_norm
 from lsalab.transform import _transform_atoms
@@ -165,26 +162,14 @@ class TestHurwitzToPd:
 
 
 class TestTransformDistribution:
-    def test_identity_transform_is_noop(self):
-        p = make_finite_support(
-            [((np.ones(2), np.diag([1.0, 2.0])), 0.5), ((np.zeros(2), np.diag([0.5, 3.0])), 0.5)]
-        )
-        tr = transform_problem(p)
-        p_U = transform_distribution(p, tr)
-        assert np.allclose(tr.U, np.eye(2))
-        b, A = p_U.sample(np.random.default_rng(0), (10,))
-        b0, A0 = p.sample(np.random.default_rng(0), (10,))
-        assert np.allclose(b, b0) and np.allclose(A, A0)
-
     def test_scalar_matrices_commute(self):
         # +-identity atoms are invariant under any similarity
         p = make_finite_support(
             [((np.zeros(2), np.eye(2)), 0.6), ((np.zeros(2), -np.eye(2)), 0.4)]
         )
-        tr = hurwitz_to_pd(JORDAN_2)
-        p_U = transform_distribution(p, tr)
-        assert np.allclose(p_U.atoms.As[0], np.eye(2), atol=1e-12)
-        assert np.allclose(p_U.atoms.As[1], -np.eye(2), atol=1e-12)
+        atoms_U = _transform_atoms(p.atoms, hurwitz_to_pd(JORDAN_2))
+        assert np.allclose(atoms_U.As[0], np.eye(2), atol=1e-12)
+        assert np.allclose(atoms_U.As[1], -np.eye(2), atol=1e-12)
 
     def test_finite_support_moments_match_bruteforce(self):
         from lsalab.transform import TransformResult
@@ -200,7 +185,7 @@ class TestTransformDistribution:
             atoms = FiniteAtoms(probs=probs, bs=bs, As=As, b_noise=noise if noise.any() else None)
             p = _finite_problem(atoms, "finite")
             tr = TransformResult(U=U, U_inv=Ui, Lambda=Ui @ p.exact_moments.A_P @ U)
-            m = transform_distribution(p, tr).exact_moments
+            m = _finite_support_moments(_transform_atoms(atoms, tr))
             # brute force over transformed atoms
             A_exp = sum(w * (Ui @ A @ U) for A, w in zip(As, probs))
             C_exp = sum(w * (Ui @ A @ U).T @ (Ui @ A @ U) for A, w in zip(As, probs))
@@ -261,78 +246,12 @@ class TestTransformDistribution:
         assert m_U.sigma_b_sq == pytest.approx(np.linalg.norm(tr.U_inv, 2) ** 2 * m.sigma_b_sq)
         assert np.allclose(m_U.A_P, tr.Lambda, atol=1e-10)
 
-    @pytest.mark.parametrize("family", ["finite", "gtd2"])
-    def test_problem_moments_are_the_distributions(self, family):
-        # transform_problem computes the moments P_U would carry, bit for bit
-        if family == "finite":
-            p = make_finite_support(
-                [((np.ones(2), JORDAN_2), 0.5), ((np.zeros(2), np.diag([0.3, 0.4])), 0.5)]
-            )
-        else:  # off-policy, with reward noise: intercept scatter to map
-            p = load_problem_file(PROBLEMS / "gtd2_offpolicy.json")
-        tr = transform_problem(p)
-        assert tr.kappa_U > 1
-        m, m_U = transform_distribution(p, tr).exact_moments, tr.transformed_moments
-        for name in ("A_P", "b_P", "C_P", "theta_star"):
-            assert getattr(m, name).tobytes() == getattr(m_U, name).tobytes()
-        for name in ("sigma_A_sq", "sigma_b_sq", "sigma1_sq", "sigma2_sq"):
-            assert getattr(m, name) == getattr(m_U, name)
-
-    def test_problem_without_atoms_is_refused(self):
-        # a Gaussian problem has transformed moments but no transformed
-        # distribution: only atoms map to a problem with a step form
-        p = make_gaussian_noise(JORDAN_2, np.ones(2), 0.5, 0.3)
-        assert transform_problem(p).transformed_moments is not None
-        with pytest.raises(ValueError, match="has no atoms: only finite-support problems"):
-            transform_distribution(p, hurwitz_to_pd(JORDAN_2))
-
-    def test_transform_of_another_dimension_is_refused(self):
-        p = make_finite_support([((np.ones(2), JORDAN_2), 1.0)])
-        with pytest.raises(ValueError, match="^transform dimension does not match distribution$"):
-            transform_distribution(p, hurwitz_to_pd(np.diag([1.0, 2.0, 3.0])))
-
-    def test_sampler_matches_transformed_atoms(self):
-        p = make_finite_support(
-            [((np.ones(2), JORDAN_2), 0.5), ((np.zeros(2), np.diag([0.3, 0.4])), 0.5)]
-        )
-        tr = hurwitz_to_pd(np.array([[0.2, 1.0], [0.0, 0.2]]))
-        p_U = transform_distribution(p, tr)
-        b, A = p_U.sample(np.random.default_rng(1), (50,))
-        b_raw, A_raw = p.sample(np.random.default_rng(1), (50,))
-        assert np.allclose(A, np.einsum("ij,kjl,lm->kim", tr.U_inv, A_raw, tr.U))
-        assert np.allclose(b, np.einsum("ij,kj->ki", tr.U_inv, b_raw))
-
-
-@st.composite
-def hurwitz_finite_problems(draw):
-    """A random finite problem (d = 2 or 3) whose mean is a Hurwitz matrix
-    with an indefinite symmetric part, so that its transform is not the
-    identity, and a start theta_0.  Half the problems scatter their
-    intercepts."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d = draw(st.integers(2, 3))
-    k = draw(st.integers(1, 4))
-    probs = rng.dirichlet(np.ones(k))
-    probs /= probs.sum()
-    noise = 0.3 * rng.standard_normal((k, d, d))
-    noise -= np.einsum("k,kij->ij", probs, noise)  # the atoms' mean is the Hurwitz matrix
-    atoms = FiniteAtoms(
-        probs=probs,
-        bs=rng.standard_normal((k, d)),
-        As=random_hurwitz_non_pd(int(rng.integers(2**31)), d) + noise,
-        b_noise=rng.standard_normal((k, d)) if draw(st.booleans()) else None,
-    )
-    return _finite_problem(atoms, "random"), rng.standard_normal(d)
-
 
 #: atoms around the Jordan block, whose transform takes the complex Schur route
-JORDAN_ATOMS = (
-    make_finite_support([
-        ((np.ones(2), JORDAN_2 + 0.05 * np.array([[1.0, 0.0], [1.0, -1.0]])), 0.5),
-        ((np.array([0.0, 2.0]), JORDAN_2 - 0.05 * np.array([[1.0, 0.0], [1.0, -1.0]])), 0.5),
-    ]),
-    np.array([1.0, -2.0]),
-)
+JORDAN_ATOMS = make_finite_support([
+    ((np.ones(2), JORDAN_2 + 0.05 * np.array([[1.0, 0.0], [1.0, -1.0]])), 0.5),
+    ((np.array([0.0, 2.0]), JORDAN_2 - 0.05 * np.array([[1.0, 0.0], [1.0, -1.0]])), 0.5),
+])
 
 
 @st.composite
@@ -391,35 +310,8 @@ class TestIdentityRoute:
 
 
 class TestTransformedRun:
-    @settings(max_examples=40, deadline=None)
-    @given(hurwitz_finite_problems(), st.floats(0.05, 0.95))
-    @example(JORDAN_ATOMS, 0.5)
-    def test_tracks_the_original_run(self, problem, frac):
-        # P and P_U draw the same atom indices from the same stream, so the
-        # run of P_U from U^{-1} theta_0 is U^{-1} times the run of P from
-        # theta_0, to rounding
-        p, theta_0 = problem
-        tr = transform_problem(p)
-        alpha = frac * witness_alpha(tr.transformed_moments)
-        cfg = RunConfig(alpha=alpha, horizon=300, theta_0=theta_0, record_stride=10,
-                        n_replications=4, seed=3)
-        cfg_U = dataclasses.replace(cfg, theta_0=tr.U_inv @ theta_0)
-        theta, hat, div = _simulate_runs(
-            [p], [cfg], [_replication_rngs(cfg.seed, 4)], keep_theta=True
-        )
-        p_U = transform_distribution(p, tr)
-        theta_U, hat_U, div_U = _simulate_runs(
-            [p_U], [cfg_U], [_replication_rngs(cfg.seed, 4)], keep_theta=True
-        )
-        assert (div < 0).all() and (div_U < 0).all()
-        for got, run in ((theta_U, theta), (hat_U, hat)):
-            want = np.einsum("ij,trj->tri", tr.U_inv, run)
-            err = np.abs(got - want).max() / np.abs(want).max()
-            assert err <= 1e-12 * tr.kappa_U  # 2.3e-15 at most over 300 examples
-
     def test_jordan_example_is_complex(self):
-        p, _ = JORDAN_ATOMS
-        tr = transform_problem(p)
+        tr = transform_problem(JORDAN_ATOMS)
         assert np.iscomplexobj(tr.U) and tr.kappa_U > 1
 
 

@@ -24,7 +24,6 @@ from lsalab.cli import FIG1_SIGMAS, make_fig1_problem
 from lsalab.engine import divergence_bound
 from lsalab.problem_io import load_problem_file
 from lsalab.problems import FiniteAtoms, _finite_problem
-from lsalab.transform import transform_distribution, transform_problem
 from lsalab.tuner import RatioCheck, _ratio_test, _run_function
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
@@ -473,16 +472,12 @@ class TestTuneMany:
         assert compiled.call_count == 3  # d = 2, 1 and 4
         assert _run_function(2) is _run_function(2)
 
-    def test_complex_problem_refused_before_drawing(self):
-        # the transform of GTD2 is complex; the tuner tunes float64 problems only
-        p = load_problem_file(PROBLEMS / "gtd2_offpolicy.json")
-        p = transform_distribution(p, transform_problem(p))
-        assert p.exact_moments.A_P.dtype == np.complex128
-        cfg = TunerConfig(alpha_max=1.0, horizon=160)
-        message = "tunes float64 problems only, not complex128: tune the untransformed problem"
+    @pytest.mark.parametrize("theta_0", [[0.5, 1j], np.zeros(2, dtype=complex)])
+    def test_complex_theta_0_refused_before_drawing(self, theta_0):
+        cfg = TunerConfig(alpha_max=1.0, horizon=160, theta_0=theta_0)
         with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drawn")):
-            with pytest.raises(ValueError, match=message):
-                tune(p, cfg)
+            with pytest.raises(ValueError, match="^theta_0 must be real, not complex$"):
+                tune(make_fig1_problem(1.0), cfg)
 
     @pytest.mark.parametrize("seed", [1.5, -1, True, [1, 2]])
     def test_seeds_must_be_non_negative_integers(self, seed):
